@@ -23,6 +23,7 @@ the anchor index, never on the ambient bound.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,21 +204,88 @@ def ratio_family(D: DiscreteSet, f: FunctionOracle, a, b, d) -> RatioFamily:
     contributes the gap ratio of ``b`` at that anchor.  Membership of the
     cuts in the image is decided against the materialized prefix ``D`` and
     recorded via ``checked_bound``.
+
+    ``D`` is evaluated once, and a single pass over its values finds the
+    anchors, their brackets and both off-image flags.  The result equals
+    the one built from :func:`best_approx` and :func:`_bracket_terms`.
+    """
+    elems = D.elements
+    return _family_from_values(elems, [f.eval(e) for e in elems], a, b, d)
+
+
+def _family_from_values(elems: Sequence[ExactNumber],
+                        values: Sequence[ExactNumber], a, b, d) -> RatioFamily:
+    """:func:`ratio_family` over increasing ``elems`` whose oracle values
+    are ``values``.
+
+    One pass keeps ``a``'s left and right records within bound ``d``, and
+    ``b``'s running bracket, which becomes the term of every anchor found
+    so far once it has values on both sides (the first-bracketing-bound
+    fallback).  The compares against the cuts also decide whether either
+    cut is an image value.
     """
     a = ExactNumber.coerce(a)
     b = ExactNumber.coerce(b)
     d = ExactNumber.coerce(d)
-    state = best_approx(D, f, a, d)
-    terms = _bracket_terms(D, f, b, state.L.elements)
-    values = [t.value for t in terms]
-    increasing = all(x < y for x, y in zip(values, values[1:]))
-    img = {f.eval(e) for e in D}
-    off_image = a not in img and b not in img
-    yset = DiscreteSet([ExactNumber(0)] + values)
+    within = bisect.bisect_right(elems, d)
+    if within == 0:
+        raise EmptySet(f"no elements at or below {d}")
+    left: list[ExactNumber] = []
+    right: list[ExactNumber] = []
+    a_l: Optional[ExactNumber] = None
+    a_r: Optional[ExactNumber] = None
+    b_l: Optional[ExactNumber] = None
+    b_r: Optional[ExactNumber] = None
+    terms: list[RatioTerm] = []
+    on_image = False
+    for i, (e, v) in enumerate(zip(elems, values)):
+        if i < within:
+            side = v.compare(a)
+            if side < 0:
+                # qualifies iff no earlier value sits in (v, a)
+                if a_l is None or a_l <= v:
+                    left.append(e)
+                    a_l = v
+            elif side > 0:
+                if a_r is None or a_r >= v:
+                    right.append(e)
+                    a_r = v
+            else:
+                on_image = True
+        elif v == a:
+            on_image = True
+        side = v.compare(b)
+        if side < 0:
+            if b_l is None or b_l < v:
+                b_l = v
+        elif side > 0:
+            if b_r is None or b_r > v:
+                b_r = v
+        else:
+            on_image = True
+        while len(terms) < len(left) and b_l is not None and b_r is not None:
+            terms.append(RatioTerm(
+                anchor=left[len(terms)], bound_used=e, left=b_l, right=b_r,
+                value=gap_ratio(b_l, b, b_r)))
+    if a_l is None:
+        raise NoLeftValue(f"no value below {a} within bound {d}")
+    if a_r is None:
+        raise NoRightValue(f"no value above {a} within bound {d}")
+    state = ApproxState(L=DiscreteSet(left), R=DiscreteSet(right),
+                        l=a_l, r=a_r, cut=a, bound=d)
+    if len(terms) < len(left):
+        if b_l is None:
+            raise NoLeftValue(
+                f"no value below {b} in the materialized prefix")
+        raise NoRightValue(
+            f"no value above {b} in the materialized prefix")
+    ratios = [t.value for t in terms]
+    increasing = all(x < y for x, y in zip(ratios, ratios[1:]))
+    yset = DiscreteSet([ExactNumber(0)] + ratios)
     return RatioFamily(a=a, b=b, d=d, yset=yset,
-                       admissible=increasing and off_image,
+                       admissible=increasing and not on_image,
                        terms=tuple(terms), approx=state,
-                       checked_bound=D.max())
+                       checked_bound=elems[-1])
 
 
 def widen_interval(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,

@@ -220,6 +220,9 @@ def _cmd_measure(args) -> list[str]:
                 f"slack={report.slack}",
                 f"holds={'true' if report.holds else 'false'}"]
     if verb == "localnull":
+        if None in (args.set, args.delta, args.probes):
+            raise ValueError(
+                "measure localnull needs --set, --delta and --probes")
         X = measure.FiniteUnion.parse(args.set)
         report = measure.local_null_check(
             X, exact(args.delta), _parse_probes(args.probes))

@@ -355,6 +355,8 @@ class GrowableSet:
                  generator: Optional[Callable[[int], ExactNumber]] = None,
                  cap: int = 10 ** 6,
                  min_gap=1):
+        if cap < 0:
+            raise ValueError(f"cap must be non-negative, got {cap}")
         self.generator = generator or (lambda k: ExactNumber._raw(k, 0, 1, 0))
         self.cap = cap
         self.min_gap = ExactNumber.coerce(min_gap)

@@ -106,7 +106,7 @@ class TargetBelowOne(PreconditionError):
 
 # -- coding ------------------------------------------------------------------
 
-class ExpansionTerminated(ExactLabError):
+class ExpansionTerminated(PreconditionError):
     """A rational number ran out of continued-fraction digits.
 
     Carries the digits produced so far in ``digits``.

@@ -14,6 +14,11 @@ to 1) and repeatedly adjoins one more ratio close to the next integer:
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
+A step evaluates the oracle once per prefix index: the scans of phases 2
+and 4 append each value to a column kept for the step, and phase 3 and the
+ratio family of the new cuts (anchors, brackets and off-image checks in one
+pass) read the column instead of re-evaluating the prefix.
+
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step's
 output is re-verified with the independent segment checker; a failed check
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     DegenerateOracle,
@@ -45,7 +50,12 @@ from .dsets import (
     GrowableSet,
     is_approx_segment,
 )
-from .approx import RatioFamily, _bracket_terms, ratio_family
+from .approx import (
+    RatioFamily,
+    _bracket_terms,
+    _family_from_values,
+    ratio_family,
+)
 from .qnum import ExactNumber
 
 ONE = ExactNumber(1)
@@ -78,15 +88,6 @@ def _index_of(G: GrowableSet, e: ExactNumber) -> int:
     if i >= len(elems) or elems[i] != e:
         raise ValueError(f"{e} is not materialized")
     return i
-
-
-def _off_image(G: GrowableSet, f: FunctionOracle, cuts: Sequence[ExactNumber]) -> bool:
-    for i in range(G.materialized_bound + 1):
-        v = f.eval(G.element(i))
-        for c in cuts:
-            if v == c:
-                return False
-    return True
 
 
 def _ratio_window(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
@@ -148,18 +149,22 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
                ratio_target: ExactNumber, eps_move: ExactNumber) -> _StepOutcome:
     """One pipeline step: adjoin a ratio exactly equal to ratio_target while
     moving every existing ratio by less than eps_move."""
-    u, e = prev.a, prev.d
     l_ue = prev.approx.l
-    e_idx = _index_of(G, e)
+    e_idx = _index_of(G, prev.d)
 
     # (1) window around the previous inner cut
     lo, hi = _ratio_window(G.materialized(), f, prev, eps_move)
+
+    # vals[i] = f(element i); each scan appends only the indices it is the
+    # first to reach, so every index of the step is evaluated once
+    vals: list[ExactNumber] = []
 
     # (2) least bound holding two image values inside the window
     found: dict[ExactNumber, int] = {}
     i = 0
     while True:
         v = f.eval(G.element(i))
+        vals.append(v)
         if lo <= v <= hi and v not in found:
             found[v] = i
         if len(found) >= 2 and i >= e_idx:
@@ -170,8 +175,7 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     # (3) fresh outer cut: midpoint of the image-free gap above the
     #     previous best left value
     v_next: Optional[ExactNumber] = None
-    for j in range(d0_idx + 1):
-        v = f.eval(G.element(j))
+    for v in vals:
         if v > l_ue and (v_next is None or v < v_next):
             v_next = v
     a = (l_ue + v_next) / 2
@@ -181,7 +185,9 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     #     shrunk: re-take its midpoint and keep scanning
     i = d0_idx
     while True:
-        v = f.eval(G.element(i))
+        if i == len(vals):
+            vals.append(f.eval(G.element(i)))
+        v = vals[i]
         if v == a:
             a = (l_ue + a) / 2
         if lo <= v <= hi and v not in found:
@@ -203,7 +209,8 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     # (6) inner cut placed so the new ratio is exact
     b = w1 + (w2 - w1) / ratio_target
 
-    fam = ratio_family(G.prefix(d_idx), f, a, b, d)
+    fam = _family_from_values(G._elems[:d_idx + 1], vals[:d_idx + 1],
+                              a, b, d)
 
     expected_anchors = tuple(prev.approx.L.elements) + (d,)
     if fam.approx.L.elements != expected_anchors:

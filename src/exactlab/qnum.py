@@ -79,11 +79,12 @@ class ExactNumber:
             m = 0
         if den < 0:
             p, q, den = -p, -q, -den
-        g = gcd(gcd(abs(p), abs(q)), den)
-        if g > 1:
-            p //= g
-            q //= g
-            den //= g
+        if den != 1:
+            g = gcd(p, q, den)
+            if g > 1:
+                p //= g
+                q //= g
+                den //= g
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "den", den)
@@ -159,10 +160,15 @@ class ExactNumber:
         return ExactNumber._raw(-self.p, -self.q, self.den, self.m)
 
     def __sub__(self, other) -> "ExactNumber":
-        return self + (-ExactNumber.coerce(other))
+        other = ExactNumber.coerce(other)
+        m = self._merged_m(other)
+        return ExactNumber._raw(
+            self.p * other.den - other.p * self.den,
+            self.q * other.den - other.q * self.den,
+            self.den * other.den, m)
 
     def __rsub__(self, other) -> "ExactNumber":
-        return ExactNumber.coerce(other) + (-self)
+        return ExactNumber.coerce(other) - self
 
     def __mul__(self, other) -> "ExactNumber":
         other = ExactNumber.coerce(other)
@@ -196,17 +202,26 @@ class ExactNumber:
     def compare(self, other) -> int:
         """Exact three-way comparison: sign of ``self - other``.
 
-        Works on cross-multiplied raw coefficients; no normalization needed
-        for a sign, so this stays cheap in search loops.
+        Works on raw coefficients; no normalization needed for a sign, so
+        this stays cheap in search loops.  Denominators are positive, so
+        equal ones cancel and the numerators can be subtracted directly.
         """
-        other = ExactNumber.coerce(other)
-        if self.q != 0 and other.q != 0 and self.m != other.m:
+        if type(other) is not ExactNumber:
+            other = ExactNumber.coerce(other)
+        q, oq = self.q, other.q
+        if q != 0 and oq != 0 and self.m != other.m:
             raise RadicandMismatch(
                 f"cannot compare sqrt({self.m}) with sqrt({other.m})")
-        m = self.m if self.q != 0 else other.m
-        a = self.p * other.den - other.p * self.den
-        b = self.q * other.den - other.q * self.den
-        return _sign_pair(a, b, m)
+        den, oden = self.den, other.den
+        if den == oden:
+            a = self.p - other.p
+            b = q - oq
+        else:
+            a = self.p * oden - other.p * den
+            b = q * oden - oq * den
+        if b == 0:
+            return (a > 0) - (a < 0)
+        return _sign_pair(a, b, self.m if q != 0 else other.m)
 
     def __eq__(self, other) -> bool:
          # canonical form makes value equality structural within one radicand
@@ -315,10 +330,10 @@ def parse_exact(text: str) -> ExactNumber:
         if match is None:
             raise ValueError(f"cannot parse number {text!r}")
         if match.group("rat") is not None:
-            rat += Fraction(match.group("rat"))
+            rat += _fraction(match.group("rat"))
             continue
         if match.group("coef") is not None:
-            c = Fraction(match.group("coef"))
+            c = _fraction(match.group("coef"))
             tm = int(match.group("m1"))
         else:
             c = Fraction(-1 if match.group("sign") == "-" else 1)
@@ -332,6 +347,13 @@ def parse_exact(text: str) -> ExactNumber:
             raise RadicandMismatch(f"mixed radicands in {text!r}")
         coef += c
     return ExactNumber(rat, coef, m)
+
+
+def _fraction(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {token!r}") from None
 
 
 def _split_terms(compact: str) -> list[str]:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from exactlab import (
     stability_interval,
     widen_interval,
 )
+from exactlab.approx import _bracket_terms
 from exactlab.errors import (
     CutInImage,
     EmptySet,
@@ -247,3 +249,65 @@ def test_best_approx_duplicate_values_all_qualify():
     state = best_approx(DiscreteSet.naturals(2), f, F(1, 2), 2)
     assert list(state.L) == [exact(0), exact(1)]
     assert state.l == exact(F(1, 4))
+
+
+def reference_family(D, f, a, b, d):
+    """ratio_family's fields from the separate passes: best_approx for the
+    anchors, _bracket_terms for their brackets, the image set for the
+    off-image flags."""
+    a, b = exact(a), exact(b)
+    state = best_approx(D, f, a, d)
+    terms = _bracket_terms(D, f, b, state.L.elements)
+    ratios = [t.value for t in terms]
+    image = {f.eval(e) for e in D}
+    admissible = all(x < y for x, y in zip(ratios, ratios[1:])) \
+        and a not in image and b not in image
+    return (tuple(terms), state, DiscreteSet([0] + ratios), admissible,
+            D.max())
+
+
+def test_ratio_family_matches_reference_passes(rng):
+    # small value pools force repeated image values; cuts are drawn from
+    # the image itself, from inside the value range and from beyond it
+    # (one-sided prefixes); bounds fall below min(D), inside D and above it
+    seen = Counter()
+    for _ in range(1000):
+        keys = sorted(rng.sample(range(40), rng.randrange(1, 16)))
+        pool = [F(k, 8) for k in range(rng.randrange(2, 9))]
+        f = TableOracle({F(k, 2): rng.choice(pool) for k in keys})
+        D = DiscreteSet(f.table)
+        image = [f.eval(e) for e in D]
+
+        def cut():
+            if rng.random() < 0.3:
+                return rng.choice(image)
+            return F(rng.randrange(-1, 2 * len(pool)), 16)
+
+        a, b = cut(), cut()
+        d = rng.choice(list(D) * 2 + [F(rng.randrange(-2, 42), 4)])
+        try:
+            expected = reference_family(D, f, a, b, d)
+        except (EmptySet, NoLeftValue, NoRightValue) as err:
+            with pytest.raises(type(err)) as got:
+                ratio_family(D, f, a, b, d)
+            assert type(got.value) is type(err)
+            assert str(got.value) == str(err)
+            seen[type(err).__name__] += 1
+            continue
+        fam = ratio_family(D, f, a, b, d)
+        terms, state, yset, admissible, checked = expected
+        assert fam.terms == terms
+        assert (fam.approx.L, fam.approx.R, fam.approx.l, fam.approx.r) == \
+            (state.L, state.R, state.l, state.r)
+        assert fam.yset == yset
+        assert fam.admissible == admissible
+        assert fam.checked_bound == checked
+        seen["admissible" if admissible else "not admissible"] += 1
+        seen["d below max"] += d < D.max()
+        seen["cut on image"] += exact(a) in image or exact(b) in image
+        seen["repeated values"] += len(set(image)) < len(image)
+        seen["fallback bound"] += any(t.bound_used != t.anchor for t in terms)
+    for case in ("EmptySet", "NoLeftValue", "NoRightValue", "admissible",
+                 "not admissible", "d below max", "cut on image",
+                 "repeated values", "fallback bound"):
+        assert seen[case] >= 5, (case, seen)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from exactlab.cli import run
 
 
@@ -151,3 +153,25 @@ def test_reports_are_deterministic():
     first = run(["extract", "--oracle", "rot(sqrt2)", "--n", "2", "--eps", "1/4"])
     second = run(["extract", "--oracle", "rot(sqrt2)", "--n", "2", "--eps", "1/4"])
     assert first == second
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "--oracle", "rot(phi)", "--n", "2", "--eps", "1/0"],
+     "error: zero denominator in '1/0'"),
+    (["extract", "--oracle", "rot(1/0)", "--n", "2", "--eps", "1/4"],
+     "error: zero denominator in '1/0'"),
+    (["approx", "--oracle", "rot(phi)", "--cut", "1/0*sqrt(2)",
+      "--bound", "4"],
+     "error: zero denominator in '1/0'"),
+    (["measure", "localnull"],
+     "error: measure localnull needs --set, --delta and --probes"),
+    (["measure", "localnull", "--set", "(0,1/2)", "--delta", "1/4"],
+     "error: measure localnull needs --set, --delta and --probes"),
+    (["code", "cf", "7/3", "10"], "error: expansion has only 2 digits"),
+    (["extract", "--oracle", "rot(phi)", "--n", "2", "--eps", "1/4",
+      "--budget", "-5"],
+     "error: cap must be non-negative, got -5"),
+], ids=["eps-1/0", "rot-1/0", "cut-1/0-sqrt", "localnull-no-args",
+        "localnull-no-probes", "cf-terminates", "negative-budget"])
+def test_malformed_input_is_status_2_not_a_traceback(argv, message):
+    assert run(argv) == (2, [message])

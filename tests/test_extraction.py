@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -211,3 +212,34 @@ def test_trace_report_shape():
     assert lines[0].startswith("oracle=")
     assert lines[2] == "steps=2"
     assert all(line.endswith("check=pass") for line in lines[3:])
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Recorded before the extraction step read its prefix from a per-step
+# value column; any change to the scans must leave these traces untouched.
+GOLDEN_TRACES = {
+    ("phi", 3): "d5b3350e230ab3265f2a5e9821699ccbde88497cd516d99434b97578cb95be4d",
+    ("sqrt3", 3): "b84b563724ed0fb84e087967567271c05a0075cbb2e8b675e44ab116ee0bbe39",
+    ("sqrt2", 2): "cc31da0c0def6e121fe6beb45e925e40ea84a7d3ebd8b8f2eac481ea23cf8da0",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(GOLDEN_TRACES))
+def test_trace_report_matches_golden(name, n):
+    base = {"phi": PHI, "sqrt2": SQRT2, "sqrt3": SQRT3}[name]
+    trace = extract(GrowableSet(), RotationOracle(base), n, F(1, 4))
+    assert _sha256(trace_report(trace)) == GOLDEN_TRACES[(name, n)]
+
+
+def test_approximate_target_matches_golden():
+    fam = approximate_target(GrowableSet(), RotationOracle(SQRT2),
+                             DiscreteSet([F(3, 2), F(5, 2)]), F(1, 5))
+    lines = [f"a={fam.a}", f"b={fam.b}", f"d={fam.d}",
+             "Y=" + ",".join(str(y) for y in fam.yset)]
+    lines += [f"{t.anchor} {t.bound_used} {t.left} {t.right} {t.value}"
+              for t in fam.terms]
+    assert _sha256(lines) == \
+        "79252eb6f26226cd502d4dcc22c790de4de9abb3376ea2b1bb898b1ed32be678"

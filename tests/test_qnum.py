@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exactlab import ExactNumber, PHI, SQRT2, SQRT3, exact, parse_exact
 from exactlab.errors import DivisionByZero, RadicandMismatch
+from exactlab.qnum import _sign_pair
 
 from conftest import rand_quadratic
 
@@ -165,3 +169,63 @@ def test_str_of_rationals_matches_fraction():
     assert str(exact(F(21, 20))) == "21/20"
     assert str(exact(-3)) == "-3"
     assert str(PHI) == "1/2+1/2*sqrt(5)"
+
+
+# -- fast paths against their slow formulas ----------------------------------
+
+# small denominators make equal denominators after normalization common
+_coef = st.builds(F, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+def _numbers(m):
+    """ExactNumbers over Q(sqrt(m)), rationals included."""
+    return st.builds(lambda a, b: ExactNumber(a, b, m), _coef, _coef)
+
+
+_pairs = st.sampled_from([0, 2, 3, 5]).flatmap(
+    lambda m: st.tuples(_numbers(m), _numbers(m) | _numbers(0)))
+
+
+def _slow_compare(x, y):
+    m = x.m if x.q != 0 else y.m
+    return _sign_pair(x.p * y.den - y.p * x.den, x.q * y.den - y.q * x.den, m)
+
+
+def _fields(x):
+    return (x.p, x.q, x.den, x.m)
+
+
+@given(_pairs)
+def test_compare_agrees_with_cross_multiplied_sign(pair):
+    x, y = pair
+    assert x.compare(y) == _slow_compare(x, y)
+    assert y.compare(x) == _slow_compare(y, x)
+
+
+@given(_coef, _coef)
+def test_compare_agrees_with_fraction_order(a, b):
+    expected = (a > b) - (a < b)
+    assert exact(a).compare(exact(b)) == expected
+    assert exact(a).compare(b) == expected
+
+
+@given(_pairs, st.integers(-9, 9))
+def test_subtraction_is_addition_of_the_negation_and_canonical(pair, k):
+    x, y = pair
+    assert _fields(x - y) == _fields(x + (-y))
+    assert _fields(y - x) == _fields(y + (-x))
+    assert _fields(k - x) == _fields(exact(k) + (-x))
+    assert _fields(x - k) == _fields(x + exact(-k))
+    for z in (x - y, x * y, k - x):
+        # canonical: positive denominator, no common factor left
+        assert z.den > 0 and gcd(z.p, z.q, z.den) == 1
+
+
+@given(st.sampled_from([(2, 3), (2, 5), (3, 5), (5, 2)]),
+       _coef, _coef.filter(bool), _coef, _coef.filter(bool))
+def test_mixed_radicands_still_rejected(ms, p1, q1, p2, q2):
+    x, y = ExactNumber(p1, q1, ms[0]), ExactNumber(p2, q2, ms[1])
+    with pytest.raises(RadicandMismatch):
+        x.compare(y)
+    with pytest.raises(RadicandMismatch):
+        x - y
