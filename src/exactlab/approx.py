@@ -59,9 +59,6 @@ class ApproxState:
     def __post_init__(self):
         assert self.l < self.cut < self.r, "bracket must straddle the cut"
 
-    def stability(self) -> tuple[ExactNumber, ExactNumber]:
-        return (self.l, self.r)
-
 
 def gap_ratio(a, b, c) -> ExactNumber:
     """(c - a) / (b - a) when a < b < c, else 0."""
@@ -122,7 +119,7 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
         if f.eval(e) == cut:
             raise CutInImage(f"{cut} is an image value at or below {bound}")
     state = best_approx(D, f, cut, bound)
-    lo, hi = state.stability()
+    lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
@@ -149,7 +146,11 @@ class RatioTerm:
 
 @dataclass(frozen=True)
 class RatioFamily:
-    """The candidate approximate integer set built from bracket ratios."""
+    """The candidate approximate integer set built from bracket ratios.
+
+    ``bracket`` lies inside every term's ``(left, right)``, since each of
+    those is b's running bracket at a bound within the checked prefix.
+    """
 
     a: ExactNumber               # outer cut: its left best approximations anchor the terms
     b: ExactNumber               # inner cut: its brackets produce the ratios
@@ -159,6 +160,7 @@ class RatioFamily:
     terms: tuple[RatioTerm, ...]
     approx: ApproxState          # best-approximation state of the outer cut at d
     checked_bound: ExactNumber   # largest element used for the off-image checks
+    bracket: tuple[ExactNumber, ExactNumber]  # b's bracket over the checked prefix
 
 
 def _bracket_terms(D: DiscreteSet, f: FunctionOracle, cut: ExactNumber,
@@ -285,26 +287,48 @@ def _family_from_values(elems: Sequence[ExactNumber],
     return RatioFamily(a=a, b=b, d=d, yset=yset,
                        admissible=increasing and not on_image,
                        terms=tuple(terms), approx=state,
-                       checked_bound=elems[-1])
+                       checked_bound=elems[-1], bracket=(b_l, b_r))
+
+
+def _window(fam: RatioFamily, eps: ExactNumber
+            ) -> tuple[ExactNumber, ExactNumber]:
+    """Open interval around the inner cut on which every term moves by less
+    than eps, with no checks on the family's shape.
+
+    Solved in closed form per term: for a fixed bracket (l, r) the ratio
+    c -> (r - l)/(c - l) is strictly decreasing on (l, r), so each term's
+    window is the preimage of (t0 - eps, t0 + eps), unbounded above when
+    t0 - eps <= 1.  The intersection starts from ``fam.bracket``, which
+    lies inside every term's bracket, so every cut in the window keeps
+    identical bracket data at every anchor.
+    """
+    lo, hi = fam.bracket
+    for term in fam.terms:
+        l, t0 = term.left, term.value
+        width = term.right - l
+        t_lo = l + width / (t0 + eps)
+        if lo < t_lo:
+            lo = t_lo
+        if (t0 - eps).compare(1) > 0:
+            t_hi = l + width / (t0 - eps)
+            if hi > t_hi:
+                hi = t_hi
+    assert lo < fam.b < hi, "inner cut must sit inside its own window"
+    return lo, hi
 
 
 def widen_interval(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
                    eps, anchor_upto, verify_samples: int = 0, seed: int = 0
                    ) -> tuple[ExactNumber, ExactNumber]:
     """Open interval around the inner cut on which every term moves by less
-    than eps.
+    than eps: :func:`_window` after checking that eps < 1/4 and that the
+    family is admissible and an eps-segment up to ``anchor_upto``.
 
-    Solved in closed form per term: for a fixed bracket (l, r) the ratio
-    c -> (r - l)/(c - l) is strictly decreasing on (l, r), so the admissible
-    window for each term is the preimage of (t0 - eps, t0 + eps), capped at
-    r when t0 - eps drops to 1 or below.  The intersection is further
-    clipped to the bracket of the inner cut at the ambient bound, so every
-    cut drawn from the window keeps identical bracket data at every anchor.
-
-    ``verify_samples`` rebuilds the family at that many seeded random cuts
-    inside the window (skipping image values) and checks each is admissible
-    and a 3*eps-segment; a failure raises, since the window computation
-    would have to be wrong.
+    The window comes from ``fam`` alone; ``D`` feeds only
+    ``verify_samples``, which rebuilds the family over ``D`` at that many
+    seeded random cuts inside the window (skipping image values) and checks
+    each is admissible and a 3*eps-segment; a failure raises, since the
+    window computation would have to be wrong.
     """
     eps = ExactNumber.coerce(eps)
     anchor_upto = ExactNumber.coerce(anchor_upto)
@@ -315,21 +339,7 @@ def widen_interval(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
     if not is_approx_segment(fam.yset, eps, anchor_upto):
         raise NotASegment(
             f"family set is not an {eps}-segment up to {anchor_upto}")
-    ambient = _bracket_terms(D, f, fam.b, [fam.d])[0]
-    lo, hi = ambient.left, ambient.right
-    for term in fam.terms:
-        l, r, t0 = term.left, term.right, term.value
-        width = r - l
-        t_lo = l + width / (t0 + eps)
-        if lo < t_lo:
-            lo = t_lo
-        if (t0 - eps).compare(1) > 0:
-            t_hi = l + width / (t0 - eps)
-            if hi > t_hi:
-                hi = t_hi
-        elif hi > r:
-            hi = r
-    assert lo < fam.b < hi, "inner cut must sit inside its own window"
+    lo, hi = _window(fam, eps)
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo

@@ -81,6 +81,50 @@ def _parse_probes(text: str) -> list[measure.Interval]:
     return out
 
 
+# -- report rendering --------------------------------------------------------
+
+
+def _text(value) -> str:
+    """One report value: a bool as true/false, a set as {a,b}, a list or
+    tuple comma-joined, anything else by str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, DiscreteSet):
+        return "{" + _text(value.elements) + "}"
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _lines(**fields) -> list[str]:
+    """One key=value line per field, in the order given."""
+    return [f"{key}={_text(value)}" for key, value in fields.items()]
+
+
+def _row(tag: str, **fields) -> str:
+    """One line: the tag, then space-separated key=value fields."""
+    return " ".join([tag] + _lines(**fields))
+
+
+# verb -> (least, most) positional arguments; also the parser's choices
+_CODE_ARITY = {"pair": (2, 2), "unpair": (1, 1), "beta-encode": (1, 1),
+               "beta": (2, 2), "cf": (1, 2), "cf-encode": (1, 1),
+               "cf-decode": (1, 1), "delta-encode": (1, 1),
+               "delta-row": (2, 2), "sum": (1, 1)}
+_MEASURE_ARITY = {"mass": (1, 1), "outer": (1, 1), "subadd": (0, sys.maxsize),
+                  "localnull": (0, 0)}
+
+
+def _verb_args(args, arity: dict[str, tuple[int, int]]) -> list[str]:
+    """The positional arguments of ``args.verb``, checked against its count."""
+    least, most = arity[args.verb]
+    if not least <= len(args.args) <= most:
+        wanted = least if least == most else f"{least} to {most}"
+        raise ValueError(f"{args.command} {args.verb} takes {wanted} "
+                         f"argument(s), got {len(args.args)}")
+    return args.args
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -97,14 +141,8 @@ def _cmd_approx(args) -> list[str]:
     G = GrowableSet(cap=args.budget)
     D = G.prefix(bound.floor())
     state = best_approx(D, oracle, _parse_number(args.cut), bound)
-    return [
-        f"cut={state.cut}",
-        f"bound={state.bound}",
-        f"L={{{','.join(str(e) for e in state.L)}}}",
-        f"R={{{','.join(str(e) for e in state.R)}}}",
-        f"l={state.l}",
-        f"r={state.r}",
-    ]
+    return _lines(cut=state.cut, bound=state.bound, L=state.L, R=state.R,
+                  l=state.l, r=state.r)
 
 
 def _cmd_yfam(args) -> list[str]:
@@ -113,153 +151,119 @@ def _cmd_yfam(args) -> list[str]:
     G = GrowableSet(cap=args.budget)
     D = G.prefix(d.floor())
     fam = ratio_family(D, oracle, _parse_number(args.a), _parse_number(args.b), d)
-    lines = [
-        f"a={fam.a}",
-        f"b={fam.b}",
-        f"d={fam.d}",
-        f"Y={{{','.join(str(y) for y in fam.yset)}}}",
-        f"inJ={'true' if fam.admissible else 'false'}",
-        f"checked_bound={fam.checked_bound}",
-    ]
-    for term in fam.terms:
-        lines.append(
-            f"term anchor={term.anchor} bound={term.bound_used} "
-            f"l={term.left} r={term.right} value={term.value}")
-    return lines
+    return _lines(a=fam.a, b=fam.b, d=fam.d, Y=fam.yset, inJ=fam.admissible,
+                  checked_bound=fam.checked_bound) + [
+        _row("term", anchor=t.anchor, bound=t.bound_used, l=t.left,
+             r=t.right, value=t.value)
+        for t in fam.terms]
 
 
 def _cmd_code(args) -> list[str]:
     verb = args.verb
-    argv = args.args
+    argv = _verb_args(args, _CODE_ARITY)
     if verb == "pair":
-        return [str(coding.cantor_pair(int(argv[0]), int(argv[1])))]
+        return [_text(coding.cantor_pair(int(argv[0]), int(argv[1])))]
     if verb == "unpair":
         m, n = coding.cantor_unpair(int(argv[0]))
         return [f"{m} {n}"]
     if verb == "beta-encode":
-        return [str(coding.beta_encode(_parse_int_list(argv[0])))]
+        return [_text(coding.beta_encode(_parse_int_list(argv[0])))]
     if verb == "beta":
-        return [str(coding.beta(int(argv[0]), int(argv[1])))]
+        return [_text(coding.beta(int(argv[0]), int(argv[1])))]
     if verb == "cf":
         upto = int(argv[1]) if len(argv) > 1 else 10
-        digits = coding.cf_digits(_parse_number(argv[0]), upto)
-        return [",".join(str(d) for d in digits)]
-    if verb == "cf-encode":
-        coded = coding.cf_encode(_parse_int_list(argv[0]))
-        return [f"value={coded.value}",
-                f"digits={','.join(str(d) for d in coded.tower)}"]
+        return [_text(coding.cf_digits(_parse_number(argv[0]), upto))]
     if verb == "cf-decode":
         coded = coding.CodedReal.from_digits(_parse_int_list(argv[0]))
-        return [",".join(str(v) for v in coding.cf_decode(coded))]
-    if verb == "delta-encode":
-        members = [coding.CodedReal.from_value(exact(tok))
-                   for tok in argv[0].split(";")]
-        packed = coding.interleave_encode(
-            members, digits_per_row=args.digits)
-        return [f"value={packed.value}",
-                f"digits={','.join(str(d) for d in packed.tower)}"]
-    if verb == "delta-row":
-        packed = coding.CodedReal.from_digits(_parse_int_list(argv[0]))
-        row = coding.interleave_row(packed, int(argv[1]), upto=args.digits)
-        return [f"value={row.value}",
-                f"digits={','.join(str(d) for d in row.tower)}"]
+        return [_text(coding.cf_decode(coded))]
     if verb == "sum":
         values = [exact(tok) for tok in argv[0].split(",")]
         D = DiscreteSet.naturals(len(values) - 1)
         table = TableOracle({ExactNumber(i): v for i, v in enumerate(values)})
-        return [str(coding.discrete_sum(D, table))]
-    raise ValueError(f"unknown code verb {verb!r}")
+        return [_text(coding.discrete_sum(D, table))]
+    if verb == "cf-encode":
+        coded = coding.cf_encode(_parse_int_list(argv[0]))
+    elif verb == "delta-encode":
+        members = [coding.CodedReal.from_value(exact(tok))
+                   for tok in argv[0].split(";")]
+        coded = coding.interleave_encode(members, digits_per_row=args.digits)
+    else:  # delta-row
+        packed = coding.CodedReal.from_digits(_parse_int_list(argv[0]))
+        coded = coding.interleave_row(packed, int(argv[1]), upto=args.digits)
+    return _lines(value=coded.value, digits=coded.tower)
 
 
 def _cmd_sun(args) -> list[str]:
     f = parse_pl(args.fn)
     if args.c is None:
         sun = analysis.rising_sun(f)
-        lines = [f"components={len(sun.components)}",
-                 f"measure={sun.measure()}"]
-        for shadow in sun.shadows:
-            lines.append(
-                f"component start={shadow.start} end={shadow.end} "
-                f"entry={shadow.entry_limit} roof={shadow.roof} "
-                f"shadow={'ok' if shadow.holds else 'VIOLATED'}")
-        return lines
+        return _lines(components=len(sun.components),
+                      measure=sun.measure()) + [
+            _row("component", start=s.start, end=s.end, entry=s.entry_limit,
+                 roof=s.roof, shadow="ok" if s.holds else "VIOLATED")
+            for s in sun.shadows]
     result = analysis.sun_measure_bound(f, _parse_number(args.c))
-    lines = [f"c={args.c}",
-             f"mu={result.mu}",
-             f"bound={result.bound}",
-             f"holds={'true' if result.holds else 'false'}"]
-    for comp in result.per_component:
-        lines.append(
-            f"component start={comp.start} end={comp.end} "
-            f"scaled_width={comp.scaled_width} rise={comp.rise} "
-            f"check={'ok' if comp.holds else 'VIOLATED'}")
-    return lines
+    return _lines(c=args.c, mu=result.mu, bound=result.bound,
+                  holds=result.holds) + [
+        _row("component", start=c.start, end=c.end,
+             scaled_width=c.scaled_width, rise=c.rise,
+             check="ok" if c.holds else "VIOLATED")
+        for c in result.per_component]
 
 
 def _cmd_dini(args) -> list[str]:
     f = parse_pl(args.fn)
     values = analysis.dini(f, _parse_number(args.x))
-    return [f"lower_left={values.lower_left}",
-            f"upper_left={values.upper_left}",
-            f"lower_right={values.lower_right}",
-            f"upper_right={values.upper_right}"]
+    return _lines(lower_left=values.lower_left, upper_left=values.upper_left,
+                  lower_right=values.lower_right,
+                  upper_right=values.upper_right)
 
 
 def _cmd_measure(args) -> list[str]:
     verb = args.verb
-    argv = args.args
+    argv = _verb_args(args, _MEASURE_ARITY)
     if verb == "mass":
-        return [str(measure.cover_mass(_parse_probes(argv[0])))]
+        return [_text(measure.cover_mass(_parse_probes(argv[0])))]
     if verb == "outer":
-        return [str(measure.outer_measure(measure.FiniteUnion.parse(argv[0])))]
+        return [_text(measure.outer_measure(
+            measure.FiniteUnion.parse(argv[0])))]
     if verb == "subadd":
-        parts = [measure.FiniteUnion.parse(tok) for tok in argv]
-        report = measure.subadditivity_check(parts)
-        return [f"mu_union={report.mu_union}",
-                f"mu_sum={report.mu_sum}",
-                f"slack={report.slack}",
-                f"holds={'true' if report.holds else 'false'}"]
-    if verb == "localnull":
-        if None in (args.set, args.delta, args.probes):
-            raise ValueError(
-                "measure localnull needs --set, --delta and --probes")
-        X = measure.FiniteUnion.parse(args.set)
-        report = measure.local_null_check(
-            X, exact(args.delta), _parse_probes(args.probes))
-        lines = [f"measure_zero={'true' if report.measure_zero else 'false'}",
-                 f"violator={report.violator if report.violator else 'none'}"]
-        for probe in report.probes:
-            lines.append(
-                f"probe {probe.probe} mu={probe.mu_inside} "
-                f"threshold={probe.threshold} "
-                f"hypothesis={'ok' if probe.hypothesis_holds else 'fails'}")
-        return lines
-    raise ValueError(f"unknown measure verb {verb!r}")
+        report = measure.subadditivity_check(
+            [measure.FiniteUnion.parse(tok) for tok in argv])
+        return _lines(mu_union=report.mu_union, mu_sum=report.mu_sum,
+                      slack=report.slack, holds=report.holds)
+    if None in (args.set, args.delta, args.probes):
+        raise ValueError("measure localnull needs --set, --delta and --probes")
+    report = measure.local_null_check(
+        measure.FiniteUnion.parse(args.set), exact(args.delta),
+        _parse_probes(args.probes))
+    return _lines(measure_zero=report.measure_zero,
+                  violator=report.violator or "none") + [
+        _row(f"probe {p.probe}", mu=p.mu_inside, threshold=p.threshold,
+             hypothesis="ok" if p.hypothesis_holds else "fails")
+        for p in report.probes]
 
 
 def _cmd_diffreport(args) -> list[str]:
     f = parse_pl(args.fn)
     report = analysis.differentiability_report(f, exact(args.mesh))
-    lines = [f"mesh={report.mesh}",
-             f"cells={len(report.cells)}",
-             f"all_cells_pass={'true' if report.all_cells_pass else 'false'}",
-             f"nondifferentiable={len(report.nondifferentiable)}"]
-    for cell in report.cells:
-        lines.append(f"cell lo={cell.lo} hi={cell.hi} "
-                     f"witness={cell.witness} derivative={cell.derivative}")
-    for point in report.nondifferentiable:
-        values = point.values
-        lines.append(
-            f"nondiff x={point.x} dini={values.lower_left},"
-            f"{values.upper_left},{values.lower_right},{values.upper_right}")
-    return lines
+    return _lines(mesh=report.mesh, cells=len(report.cells),
+                  all_cells_pass=report.all_cells_pass,
+                  nondifferentiable=len(report.nondifferentiable)) + [
+        _row("cell", lo=c.lo, hi=c.hi, witness=c.witness,
+             derivative=c.derivative)
+        for c in report.cells] + [
+        _row("nondiff", x=p.x, dini=(p.values.lower_left,
+                                     p.values.upper_left,
+                                     p.values.lower_right,
+                                     p.values.upper_right))
+        for p in report.nondifferentiable]
 
 
 def _cmd_hpcheck(args) -> list[str]:
     result = analysis.factorial_series_check(args.order)
-    return [f"order={result.order}",
-            f"holds={'true' if result.holds else 'false'}",
-            f"a_{result.order}={result.coefficients[-1]}"]
+    return _lines(order=result.order, holds=result.holds,
+                  **{f"a_{result.order}": result.coefficients[-1]})
 
 
 # -- wiring -------------------------------------------------------------------
@@ -297,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_yfam)
 
     p = sub.add_parser("code", help="sequence coding utilities")
-    p.add_argument("verb", choices=["pair", "unpair", "beta-encode", "beta",
-                                    "cf", "cf-encode", "cf-decode",
-                                    "delta-encode", "delta-row", "sum"])
+    p.add_argument("verb", choices=list(_CODE_ARITY))
     p.add_argument("args", nargs="*")
     p.add_argument("--digits", type=int, default=None)
     p.set_defaults(handler=_cmd_code)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dini)
 
     p = sub.add_parser("measure", help="cover mass / outer measure checks")
-    p.add_argument("verb", choices=["mass", "outer", "subadd", "localnull"])
+    p.add_argument("verb", choices=list(_MEASURE_ARITY))
     p.add_argument("args", nargs="*")
     p.add_argument("--set", default=None)
     p.add_argument("--delta", default=None)

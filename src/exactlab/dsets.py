@@ -369,6 +369,8 @@ class GrowableSet:
     def element(self, k: int) -> ExactNumber:
         if k > self.cap:
             raise CapExceeded(f"index {k} exceeds cap {self.cap}")
+        if k < 0:
+            raise ValueError(f"index must be non-negative, got {k}")
         while len(self._elems) <= k:
             i = len(self._elems)
             e = ExactNumber.coerce(self.generator(i))

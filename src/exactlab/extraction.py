@@ -5,7 +5,8 @@ The pipeline starts from a two-element prefix (giving a single ratio close
 to 1) and repeatedly adjoins one more ratio close to the next integer:
 
 1. compute the window around the inner cut on which every existing ratio
-   moves by less than a sixth of the step tolerance;
+   moves by less than a sixth of the step tolerance, in closed form from
+   the previous family's terms and its inner-cut bracket;
 2. grow the set until two image values land inside that window;
 3. place a fresh outer cut just above the current best left value, at the
    midpoint of an image-free gap;
@@ -14,10 +15,11 @@ to 1) and repeatedly adjoins one more ratio close to the next integer:
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
-A step evaluates the oracle once per prefix index: the scans of phases 2
-and 4 append each value to a column kept for the step, and phase 3 and the
-ratio family of the new cuts (anchors, brackets and off-image checks in one
-pass) read the column instead of re-evaluating the prefix.
+A step evaluates the oracle once per prefix index: phase 1 scans nothing,
+the scans of phases 2 and 4 append each value to a column kept for the
+step, and phase 3 and the ratio family of the new cuts (anchors, brackets
+and off-image checks in one pass) read the column instead of re-evaluating
+the prefix.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step's
@@ -52,8 +54,9 @@ from .dsets import (
 )
 from .approx import (
     RatioFamily,
-    _bracket_terms,
+    _bracket_terms,  # unused here; perfbench's tracer patches this name
     _family_from_values,
+    _window,
     ratio_family,
 )
 from .qnum import ExactNumber
@@ -88,25 +91,6 @@ def _index_of(G: GrowableSet, e: ExactNumber) -> int:
     if i >= len(elems) or elems[i] != e:
         raise ValueError(f"{e} is not materialized")
     return i
-
-
-def _ratio_window(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
-                  eps: ExactNumber) -> tuple[ExactNumber, ExactNumber]:
-    """Window around the inner cut keeping every term within eps, clipped to
-    the cut's bracket at the ambient bound.  No segment-shape checks."""
-    ambient = _bracket_terms(D, f, fam.b, [fam.d])[0]
-    lo, hi = ambient.left, ambient.right
-    for term in fam.terms:
-        width = term.right - term.left
-        t_lo = term.left + width / (term.value + eps)
-        if lo < t_lo:
-            lo = t_lo
-        if (term.value - eps).compare(1) > 0:
-            t_hi = term.left + width / (term.value - eps)
-            if hi > t_hi:
-                hi = t_hi
-    assert lo < fam.b < hi
-    return lo, hi
 
 
 def _bootstrap_with_ratio(G: GrowableSet, f: FunctionOracle,
@@ -152,8 +136,9 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     l_ue = prev.approx.l
     e_idx = _index_of(G, prev.d)
 
-    # (1) window around the previous inner cut
-    lo, hi = _ratio_window(G.materialized(), f, prev, eps_move)
+    # (1) window around the previous inner cut, from prev's terms and its
+    #     bracket over the previous prefix (no scan)
+    lo, hi = _window(prev, eps_move)
 
     # vals[i] = f(element i); each scan appends only the indices it is the
     # first to reach, so every index of the step is evaluated once

@@ -17,7 +17,7 @@ from exactlab import (
     stability_interval,
     widen_interval,
 )
-from exactlab.approx import _bracket_terms
+from exactlab.approx import _bracket_terms, _window
 from exactlab.errors import (
     CutInImage,
     EmptySet,
@@ -253,17 +253,33 @@ def test_best_approx_duplicate_values_all_qualify():
 
 def reference_family(D, f, a, b, d):
     """ratio_family's fields from the separate passes: best_approx for the
-    anchors, _bracket_terms for their brackets, the image set for the
-    off-image flags."""
+    anchors, _bracket_terms for their brackets and for b's bracket over all
+    of D, the image set for the off-image flags."""
     a, b = exact(a), exact(b)
     state = best_approx(D, f, a, d)
     terms = _bracket_terms(D, f, b, state.L.elements)
+    whole = _bracket_terms(D, f, b, [D.max()])[0]
     ratios = [t.value for t in terms]
     image = {f.eval(e) for e in D}
     admissible = all(x < y for x, y in zip(ratios, ratios[1:])) \
         and a not in image and b not in image
     return (tuple(terms), state, DiscreteSet([0] + ratios), admissible,
-            D.max())
+            D.max(), (whole.left, whole.right))
+
+
+def reference_window(terms, bracket, b, eps):
+    """The window by the direct formula: b's bracket over all of D, each
+    term's closed-form preimage, and an explicit cap at the term's r where
+    t0 - eps <= 1 leaves the preimage open above."""
+    lo, hi = bracket
+    for t in terms:
+        lo = max(lo, t.left + (t.right - t.left) / (t.value + eps))
+        if t.value - eps > 1:
+            hi = min(hi, t.left + (t.right - t.left) / (t.value - eps))
+        else:
+            hi = min(hi, t.right)
+    assert lo < b < hi
+    return lo, hi
 
 
 def test_ratio_family_matches_reference_passes(rng):
@@ -295,13 +311,20 @@ def test_ratio_family_matches_reference_passes(rng):
             seen[type(err).__name__] += 1
             continue
         fam = ratio_family(D, f, a, b, d)
-        terms, state, yset, admissible, checked = expected
+        terms, state, yset, admissible, checked, bracket = expected
         assert fam.terms == terms
         assert (fam.approx.L, fam.approx.R, fam.approx.l, fam.approx.r) == \
             (state.L, state.R, state.l, state.r)
         assert fam.yset == yset
         assert fam.admissible == admissible
         assert fam.checked_bound == checked
+        assert fam.bracket == bracket
+        # the window starts from fam.bracket, so it must sit inside every
+        # term's bracket for the window's cap at a term's r to be redundant
+        lo, hi = fam.bracket
+        assert all(t.left <= lo and hi <= t.right for t in fam.terms)
+        eps = exact(F(1, 60))
+        assert _window(fam, eps) == reference_window(terms, bracket, b, eps)
         seen["admissible" if admissible else "not admissible"] += 1
         seen["d below max"] += d < D.max()
         seen["cut on image"] += exact(a) in image or exact(b) in image

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exactlab.cli import run
+from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, run
 
 
 def test_extract_reports_trace():
@@ -43,10 +44,8 @@ def test_approx_report():
     status, lines = run(["approx", "--oracle", "rot(phi)",
                          "--cut", "1/2", "--bound", "4"])
     assert status == 0
-    assert "L={0,2,4}" in lines
-    assert "R={1}" in lines
-    assert "l=-4+2*sqrt(5)" in lines
-    assert "r=-1/2+1/2*sqrt(5)" in lines
+    assert lines == ["cut=1/2", "bound=4", "L={0,2,4}", "R={1}",
+                     "l=-4+2*sqrt(5)", "r=-1/2+1/2*sqrt(5)"]
 
 
 def test_yfam_report():
@@ -54,8 +53,10 @@ def test_yfam_report():
                          "--a=-10/21+10/21*sqrt(5)",
                          "--b=-10/21+10/21*sqrt(5)", "--d", "1"])
     assert status == 0
-    assert "Y={0,21/20}" in lines
-    assert "inJ=true" in lines
+    assert lines == [
+        "a=-10/21+10/21*sqrt(5)", "b=-10/21+10/21*sqrt(5)", "d=1",
+        "Y={0,21/20}", "inJ=true", "checked_bound=1",
+        "term anchor=0 bound=1 l=0 r=-1/2+1/2*sqrt(5) value=21/20"]
 
 
 def test_code_verbs():
@@ -67,30 +68,29 @@ def test_code_verbs():
     assert run(["code", "beta", k, "2"]) == (0, ["4"])
     assert run(["code", "cf", "7/3", "2"]) == (0, ["2,3"])
     assert run(["code", "cf", "phi", "5"]) == (0, ["1,1,1,1,1"])
-    status, lines = run(["code", "cf-encode", "3,1,4"])
-    assert "digits=4,2,5" in lines
+    assert run(["code", "cf-encode", "3,1,4"]) == (
+        0, ["value=49/11", "digits=4,2,5"])
     assert run(["code", "cf-decode", "4,2,5"]) == (0, ["3,1,4"])
     assert run(["code", "sum", "1/2,1/3"]) == (0, ["5/6"])
 
 
 def test_code_delta_round_trip():
-    status, lines = run(["code", "delta-encode", "1/2;2/3"])
-    assert status == 0
-    digits = lines[1].split("=", 1)[1]
-    status, lines = run(["code", "delta-row", digits, "1"])
-    assert status == 0
-    assert lines[0] == "value=2/3"
+    assert run(["code", "delta-encode", "1/2;2/3"]) == (
+        0, ["value=338/189", "digits=1,1,3,1,2,1,1,1,3"])
+    assert run(["code", "delta-row", "1,1,3,1,2,1,1,1,3", "1"]) == (
+        0, ["value=2/3", "digits=0,1,2"])
 
 
 def test_sun_and_bound_reports():
     status, lines = run(["sun", "--fn", "worked3"])
     assert status == 0
-    assert lines[0] == "components=2"
-    assert "component start=0 end=1 entry=0 roof=2 shadow=ok" in lines
-    status, lines = run(["sun", "--fn", "cantor:3", "--c", "1/2"])
-    assert status == 0
-    assert any(line.startswith("mu=") for line in lines)
-    assert "holds=true" in lines
+    assert lines == [
+        "components=2", "measure=5/2",
+        "component start=0 end=1 entry=0 roof=2 shadow=ok",
+        "component start=3/2 end=3 entry=3/2 roof=3/2 shadow=ok"]
+    assert run(["sun", "--fn", "cantor:3", "--c", "1/2"]) == (0, [
+        "c=1/2", "mu=1", "bound=2", "holds=true",
+        "component start=0 end=1 scaled_width=1/2 rise=1 check=ok"])
 
 
 def test_dini_report():
@@ -103,14 +103,12 @@ def test_dini_report():
 def test_measure_verbs():
     assert run(["measure", "mass", "(0,1/2) (1/4,3/4)"]) == (0, ["1"])
     assert run(["measure", "outer", "(0,1/2] [1/2,3/4)"]) == (0, ["3/4"])
-    status, lines = run(["measure", "subadd", "(0,2/3)", "(1/3,1)"])
-    assert status == 0
-    assert "slack=1/3" in lines
-    status, lines = run(["measure", "localnull", "--set", "(0,1/2)",
-                         "--delta", "1/4", "--probes", "(0,1)"])
-    assert status == 0
-    assert lines[0] == "measure_zero=false"
-    assert lines[1] == "violator=(0,1/2)"
+    assert run(["measure", "subadd", "(0,2/3)", "(1/3,1)"]) == (0, [
+        "mu_union=1", "mu_sum=4/3", "slack=1/3", "holds=true"])
+    assert run(["measure", "localnull", "--set", "(0,1/2)",
+                "--delta", "1/4", "--probes", "(0,1)"]) == (0, [
+        "measure_zero=false", "violator=(0,1/2)",
+        "probe (0,1) mu=1/2 threshold=1/4 hypothesis=fails"])
 
 
 def test_diffreport_and_hpcheck():
@@ -171,7 +169,52 @@ def test_reports_are_deterministic():
     (["extract", "--oracle", "rot(phi)", "--n", "2", "--eps", "1/4",
       "--budget", "-5"],
      "error: cap must be non-negative, got -5"),
+    (["approx", "--oracle", "rot(phi)", "--cut", "1/2", "--bound", "-3"],
+     "error: index must be non-negative, got -3"),
+    (["yfam", "--oracle", "rot(phi)", "--a", "1/2", "--b", "1/3",
+      "--d", "-1"],
+     "error: index must be non-negative, got -1"),
+    (["code", "pair"], "error: code pair takes 2 argument(s), got 0"),
+    (["code", "pair", "1", "2", "3"],
+     "error: code pair takes 2 argument(s), got 3"),
+    (["code", "unpair"], "error: code unpair takes 1 argument(s), got 0"),
+    (["code", "beta-encode"],
+     "error: code beta-encode takes 1 argument(s), got 0"),
+    (["code", "cf"], "error: code cf takes 1 to 2 argument(s), got 0"),
+    (["code", "delta-row", "1,2"],
+     "error: code delta-row takes 2 argument(s), got 1"),
+    (["measure", "mass"], "error: measure mass takes 1 argument(s), got 0"),
+    (["measure", "outer"],
+     "error: measure outer takes 1 argument(s), got 0"),
+    (["measure", "localnull", "(0,1)", "--set", "(0,1/2)", "--delta", "1/4",
+      "--probes", "(0,1)"],
+     "error: measure localnull takes 0 argument(s), got 1"),
 ], ids=["eps-1/0", "rot-1/0", "cut-1/0-sqrt", "localnull-no-args",
-        "localnull-no-probes", "cf-terminates", "negative-budget"])
+        "localnull-no-probes", "cf-terminates", "negative-budget",
+        "approx-negative-bound", "yfam-negative-d", "pair-no-args",
+        "pair-extra-arg", "unpair-no-args", "beta-encode-no-args",
+        "cf-no-args", "delta-row-one-arg", "mass-no-args", "outer-no-args",
+        "localnull-extra-arg"])
 def test_malformed_input_is_status_2_not_a_traceback(argv, message):
     assert run(argv) == (2, [message])
+
+
+_ARGS = st.lists(st.one_of(
+    st.integers(0, 50).map(str),
+    st.sampled_from(["-3", "1/2", "-2/3", "7/3", "phi", "sqrt2", "1+sqrt(5)",
+                     "3,1,4", "1/2;2/3", "(0,1/2)", "(0,1/2) (1/4,3/4)",
+                     "(0,1/2] [1/2,3/4)", "1/0", ""]),
+    st.text(max_size=8)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), args=_ARGS)
+def test_code_and_measure_verbs_end_in_status_0_or_2(data, args):
+    # "--" keeps drawn arguments such as "-3" from parsing as options
+    command, arity = data.draw(st.sampled_from(
+        [("code", _CODE_ARITY), ("measure", _MEASURE_ARITY)]))
+    verb = data.draw(st.sampled_from(sorted(arity)))
+    argv = [command, verb, "--", *args]
+    first = run(argv)
+    assert first[0] in (0, 2), (argv, first)
+    assert run(argv) == first

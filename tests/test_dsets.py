@@ -211,6 +211,19 @@ def test_growable_cap():
         G.element(6)
 
 
+def test_growable_rejects_negative_index():
+    # a negative index must not wrap around to the last materialized element
+    G = GrowableSet()
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        G.element(-1)
+    G.element(3)
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        G.element(-1)
+    with pytest.raises(ValueError, match="non-negative, got -3"):
+        G.prefix(-3)
+    assert G.materialized_bound == 3
+
+
 def test_grow_rotation_window():
     G = GrowableSet()
     rot = RotationOracle(PHI)
