@@ -39,7 +39,7 @@ from .errors import (
     NotInJ,
     VerificationError,
 )
-from .dsets import DiscreteSet, FunctionOracle, is_approx_segment
+from .dsets import DiscreteSet, FunctionOracle, ValueColumn, is_approx_segment
 from .qnum import ExactNumber, exact
 
 _QUARTER = exact("1/4")
@@ -212,70 +212,77 @@ def ratio_family(D: DiscreteSet, f: FunctionOracle, a, b, d) -> RatioFamily:
     the one built from :func:`best_approx` and :func:`_bracket_terms`.
     """
     elems = D.elements
-    return _family_from_values(elems, [f.eval(e) for e in elems], a, b, d)
+    column = ValueColumn(elems, [f.eval(e) for e in elems])
+    return _family_from_values(column, len(elems), a, b, d)
 
 
-def _family_from_values(elems: Sequence[ExactNumber],
-                        values: Sequence[ExactNumber], a, b, d) -> RatioFamily:
-    """:func:`ratio_family` over increasing ``elems`` whose oracle values
-    are ``values``.
+def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
+    """:func:`ratio_family` over the first ``count`` indices of a value
+    column (see :mod:`exactlab.dsets`) whose elements increase.
 
-    One pass keeps ``a``'s left and right records within bound ``d``, and
-    ``b``'s running bracket, which becomes the term of every anchor found
-    so far once it has values on both sides (the first-bracketing-bound
-    fallback).  The compares against the cuts also decide whether either
-    cut is an image value.
+    One pass keeps the indices of ``a``'s left and right records within
+    bound ``d``, and of ``b``'s running bracket, which becomes the term of
+    every anchor found so far once it has values on both sides (the
+    first-bracketing-bound fallback).  The compares against the cuts also
+    decide whether either cut is an image value.
     """
     a = ExactNumber.coerce(a)
     b = ExactNumber.coerce(b)
     d = ExactNumber.coerce(d)
-    within = bisect.bisect_right(elems, d)
+    elems, value, cmp = col.elems, col.value, col.cmp
+    within = bisect.bisect_right(elems, d, 0, count)
     if within == 0:
         raise EmptySet(f"no elements at or below {d}")
-    left: list[ExactNumber] = []
-    right: list[ExactNumber] = []
-    a_l: Optional[ExactNumber] = None
-    a_r: Optional[ExactNumber] = None
-    b_l: Optional[ExactNumber] = None
-    b_r: Optional[ExactNumber] = None
+    side_a, side_b = col.side(a), col.side(b)
+    left: list[int] = []
+    right: list[int] = []
+    a_l: Optional[int] = None
+    a_r: Optional[int] = None
+    b_l: Optional[int] = None
+    b_r: Optional[int] = None
     terms: list[RatioTerm] = []
+    waiting: list[int] = []      # anchors whose term is not built yet
     on_image = False
-    for i, (e, v) in enumerate(zip(elems, values)):
+    for i in range(count):
         if i < within:
-            side = v.compare(a)
+            side = side_a(i)
             if side < 0:
-                # qualifies iff no earlier value sits in (v, a)
-                if a_l is None or a_l <= v:
-                    left.append(e)
-                    a_l = v
+                # qualifies iff no earlier value sits in (value(i), a)
+                if a_l is None or cmp(a_l, i) <= 0:
+                    left.append(i)
+                    waiting.append(i)
+                    a_l = i
             elif side > 0:
-                if a_r is None or a_r >= v:
-                    right.append(e)
-                    a_r = v
+                if a_r is None or cmp(a_r, i) >= 0:
+                    right.append(i)
+                    a_r = i
             else:
                 on_image = True
-        elif v == a:
+        elif value(i) == a:
             on_image = True
-        side = v.compare(b)
+        side = side_b(i)
         if side < 0:
-            if b_l is None or b_l < v:
-                b_l = v
+            if b_l is None or cmp(b_l, i) < 0:
+                b_l = i
         elif side > 0:
-            if b_r is None or b_r > v:
-                b_r = v
+            if b_r is None or cmp(b_r, i) > 0:
+                b_r = i
         else:
             on_image = True
-        while len(terms) < len(left) and b_l is not None and b_r is not None:
-            terms.append(RatioTerm(
-                anchor=left[len(terms)], bound_used=e, left=b_l, right=b_r,
-                value=gap_ratio(b_l, b, b_r)))
+        if waiting and b_l is not None and b_r is not None:
+            l, r = value(b_l), value(b_r)
+            terms.extend(RatioTerm(
+                anchor=elems[j], bound_used=elems[i],
+                left=l, right=r, value=gap_ratio(l, b, r)) for j in waiting)
+            waiting.clear()
     if a_l is None:
         raise NoLeftValue(f"no value below {a} within bound {d}")
     if a_r is None:
         raise NoRightValue(f"no value above {a} within bound {d}")
-    state = ApproxState(L=DiscreteSet(left), R=DiscreteSet(right),
-                        l=a_l, r=a_r, cut=a, bound=d)
-    if len(terms) < len(left):
+    state = ApproxState(L=DiscreteSet(elems[j] for j in left),
+                        R=DiscreteSet(elems[j] for j in right),
+                        l=value(a_l), r=value(a_r), cut=a, bound=d)
+    if waiting:
         if b_l is None:
             raise NoLeftValue(
                 f"no value below {b} in the materialized prefix")
@@ -287,7 +294,8 @@ def _family_from_values(elems: Sequence[ExactNumber],
     return RatioFamily(a=a, b=b, d=d, yset=yset,
                        admissible=increasing and not on_image,
                        terms=tuple(terms), approx=state,
-                       checked_bound=elems[-1], bracket=(b_l, b_r))
+                       checked_bound=elems[count - 1],
+                       bracket=(value(b_l), value(b_r)))
 
 
 def _window(fam: RatioFamily, eps: ExactNumber

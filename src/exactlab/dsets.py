@@ -11,6 +11,7 @@ tests here are decided exactly.
 from __future__ import annotations
 
 import bisect
+from array import array
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -162,9 +163,13 @@ class FunctionOracle:
 class RotationOracle(FunctionOracle):
     """n -> frac(n * alpha) for a fixed irrational alpha > 0.
 
-    Values lie in [0, 1).  Integer arguments are evaluated incrementally
-    (one exact addition and comparison per new index), so growing prefixes
-    stay cheap.
+    Values lie in [0, 1).  The values at the naturals are kept as one column
+    of raw integers: with frac(alpha) = (sp + sq*sqrt(m)) / den, the value
+    at n is (rp[n] + n*sq*sqrt(m)) / den, so only rp[n] is stored.  The
+    column grows by one exact addition and comparison per new index, lives
+    as long as the oracle, and holds machine integers (``array('q')``) until
+    a coefficient leaves 64 bits, then Python ints.  Values are built on
+    demand, in canonical form.
     """
 
     def __init__(self, alpha: ExactNumber):
@@ -175,30 +180,37 @@ class RotationOracle(FunctionOracle):
             raise ValueError("rotation oracle needs alpha > 0")
         self.alpha = alpha
         step = alpha.frac()
-        # incremental state on raw coefficients over the step's denominator
         self._den = step.den
         self._sp, self._sq, self._m = step.p, step.q, step.m
-        self._acc = (0, 0)
-        self._cache = [ExactNumber(0)]
+        self._rp = array("q", [0])
 
-    def _ensure(self, n: int) -> None:
-        cache = self._cache
+    def _grow(self, n: int) -> None:
+        """Extend the coefficient column to n indices."""
+        rp = self._rp
         den, sp, sq, m = self._den, self._sp, self._sq, self._m
-        rp, rq = self._acc
-        while len(cache) <= n:
-            rp += sp
-            rq += sq
-            if _sign_pair(rp - den, rq, m) >= 0:
-                rp -= den
-            cache.append(ExactNumber._raw(rp, rq, den, m))
-        self._acc = (rp, rq)
+        k = len(rp)
+        p, q = rp[-1], (k - 1) * sq
+        for _ in range(k, n):
+            p += sp
+            q += sq
+            if _sign_pair(p - den, q, m) >= 0:
+                p -= den
+            try:
+                rp.append(p)
+            except OverflowError:
+                rp = self._rp = list(rp)
+                rp.append(p)
+
+    def _value(self, n: int) -> ExactNumber:
+        return ExactNumber._raw(self._rp[n], n * self._sq, self._den, self._m)
 
     def eval(self, x: ExactNumber) -> ExactNumber:
         x = ExactNumber.coerce(x)
         if x.is_integer and x.sign() >= 0:
-            n = x.floor()
-            self._ensure(n)
-            return self._cache[n]
+            n = x.p
+            if n >= len(self._rp):
+                self._grow(n + 1)
+            return self._value(n)
         return (x * self.alpha).frac()
 
     def describe(self) -> str:
@@ -342,13 +354,34 @@ def perturb(D: _SortedExact, shift: FunctionOracle, eps, upto) -> ValueSet:
 
 # -- growable sets -------------------------------------------------------
 
+class _Naturals:
+    """The first ``n`` naturals as a read-only sequence of exact numbers,
+    built on access; growing it is setting ``n``."""
+
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [ExactNumber._raw(j, 0, 1, 0) for j in range(self.n)[k]]
+        return ExactNumber._raw(range(self.n)[k], 0, 1, 0)
+
+
 class GrowableSet:
     """A finite window onto an unbounded strictly increasing discrete set.
 
     Elements are produced by ``generator(k)`` (default: the naturals) and
     cached; the ``cap`` bounds the largest index that may ever be
     materialized, and exhausting it raises :class:`CapExceeded` rather than
-    silently truncating a search.  Not safe for concurrent mutation.
+    silently truncating a search.  The default naturals pass every gap
+    check at ``min_gap <= 1``, so for them only the materialized count is
+    kept and elements are built on access.  Not safe for concurrent
+    mutation.
     """
 
     def __init__(self,
@@ -360,30 +393,41 @@ class GrowableSet:
         self.generator = generator or (lambda k: ExactNumber._raw(k, 0, 1, 0))
         self.cap = cap
         self.min_gap = ExactNumber.coerce(min_gap)
-        self._elems: list[ExactNumber] = []
+        self._elems: Sequence[ExactNumber] = (
+            _Naturals() if generator is None and self.min_gap.compare(1) <= 0
+            else [])
 
     @property
     def materialized_bound(self) -> int:
         return len(self._elems) - 1
 
     def element(self, k: int) -> ExactNumber:
+        self._grow_to(k)
+        return self._elems[k]
+
+    def _grow_to(self, k: int) -> None:
+        """Materialize every index up to k."""
         if k > self.cap:
             raise CapExceeded(f"index {k} exceeds cap {self.cap}")
         if k < 0:
             raise ValueError(f"index must be non-negative, got {k}")
-        while len(self._elems) <= k:
-            i = len(self._elems)
+        elems = self._elems
+        if isinstance(elems, _Naturals):
+            if elems.n <= k:
+                elems.n = k + 1
+            return
+        while len(elems) <= k:
+            i = len(elems)
             e = ExactNumber.coerce(self.generator(i))
-            if self._elems:
-                gap = e - self._elems[-1]
+            if elems:
+                gap = e - elems[-1]
                 if gap.compare(self.min_gap) < 0:
                     raise ValueError(
                         f"generator gap {gap} below the discreteness witness "
                         f"{self.min_gap} at index {i}")
             elif e.sign() < 0:
                 raise ValueError("generated elements must be non-negative")
-            self._elems.append(e)
-        return self._elems[k]
+            elems.append(e)
 
     def prefix(self, k: int) -> DiscreteSet:
         """The first k+1 elements as a DiscreteSet."""
@@ -408,3 +452,102 @@ class GrowableSet:
             if predicate(candidate):
                 return candidate
             k += 1
+
+
+# -- value columns -------------------------------------------------------
+#
+# A column holds the oracle values over the first indices of a set: index i
+# stands for the set's i-th element, ``elems[i]``.  Searches read it through
+# three operations: ``value(i)``, the exact value; ``side(cut)``, a function
+# i -> sign(value(i) - cut); and ``cmp(i, j)``, the sign of
+# value(i) - value(j).  A column over a growable set also has ``reach(i)``,
+# called by a scan that has read every index below i and reads i next: it
+# materializes the set through i (CapExceeded past the cap) and returns how
+# many leading indices the scan may then read.
+
+
+class ValueColumn:
+    """Oracle values held as exact numbers: a fixed list, or, over a
+    growable set, one value appended per newly reached index."""
+
+    def __init__(self, elems: Sequence[ExactNumber], values: list,
+                 G: Optional[GrowableSet] = None,
+                 f: Optional[FunctionOracle] = None):
+        self.elems = elems
+        self._values = values
+        self._G = G
+        self._f = f
+
+    def reach(self, i: int) -> int:
+        values = self._values
+        while len(values) <= i:
+            values.append(self._f.eval(self._G.element(len(values))))
+        return len(values)
+
+    def value(self, i: int) -> ExactNumber:
+        return self._values[i]
+
+    def side(self, cut) -> Callable[[int], int]:
+        cut = ExactNumber.coerce(cut)
+        values, compare = self._values, ExactNumber.compare
+        return lambda i: compare(values[i], cut)
+
+    def cmp(self, i: int, j: int) -> int:
+        return self._values[i].compare(self._values[j])
+
+
+class _RotationColumn:
+    """The values of a rotation oracle at the naturals, read from the
+    oracle's raw coefficient column: compares are integer sign tests and
+    build no exact numbers.
+
+    ``reach`` grows the oracle's column ahead in blocks, never past the
+    set's cap, and lets the scan read that far.  The set itself only
+    follows to the reached index, so a scan that stops inside a block
+    materializes its last index itself (``G.element``).
+    """
+
+    _BLOCK = 4096
+
+    def __init__(self, G: GrowableSet, f: RotationOracle):
+        self.elems = G._elems
+        self._G = G
+        self._f = f
+
+    def reach(self, i: int) -> int:
+        G, f = self._G, self._f
+        if i > 0:
+            G._grow_to(i - 1)  # the scan got here from index i - 1
+        G._grow_to(i)
+        if i >= len(f._rp):
+            f._grow(min(i + self._BLOCK, G.cap + 1))
+        return min(len(f._rp), G.cap + 1)
+
+    def value(self, i: int) -> ExactNumber:
+        return self._f._value(i)
+
+    def side(self, cut) -> Callable[[int], int]:
+        cut = ExactNumber.coerce(cut)
+        f = self._f
+        den, sq, m = f._den, f._sq, f._m
+        if cut.q != 0 and cut.m != m:
+            value = f._value  # raises RadicandMismatch past index 0
+            return lambda i: value(i).compare(cut)
+        # sign((rp[i] + i*sq*sqrt(m))/den - (cp + cq*sqrt(m))/cden), over the
+        # positive den*cden; f._rp is read per call, as growth may replace it
+        cden, cpd, sqc, cqd = cut.den, cut.p * den, sq * cut.den, cut.q * den
+        return lambda i: _sign_pair(f._rp[i] * cden - cpd, i * sqc - cqd, m)
+
+    def cmp(self, i: int, j: int) -> int:
+        f = self._f
+        rp = f._rp
+        return _sign_pair(rp[i] - rp[j], (i - j) * f._sq, f._m)
+
+
+def prefix_column(G: GrowableSet, f: FunctionOracle):
+    """The column of f over G's elements, readable as far as ``reach``
+    says: raw coefficients for a rotation oracle over the default naturals,
+    exact numbers otherwise."""
+    if isinstance(f, RotationOracle) and isinstance(G._elems, _Naturals):
+        return _RotationColumn(G, f)
+    return ValueColumn(G._elems, [], G, f)

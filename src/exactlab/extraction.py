@@ -15,11 +15,14 @@ to 1) and repeatedly adjoins one more ratio close to the next integer:
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
-A step evaluates the oracle once per prefix index: phase 1 scans nothing,
-the scans of phases 2 and 4 append each value to a column kept for the
-step, and phase 3 and the ratio family of the new cuts (anchors, brackets
-and off-image checks in one pass) read the column instead of re-evaluating
-the prefix.
+A step reads the oracle through a value column (see :mod:`exactlab.dsets`):
+phase 1 scans nothing, the scans of phases 2 and 4 reach each new index
+once, and phase 3 and the ratio family of the new cuts (anchors, brackets
+and off-image checks in one pass) read what the scans reached.  For a
+rotation oracle over the naturals the column is the oracle's own column of
+raw integer coefficients, so each index is computed once per extraction
+and every compare is an integer sign test; otherwise it is a list of exact
+values, evaluated once per index and step.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step's
@@ -51,6 +54,7 @@ from .dsets import (
     FunctionOracle,
     GrowableSet,
     is_approx_segment,
+    prefix_column,
 )
 from .approx import (
     RatioFamily,
@@ -133,53 +137,60 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
                ratio_target: ExactNumber, eps_move: ExactNumber) -> _StepOutcome:
     """One pipeline step: adjoin a ratio exactly equal to ratio_target while
     moving every existing ratio by less than eps_move."""
+    col = prefix_column(G, f)
+    value, side, cmp = col.value, col.side, col.cmp
     l_ue = prev.approx.l
     e_idx = _index_of(G, prev.d)
 
     # (1) window around the previous inner cut, from prev's terms and its
     #     bracket over the previous prefix (no scan)
     lo, hi = _window(prev, eps_move)
+    above_lo, below_hi = side(lo), side(hi)
 
-    # vals[i] = f(element i); each scan appends only the indices it is the
-    # first to reach, so every index of the step is evaluated once
-    vals: list[ExactNumber] = []
+    # the scans read indices below `ready` and call col.reach to go on
+    ready = 0
 
     # (2) least bound holding two image values inside the window
     found: dict[ExactNumber, int] = {}
     i = 0
     while True:
-        v = f.eval(G.element(i))
-        vals.append(v)
-        if lo <= v <= hi and v not in found:
-            found[v] = i
-        if len(found) >= 2 and i >= e_idx:
+        if i == ready:
+            ready = col.reach(i)
+        if above_lo(i) >= 0 and below_hi(i) <= 0:
+            found.setdefault(value(i), i)
+        if i >= e_idx and len(found) >= 2:
             d0_idx = i
             break
         i += 1
 
     # (3) fresh outer cut: midpoint of the image-free gap above the
     #     previous best left value
-    v_next: Optional[ExactNumber] = None
-    for v in vals:
-        if v > l_ue and (v_next is None or v < v_next):
-            v_next = v
-    a = (l_ue + v_next) / 2
+    above_l = side(l_ue)
+    nxt: Optional[int] = None
+    for j in range(d0_idx + 1):
+        if above_l(j) > 0 and (nxt is None or cmp(j, nxt) < 0):
+            nxt = j
+    a = (l_ue + value(nxt)) / 2
+    below_a = side(a)
 
     # (4) least later element whose value lands between l and the new cut;
     #     should the midpoint collide with a later image value, the gap has
-    #     shrunk: re-take its midpoint and keep scanning
+    #     shrunk: re-take its midpoint and keep scanning (a > l, so only a
+    #     value above l can collide)
     i = d0_idx
     while True:
-        if i == len(vals):
-            vals.append(f.eval(G.element(i)))
-        v = vals[i]
-        if v == a:
-            a = (l_ue + a) / 2
-        if lo <= v <= hi and v not in found:
-            found[v] = i
-        if l_ue < v < a:
-            d_idx = i
-            break
+        if i == ready:
+            ready = col.reach(i)
+        if above_lo(i) >= 0 and below_hi(i) <= 0:
+            found.setdefault(value(i), i)
+        if above_l(i) > 0:
+            s = below_a(i)
+            if s < 0:
+                d_idx = i
+                break
+            if s == 0:
+                a = (l_ue + a) / 2
+                below_a = side(a)
         i += 1
     d = G.element(d_idx)
 
@@ -194,8 +205,7 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     # (6) inner cut placed so the new ratio is exact
     b = w1 + (w2 - w1) / ratio_target
 
-    fam = _family_from_values(G._elems[:d_idx + 1], vals[:d_idx + 1],
-                              a, b, d)
+    fam = _family_from_values(col, d_idx + 1, a, b, d)
 
     expected_anchors = tuple(prev.approx.L.elements) + (d,)
     if fam.approx.L.elements != expected_anchors:

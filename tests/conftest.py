@@ -2,8 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from exactlab import DiscreteSet, ExactNumber, PHI, SQRT2, SQRT3
+
+# Every property draws the same examples on every run: the seed comes from
+# the test function, and there is no example database to replay.  Example
+# times vary with the machine's load, so no deadline.
+settings.register_profile("exactlab", derandomize=True, deadline=None)
+settings.load_profile("exactlab")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from exactlab import (
     CallableOracle,
@@ -20,6 +21,7 @@ from exactlab import (
     segment_order,
     segment_union,
 )
+from exactlab.dsets import prefix_column
 from exactlab.errors import (
     CapExceeded,
     EmptySet,
@@ -28,6 +30,7 @@ from exactlab.errors import (
     NotASegment,
     NotAMember,
     OracleDomainError,
+    RadicandMismatch,
     ShiftTooLarge,
 )
 
@@ -277,3 +280,88 @@ def test_composed_oracle():
     assert shifted.eval(exact(2)) == rot.eval(exact(2)) + 1
     with pytest.raises(OracleDomainError):
         ComposedOracle(TableOracle({}), rot).eval(exact(0))
+
+
+def _scan(col, top):
+    """Read a column through index top the way a search does."""
+    ready = 0
+    for i in range(top + 1):
+        if i == ready:
+            ready = col.reach(i)
+
+
+@st.composite
+def _alphas(draw):
+    """(p + q*sqrt(m)) / den > 0, with denominators and coefficients up to
+    far beyond 64 bits."""
+    m = draw(st.sampled_from([2, 3, 5, 6, 7, 13, 47]))
+    den = draw(st.one_of(st.integers(1, 12),
+                         st.sampled_from([10 ** 17, 10 ** 20])))
+    q = draw(st.one_of(st.integers(1, 6), st.just(den + 1)))
+    p = draw(st.integers(-20, 20))
+    alpha = ExactNumber(F(p, den), F(q * draw(st.sampled_from([1, -1])), den), m)
+    return alpha if alpha.sign() > 0 else -alpha
+
+
+@given(alpha=_alphas(), data=st.data())
+def test_rotation_column_matches_exact_compares(alpha, data):
+    f = RotationOracle(alpha)
+    G = GrowableSet(cap=300)
+    col = prefix_column(G, f)
+    m = alpha.m
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=50)
+    cuts = data.draw(st.lists(
+        st.one_of(coef.map(exact),
+                  st.builds(lambda a, b: ExactNumber(a, b, m), coef, coef)),
+        min_size=1, max_size=4))
+    # built before the column grows, which may switch it to Python ints
+    sides = [col.side(c) for c in cuts]
+    top = data.draw(st.integers(0, 300))
+    _scan(col, top)
+    indices = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
+    cuts.append(col.value(indices[0]))
+    sides.append(col.side(cuts[-1]))
+    for i in indices:
+        v = col.value(i)
+        assert v == (i * alpha).frac() == f.eval(exact(i))
+        for c, side in zip(cuts, sides):
+            assert side(i) == v.compare(c)
+        for j in indices:
+            assert col.cmp(i, j) == v.compare(col.value(j))
+    other = ExactNumber(F(1, 3), F(1, 2), 11 if m != 11 else 2)
+    side = col.side(other)
+    assert side(0) == col.value(0).compare(other)
+    for i in indices:
+        if i > 0:
+            with pytest.raises(RadicandMismatch):
+                side(i)
+            with pytest.raises(RadicandMismatch):
+                col.value(i).compare(other)
+
+
+def test_rotation_column_switches_to_python_ints_mid_scan():
+    # the raw coefficient of index n is about -n * 1.4 * 10^17, which
+    # leaves 64 bits near n = 65
+    alpha = ExactNumber(0, F(10 ** 17 + 1, 10 ** 17), 2)
+    f = RotationOracle(alpha)
+    col = prefix_column(GrowableSet(cap=200), f)
+    cut = exact(F(1, 2))
+    side = col.side(cut)
+    _scan(col, 200)
+    assert type(f._rp) is list
+    for i in range(201):
+        assert col.value(i) == (i * alpha).frac()
+        assert side(i) == col.value(i).compare(cut)
+
+
+def test_naturals_keep_a_count_and_other_generators_a_list():
+    G = GrowableSet(cap=10)
+    G.element(4)
+    assert len(G._elems) == 5 and tuple(G._elems) == DiscreteSet.naturals(4).elements
+    assert G._elems[1:3] == [exact(1), exact(2)]
+    assert G.materialized() == DiscreteSet.naturals(4)
+    halves = GrowableSet(generator=lambda k: exact(F(k, 2)), min_gap=F(1, 2))
+    assert halves.element(3) == exact(F(3, 2)) and len(halves._elems) == 4
+    # a witness above the naturals' gap must still fail the gap check
+    with pytest.raises(ValueError, match="discreteness witness"):
+        GrowableSet(min_gap=2).element(1)

@@ -224,6 +224,7 @@ GOLDEN_TRACES = {
     ("phi", 3): "d5b3350e230ab3265f2a5e9821699ccbde88497cd516d99434b97578cb95be4d",
     ("sqrt3", 3): "b84b563724ed0fb84e087967567271c05a0075cbb2e8b675e44ab116ee0bbe39",
     ("sqrt2", 2): "cc31da0c0def6e121fe6beb45e925e40ea84a7d3ebd8b8f2eac481ea23cf8da0",
+    ("sqrt2", 3): "221df8a5baff375a9554af7882e7263f41ad556e10e8979192e8151344fb36d1",
 }
 
 
@@ -232,6 +233,21 @@ def test_trace_report_matches_golden(name, n):
     base = {"phi": PHI, "sqrt2": SQRT2, "sqrt3": SQRT3}[name]
     trace = extract(GrowableSet(), RotationOracle(base), n, F(1, 4))
     assert _sha256(trace_report(trace)) == GOLDEN_TRACES[(name, n)]
+
+
+# frac(alpha) has denominator 10^20, so the raw coefficients of the
+# rotation column leave 64 bits at index 1; recorded before the column
+WIDE_ALPHA = "100000000000000000001/100000000000000000000+sqrt(2)"
+WIDE_TRACES = {
+    2: "4c952140d548f462386b6959ddd5e516ebd4f0078171db0e23b0932b69a0a68d",
+    3: "778254ac0b229d01fe33a35fc35b1c46c104b14d7ca0b9c3e6cb479a3016976e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WIDE_TRACES))
+def test_wide_coefficient_trace_matches_golden(n):
+    trace = extract(GrowableSet(), RotationOracle(exact(WIDE_ALPHA)), n, F(1, 4))
+    assert _sha256(trace_report(trace)) == WIDE_TRACES[n]
 
 
 def test_approximate_target_matches_golden():

@@ -3,7 +3,10 @@ one ratio per step and earlier ratios barely move."""
 
 from fractions import Fraction as F
 
+import pytest
+
 from exactlab import GrowableSet, PHI, RotationOracle, SQRT3, exact, extract
+from exactlab.errors import CapExceeded
 
 
 def test_yset_grows_one_ratio_per_step():
@@ -33,8 +36,7 @@ def test_anchor_chain_is_nested():
 
 def test_budget_error_leaves_growable_at_cap():
     G = GrowableSet(cap=10 ** 4)
-    try:
+    with pytest.raises(CapExceeded) as err:
         extract(G, RotationOracle(PHI), 4, F(1, 4))
-    except Exception:
-        pass
+    assert str(err.value) == "index 10001 exceeds cap 10000"
     assert G.materialized_bound == 10 ** 4

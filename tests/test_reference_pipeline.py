@@ -1,0 +1,140 @@
+"""The extraction pipeline against the frozen reference in
+``reference_pipeline.py``, on drawn oracles, depths, tolerances and caps.
+
+Both sides must give identical trace reports, or raise the same exception
+type with the same message, and must leave their sets at the same
+materialized bound.  The library runs over the default naturals (count
+only) or over a generated copy of them, the reference always over the
+generated copy, so the two set representations are compared as well.
+
+One difference is intended and left out of the draws: for a table whose
+values mix two radicands, both sides raise ``RadicandMismatch`` at the same
+compare, but the library compares each value with the cut, where the
+reference compares some cuts with the value, so the message may name the
+two radicands in the other order.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from exactlab import (
+    DiscreteSet,
+    ExactNumber,
+    GrowableSet,
+    RotationOracle,
+    TableOracle,
+    approximate_target,
+    extract,
+    trace_report,
+)
+
+import reference_pipeline as ref
+
+SQUAREFREE = [m for m in range(2, 51)
+              if all(m % (k * k) for k in range(2, 8))]
+EPS = [F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 10)]
+DEPTHS = st.sampled_from([2, 3, 1])
+# N = 3 on a rotation needs a few thousand indices at best (eps = 1/2)
+CAPS = st.one_of(st.integers(1, 2500), st.integers(2500, 9000))
+
+
+@st.composite
+def rotations(draw):
+    """rot(alpha) for alpha = (p + q*sqrt(m)) / den > 0."""
+    m = draw(st.sampled_from(SQUAREFREE))
+    p = draw(st.integers(-20, 20))
+    q = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+    den = draw(st.integers(1, 12))
+    alpha = ExactNumber(F(p, den), F(q, den), m)
+    return RotationOracle(alpha if alpha.sign() > 0 else -alpha)
+
+
+def _slow_rotation(f):
+    """frac(e * alpha) by ExactNumber.floor, memoized per element."""
+    memo = {}
+
+    def evaluate(e):
+        if e not in memo:
+            memo[e] = (e * f.alpha).frac()
+        return memo[e]
+    return evaluate
+
+
+@st.composite
+def tables(draw):
+    """A table over 0..k-1 with values in [0, 1): the fractions of a base's
+    first stages, coarse to fine, each stage shuffled (dense enough for a
+    second step), or drawn values j/den, repeats allowed when drawn so."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([2, 3, 5, 7]))
+        values = []
+        for stage in range(1, draw(st.integers(1, 6)) + 1):
+            den = base ** stage
+            if den > 1000:
+                break
+            fresh = [F(num, den) for num in range(1, den) if num % base]
+            values += draw(st.permutations(fresh))
+    else:
+        den = draw(st.integers(3, 400))
+        values = [F(num, den) for num in draw(st.lists(
+            st.integers(0, den - 1), min_size=2, max_size=250,
+            unique=draw(st.booleans())))]
+    return TableOracle(dict(enumerate(values)))
+
+
+def _outcome(run, G):
+    try:
+        result = run()
+    except Exception as err:  # any failure must be the reference's failure
+        return type(err), str(err), G.materialized_bound
+    return result, G.materialized_bound
+
+
+def _naturals_copy(cap):
+    return GrowableSet(generator=ExactNumber, cap=cap)
+
+
+def _family_lines(fam):
+    return ([f"a={fam.a}", f"b={fam.b}", f"d={fam.d}", f"Y={fam.yset}",
+             f"admissible={fam.admissible}"]
+            + [f"{t.anchor} {t.bound_used} {t.left} {t.right} {t.value}"
+               for t in fam.terms])
+
+
+@settings(max_examples=120)
+@given(f=rotations(), n=DEPTHS, eps=st.sampled_from(EPS), cap=CAPS,
+       counted=st.booleans())
+def test_extract_matches_reference_on_rotations(f, n, eps, cap, counted):
+    G = GrowableSet(cap=cap) if counted else _naturals_copy(cap)
+    got = _outcome(lambda: trace_report(extract(G, f, n, eps)), G)
+    G_ref = _naturals_copy(cap)
+    want = _outcome(lambda: trace_report(
+        ref.extract(G_ref, f, n, eps, evaluate=_slow_rotation(f))), G_ref)
+    assert got == want
+
+
+@settings(max_examples=150)
+@given(f=tables(), n=DEPTHS, eps=st.sampled_from(EPS))
+def test_extract_matches_reference_on_tables(f, n, eps):
+    cap = len(f.table) - 1
+    G = GrowableSet(cap=cap)
+    got = _outcome(lambda: trace_report(extract(G, f, n, eps)), G)
+    G_ref = _naturals_copy(cap)
+    want = _outcome(lambda: trace_report(ref.extract(G_ref, f, n, eps)), G_ref)
+    assert got == want
+
+
+@settings(max_examples=50)
+@given(f=rotations(),
+       targets=st.lists(st.sampled_from([1, F(3, 2), 2, F(5, 2), 3]),
+                        min_size=1, max_size=3, unique=True),
+       eps=st.sampled_from(EPS), cap=st.integers(1, 2500))
+def test_approximate_target_matches_reference(f, targets, eps, cap):
+    F_set = DiscreteSet(targets)
+    G = GrowableSet(cap=cap)
+    got = _outcome(lambda: _family_lines(approximate_target(G, f, F_set, eps)), G)
+    G_ref = _naturals_copy(cap)
+    want = _outcome(lambda: _family_lines(ref.approximate_target(
+        G_ref, f, F_set, eps, evaluate=_slow_rotation(f))), G_ref)
+    assert got == want
