@@ -9,10 +9,12 @@ equations, so the classical inequalities are verified with zero tolerance.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import (
+    CapExceeded,
     NotMonotone,
     NotStrictlyIncreasing,
     OutOfDomain,
@@ -81,8 +83,9 @@ class DiniValues:
                 self.lower_right, self.upper_right)
 
     def all_equal_finite(self) -> bool:
-        vals = self.as_tuple()
-        return all(is_finite(v) for v in vals) and len({*vals}) == 1
+        first = self.lower_left
+        return (is_finite(first) and self.upper_left == first
+                and self.lower_right == first and self.upper_right == first)
 
 
 def dini(f: PLFunction, x) -> DiniValues:
@@ -324,18 +327,30 @@ class DifferentiabilityReport:
     all_cells_pass: bool
 
 
-def differentiability_report(f: PLFunction, mesh) -> DifferentiabilityReport:
+def differentiability_report(f: PLFunction, mesh,
+                             cap: Optional[int] = None) -> DifferentiabilityReport:
     """Split the domain into mesh-width cells and exhibit, in each, a point
     where all four Dini derivatives agree and are finite.
 
     For a PL function the witnesses always exist (breakpoints are finite),
     so the survey doubles as an exact certificate; interior points where
     the four values disagree are listed separately.
+
+    A cell's interior breakpoints are one slice of ``f.breakpoints``, found
+    by two bisections, and its witness's Dini values reuse ``f``'s slope
+    memo, so a cell costs O(log n + k) compares for k breakpoints inside
+    it.  With ``cap`` given, a survey of more than ``cap`` cells raises
+    ``CapExceeded`` before any cell is built.
     """
     mesh = ExactNumber.coerce(mesh)
     if mesh.sign() <= 0:
         raise ValueError("mesh must be positive")
     a, b = f.domain
+    if cap is not None:
+        count = -((a - b) / mesh).floor()  # ceil((b - a) / mesh)
+        if count > cap:
+            raise CapExceeded(f"{count} cells exceed cap {cap}")
+    xs = f.breakpoints
     cells = []
     k = 0
     while True:
@@ -345,12 +360,12 @@ def differentiability_report(f: PLFunction, mesh) -> DifferentiabilityReport:
         hi = lo + mesh
         if hi > b:
             hi = b
-        inner = [p.x for p in f.points if lo < p.x < hi]
-        marks = [lo] + inner + [hi]
-        best = None
+        marks = [lo, *xs[bisect_right(xs, lo):bisect_left(xs, hi)], hi]
+        best, width = None, None
         for u, v in zip(marks, marks[1:]):
-            if best is None or v - u > best[1] - best[0]:
-                best = (u, v)
+            gap = v - u
+            if best is None or gap > width:
+                best, width = (u, v), gap
         witness = (best[0] + best[1]) / 2
         values = dini(f, witness)
         if not values.all_equal_finite():
@@ -361,10 +376,10 @@ def differentiability_report(f: PLFunction, mesh) -> DifferentiabilityReport:
                                 derivative=values.lower_left))
         k += 1
     bad = []
-    for p in f.points[1:-1]:
-        values = dini(f, p.x)
+    for x in xs[1:-1]:
+        values = dini(f, x)
         if not values.all_equal_finite():
-            bad.append(NonDiffPoint(x=p.x, values=values))
+            bad.append(NonDiffPoint(x=x, values=values))
     return DifferentiabilityReport(mesh=mesh, cells=tuple(cells),
                                    nondifferentiable=tuple(bad),
                                    all_cells_pass=True)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import analysis, coding, extraction, measure
 from .approx import best_approx, ratio_family
 from .dsets import DiscreteSet, FunctionOracle, GrowableSet, RotationOracle, TableOracle
-from .errors import BudgetError, PreconditionError, VerificationError
+from .errors import BudgetError, CapExceeded, PreconditionError, VerificationError
 from .plfun import PLFunction
 from .qnum import PHI, SQRT2, SQRT3, ExactNumber, exact
 
@@ -54,13 +54,21 @@ def parse_oracle(spec: str) -> FunctionOracle:
     raise ValueError(f"unknown oracle spec {spec!r}; use rot(...) or table(file)")
 
 
-def parse_pl(spec: str) -> PLFunction:
+def parse_pl(spec: str, budget: int = 10 ** 6) -> PLFunction:
+    """A PL function by spec; ``cantor:N`` has 2^(N+1) breakpoints, which
+    must not exceed the budget (CapExceeded, checked before building)."""
+    if budget < 0:
+        raise ValueError(f"cap must be non-negative, got {budget}")
     spec = spec.strip()
     if spec == "worked3":
         return PLFunction.from_values(
             [(0, 0), (1, 2), (2, 1), (3, Fraction(3, 2))])
     if spec.startswith("cantor:"):
-        return PLFunction.cantor_staircase(int(spec.split(":", 1)[1]))
+        depth = int(spec.split(":", 1)[1])
+        # 2^(depth+1) > budget, decided without building the power
+        if depth >= 0 and depth + 1 >= budget.bit_length():
+            raise CapExceeded(f"2^{depth + 1} breakpoints exceed cap {budget}")
+        return PLFunction.cantor_staircase(depth)
     return PLFunction.parse(Path(spec).read_text())
 
 
@@ -194,7 +202,7 @@ def _cmd_code(args) -> list[str]:
 
 
 def _cmd_sun(args) -> list[str]:
-    f = parse_pl(args.fn)
+    f = parse_pl(args.fn, args.budget)
     if args.c is None:
         sun = analysis.rising_sun(f)
         return _lines(components=len(sun.components),
@@ -212,7 +220,7 @@ def _cmd_sun(args) -> list[str]:
 
 
 def _cmd_dini(args) -> list[str]:
-    f = parse_pl(args.fn)
+    f = parse_pl(args.fn, args.budget)
     values = analysis.dini(f, _parse_number(args.x))
     return _lines(lower_left=values.lower_left, upper_left=values.upper_left,
                   lower_right=values.lower_right,
@@ -245,8 +253,9 @@ def _cmd_measure(args) -> list[str]:
 
 
 def _cmd_diffreport(args) -> list[str]:
-    f = parse_pl(args.fn)
-    report = analysis.differentiability_report(f, exact(args.mesh))
+    f = parse_pl(args.fn, args.budget)
+    report = analysis.differentiability_report(f, exact(args.mesh),
+                                               cap=args.budget)
     return _lines(mesh=report.mesh, cells=len(report.cells),
                   all_cells_pass=report.all_cells_pass,
                   nondifferentiable=len(report.nondifferentiable)) + [
@@ -310,11 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True,
                    help="PL function: a file, 'worked3', or 'cantor:N'")
     p.add_argument("--c", default=None)
+    p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(handler=_cmd_sun)
 
     p = sub.add_parser("dini", help="four Dini derivatives at a point")
     p.add_argument("--fn", required=True)
     p.add_argument("--x", required=True)
+    p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(handler=_cmd_dini)
 
     p = sub.add_parser("measure", help="cover mass / outer measure checks")
@@ -328,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffreport", help="mesh-scale differentiability survey")
     p.add_argument("--fn", required=True)
     p.add_argument("--mesh", required=True)
+    p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(handler=_cmd_diffreport)
 
     p = sub.add_parser("hpcheck", help="factorial power-series identity check")

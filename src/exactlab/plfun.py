@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import OutOfDomain
@@ -26,9 +25,16 @@ class Breakpoint:
 
 
 class PLFunction:
-    """Exact piecewise-linear function on a closed interval."""
+    """Exact piecewise-linear function on a closed interval.
 
-    __slots__ = ("points",)
+    ``breakpoints`` is one sorted tuple of the breakpoint abscissae, built
+    in the pass that checks strict increase; every positional query is a
+    ``bisect`` on it, so locating a point costs O(log n) compares.  Each
+    piece's slope is divided out at most once, on first use, into a
+    per-piece memo; the function itself never changes.
+    """
+
+    __slots__ = ("points", "breakpoints", "_slopes")
 
     def __init__(self, points: Iterable):
         pts = []
@@ -42,12 +48,16 @@ class PLFunction:
                                       ExactNumber.coerce(right)))
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
-        for a, b in zip(pts, pts[1:]):
-            if a.x.compare(b.x) >= 0:
+        xs = [pts[0].x]
+        for p in pts[1:]:
+            if xs[-1].compare(p.x) >= 0:
                 raise ValueError("breakpoints must be strictly increasing")
+            xs.append(p.x)
         first = pts[0]
         pts[0] = Breakpoint(first.x, first.right, first.right)
         object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "breakpoints", tuple(xs))
+        object.__setattr__(self, "_slopes", [None] * (len(pts) - 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("PLFunction is immutable")
@@ -94,44 +104,35 @@ class PLFunction:
     def cantor_staircase(cls, depth: int) -> "PLFunction":
         """Finite middle-thirds staircase on [0, 1]: the depth-0 stage is the
         identity; each stage squeezes two half-size copies around a flat
-        middle third."""
+        middle third.
+
+        Built on integer numerators over 3^depth (abscissae) and 2^depth
+        (values): stage k+1 is stage k followed by stage k shifted by 2*3^k
+        and 2^k, so each breakpoint's numbers are made once, at the end.
+        """
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        xs = [Fraction(0), Fraction(1)]
-        ys = [Fraction(0), Fraction(1)]
-        for _ in range(depth):
-            nxs, nys = [], []
-            for x, y in zip(xs, ys):
-                nxs.append(x / 3)
-                nys.append(y / 2)
-            if nxs[-1] != Fraction(1, 3):
-                nxs.append(Fraction(1, 3))
-                nys.append(Fraction(1, 2))
-            nxs.append(Fraction(2, 3))
-            nys.append(Fraction(1, 2))
-            for x, y in zip(xs, ys):
-                if x == 0:
-                    continue  # 2/3 already emitted
-                nxs.append(Fraction(2, 3) + x / 3)
-                nys.append(Fraction(1, 2) + y / 2)
-            xs, ys = nxs, nys
-        return cls.from_values(list(zip(xs, ys)))
+        xs, ys = [0, 1], [0, 1]
+        for k in range(depth):
+            shift_x, shift_y = 2 * 3 ** k, 2 ** k
+            xs += [shift_x + x for x in xs]
+            ys += [shift_y + y for y in ys]
+        xden, yden = 3 ** depth, 2 ** depth
+        pts = []
+        for x, y in zip(xs, ys):
+            value = ExactNumber._raw(y, 0, yden, 0)
+            pts.append(Breakpoint(ExactNumber._raw(x, 0, xden, 0), value, value))
+        return cls(pts)
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def domain(self) -> tuple[ExactNumber, ExactNumber]:
-        return (self.points[0].x, self.points[-1].x)
-
-    @property
-    def breakpoints(self) -> tuple[ExactNumber, ...]:
-        return tuple(p.x for p in self.points)
+        return (self.breakpoints[0], self.breakpoints[-1])
 
     def _locate(self, x: ExactNumber) -> int:
         """Largest index i with points[i].x <= x."""
-        xs = [p.x for p in self.points]
-        i = bisect.bisect_right(xs, x) - 1
-        return i
+        return bisect.bisect_right(self.breakpoints, x) - 1
 
     def _check_domain(self, x: ExactNumber) -> None:
         a, b = self.domain
@@ -140,8 +141,11 @@ class PLFunction:
 
     def slope(self, i: int) -> ExactNumber:
         """Slope of the piece between breakpoints i and i+1."""
-        p, q = self.points[i], self.points[i + 1]
-        return (q.left - p.right) / (q.x - p.x)
+        s = self._slopes[i]
+        if s is None:
+            p, q = self.points[i], self.points[i + 1]
+            s = self._slopes[i] = (q.left - p.right) / (q.x - p.x)
+        return s
 
     def eval(self, x) -> ExactNumber:
         x = ExactNumber.coerce(x)

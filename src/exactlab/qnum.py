@@ -142,8 +142,8 @@ class ExactNumber:
 
     def _merged_m(self, other: "ExactNumber") -> int:
         if self.q != 0 and other.q != 0 and self.m != other.m:
-            raise RadicandMismatch(
-                f"cannot combine sqrt({self.m}) with sqrt({other.m})")
+            lo, hi = sorted((self.m, other.m))
+            raise RadicandMismatch(f"cannot combine sqrt({lo}) with sqrt({hi})")
         return self.m if self.q != 0 else other.m
 
     def __add__(self, other) -> "ExactNumber":
@@ -210,8 +210,8 @@ class ExactNumber:
             other = ExactNumber.coerce(other)
         q, oq = self.q, other.q
         if q != 0 and oq != 0 and self.m != other.m:
-            raise RadicandMismatch(
-                f"cannot compare sqrt({self.m}) with sqrt({other.m})")
+            lo, hi = sorted((self.m, other.m))
+            raise RadicandMismatch(f"cannot compare sqrt({lo}) with sqrt({hi})")
         den, oden = self.den, other.den
         if den == oden:
             a = self.p - other.p

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactlab import PLFunction, analysis
 from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, run
 
 
@@ -218,3 +220,67 @@ def test_code_and_measure_verbs_end_in_status_0_or_2(data, args):
     first = run(argv)
     assert first[0] in (0, 2), (argv, first)
     assert run(argv) == first
+
+
+# SHA-256 of the report lines, recorded before the breakpoint column
+PL_GOLDEN_REPORTS = {
+    ("diffreport", "--fn", "cantor:7", "--mesh", "1/2187"):
+        "258aa241e51424e488a9811df8ba2ad5d72e27c782b06f4e5c63865dbce9a680",
+    ("diffreport", "--fn", "cantor:7", "--mesh", "1/2185"):
+        "646a5d60e7c25e7282c29a910b20e25d638907980486b265b7e0cd66e84abc4b",
+    ("diffreport", "--fn", "cantor:5", "--mesh", "1/243"):
+        "b4ba38fc27a54b99f4988c97d6e59886287a971b5cb12014293d6e5fff65e186",
+    ("sun", "--fn", "cantor:9", "--c", "5/2"):
+        "d4a6ece424573618ac5084f9397c6ee1de6de2d8a175309959a134613bdce8fb",
+    ("sun", "--fn", "cantor:8"):
+        "1fe6b676eb7133a15d76ed85c827115923ce3d2f6838d920f82ee1169d42279d",
+    # a continuous breakpoint, inside a flat piece, inside a sloped piece
+    ("dini", "--fn", "cantor:9", "--x", "1/3"):
+        "3197dd1c6e351d3f99e0b6aa5586b225094e4dae74c7793003f6fdb060ba6d52",
+    ("dini", "--fn", "cantor:9", "--x", "1/2"):
+        "63d085321efd9bdbd205540c58d4f599c295e3c46a2f40fa73a260c3f4f67343",
+    ("dini", "--fn", "cantor:9", "--x", "1/39366"):
+        "d79ea77debfa8c82a9fed13f6142a4f751c637a5a56b28f1bfa46349136b178c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PL_GOLDEN_REPORTS), ids=" ".join)
+def test_pl_report_matches_golden(argv):
+    status, lines = run(list(argv))
+    assert status == 0
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PL_GOLDEN_REPORTS[argv]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the budget check must come before any construction")
+
+
+def test_oversized_cantor_is_status_3_before_building(monkeypatch):
+    monkeypatch.setattr(PLFunction, "cantor_staircase", _never)
+    assert run(["sun", "--fn", "cantor:40"]) == (
+        3, ["budget exhausted: 2^41 breakpoints exceed cap 1000000"])
+    assert run(["dini", "--fn", "cantor:3", "--x", "1/2", "--budget", "15"]) == (
+        3, ["budget exhausted: 2^4 breakpoints exceed cap 15"])
+
+
+def test_oversized_mesh_survey_is_status_3_before_any_cell(monkeypatch):
+    monkeypatch.setattr(analysis, "dini", _never)
+    assert run(["diffreport", "--fn", "cantor:2", "--mesh", "1/1000000000"]) == (
+        3, ["budget exhausted: 1000000000 cells exceed cap 1000000"])
+    assert run(["diffreport", "--fn", "cantor:2", "--mesh", "1/10",
+                "--budget", "9"]) == (
+        3, ["budget exhausted: 10 cells exceed cap 9"])
+
+
+def test_pl_jobs_at_their_budget_run():
+    assert run(["dini", "--fn", "cantor:3", "--x", "1/2", "--budget", "16"])[0] == 0
+    # 2^2 breakpoints and a ragged fourth cell
+    status, lines = run(["diffreport", "--fn", "cantor:1", "--mesh", "3/10",
+                         "--budget", "4"])
+    assert status == 0 and "cells=4" in lines
+    for command in (["sun", "--fn", "worked3"],
+                    ["dini", "--fn", "worked3", "--x", "1"],
+                    ["diffreport", "--fn", "worked3", "--mesh", "1"]):
+        assert run(command + ["--budget", "-1"]) == (
+            2, ["error: cap must be non-negative, got -1"])

@@ -65,6 +65,17 @@ def test_radicand_mismatch():
         SQRT2.compare(SQRT3)
 
 
+def test_radicand_mismatch_message_names_the_smaller_radicand_first():
+    for x, y in ((SQRT2, SQRT3), (SQRT3, SQRT2)):
+        with pytest.raises(RadicandMismatch,
+                           match=r"^cannot compare sqrt\(2\) with sqrt\(3\)$"):
+            x.compare(y)
+        for combine in (x.__add__, x.__sub__, x.__mul__):
+            with pytest.raises(RadicandMismatch,
+                               match=r"^cannot combine sqrt\(2\) with sqrt\(3\)$"):
+                combine(y)
+
+
 def test_rational_operand_adopts_radicand():
     assert exact(1) + SQRT2 == ExactNumber(1, 1, 2)
 

@@ -6,12 +6,8 @@ type with the same message, and must leave their sets at the same
 materialized bound.  The library runs over the default naturals (count
 only) or over a generated copy of them, the reference always over the
 generated copy, so the two set representations are compared as well.
-
-One difference is intended and left out of the draws: for a table whose
-values mix two radicands, both sides raise ``RadicandMismatch`` at the same
-compare, but the library compares each value with the cut, where the
-reference compares some cuts with the value, so the message may name the
-two radicands in the other order.
+Tables whose values mix radicands are drawn too: both sides must raise
+``RadicandMismatch`` at the same compare, with the same message.
 """
 
 from fractions import Fraction as F
@@ -83,6 +79,21 @@ def tables(draw):
     return TableOracle(dict(enumerate(values)))
 
 
+@st.composite
+def mixed_tables(draw):
+    """A table over 0..k-1 of fractional parts of (p + q*sqrt(m)) / den,
+    with q = 0 or m drawn per value from two or three radicands."""
+    radicands = draw(st.sampled_from([(2, 3), (2, 5), (3, 7), (2, 3, 5)]))
+    values = []
+    for _ in range(draw(st.integers(2, 120))):
+        den = draw(st.integers(1, 30))
+        q = draw(st.integers(-6, 6)) if draw(st.booleans()) else 0
+        value = ExactNumber(F(draw(st.integers(-60, 60)), den), F(q, den),
+                            draw(st.sampled_from(radicands)))
+        values.append(value.frac())
+    return TableOracle(dict(enumerate(values)))
+
+
 def _outcome(run, G):
     try:
         result = run()
@@ -114,8 +125,10 @@ def test_extract_matches_reference_on_rotations(f, n, eps, cap, counted):
     assert got == want
 
 
-@settings(max_examples=150)
-@given(f=tables(), n=DEPTHS, eps=st.sampled_from(EPS))
+# two draws in three are single-radicand tables, as before mixed ones
+@settings(max_examples=200)
+@given(f=st.one_of(tables(), tables(), mixed_tables()), n=DEPTHS,
+       eps=st.sampled_from(EPS))
 def test_extract_matches_reference_on_tables(f, n, eps):
     cap = len(f.table) - 1
     G = GrowableSet(cap=cap)
