@@ -153,61 +153,46 @@ def rising_sun(g: PLFunction) -> SunResult:
     """
     pts = g.points
     n = len(pts) - 1
-    # future_sup[j] = sup of g over (x_j, b]; None encodes the empty tail
-    future_sup: list[Optional[ExactNumber]] = [None] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        cand = pts[j].right
-        for v in (pts[j + 1].left, pts[j + 1].right, future_sup[j + 1]):
-            if v is not None and v > cand:
-                cand = v
-        future_sup[j] = cand
-
-    pieces: list[Optional[tuple[ExactNumber, ExactNumber]]] = []
-    for i in range(n):
-        # constant part of the future supremum seen from inside piece i
+    # ceiling[i] = max of the limits of g at x_{i+1}, ..., x_n: the constant
+    # part of the supremum of g over (x, b] seen from inside piece i; None
+    # encodes the empty tail
+    ceiling: list[Optional[ExactNumber]] = [None] * (n + 1)
+    for i in range(n - 1, -1, -1):
         c = pts[i + 1].left
-        for v in (pts[i + 1].right, future_sup[i + 1]):
+        for v in (pts[i + 1].right, ceiling[i + 1]):
             if v is not None and v > c:
                 c = v
-        x0, x1 = pts[i].x, pts[i + 1].x
-        v0 = pts[i].right
-        s = g.slope(i)
-        if s.sign() == 0:
-            pieces.append((x0, x1) if v0 < c else None)
-            continue
-        crossing = x0 + (c - v0) / s
-        if s.sign() > 0:
-            hi = crossing if crossing < x1 else x1
-            pieces.append((x0, hi) if hi > x0 else None)
-        else:
-            lo = crossing if crossing > x0 else x0
-            pieces.append((lo, x1) if lo < x1 else None)
+        ceiling[i] = c
 
     components: list[tuple[ExactNumber, ExactNumber]] = []
     current: Optional[tuple[ExactNumber, ExactNumber]] = None
     for i in range(n):
-        sub = pieces[i]
-        if i > 0:
-            x = pts[i].x
-            in_e = future_sup[i] > max(pts[i].left, pts[i].right)
-            if in_e:
-                # a qualifying breakpoint always glues two piece intervals
-                assert current is not None and current[1] == x, \
-                    "breakpoint in the sun set must extend a component"
-                assert sub is not None and sub[0] == x
-                current = (current[0], sub[1])
-                continue
-        if sub is None:
-            if current is not None:
-                components.append(current)
-                current = None
-        elif current is not None and current[1] == sub[0]:
-            components.append(current)
-            current = sub
+        c = ceiling[i]
+        x0, x1 = pts[i].x, pts[i + 1].x
+        v0 = pts[i].right
+        s = g.slope(i)
+        if s.sign() == 0:
+            sub = (x0, x1) if v0 < c else None
         else:
-            if current is not None:
-                components.append(current)
-            current = sub
+            crossing = x0 + (c - v0) / s
+            if s.sign() > 0:
+                hi = crossing if crossing < x1 else x1
+                sub = (x0, hi) if hi > x0 else None
+            else:
+                lo = crossing if crossing > x0 else x0
+                sub = (lo, x1) if lo < x1 else None
+        # the supremum over (x_i, b] is max(right_i, c), so x_i is in the
+        # set exactly when c exceeds both of its limits
+        if i > 0 and c > max(pts[i].left, pts[i].right):
+            # a qualifying breakpoint always glues two piece intervals
+            assert current is not None and current[1] == x0, \
+                "breakpoint in the sun set must extend a component"
+            assert sub is not None and sub[0] == x0
+            current = (current[0], sub[1])
+            continue
+        if current is not None:
+            components.append(current)
+        current = sub
     if current is not None:
         components.append(current)
 
@@ -254,21 +239,20 @@ def sun_measure_bound(f: PLFunction, c) -> SunBoundResult:
     sun = rising_sun(f.add_linear(0, -c))
     a, b = f.domain
     bound = (f.eval(b) - f.eval(a)) / c
+    mu = sun.measure()
     per = []
-    total = ExactNumber(0)
     for lo, hi in sun.components:
         width = hi - lo
-        total = total + width
         rise = f.right_limit_or_value(hi) - f.right_limit_or_value(lo)
         per.append(ComponentBound(start=lo, end=hi,
                                   scaled_width=c * width, rise=rise,
                                   holds=c * width <= rise))
-    result = SunBoundResult(components=sun.components, mu=total, bound=bound,
+    result = SunBoundResult(components=sun.components, mu=mu, bound=bound,
                             per_component=tuple(per),
-                            holds=total <= bound and all(p.holds for p in per))
+                            holds=mu <= bound and all(p.holds for p in per))
     if not result.holds:
         raise VerificationError(
-            f"rising-sun bound failed: mu = {total}, bound = {bound}")
+            f"rising-sun bound failed: mu = {mu}, bound = {bound}")
     return result
 
 

@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="exactlab",
         description="exact-arithmetic experiments: extraction pipeline, "
                     "best approximations, sequence coding, PL analysis")
-    parser.add_argument("--emit", help="also write the report to this path "
-                        "(.json gets a structured dump)")
+    parser.add_argument("--emit", help="also write the report to this path: "
+                        "its lines, or {\"report\": [lines]} for .json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="run the segment-extraction pipeline")
@@ -349,6 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser is fixed configuration, so one process builds it once; the
+# handlers look library names up when they run
+_PARSER = build_parser()
+
+
 def _emit(path: str, lines: Sequence[str]) -> None:
     if path.endswith(".json"):
         payload = {"report": list(lines)}
@@ -359,18 +364,17 @@ def _emit(path: str, lines: Sequence[str]) -> None:
 
 def run(argv: Optional[Sequence[str]] = None) -> tuple[int, list[str]]:
     """Parse and dispatch; returns (exit status, report lines)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         lines = args.handler(args)
+        if args.emit:
+            _emit(args.emit, lines)
     except BudgetError as err:
         return 3, [f"budget exhausted: {err}"]
     except VerificationError as err:
         return 4, [f"verification failed: {err}"]
     except (PreconditionError, ValueError, OSError) as err:
         return 2, [f"error: {err}"]
-    if args.emit:
-        _emit(args.emit, lines)
     return 0, lines
 
 

@@ -200,6 +200,8 @@ def interleave_encode(members: Sequence[CodedReal],
     expansions are cut at ``digits_per_row`` (required for them).  Unused
     positions hold a padding digit that cannot occur inside a real row.
     """
+    if digits_per_row is not None:
+        _check_nat(digits_per_row, "digits_per_row")
     rows: list[list[int]] = []
     for member in members:
         if member.tower is not None:
@@ -233,6 +235,8 @@ def interleave_row(packed: CodedReal, i: int,
     for a row whose first position lies beyond the stream is an error.
     """
     _check_nat(i, "row index")
+    if upto is not None:
+        _check_nat(upto, "upto")
     stream = cf_decode(packed)
     if cantor_pair(i, 0) >= len(stream):
         raise InsufficientDigits(

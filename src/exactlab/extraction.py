@@ -127,14 +127,8 @@ def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
     return fam
 
 
-@dataclass(frozen=True)
-class _StepOutcome:
-    fam: RatioFamily
-    d_index: int
-
-
 def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
-               ratio_target: ExactNumber, eps_move: ExactNumber) -> _StepOutcome:
+               ratio_target: ExactNumber, eps_move: ExactNumber) -> RatioFamily:
     """One pipeline step: adjoin a ratio exactly equal to ratio_target while
     moving every existing ratio by less than eps_move."""
     col = prefix_column(G, f)
@@ -223,7 +217,7 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
         if drift.compare(eps_move) >= 0:
             raise StepVerificationFailed(
                 f"term at anchor {old.anchor} drifted by {drift} >= {eps_move}")
-    return _StepOutcome(fam=fam, d_index=d_idx)
+    return fam
 
 
 def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
@@ -237,12 +231,12 @@ def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     if not is_approx_segment(prev.yset, eps / 6, n):
         raise PreconditionFailed(
             f"previous set is not an {eps}/6-segment up to {n}")
-    outcome = _extension(G, f, prev, ExactNumber(n + 1), eps / 6)
-    if not is_approx_segment(outcome.fam.yset, eps, n + 1):
+    fam = _extension(G, f, prev, ExactNumber(n + 1), eps / 6)
+    if not is_approx_segment(fam.yset, eps, n + 1):
         raise StepVerificationFailed(
-            f"extended set {outcome.fam.yset} failed its {eps}-segment "
+            f"extended set {fam.yset} failed its {eps}-segment "
             f"check up to {n + 1}")
-    return outcome.fam
+    return fam
 
 
 def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
@@ -301,7 +295,7 @@ def approximate_target(G: GrowableSet, f: FunctionOracle, F: DiscreteSet,
     fam = _bootstrap_with_ratio(G, f, ratio_1)
     for j in range(2, k + 1):
         eps_j = scale / 6 ** (k - j)
-        fam = _extension(G, f, fam, targets[j - 1], eps_j / 6).fam
+        fam = _extension(G, f, fam, targets[j - 1], eps_j / 6)
 
     goal = DiscreteSet([ExactNumber(0)] + targets)
     worst = max(max(fam.yset.dist(t) for t in goal),

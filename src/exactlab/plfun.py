@@ -147,45 +147,36 @@ class PLFunction:
             s = self._slopes[i] = (q.left - p.right) / (q.x - p.x)
         return s
 
-    def eval(self, x) -> ExactNumber:
+    def _query(self, x, from_left: bool) -> ExactNumber:
+        """The value at x, or at a breakpoint its left limit if asked for;
+        every point query takes this path."""
         x = ExactNumber.coerce(x)
         self._check_domain(x)
         i = self._locate(x)
         p = self.points[i]
-        if p.x == x:
+        if p.x != x:
+            return p.right + self.slope(i) * (x - p.x)
+        if not from_left:
             return p.right
-        return p.right + self.slope(i) * (x - p.x)
+        if i == 0:
+            raise OutOfDomain("no left limit at the domain minimum")
+        return p.left
 
-    __call__ = eval
+    def eval(self, x) -> ExactNumber:
+        return self._query(x, False)
+
+    # the value at a breakpoint is its right limit, and at the domain
+    # maximum the value itself
+    __call__ = right_limit_or_value = eval
 
     def left_limit(self, x) -> ExactNumber:
-        x = ExactNumber.coerce(x)
-        self._check_domain(x)
-        if x == self.points[0].x:
-            raise OutOfDomain("no left limit at the domain minimum")
-        i = self._locate(x)
-        p = self.points[i]
-        if p.x == x:
-            return p.left
-        return p.right + self.slope(i) * (x - p.x)
+        return self._query(x, True)
 
     def right_limit(self, x) -> ExactNumber:
         x = ExactNumber.coerce(x)
-        self._check_domain(x)
         if x == self.points[-1].x:
             raise OutOfDomain("no right limit at the domain maximum")
-        i = self._locate(x)
-        p = self.points[i]
-        if p.x == x:
-            return p.right
-        return p.right + self.slope(i) * (x - p.x)
-
-    def right_limit_or_value(self, x) -> ExactNumber:
-        """Right limit, falling back to the value at the domain maximum."""
-        x = ExactNumber.coerce(x)
-        if x == self.points[-1].x:
-            return self.points[-1].right
-        return self.right_limit(x)
+        return self._query(x, False)
 
     # -- shape predicates --------------------------------------------------
 
@@ -210,10 +201,11 @@ class PLFunction:
         """Pointwise sum with ``intercept + slope * x``."""
         intercept = ExactNumber.coerce(intercept)
         slope = ExactNumber.coerce(slope)
-        return PLFunction([(p.x,
-                            p.left + intercept + slope * p.x,
-                            p.right + intercept + slope * p.x)
-                           for p in self.points])
+        pts = []
+        for p in self.points:
+            shift = intercept + slope * p.x
+            pts.append(Breakpoint(p.x, p.left + shift, p.right + shift))
+        return PLFunction(pts)
 
     # -- text format ----------------------------------------------------------
 

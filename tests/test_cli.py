@@ -149,6 +149,16 @@ def test_emit_text_and_json(tmp_path):
     assert json.loads(json_path.read_text()) == {"report": lines}
 
 
+@pytest.mark.parametrize("name", ["x.txt", "x.json"])
+def test_emit_to_unwritable_path_is_status_2(tmp_path, name):
+    path = tmp_path / "missing" / name
+    status, lines = run(["--emit", str(path), "code", "pair", "1", "2"])
+    assert status == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
+    assert not path.parent.exists()
+
+
 def test_reports_are_deterministic():
     first = run(["extract", "--oracle", "rot(sqrt2)", "--n", "2", "--eps", "1/4"])
     second = run(["extract", "--oracle", "rot(sqrt2)", "--n", "2", "--eps", "1/4"])
@@ -191,12 +201,17 @@ def test_reports_are_deterministic():
     (["measure", "localnull", "(0,1)", "--set", "(0,1/2)", "--delta", "1/4",
       "--probes", "(0,1)"],
      "error: measure localnull takes 0 argument(s), got 1"),
+    (["code", "delta-encode", "1/3;2/5", "--digits", "-1"],
+     "error: digits_per_row must be a non-negative integer, got -1"),
+    (["code", "delta-row", "4,1,1,2,3", "0", "--digits", "-2"],
+     "error: upto must be a non-negative integer, got -2"),
 ], ids=["eps-1/0", "rot-1/0", "cut-1/0-sqrt", "localnull-no-args",
         "localnull-no-probes", "cf-terminates", "negative-budget",
         "approx-negative-bound", "yfam-negative-d", "pair-no-args",
         "pair-extra-arg", "unpair-no-args", "beta-encode-no-args",
         "cf-no-args", "delta-row-one-arg", "mass-no-args", "outer-no-args",
-        "localnull-extra-arg"])
+        "localnull-extra-arg", "delta-encode-negative-digits",
+        "delta-row-negative-digits"])
 def test_malformed_input_is_status_2_not_a_traceback(argv, message):
     assert run(argv) == (2, [message])
 

@@ -134,6 +134,17 @@ def test_interleave_row_beyond_family():
         interleave_row(packed, 9)
 
 
+def test_interleave_rejects_negative_digit_counts():
+    members = [CodedReal.from_value(F(1, 3)), CodedReal.from_value(F(2, 5))]
+    with pytest.raises(ValueError, match="digits_per_row"):
+        interleave_encode(members, digits_per_row=-1)
+    packed = interleave_encode(members)
+    with pytest.raises(ValueError, match="upto"):
+        interleave_row(packed, 0, upto=-2)
+    # zero is a count, not an error: an empty row
+    assert interleave_row(packed, 0, upto=0).tower == ()
+
+
 def test_interleave_irrational_rows_need_budget():
     phi_row = CodedReal.from_value(PHI)
     with pytest.raises(ValueError):

@@ -2,10 +2,12 @@
 
 PL functions with 2-40 breakpoints are drawn with jumps, flat pieces and
 some abscissae and values in Q(sqrt(2)), together with meshes that divide
-the domain and meshes that leave a ragged last cell.  Point location, values
-and Dini derivatives must agree with the reference exactly, and the mesh
-survey must give equal cells, witnesses, derivatives and nondifferentiable
-points, or raise the same exception type with the same message.
+the domain and meshes that leave a ragged last cell.  Point location, values,
+one-sided limits and Dini derivatives must agree with the reference exactly,
+and the mesh survey must give equal cells, witnesses, derivatives and
+nondifferentiable points, or raise the same exception type with the same
+message.  So must ``add_linear``, the rising-sun sweep and its length bound,
+for arbitrary and for nondecreasing functions and slopes c > 0.
 """
 
 from fractions import Fraction as F
@@ -13,7 +15,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactlab import ExactNumber, PLFunction, differentiability_report, dini
+from exactlab import (
+    ExactNumber,
+    PLFunction,
+    differentiability_report,
+    dini,
+    rising_sun,
+    sun_measure_bound,
+)
 from exactlab.errors import CapExceeded
 
 import reference_plfun as ref
@@ -31,7 +40,8 @@ def numbers(draw, irrational):
 
 
 @st.composite
-def pl_functions(draw):
+def pl_functions(draw, monotone=False):
+    """With ``monotone``, every jump and every piece goes up or stays flat."""
     n = draw(st.integers(2, 40))
     irrational = draw(st.booleans())
     ks = sorted(draw(st.lists(st.integers(-200, 200), min_size=n, max_size=n,
@@ -49,6 +59,9 @@ def pl_functions(draw):
     for x in xs:
         left = level if draw(st.booleans()) else draw(numbers(irrational))
         right = draw(numbers(irrational)) if draw(st.integers(0, 3)) == 0 else left
+        if monotone:
+            left = level + abs(left - level)
+            right = left + abs(right - left)
         pts.append((x, left, right))
         level = right
     return PLFunction(pts)
@@ -65,6 +78,32 @@ def meshes(draw, f):
     if kind == "rational":
         return ExactNumber(F((b - a).floor() + 1, draw(st.integers(1, 30))))
     return ExactNumber(draw(st.integers(-2, 0)))
+
+
+@st.composite
+def slopes(draw, f):
+    """Mostly c > 0, a multiple k/8 of f's mean slope (so the sun set has
+    several components), sometimes shifted in Q(sqrt(2)); rarely c <= 0."""
+    a, b = f.domain
+    mean = (f.eval(b) - f.eval(a)) / (b - a)
+    c = (mean if mean.sign() > 0 else ExactNumber(1)) * F(draw(st.integers(1, 24)), 8)
+    if draw(st.booleans()):
+        c = c + SQRT2_UNIT * draw(st.integers(0, 3))
+    return c if draw(st.integers(0, 9)) < 9 else c * draw(st.integers(-1, 0))
+
+
+# each point query with its reference; all four check the domain first
+POINT_QUERIES = (("eval", ref.checked_value), ("left_limit", ref.left_limit),
+                 ("right_limit", ref.right_limit),
+                 ("right_limit_or_value", ref.right_limit_or_value))
+
+
+def _outcome(run):
+    """The result, or the type and message of what it raised."""
+    try:
+        return run()
+    except Exception as err:  # any failure must be the reference's failure
+        return type(err), str(err)
 
 
 def _report(run):
@@ -111,8 +150,30 @@ def test_queries_match_reference(data, f):
             assert dini(f, x) == ref.dini(f, x)
             assert dini(f, x).all_equal_finite() == \
                 ref.all_equal_finite(ref.dini(f, x))
+        for query, want in POINT_QUERIES:
+            assert _outcome(lambda: getattr(f, query)(x)) == \
+                _outcome(lambda: want(f, x))
+    for x in (a - 1, a, b, b + 1):
+        for query, want in POINT_QUERIES:
+            assert _outcome(lambda: getattr(f, query)(x)) == \
+                _outcome(lambda: want(f, x))
     assert [f.slope(i) for i in range(len(f.points) - 1)] == \
         [ref.slope(f, i) for i in range(len(f.points) - 1)]
+
+
+@settings(max_examples=150)
+@given(data=st.data(), f=pl_functions(), up=pl_functions(monotone=True))
+def test_sun_matches_reference(data, f, up):
+    c = data.draw(slopes(up))
+    intercept = data.draw(numbers(True))
+    assert f.add_linear(intercept, c).points == \
+        ref.add_linear(f, intercept, c).points
+    for g in (f, up, f.add_linear(0, -c), up.add_linear(0, -c)):
+        assert _outcome(lambda: rising_sun(g)) == \
+            _outcome(lambda: ref.rising_sun(g))
+    for g in (f, up):
+        assert _outcome(lambda: sun_measure_bound(g, c)) == \
+            _outcome(lambda: ref.sun_measure_bound(g, c))
 
 
 @pytest.mark.parametrize("depth", range(11))
