@@ -19,6 +19,15 @@ bracket is taken at the first later index at which values exist on both
 sides.  This is forced by the base case of the extraction (a two-element
 prefix carries the first meaningful ratio) and depends only on the cut and
 the anchor index, never on the ambient bound.
+
+One record pass: :func:`_family_from_values` is the only loop that keeps
+best-approximation records.  It reads a value column (see
+:mod:`exactlab.dsets`), so each entry point evaluates its prefix once:
+:func:`best_approx` and :func:`stability_interval` evaluate
+``D.restrict(bound)``, :func:`ratio_family` all of ``D``, and
+:func:`widen_interval` all of ``D`` only when ``verify_samples`` is set.
+Verification samples rerun the pass over that same column.
+:func:`_bracket_terms` restates the inner-cut brackets for the tests.
 """
 
 from __future__ import annotations
@@ -75,32 +84,8 @@ def best_approx(D: DiscreteSet, f: FunctionOracle, cut, bound) -> ApproxState:
     one side of the cut.
     """
     cut = ExactNumber.coerce(cut)
-    bound = ExactNumber.coerce(bound)
     Dd = D.restrict(bound)
-    if len(Dd) == 0:
-        raise EmptySet(f"no elements at or below {bound}")
-    left: list[ExactNumber] = []
-    right: list[ExactNumber] = []
-    best_l: Optional[ExactNumber] = None
-    best_r: Optional[ExactNumber] = None
-    for e in Dd:
-        v = f.eval(e)
-        side = v.compare(cut)
-        if side < 0:
-            # qualifies iff no earlier value sits in (v, cut)
-            if best_l is None or best_l <= v:
-                left.append(e)
-                best_l = v
-        elif side > 0:
-            if best_r is None or best_r >= v:
-                right.append(e)
-                best_r = v
-    if best_l is None:
-        raise NoLeftValue(f"no value below {cut} within bound {bound}")
-    if best_r is None:
-        raise NoRightValue(f"no value above {cut} within bound {bound}")
-    return ApproxState(L=DiscreteSet(left), R=DiscreteSet(right),
-                       l=best_l, r=best_r, cut=cut, bound=bound)
+    return _family_from_values(_column(Dd, f), len(Dd), cut, cut, bound).approx
 
 
 def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
@@ -115,17 +100,22 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
     """
     cut = ExactNumber.coerce(cut)
     bound = ExactNumber.coerce(bound)
-    for e in D.restrict(bound):
-        if f.eval(e) == cut:
+    Dd = D.restrict(bound)
+    values = []
+    for e in Dd:
+        v = f.eval(e)
+        if v == cut:
             raise CutInImage(f"{cut} is an image value at or below {bound}")
-    state = best_approx(D, f, cut, bound)
+        values.append(v)
+    col = ValueColumn(Dd.elements, values)
+    state = _family_from_values(col, len(values), cut, cut, bound).approx
     lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
         for _ in range(verify_samples):
             b = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            resampled = best_approx(D, f, b, bound)
+            resampled = _family_from_values(col, len(values), b, b, bound).approx
             if resampled.L != state.L or resampled.R != state.R:
                 raise VerificationError(
                     f"approximations changed inside ({lo}, {hi}) at cut {b}")
@@ -168,7 +158,10 @@ def _bracket_terms(D: DiscreteSet, f: FunctionOracle, cut: ExactNumber,
     """Bracket data of ``cut`` at each anchor, in one pass over D.
 
     Applies the first-bracketing-bound fallback where an anchor's prefix has
-    values on one side only.
+    values on one side only.  No entry point calls it: it stays as an
+    independent statement of the inner-cut brackets that the tests compare
+    :func:`_family_from_values` against, and as a name that profiling tools
+    wrap by name in this module and in :mod:`exactlab.extraction`.
     """
     terms: list[RatioTerm] = []
     pending = sorted(anchors)
@@ -209,11 +202,15 @@ def ratio_family(D: DiscreteSet, f: FunctionOracle, a, b, d) -> RatioFamily:
 
     ``D`` is evaluated once, and a single pass over its values finds the
     anchors, their brackets and both off-image flags.  The result equals
-    the one built from :func:`best_approx` and :func:`_bracket_terms`.
+    the one built from separate passes for the anchors and, through
+    :func:`_bracket_terms`, for their brackets.
     """
-    elems = D.elements
-    column = ValueColumn(elems, [f.eval(e) for e in elems])
-    return _family_from_values(column, len(elems), a, b, d)
+    return _family_from_values(_column(D, f), len(D), a, b, d)
+
+
+def _column(D: DiscreteSet, f: FunctionOracle) -> ValueColumn:
+    """The values of f over D, each evaluated once."""
+    return ValueColumn(D.elements, [f.eval(e) for e in D.elements])
 
 
 def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
@@ -351,12 +348,13 @@ def widen_interval(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
-        image_values = {f.eval(e) for e in D}
+        col, count = _column(D, f), len(D)
+        image_values = {col.value(i) for i in range(count)}
         for _ in range(verify_samples):
             c = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
             if c in image_values:
                 continue
-            moved = ratio_family(D, f, fam.a, c, fam.d)
+            moved = _family_from_values(col, count, fam.a, c, fam.d)
             if not moved.admissible or \
                     not is_approx_segment(moved.yset, 3 * eps, anchor_upto):
                 raise VerificationError(

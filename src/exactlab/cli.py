@@ -21,26 +21,13 @@ from .approx import best_approx, ratio_family
 from .dsets import DiscreteSet, FunctionOracle, GrowableSet, RotationOracle, TableOracle
 from .errors import BudgetError, CapExceeded, PreconditionError, VerificationError
 from .plfun import PLFunction
-from .qnum import PHI, SQRT2, SQRT3, ExactNumber, exact
-
-_ALIASES = {
-    "phi": PHI,
-    "sqrt2": SQRT2,
-    "sqrt3": SQRT3,
-}
-
-
-def _parse_number(token: str) -> ExactNumber:
-    key = token.strip().lower()
-    if key in _ALIASES:
-        return _ALIASES[key]
-    return exact(token)
+from .qnum import ExactNumber, exact
 
 
 def parse_oracle(spec: str) -> FunctionOracle:
     spec = spec.strip()
     if spec.startswith("rot(") and spec.endswith(")"):
-        return RotationOracle(_parse_number(spec[4:-1]))
+        return RotationOracle(exact(spec[4:-1]))
     if spec.startswith("table(") and spec.endswith(")"):
         path = Path(spec[6:-1])
         pairs = {}
@@ -148,7 +135,7 @@ def _cmd_approx(args) -> list[str]:
     bound = exact(args.bound)
     G = GrowableSet(cap=args.budget)
     D = G.prefix(bound.floor())
-    state = best_approx(D, oracle, _parse_number(args.cut), bound)
+    state = best_approx(D, oracle, exact(args.cut), bound)
     return _lines(cut=state.cut, bound=state.bound, L=state.L, R=state.R,
                   l=state.l, r=state.r)
 
@@ -158,7 +145,7 @@ def _cmd_yfam(args) -> list[str]:
     d = exact(args.d)
     G = GrowableSet(cap=args.budget)
     D = G.prefix(d.floor())
-    fam = ratio_family(D, oracle, _parse_number(args.a), _parse_number(args.b), d)
+    fam = ratio_family(D, oracle, exact(args.a), exact(args.b), d)
     return _lines(a=fam.a, b=fam.b, d=fam.d, Y=fam.yset, inJ=fam.admissible,
                   checked_bound=fam.checked_bound) + [
         _row("term", anchor=t.anchor, bound=t.bound_used, l=t.left,
@@ -180,7 +167,7 @@ def _cmd_code(args) -> list[str]:
         return [_text(coding.beta(int(argv[0]), int(argv[1])))]
     if verb == "cf":
         upto = int(argv[1]) if len(argv) > 1 else 10
-        return [_text(coding.cf_digits(_parse_number(argv[0]), upto))]
+        return [_text(coding.cf_digits(exact(argv[0]), upto))]
     if verb == "cf-decode":
         coded = coding.CodedReal.from_digits(_parse_int_list(argv[0]))
         return [_text(coding.cf_decode(coded))]
@@ -210,7 +197,7 @@ def _cmd_sun(args) -> list[str]:
             _row("component", start=s.start, end=s.end, entry=s.entry_limit,
                  roof=s.roof, shadow="ok" if s.holds else "VIOLATED")
             for s in sun.shadows]
-    result = analysis.sun_measure_bound(f, _parse_number(args.c))
+    result = analysis.sun_measure_bound(f, exact(args.c))
     return _lines(c=args.c, mu=result.mu, bound=result.bound,
                   holds=result.holds) + [
         _row("component", start=c.start, end=c.end,
@@ -221,7 +208,7 @@ def _cmd_sun(args) -> list[str]:
 
 def _cmd_dini(args) -> list[str]:
     f = parse_pl(args.fn, args.budget)
-    values = analysis.dini(f, _parse_number(args.x))
+    values = analysis.dini(f, exact(args.x))
     return _lines(lower_left=values.lower_left, upper_left=values.upper_left,
                   lower_right=values.lower_right,
                   upper_right=values.upper_right)

@@ -10,8 +10,9 @@ round-trips exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ExpansionTerminated,
@@ -144,18 +145,23 @@ def cf_digits(a, upto: int) -> list[int]:
         x = a.value
     else:
         x = ExactNumber.coerce(a)
-    digits: list[int] = []
-    while len(digits) < upto:
+    digits = list(islice(_digits(x), upto))
+    if len(digits) < upto:
+        raise ExpansionTerminated(
+            f"expansion has only {len(digits)} digits", digits)
+    return digits
+
+
+def _digits(x: ExactNumber) -> Iterator[int]:
+    """The continued-fraction digits of x by the exact floor recurrence,
+    ending after the last digit of a rational."""
+    while True:
         d = x.floor()
-        digits.append(d)
+        yield d
         rest = x - d
         if rest.sign() == 0:
-            if len(digits) < upto:
-                raise ExpansionTerminated(
-                    f"expansion has only {len(digits)} digits", digits)
-            break
+            return
         x = rest.inverse()
-    return digits
 
 
 def cf_encode(values: Sequence[int]) -> CodedReal:
@@ -179,14 +185,7 @@ def cf_decode(a: CodedReal) -> list[int]:
 def _all_digits(x: ExactNumber) -> list[int]:
     if not x.is_rational:
         raise ValueError("cannot exhaust the digits of an irrational value")
-    digits: list[int] = []
-    while True:
-        d = x.floor()
-        digits.append(d)
-        rest = x - d
-        if rest.sign() == 0:
-            return digits
-        x = rest.inverse()
+    return list(_digits(x))
 
 
 # -- interleaved families --------------------------------------------------

@@ -316,11 +316,14 @@ _TERM_RE = re.compile(
 def parse_exact(text: str) -> ExactNumber:
     """Parse the textual format: ``p/q`` or ``p/q+r/s*sqrt(m)``.
 
-    Whitespace-insensitive; also accepts bare ``sqrt(m)`` terms.
+    Whitespace-insensitive; also accepts bare ``sqrt(m)`` terms, and the
+    whole-token aliases ``phi``, ``sqrt2`` and ``sqrt3`` in any case.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ValueError("empty number")
+    if compact.lower() in _ALIASES:
+        return _ALIASES[compact.lower()]
     terms = _split_terms(compact)
     rat = Fraction(0)
     coef = Fraction(0)
@@ -386,3 +389,4 @@ ONE = ExactNumber(1)
 PHI = ExactNumber(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = ExactNumber.sqrt(2)
 SQRT3 = ExactNumber.sqrt(3)
+_ALIASES = {"phi": PHI, "sqrt2": SQRT2, "sqrt3": SQRT3}

@@ -7,6 +7,12 @@ test is an ``ExactNumber`` compare.  The library's window, segment checker,
 trace records and report are shared; the searches and the family pass are
 not.  ``test_reference_pipeline.py`` runs the library against it.
 
+It also restates the approx entry points as they stood before the one
+record pass: :func:`best_approx` evaluates and compares one element at a
+time, and the verification samples of :func:`stability_interval` and
+:func:`widen_interval` evaluate D again for every sample.
+``test_approx.py`` runs the library's entry points against these.
+
 ``evaluate`` defaults to ``f.eval``.  The differential tests pass an
 independent one for rotation oracles, ``e -> frac(e * alpha)`` through
 ``ExactNumber.floor``, so the library's raw coefficient column is checked
@@ -16,18 +22,25 @@ against plain exact arithmetic too.
 from __future__ import annotations
 
 import bisect
+import random
+from fractions import Fraction
 from typing import Callable, Optional
 
 from exactlab import DiscreteSet, ExactNumber, GrowableSet, is_approx_segment
 from exactlab.approx import ApproxState, RatioFamily, RatioTerm, _window, gap_ratio
 from exactlab.errors import (
+    CutInImage,
     DegenerateOracle,
     EmptySet,
+    EpsTooLarge,
     NoLeftValue,
     NoRightValue,
+    NotASegment,
+    NotInJ,
     PreconditionFailed,
     StepVerificationFailed,
     TargetBelowOne,
+    VerificationError,
 )
 from exactlab.extraction import ExtractionTrace, TraceStep, _index_of
 
@@ -257,3 +270,96 @@ def approximate_target(G: GrowableSet, f, F: DiscreteSet, eps,
             f"final set {fam.yset} is {worst} away from {goal}, "
             f"beyond eps = {eps}")
     return fam
+
+
+# -- the approx entry points, one element at a time ---------------------------
+
+
+def best_approx(D: DiscreteSet, f, cut, bound) -> ApproxState:
+    """Left and right best approximations of ``cut`` among D-elements <=
+    bound: each element is evaluated and compared before the next one is
+    evaluated."""
+    cut = ExactNumber.coerce(cut)
+    bound = ExactNumber.coerce(bound)
+    Dd = D.restrict(bound)
+    if len(Dd) == 0:
+        raise EmptySet(f"no elements at or below {bound}")
+    left: list[ExactNumber] = []
+    right: list[ExactNumber] = []
+    best_l: Optional[ExactNumber] = None
+    best_r: Optional[ExactNumber] = None
+    for e in Dd:
+        v = f.eval(e)
+        side = v.compare(cut)
+        if side < 0:
+            if best_l is None or best_l <= v:
+                left.append(e)
+                best_l = v
+        elif side > 0:
+            if best_r is None or best_r >= v:
+                right.append(e)
+                best_r = v
+    if best_l is None:
+        raise NoLeftValue(f"no value below {cut} within bound {bound}")
+    if best_r is None:
+        raise NoRightValue(f"no value above {cut} within bound {bound}")
+    return ApproxState(L=DiscreteSet(left), R=DiscreteSet(right),
+                       l=best_l, r=best_r, cut=cut, bound=bound)
+
+
+def _samples(lo: ExactNumber, hi: ExactNumber, count: int, seed: int):
+    """The seeded cuts the library draws inside (lo, hi)."""
+    rng = random.Random(seed)
+    width = hi - lo
+    return [lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
+            for _ in range(count)]
+
+
+def stability_interval(D: DiscreteSet, f, cut, bound, verify_samples: int = 0,
+                       seed: int = 0) -> tuple[ExactNumber, ExactNumber]:
+    """The bracket of ``cut`` after a pass that rejects a cut on the image;
+    every verification sample evaluates D again through :func:`best_approx`."""
+    cut = ExactNumber.coerce(cut)
+    bound = ExactNumber.coerce(bound)
+    for e in D.restrict(bound):
+        if f.eval(e) == cut:
+            raise CutInImage(f"{cut} is an image value at or below {bound}")
+    state = best_approx(D, f, cut, bound)
+    lo, hi = state.l, state.r
+    for b in _samples(lo, hi, verify_samples, seed):
+        resampled = best_approx(D, f, b, bound)
+        if resampled.L != state.L or resampled.R != state.R:
+            raise VerificationError(
+                f"approximations changed inside ({lo}, {hi}) at cut {b}")
+    return (lo, hi)
+
+
+def widen_interval(D: DiscreteSet, f, fam: RatioFamily, eps, anchor_upto,
+                   verify_samples: int = 0, seed: int = 0
+                   ) -> tuple[ExactNumber, ExactNumber]:
+    """The library's window after the same checks; every verification
+    sample evaluates D again and rebuilds the family through
+    :func:`family_from_values`."""
+    eps = ExactNumber.coerce(eps)
+    anchor_upto = ExactNumber.coerce(anchor_upto)
+    if eps.compare(Fraction(1, 4)) >= 0:
+        raise EpsTooLarge(f"eps must be < 1/4, got {eps}")
+    if not fam.admissible:
+        raise NotInJ("widen_interval needs an admissible family")
+    if not is_approx_segment(fam.yset, eps, anchor_upto):
+        raise NotASegment(
+            f"family set is not an {eps}-segment up to {anchor_upto}")
+    lo, hi = _window(fam, eps)
+    if verify_samples:
+        image_values = {f.eval(e) for e in D}
+        for c in _samples(lo, hi, verify_samples, seed):
+            if c in image_values:
+                continue
+            moved = family_from_values(D.elements, [f.eval(e) for e in D],
+                                       fam.a, c, fam.d)
+            if not moved.admissible or \
+                    not is_approx_segment(moved.yset, 3 * eps, anchor_upto):
+                raise VerificationError(
+                    f"window ({lo}, {hi}) failed at sampled cut {c}: "
+                    f"{moved.yset}")
+    return (lo, hi)

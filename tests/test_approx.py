@@ -2,12 +2,14 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exactlab import (
     DiscreteSet,
     PHI,
     RotationOracle,
     SQRT2,
+    SQRT3,
     TableOracle,
     best_approx,
     exact,
@@ -17,7 +19,7 @@ from exactlab import (
     stability_interval,
     widen_interval,
 )
-from exactlab.approx import _bracket_terms, _window
+from exactlab.approx import RatioFamily, _bracket_terms, _window
 from exactlab.errors import (
     CutInImage,
     EmptySet,
@@ -25,8 +27,11 @@ from exactlab.errors import (
     NoLeftValue,
     NoRightValue,
     NotInJ,
+    OracleDomainError,
+    RadicandMismatch,
 )
 
+import reference_pipeline as ref
 from conftest import ROTATION_BASES
 
 
@@ -252,11 +257,11 @@ def test_best_approx_duplicate_values_all_qualify():
 
 
 def reference_family(D, f, a, b, d):
-    """ratio_family's fields from the separate passes: best_approx for the
-    anchors, _bracket_terms for their brackets and for b's bracket over all
-    of D, the image set for the off-image flags."""
+    """ratio_family's fields from the separate passes: the reference
+    best_approx for the anchors, _bracket_terms for their brackets and for
+    b's bracket over all of D, the image set for the off-image flags."""
     a, b = exact(a), exact(b)
-    state = best_approx(D, f, a, d)
+    state = ref.best_approx(D, f, a, d)
     terms = _bracket_terms(D, f, b, state.L.elements)
     whole = _bracket_terms(D, f, b, [D.max()])[0]
     ratios = [t.value for t in terms]
@@ -334,3 +339,100 @@ def test_ratio_family_matches_reference_passes(rng):
                  "not admissible", "d below max", "cut on image",
                  "repeated values", "fallback bound"):
         assert seen[case] >= 5, (case, seen)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as err:  # any failure must be the reference's failure
+        return type(err), str(err)
+
+
+@st.composite
+def approx_cases(draw):
+    """A set D with an oracle on it, two cuts, a bound and the knobs of the
+    approx entry points.
+
+    Tables draw their values from a small pool, so values repeat, and may
+    mix radicands or leave elements of D off their domain.  Cuts come from
+    the image, from off it (beyond the values too, so prefixes can be
+    one-sided) or from the bootstrap construction, whose families widen;
+    bounds fall below min(D), on D and above it."""
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.integers(0, 30), min_size=1, max_size=14,
+                             unique=True))
+        pool = [F(k, 8) for k in range(draw(st.integers(2, 8)))]
+        if draw(st.integers(0, 3)) == 0:
+            pool.append(SQRT2 - 1)
+        f = TableOracle({F(k, 2): draw(st.sampled_from(pool)) for k in keys})
+        extra = draw(st.lists(st.integers(0, 30), max_size=2)) \
+            if draw(st.integers(0, 3)) == 0 else []
+        D = DiscreteSet(sorted({F(k, 2) for k in keys + extra}))
+        image = [f.table[e] for e in sorted(f.table)]
+        off_image = [F(k, 16) for k in range(-1, 2 * len(pool) + 2)]
+    else:
+        alpha = draw(st.sampled_from(ROTATION_BASES))
+        f = RotationOracle(alpha)
+        n = draw(st.integers(0, 24))
+        D = DiscreteSet.naturals(n)
+        image = [f.eval(e) for e in D]
+        off_image = [F(k, 16) for k in range(-1, 18)]
+        off_image += [(k * alpha).frac() for k in range(n + 1, n + 9)]
+    cuts = st.one_of(st.sampled_from(image), st.sampled_from(off_image),
+                     st.just(SQRT3 - 1))
+    a, b = draw(cuts), draw(cuts)
+    d = draw(st.one_of(st.sampled_from(D.elements),
+                       st.sampled_from([F(k, 4) for k in range(-2, 64)])))
+    anchor_upto = draw(st.sampled_from([1, F(3, 2), 2]))
+    low, high = sorted(image[:2]) if len(image) > 1 else (None, None)
+    if low is not None and low != high and draw(st.booleans()):
+        # the bootstrap's cut: the first two values at a ratio near 1
+        ratio = draw(st.sampled_from([F(21, 20), F(11, 10), F(6, 5)]))
+        a = b = low + (high - low) / ratio
+        d, anchor_upto = D.elements[1], 1
+    return dict(
+        D=D, f=f, a=a, b=b, d=d, anchor_upto=anchor_upto,
+        eps=draw(st.sampled_from([F(1, 60), F(1, 10), F(1, 5), F(1, 4)])),
+        samples=draw(st.integers(0, 4)), seed=draw(st.integers(0, 3)))
+
+
+# The one intended difference: best_approx evaluates its bounded prefix
+# before its first compare, so where the prefix leaves a table's domain it
+# raises OracleDomainError even if the element-by-element reference first
+# reached a compare across radicands (RadicandMismatch).
+KNOWN_DIFFERENCE = dict(
+    D=DiscreteSet([0, 1, 2]), f=TableOracle({0: SQRT2 - 1, 2: 0}),
+    a=SQRT3 - 1, b=SQRT3 - 1, d=2, eps=F(1, 60), anchor_upto=1, samples=0,
+    seed=0)
+
+
+@settings(max_examples=400)
+@given(case=approx_cases())
+@example(case=KNOWN_DIFFERENCE)
+def test_approx_entry_points_match_reference(case):
+    D, f, a, b, d = (case[k] for k in "Dfabd")
+    samples, seed = case["samples"], case["seed"]
+    got = _outcome(lambda: best_approx(D, f, a, d))
+    want = _outcome(lambda: ref.best_approx(D, f, a, d))
+    if got != want:
+        assert want[0] is RadicandMismatch
+        assert got == _outcome(lambda: [f.eval(e) for e in D.restrict(d)])
+        assert got[0] is OracleDomainError
+    assert _outcome(lambda: stability_interval(D, f, a, d, samples, seed)) \
+        == _outcome(lambda: ref.stability_interval(D, f, a, d, samples, seed))
+    fam = _outcome(lambda: ratio_family(D, f, a, b, d))
+    assert fam == _outcome(lambda: ref.family_from_values(
+        D.elements, [f.eval(e) for e in D], a, b, d))
+    if isinstance(fam, RatioFamily):
+        args = (fam, case["eps"], case["anchor_upto"], samples, seed)
+        assert _outcome(lambda: widen_interval(D, f, *args)) == \
+            _outcome(lambda: ref.widen_interval(D, f, *args))
+
+
+def test_best_approx_evaluates_the_bounded_prefix_first():
+    case = KNOWN_DIFFERENCE
+    D, f, cut = case["D"], case["f"], case["a"]
+    with pytest.raises(RadicandMismatch):
+        ref.best_approx(D, f, cut, 2)
+    with pytest.raises(OracleDomainError, match="oracle undefined at 1"):
+        best_approx(D, f, cut, 2)

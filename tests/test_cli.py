@@ -122,6 +122,34 @@ def test_diffreport_and_hpcheck():
     assert lines == ["order=8", "holds=true", "a_8=5040"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["diffreport", "--fn", "worked3", "--mesh", "{}"],
+    ["extract", "--oracle", "rot(phi)", "--n", "1", "--eps", "{}"],
+    ["approx", "--oracle", "rot(phi)", "--cut", "1/2", "--bound", "{}"],
+    ["yfam", "--oracle", "rot(phi)", "--a", "1/2", "--b", "1/3", "--d", "{}"],
+    ["measure", "localnull", "--set", "(0,1)", "--delta", "{}",
+     "--probes", "(0,1)"],
+    ["measure", "localnull", "--set", "(0,1)", "--delta", "1/2",
+     "--probes", "(0,{})"],
+    ["measure", "subadd", "(0,1) {{}}"],
+    ["code", "sum", "{},1"],
+], ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("alias, spelled", [
+    ("sqrt2", "sqrt(2)"), ("phi", "1/2+1/2*sqrt(5)"), ("SQRT3", "sqrt(3)")])
+def test_number_aliases_read_at_every_number_input(argv, alias, spelled):
+    status, lines = run([tok.replace("{}", alias) for tok in argv])
+    assert (status, lines) == run([tok.replace("{}", spelled) for tok in argv])
+    assert not any("cannot parse" in line for line in lines)
+
+
+def test_number_aliases_in_interval_ends():
+    # an interval end cannot be spelled with sqrt(m): its parentheses end
+    # the token, so the alias is the only way to write one
+    assert run(["measure", "subadd", "(0,sqrt2)", "(2,3)"]) == (0, [
+        "mu_union=1+1*sqrt(2)", "mu_sum=1+1*sqrt(2)", "slack=0",
+        "holds=true"])
+
+
 def test_pl_function_from_file(tmp_path):
     path = tmp_path / "fn.txt"
     path.write_text("domain 0 2\n0 0 0\n1 1/2 1\n2 2 2\n")

@@ -77,6 +77,21 @@ def test_cf_digits_termination():
     with pytest.raises(ExpansionTerminated) as err:
         cf_digits(F(7, 3), 5)
     assert err.value.digits == [2, 3]
+    # expansions that end exactly at upto, one digit before it and one
+    # digit after it
+    for value, digits in ((F(7, 3), [2, 3]), (F(43, 30), [1, 2, 3, 4]),
+                          (F(5), [5]), (F(-1, 3), [-1, 1, 2])):
+        n = len(digits)
+        assert cf_digits(value, n) == digits
+        assert cf_digits(value, n - 1) == digits[:-1]
+        with pytest.raises(ExpansionTerminated) as err:
+            cf_digits(value, n + 1)
+        assert err.value.digits == digits
+        assert str(err.value) == f"expansion has only {n} digits"
+        if min(digits) >= 1:
+            # cf_decode exhausts the same recurrence
+            decoded = cf_decode(CodedReal.from_value(value))
+            assert decoded == [d - 1 for d in digits]
 
 
 def test_cf_digits_periodicity():
