@@ -20,14 +20,12 @@ sides.  This is forced by the base case of the extraction (a two-element
 prefix carries the first meaningful ratio) and depends only on the cut and
 the anchor index, never on the ambient bound.
 
-One record pass: :func:`_family_from_values` is the only loop that keeps
-best-approximation records.  It reads a value column (see
-:mod:`exactlab.dsets`), so each entry point evaluates its prefix once:
-:func:`best_approx` and :func:`stability_interval` evaluate
-``D.restrict(bound)``, :func:`ratio_family` all of ``D``, and
-:func:`widen_interval` all of ``D`` only when ``verify_samples`` is set.
-Verification samples rerun the pass over that same column.
-:func:`_bracket_terms` restates the inner-cut brackets for the tests.
+One record pass: :func:`_record_pass` is the only loop that keeps
+best-approximation records.  It reads a value column (:mod:`exactlab.dsets`),
+so each entry point evaluates D once: up to the bound in :func:`best_approx`
+and :func:`stability_interval`, all of D in :func:`ratio_family`, and in
+:func:`widen_interval` only to verify.  Samples reuse that column.  Only a
+family asks the pass for gap-ratio terms.
 """
 
 from __future__ import annotations
@@ -83,9 +81,8 @@ def best_approx(D: DiscreteSet, f: FunctionOracle, cut, bound) -> ApproxState:
     Raises NoLeftValue / NoRightValue when all values within the bound lie on
     one side of the cut.
     """
-    cut = ExactNumber.coerce(cut)
     Dd = D.restrict(bound)
-    return _family_from_values(_column(Dd, f), len(Dd), cut, cut, bound).approx
+    return _record_pass(_column(Dd, f), len(Dd), cut, cut, bound)[0]
 
 
 def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
@@ -108,14 +105,14 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
             raise CutInImage(f"{cut} is an image value at or below {bound}")
         values.append(v)
     col = ValueColumn(Dd.elements, values)
-    state = _family_from_values(col, len(values), cut, cut, bound).approx
+    state = _record_pass(col, len(values), cut, cut, bound)[0]
     lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
         for _ in range(verify_samples):
             b = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            resampled = _family_from_values(col, len(values), b, b, bound).approx
+            resampled = _record_pass(col, len(values), b, b, bound)[0]
             if resampled.L != state.L or resampled.R != state.R:
                 raise VerificationError(
                     f"approximations changed inside ({lo}, {hi}) at cut {b}")
@@ -158,10 +155,9 @@ def _bracket_terms(D: DiscreteSet, f: FunctionOracle, cut: ExactNumber,
     """Bracket data of ``cut`` at each anchor, in one pass over D.
 
     Applies the first-bracketing-bound fallback where an anchor's prefix has
-    values on one side only.  No entry point calls it: it stays as an
-    independent statement of the inner-cut brackets that the tests compare
-    :func:`_family_from_values` against, and as a name that profiling tools
-    wrap by name in this module and in :mod:`exactlab.extraction`.
+    values on one side only.  No entry point calls it: it stays as the
+    tests' independent statement of the inner-cut brackets, and as a name
+    that profiling tools wrap here and in :mod:`exactlab.extraction`.
     """
     terms: list[RatioTerm] = []
     pending = sorted(anchors)
@@ -200,10 +196,8 @@ def ratio_family(D: DiscreteSet, f: FunctionOracle, a, b, d) -> RatioFamily:
     cuts in the image is decided against the materialized prefix ``D`` and
     recorded via ``checked_bound``.
 
-    ``D`` is evaluated once, and a single pass over its values finds the
-    anchors, their brackets and both off-image flags.  The result equals
-    the one built from separate passes for the anchors and, through
-    :func:`_bracket_terms`, for their brackets.
+    One pass over the values of ``D`` finds the anchors, their brackets
+    and both off-image flags.
     """
     return _family_from_values(_column(D, f), len(D), a, b, d)
 
@@ -213,15 +207,14 @@ def _column(D: DiscreteSet, f: FunctionOracle) -> ValueColumn:
     return ValueColumn(D.elements, [f.eval(e) for e in D.elements])
 
 
-def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
-    """:func:`ratio_family` over the first ``count`` indices of a value
-    column (see :mod:`exactlab.dsets`) whose elements increase.
-
-    One pass keeps the indices of ``a``'s left and right records within
-    bound ``d``, and of ``b``'s running bracket, which becomes the term of
-    every anchor found so far once it has values on both sides (the
-    first-bracketing-bound fallback).  The compares against the cuts also
-    decide whether either cut is an image value.
+def _record_pass(col, count: int, a, b, d, on_bracket=None):
+    """One pass over the first ``count`` indices of a value column whose
+    elements increase: the indices of ``a``'s left and right records within
+    bound ``d``, and of ``b``'s running bracket.  Once that bracket has
+    values on both sides, each left record found so far goes to
+    ``on_bracket(anchor, bound, left, right)``, all indices (the
+    first-bracketing-bound fallback).  Returns ``a``'s :class:`ApproxState`,
+    whether either cut is an image value, and ``b``'s final bracket.
     """
     a = ExactNumber.coerce(a)
     b = ExactNumber.coerce(b)
@@ -237,8 +230,7 @@ def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
     a_r: Optional[int] = None
     b_l: Optional[int] = None
     b_r: Optional[int] = None
-    terms: list[RatioTerm] = []
-    waiting: list[int] = []      # anchors whose term is not built yet
+    waiting: list[int] = []      # anchors not handed to on_bracket yet
     on_image = False
     for i in range(count):
         if i < within:
@@ -267,10 +259,9 @@ def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
         else:
             on_image = True
         if waiting and b_l is not None and b_r is not None:
-            l, r = value(b_l), value(b_r)
-            terms.extend(RatioTerm(
-                anchor=elems[j], bound_used=elems[i],
-                left=l, right=r, value=gap_ratio(l, b, r)) for j in waiting)
+            if on_bracket is not None:
+                for j in waiting:
+                    on_bracket(j, i, b_l, b_r)
             waiting.clear()
     if a_l is None:
         raise NoLeftValue(f"no value below {a} within bound {d}")
@@ -285,10 +276,28 @@ def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
                 f"no value below {b} in the materialized prefix")
         raise NoRightValue(
             f"no value above {b} in the materialized prefix")
+    return state, on_image, (b_l, b_r)
+
+
+def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
+    """:func:`ratio_family` over the first ``count`` indices of a value
+    column: :func:`_record_pass` with a gap-ratio term built for every
+    anchor as soon as ``b`` is bracketed."""
+    b = ExactNumber.coerce(b)
+    elems, value = col.elems, col.value
+    terms: list[RatioTerm] = []
+
+    def bracketed(j: int, i: int, b_l: int, b_r: int) -> None:
+        l, r = value(b_l), value(b_r)
+        terms.append(RatioTerm(anchor=elems[j], bound_used=elems[i],
+                               left=l, right=r, value=gap_ratio(l, b, r)))
+
+    state, on_image, (b_l, b_r) = _record_pass(col, count, a, b, d,
+                                               bracketed)
     ratios = [t.value for t in terms]
     increasing = all(x < y for x, y in zip(ratios, ratios[1:]))
     yset = DiscreteSet([ExactNumber(0)] + ratios)
-    return RatioFamily(a=a, b=b, d=d, yset=yset,
+    return RatioFamily(a=state.cut, b=b, d=state.bound, yset=yset,
                        admissible=increasing and not on_image,
                        terms=tuple(terms), approx=state,
                        checked_bound=elems[count - 1],

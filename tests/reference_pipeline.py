@@ -326,11 +326,12 @@ def stability_interval(D: DiscreteSet, f, cut, bound, verify_samples: int = 0,
             raise CutInImage(f"{cut} is an image value at or below {bound}")
     state = best_approx(D, f, cut, bound)
     lo, hi = state.l, state.r
-    for b in _samples(lo, hi, verify_samples, seed):
-        resampled = best_approx(D, f, b, bound)
-        if resampled.L != state.L or resampled.R != state.R:
-            raise VerificationError(
-                f"approximations changed inside ({lo}, {hi}) at cut {b}")
+    if verify_samples:
+        for b in _samples(lo, hi, verify_samples, seed):
+            resampled = best_approx(D, f, b, bound)
+            if resampled.L != state.L or resampled.R != state.R:
+                raise VerificationError(
+                    f"approximations changed inside ({lo}, {hi}) at cut {b}")
     return (lo, hi)
 
 

@@ -356,14 +356,17 @@ def approx_cases(draw):
     Tables draw their values from a small pool, so values repeat, and may
     mix radicands or leave elements of D off their domain.  Cuts come from
     the image, from off it (beyond the values too, so prefixes can be
-    one-sided) or from the bootstrap construction, whose families widen;
+    one-sided), from between two neighbouring values or from the bootstrap
+    construction, whose families widen;
     bounds fall below min(D), on D and above it."""
     if draw(st.booleans()):
         keys = draw(st.lists(st.integers(0, 30), min_size=1, max_size=14,
                              unique=True))
         pool = [F(k, 8) for k in range(draw(st.integers(2, 8)))]
-        if draw(st.integers(0, 3)) == 0:
-            pool.append(SQRT2 - 1)
+        # no k/8 lies between sqrt(2) - 1 and sqrt(3)/4
+        pool += draw(st.sampled_from(
+            [[], [SQRT2 - 1], [SQRT3 - 1], [SQRT2 - 1, SQRT3 / 4],
+             [SQRT2 - 1, SQRT3 - 1]]))
         f = TableOracle({F(k, 2): draw(st.sampled_from(pool)) for k in keys})
         extra = draw(st.lists(st.integers(0, 30), max_size=2)) \
             if draw(st.integers(0, 3)) == 0 else []
@@ -378,13 +381,23 @@ def approx_cases(draw):
         image = [f.eval(e) for e in D]
         off_image = [F(k, 16) for k in range(-1, 18)]
         off_image += [(k * alpha).frac() for k in range(n + 1, n + 9)]
-    cuts = st.one_of(st.sampled_from(image), st.sampled_from(off_image),
-                     st.just(SQRT3 - 1))
+    # Half the draws take a rational cut between two neighbouring values,
+    # so brackets across radicands occur.  The values are far enough apart
+    # for floats to order them; the exact compare keeps only true cuts.
+    ordered = sorted(set(image), key=float)
+    between = [c for x, y in zip(ordered, ordered[1:])
+               for c in [F((float(x) + float(y)) / 2).limit_denominator(1000)]
+               if x < c < y] or off_image
+    cuts = st.sampled_from(between) if draw(st.booleans()) else st.one_of(
+        st.sampled_from(image), st.sampled_from(off_image), st.just(SQRT3 - 1))
     a, b = draw(cuts), draw(cuts)
     d = draw(st.one_of(st.sampled_from(D.elements),
                        st.sampled_from([F(k, 4) for k in range(-2, 64)])))
     anchor_upto = draw(st.sampled_from([1, F(3, 2), 2]))
-    low, high = sorted(image[:2]) if len(image) > 1 else (None, None)
+    try:
+        low, high = sorted(image[:2]) if len(image) > 1 else (None, None)
+    except RadicandMismatch:  # values of two radicands: no bootstrap cut
+        low = high = None
     if low is not None and low != high and draw(st.booleans()):
         # the bootstrap's cut: the first two values at a ratio near 1
         ratio = draw(st.sampled_from([F(21, 20), F(11, 10), F(6, 5)]))
@@ -405,19 +418,29 @@ KNOWN_DIFFERENCE = dict(
     a=SQRT3 - 1, b=SQRT3 - 1, d=2, eps=F(1, 60), anchor_upto=1, samples=0,
     seed=0)
 
+# A rational cut between values of two radicands: the records exist, but
+# the bracket's width r - l does not.
+MIXED_BRACKET = dict(
+    D=DiscreteSet([0, 1]), f=TableOracle({0: SQRT2 - 1, 1: SQRT3 - 1}),
+    a=F(1, 2), b=F(1, 2), d=1, eps=F(1, 60), anchor_upto=1, samples=0,
+    seed=0)
+
 
 @settings(max_examples=400)
 @given(case=approx_cases())
 @example(case=KNOWN_DIFFERENCE)
+@example(case=MIXED_BRACKET)
 def test_approx_entry_points_match_reference(case):
     D, f, a, b, d = (case[k] for k in "Dfabd")
     samples, seed = case["samples"], case["seed"]
     got = _outcome(lambda: best_approx(D, f, a, d))
     want = _outcome(lambda: ref.best_approx(D, f, a, d))
     if got != want:
-        assert want[0] is RadicandMismatch
-        assert got == _outcome(lambda: [f.eval(e) for e in D.restrict(d)])
-        assert got[0] is OracleDomainError
+        assert isinstance(want, tuple) and want[0] is RadicandMismatch, \
+            (got, want)
+        assert got == _outcome(lambda: [f.eval(e) for e in D.restrict(d)]), \
+            (got, want)
+        assert got[0] is OracleDomainError, (got, want)
     assert _outcome(lambda: stability_interval(D, f, a, d, samples, seed)) \
         == _outcome(lambda: ref.stability_interval(D, f, a, d, samples, seed))
     fam = _outcome(lambda: ratio_family(D, f, a, b, d))
@@ -436,3 +459,14 @@ def test_best_approx_evaluates_the_bounded_prefix_first():
         ref.best_approx(D, f, cut, 2)
     with pytest.raises(OracleDomainError, match="oracle undefined at 1"):
         best_approx(D, f, cut, 2)
+
+
+def test_best_approx_with_a_bracket_across_radicands():
+    case = MIXED_BRACKET
+    D, f, cut = case["D"], case["f"], case["a"]
+    state = best_approx(D, f, cut, 1)
+    assert (state.l, state.r) == (SQRT2 - 1, SQRT3 - 1)
+    assert state.L == DiscreteSet([0]) and state.R == DiscreteSet([1])
+    assert stability_interval(D, f, cut, 1) == (SQRT2 - 1, SQRT3 - 1)
+    with pytest.raises(RadicandMismatch):
+        ratio_family(D, f, cut, cut, 1)

@@ -167,6 +167,15 @@ def test_table_oracle_from_file(tmp_path):
     assert "l=0" in lines and "r=1" in lines
 
 
+def test_table_oracle_bracket_across_radicands(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("0 -1+sqrt(2)\n1 -1+sqrt(3)\n")
+    status, lines = run(["approx", "--oracle", f"table({path})",
+                         "--cut", "1/2", "--bound", "1"])
+    assert status == 0, lines
+    assert "L={0}" in lines and "R={1}" in lines
+
+
 def test_emit_text_and_json(tmp_path):
     text_path = tmp_path / "report.txt"
     status, lines = run(["--emit", str(text_path), "hpcheck", "--order", "3"])
