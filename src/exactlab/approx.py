@@ -82,7 +82,7 @@ def best_approx(D: DiscreteSet, f: FunctionOracle, cut, bound) -> ApproxState:
     one side of the cut.
     """
     Dd = D.restrict(bound)
-    return _record_pass(_column(Dd, f), len(Dd), cut, cut, bound)[0]
+    return _record_pass(_column(Dd, f), len(Dd), cut, None, bound)[0]
 
 
 def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
@@ -105,14 +105,14 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
             raise CutInImage(f"{cut} is an image value at or below {bound}")
         values.append(v)
     col = ValueColumn(Dd.elements, values)
-    state = _record_pass(col, len(values), cut, cut, bound)[0]
+    state = _record_pass(col, len(values), cut, None, bound)[0]
     lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
         for _ in range(verify_samples):
             b = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            resampled = _record_pass(col, len(values), b, b, bound)[0]
+            resampled = _record_pass(col, len(values), b, None, bound)[0]
             if resampled.L != state.L or resampled.R != state.R:
                 raise VerificationError(
                     f"approximations changed inside ({lo}, {hi}) at cut {b}")
@@ -215,15 +215,17 @@ def _record_pass(col, count: int, a, b, d, on_bracket=None):
     ``on_bracket(anchor, bound, left, right)``, all indices (the
     first-bracketing-bound fallback).  Returns ``a``'s :class:`ApproxState`,
     whether either cut is an image value, and ``b``'s final bracket.
+    With ``b`` None, for callers that read only ``a``'s records, no bracket
+    is kept: the image flag covers ``a`` alone and the bracket is None.
     """
     a = ExactNumber.coerce(a)
-    b = ExactNumber.coerce(b)
     d = ExactNumber.coerce(d)
     elems, value, cmp = col.elems, col.value, col.cmp
     within = bisect.bisect_right(elems, d, 0, count)
     if within == 0:
         raise EmptySet(f"no elements at or below {d}")
-    side_a, side_b = col.side(a), col.side(b)
+    side_a = col.side(a)
+    side_b = None if b is None else col.side(ExactNumber.coerce(b))
     left: list[int] = []
     right: list[int] = []
     a_l: Optional[int] = None
@@ -249,6 +251,8 @@ def _record_pass(col, count: int, a, b, d, on_bracket=None):
                 on_image = True
         elif value(i) == a:
             on_image = True
+        if side_b is None:
+            continue
         side = side_b(i)
         if side < 0:
             if b_l is None or cmp(b_l, i) < 0:
@@ -270,6 +274,8 @@ def _record_pass(col, count: int, a, b, d, on_bracket=None):
     state = ApproxState(L=DiscreteSet(elems[j] for j in left),
                         R=DiscreteSet(elems[j] for j in right),
                         l=value(a_l), r=value(a_r), cut=a, bound=d)
+    if side_b is None:
+        return state, on_image, None
     if waiting:
         if b_l is None:
             raise NoLeftValue(

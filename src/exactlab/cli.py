@@ -35,8 +35,10 @@ def parse_oracle(spec: str) -> FunctionOracle:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, value = line.split()
-            pairs[exact(key)] = exact(value)
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"table line needs 2 fields: {line!r}")
+            pairs[exact(fields[0])] = exact(fields[1])
         return TableOracle(pairs)
     raise ValueError(f"unknown oracle spec {spec!r}; use rot(...) or table(file)")
 
@@ -67,13 +69,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_probes(text: str) -> list[measure.Interval]:
-    out = []
-    for token in text.split():
-        if not (token.startswith("(") and token.endswith(")")):
-            raise ValueError(f"probe {token!r} must look like (a,b)")
-        lo, hi = token[1:-1].split(",")
-        out.append(measure.Interval(exact(lo), exact(hi)))
-    return out
+    return [measure.Interval.parse(token) for token in text.split()]
 
 
 # -- report rendering --------------------------------------------------------

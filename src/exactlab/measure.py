@@ -4,11 +4,14 @@ Covers are plain lists of open intervals whose total length is summed with
 overlaps counted; finitely presented sets (interval unions plus isolated
 points) are normalized so that their outer measure is the total length of
 the merged components, computed in closed form.
+
+Covers, probes and unions read their interval tokens the same way, through
+:meth:`Interval.parse`: ``(a,b)`` or ``[a,b]``, where each end is any exact
+number, ``sqrt(m)`` forms included.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -33,6 +36,16 @@ class Interval:
             raise ValueError(f"empty interval ({lo}, {hi})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def parse(cls, token: str) -> "Interval":
+        """``(a,b)`` or ``[a,b]``, split at its single comma (an exact
+        number holds none); the bracket flavor is ignored."""
+        ends = token[1:-1].split(",")
+        if token[:1] not in ("(", "[") or token[-1:] not in (")", "]") \
+                or len(ends) != 2:
+            raise ValueError(f"cannot parse interval {token!r}")
+        return cls(exact(ends[0]), exact(ends[1]))
 
     @property
     def bounded(self) -> bool:
@@ -111,20 +124,16 @@ class FiniteUnion:
 
     @classmethod
     def parse(cls, text: str) -> "FiniteUnion":
-        """Parse whitespace-separated tokens ``(a,b)``, ``[a,b]``, ``{p}``;
-        bracket flavor is accepted and ignored."""
+        """Parse whitespace-separated tokens: ``{p}`` is a point, and every
+        other token an interval read by :meth:`Interval.parse`, so ``(a,b)``
+        or ``[a,b]`` with any exact numbers as ends, bracket flavor ignored."""
         intervals = []
         points = []
         for token in text.split():
-            m = re.fullmatch(r"[(\[]([^,]+),([^)\]]+)[)\]]", token)
-            if m:
-                intervals.append((exact(m.group(1)), exact(m.group(2))))
-                continue
-            m = re.fullmatch(r"\{(.+)\}", token)
-            if m:
-                points.append(exact(m.group(1)))
-                continue
-            raise ValueError(f"cannot parse set token {token!r}")
+            if token[0] == "{" and token[-1] == "}":
+                points.append(exact(token[1:-1]))
+            else:
+                intervals.append(Interval.parse(token))
         return cls(intervals, points)
 
     def measure(self) -> ExactNumber:

@@ -104,6 +104,7 @@ def test_dini_report():
 
 def test_measure_verbs():
     assert run(["measure", "mass", "(0,1/2) (1/4,3/4)"]) == (0, ["1"])
+    assert run(["measure", "mass", "[0,1/2] (1/4,3/4]"]) == (0, ["1"])
     assert run(["measure", "outer", "(0,1/2] [1/2,3/4)"]) == (0, ["3/4"])
     assert run(["measure", "subadd", "(0,2/3)", "(1/3,1)"]) == (0, [
         "mu_union=1", "mu_sum=4/3", "slack=1/3", "holds=true"])
@@ -133,6 +134,11 @@ def test_diffreport_and_hpcheck():
      "--probes", "(0,{})"],
     ["measure", "subadd", "(0,1) {{}}"],
     ["code", "sum", "{},1"],
+    ["measure", "outer", "(0,{})"],
+    pytest.param(["measure", "subadd", "(0,{})"], id="measure subadd interval"),
+    pytest.param(["measure", "localnull", "--set", "(0,{})", "--delta", "1/2",
+                  "--probes", "(0,1)"], id="measure localnull set"),
+    ["measure", "mass", "(0,{})"],
 ], ids=lambda argv: " ".join(argv[:2]))
 @pytest.mark.parametrize("alias, spelled", [
     ("sqrt2", "sqrt(2)"), ("phi", "1/2+1/2*sqrt(5)"), ("SQRT3", "sqrt(3)")])
@@ -143,11 +149,10 @@ def test_number_aliases_read_at_every_number_input(argv, alias, spelled):
 
 
 def test_number_aliases_in_interval_ends():
-    # an interval end cannot be spelled with sqrt(m): its parentheses end
-    # the token, so the alias is the only way to write one
-    assert run(["measure", "subadd", "(0,sqrt2)", "(2,3)"]) == (0, [
-        "mu_union=1+1*sqrt(2)", "mu_sum=1+1*sqrt(2)", "slack=0",
-        "holds=true"])
+    for token in ("(0,sqrt2)", "(0,sqrt(2))"):
+        assert run(["measure", "subadd", token, "(2,3)"]) == (0, [
+            "mu_union=1+1*sqrt(2)", "mu_sum=1+1*sqrt(2)", "slack=0",
+            "holds=true"])
 
 
 def test_pl_function_from_file(tmp_path):
@@ -242,36 +247,121 @@ def test_reports_are_deterministic():
      "error: digits_per_row must be a non-negative integer, got -1"),
     (["code", "delta-row", "4,1,1,2,3", "0", "--digits", "-2"],
      "error: upto must be a non-negative integer, got -2"),
+    (["extract", "--oracle", "table(three-fields.txt)", "--n", "1",
+      "--eps", "1/4"],
+     "error: table line needs 2 fields: '0 1/2 junk'"),
+    (["extract", "--oracle", "table(one-field.txt)", "--n", "1",
+      "--eps", "1/4"],
+     "error: table line needs 2 fields: '0'"),
+    (["measure", "mass", "(0,1"], "error: cannot parse interval '(0,1'"),
+    (["measure", "outer", "(0,1/2,1)"],
+     "error: cannot parse interval '(0,1/2,1)'"),
 ], ids=["eps-1/0", "rot-1/0", "cut-1/0-sqrt", "localnull-no-args",
         "localnull-no-probes", "cf-terminates", "negative-budget",
         "approx-negative-bound", "yfam-negative-d", "pair-no-args",
         "pair-extra-arg", "unpair-no-args", "beta-encode-no-args",
         "cf-no-args", "delta-row-one-arg", "mass-no-args", "outer-no-args",
         "localnull-extra-arg", "delta-encode-negative-digits",
-        "delta-row-negative-digits"])
-def test_malformed_input_is_status_2_not_a_traceback(argv, message):
+        "delta-row-negative-digits", "table-line-three-fields",
+        "table-line-one-field", "interval-unclosed", "interval-two-commas"])
+def test_malformed_input_is_status_2_not_a_traceback(argv, message, tmp_path,
+                                                     monkeypatch):
+    # the table(...) cases read these files from the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "three-fields.txt").write_text("0 0\n0 1/2 junk\n")
+    (tmp_path / "one-field.txt").write_text("# index value\n0\n")
     assert run(argv) == (2, [message])
 
 
-_ARGS = st.lists(st.one_of(
-    st.integers(0, 50).map(str),
-    st.sampled_from(["-3", "1/2", "-2/3", "7/3", "phi", "sqrt2", "1+sqrt(5)",
-                     "3,1,4", "1/2;2/3", "(0,1/2)", "(0,1/2) (1/4,3/4)",
-                     "(0,1/2] [1/2,3/4)", "1/0", ""]),
-    st.text(max_size=8)), max_size=3)
+# Argv for all nine subcommands, drawn from the README's input grammar plus
+# junk.  Every job stays small, because `hpcheck --order` and the digit
+# count of `code cf` have no budget: --budget <= 3000, --n <= 3, cantor:N
+# with N <= 9, --order <= 200 and at most 40 digits.  Free text holds no
+# decimal digit, so it never reads as a large integer.
+_TEXT = st.text(st.characters(exclude_categories=("Nd",)), max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), args=_ARGS)
-def test_code_and_measure_verbs_end_in_status_0_or_2(data, args):
-    # "--" keeps drawn arguments such as "-3" from parsing as options
-    command, arity = data.draw(st.sampled_from(
-        [("code", _CODE_ARITY), ("measure", _MEASURE_ARITY)]))
-    verb = data.draw(st.sampled_from(sorted(arity)))
-    argv = [command, verb, "--", *args]
-    first = run(argv)
-    assert first[0] in (0, 2), (argv, first)
-    assert run(argv) == first
+def _seldom(rare, common):
+    """Values of ``common``, and of ``rare`` in about one draw in eight."""
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else common)
+
+
+_NUMBER = _seldom(_TEXT, st.sampled_from([
+    "0", "1", "-3", "40", "1/8", "1/3", "1/2", "5/8", "-2/3", "7/3", "1/729",
+    "phi", "sqrt2", "SQRT3", "sqrt(2)", "sqrt(3)", "1/2+1/2*sqrt(5)",
+    "1+sqrt(5)", "-1+sqrt(2)", "-1+sqrt(7)", "1/0", "1/0*sqrt(2)", ""]))
+_INTERVAL = st.builds("{}{},{}{}".format, st.sampled_from("(["), _NUMBER,
+                      _NUMBER, st.sampled_from(")]"))
+_UNION = st.lists(st.one_of(_INTERVAL, _NUMBER.map("{{{}}}".format)),
+                  max_size=3).map(" ".join)
+
+
+def _upto(most):
+    return _seldom(_TEXT, st.integers(-2, most).map(str))
+
+
+# a rotation needs an irrational base, so other numbers come seldom
+_ORACLE = _seldom(_TEXT, _seldom(
+    st.one_of(st.just("table(no-such-table.txt)"),
+              _NUMBER.map("rot({})".format)),
+    st.sampled_from(["phi", "sqrt2", "SQRT3", "sqrt(2)", "1/2+1/2*sqrt(5)",
+                     "-1+sqrt(7)"]).map("rot({})".format)))
+_PL = _seldom(_TEXT, st.sampled_from(
+    ["worked3", "no-such-function.txt"] +
+    [f"cantor:{n}" for n in range(-1, 10)]))
+_INT_LIST = st.lists(st.integers(-1, 20), max_size=5).map(
+    lambda xs: ",".join(map(str, xs)))
+_POSITIONAL = st.one_of(_NUMBER, _INTERVAL, _UNION, _INT_LIST, _upto(40),
+                        st.sampled_from(["1/2;2/3", "1/3;sqrt2;phi"]))
+_BUDGET = _upto(3000)
+_OPTIONS = {
+    "extract": {"--oracle": _ORACLE, "--n": _upto(3), "--eps": _NUMBER,
+                "--budget": _BUDGET},
+    "approx": {"--oracle": _ORACLE, "--cut": _NUMBER, "--bound": _NUMBER,
+               "--budget": _BUDGET},
+    "yfam": {"--oracle": _ORACLE, "--a": _NUMBER, "--b": _NUMBER,
+             "--d": _NUMBER, "--budget": _BUDGET},
+    "code": {"--digits": _upto(40)},
+    "sun": {"--fn": _PL, "--c": _NUMBER, "--budget": _BUDGET},
+    "dini": {"--fn": _PL, "--x": _NUMBER, "--budget": _BUDGET},
+    "measure": {"--set": _UNION, "--delta": _NUMBER, "--probes": _UNION},
+    "diffreport": {"--fn": _PL, "--mesh": _NUMBER, "--budget": _BUDGET},
+    "hpcheck": {"--order": _upto(200)},
+}
+# options whose defaults keep a job small, so a draw may leave them out
+_OMITTABLE = {"--c", "--digits", "--set", "--delta", "--probes"}
+_VERBS = {"code": _CODE_ARITY, "measure": _MEASURE_ARITY}
+
+
+def _status(argv):
+    """run(argv), with an argparse usage error counted as its status 2."""
+    try:
+        return run(argv)
+    except SystemExit as exit:
+        return exit.code, []
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_ends_in_status_0_2_3_or_4(data):
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, values in _OPTIONS[command].items():
+        if flag not in _OMITTABLE or data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(values)}")
+    if command in _VERBS:
+        verb = data.draw(st.sampled_from(sorted(_VERBS[command])))
+        least, most = _VERBS[command][verb]
+        args = data.draw(_seldom(
+            st.lists(_POSITIONAL, max_size=3),
+            st.lists(_POSITIONAL, min_size=least, max_size=min(most, 3))))
+        # "--" keeps drawn arguments such as "-3" from parsing as options
+        argv += [verb, "--", *args]
+    first = _status(argv)
+    # code and measure have no budget and no self-check to fail
+    assert first[0] in ((0, 2) if command in _VERBS else (0, 2, 3, 4)), \
+        (argv, first)
+    assert _status(argv) == first
 
 
 # SHA-256 of the report lines, recorded before the breakpoint column
