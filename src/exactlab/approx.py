@@ -20,12 +20,13 @@ sides.  This is forced by the base case of the extraction (a two-element
 prefix carries the first meaningful ratio) and depends only on the cut and
 the anchor index, never on the ambient bound.
 
-One record pass: :func:`_record_pass` is the only loop that keeps
-best-approximation records.  It reads a value column (:mod:`exactlab.dsets`),
-so each entry point evaluates D once: up to the bound in :func:`best_approx`
-and :func:`stability_interval`, all of D in :func:`ratio_family`, and in
-:func:`widen_interval` only to verify.  Samples reuse that column.  Only a
-family asks the pass for gap-ratio terms.
+One family builder: :func:`_family` reads the record chains of both cuts
+and their orbit indices through the oracle queries of :mod:`exactlab.dsets`,
+so the entry points here (over a value column, which evaluates D once: up
+to the bound in :func:`best_approx` and :func:`stability_interval`, all of
+D in :func:`ratio_family`, and in :func:`widen_interval` only to verify)
+and the extraction step (over a column or the first-hit engine) build
+families alike.  Samples reuse the column.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def best_approx(D: DiscreteSet, f: FunctionOracle, cut, bound) -> ApproxState:
     one side of the cut.
     """
     Dd = D.restrict(bound)
-    return _record_pass(_column(Dd, f), len(Dd), cut, None, bound)[0]
+    return _column_state(_column(Dd, f), len(Dd), cut, bound)
 
 
 def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
@@ -105,14 +106,14 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
             raise CutInImage(f"{cut} is an image value at or below {bound}")
         values.append(v)
     col = ValueColumn(Dd.elements, values)
-    state = _record_pass(col, len(values), cut, None, bound)[0]
+    state = _column_state(col, len(values), cut, bound)
     lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
         for _ in range(verify_samples):
             b = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            resampled = _record_pass(col, len(values), b, None, bound)[0]
+            resampled = _column_state(col, len(values), b, bound)
             if resampled.L != state.L or resampled.R != state.R:
                 raise VerificationError(
                     f"approximations changed inside ({lo}, {hi}) at cut {b}")
@@ -199,7 +200,7 @@ def ratio_family(D: DiscreteSet, f: FunctionOracle, a, b, d) -> RatioFamily:
     One pass over the values of ``D`` finds the anchors, their brackets
     and both off-image flags.
     """
-    return _family_from_values(_column(D, f), len(D), a, b, d)
+    return _column_family(_column(D, f), len(D), a, b, d)
 
 
 def _column(D: DiscreteSet, f: FunctionOracle) -> ValueColumn:
@@ -207,107 +208,79 @@ def _column(D: DiscreteSet, f: FunctionOracle) -> ValueColumn:
     return ValueColumn(D.elements, [f.eval(e) for e in D.elements])
 
 
-def _record_pass(col, count: int, a, b, d, on_bracket=None):
-    """One pass over the first ``count`` indices of a value column whose
-    elements increase: the indices of ``a``'s left and right records within
-    bound ``d``, and of ``b``'s running bracket.  Once that bracket has
-    values on both sides, each left record found so far goes to
-    ``on_bracket(anchor, bound, left, right)``, all indices (the
-    first-bracketing-bound fallback).  Returns ``a``'s :class:`ApproxState`,
-    whether either cut is an image value, and ``b``'s final bracket.
-    With ``b`` None, for callers that read only ``a``'s records, no bracket
-    is kept: the image flag covers ``a`` alone and the bracket is None.
-    """
-    a = ExactNumber.coerce(a)
-    d = ExactNumber.coerce(d)
-    elems, value, cmp = col.elems, col.value, col.cmp
-    within = bisect.bisect_right(elems, d, 0, count)
-    if within == 0:
-        raise EmptySet(f"no elements at or below {d}")
-    side_a = col.side(a)
-    side_b = None if b is None else col.side(ExactNumber.coerce(b))
-    left: list[int] = []
-    right: list[int] = []
-    a_l: Optional[int] = None
-    a_r: Optional[int] = None
-    b_l: Optional[int] = None
-    b_r: Optional[int] = None
-    waiting: list[int] = []      # anchors not handed to on_bracket yet
-    on_image = False
-    for i in range(count):
-        if i < within:
-            side = side_a(i)
-            if side < 0:
-                # qualifies iff no earlier value sits in (value(i), a)
-                if a_l is None or cmp(a_l, i) <= 0:
-                    left.append(i)
-                    waiting.append(i)
-                    a_l = i
-            elif side > 0:
-                if a_r is None or cmp(a_r, i) >= 0:
-                    right.append(i)
-                    a_r = i
-            else:
-                on_image = True
-        elif value(i) == a:
-            on_image = True
-        if side_b is None:
-            continue
-        side = side_b(i)
-        if side < 0:
-            if b_l is None or cmp(b_l, i) < 0:
-                b_l = i
-        elif side > 0:
-            if b_r is None or cmp(b_r, i) > 0:
-                b_r = i
-        else:
-            on_image = True
-        if waiting and b_l is not None and b_r is not None:
-            if on_bracket is not None:
-                for j in waiting:
-                    on_bracket(j, i, b_l, b_r)
-            waiting.clear()
-    if a_l is None:
+def _state(q, a: ExactNumber, d: ExactNumber, left: list[int],
+           right: list[int]) -> ApproxState:
+    """``a``'s :class:`ApproxState` at bound ``d`` from its record chains."""
+    if not left:
         raise NoLeftValue(f"no value below {a} within bound {d}")
-    if a_r is None:
+    if not right:
         raise NoRightValue(f"no value above {a} within bound {d}")
-    state = ApproxState(L=DiscreteSet(elems[j] for j in left),
-                        R=DiscreteSet(elems[j] for j in right),
-                        l=value(a_l), r=value(a_r), cut=a, bound=d)
-    if side_b is None:
-        return state, on_image, None
-    if waiting:
-        if b_l is None:
-            raise NoLeftValue(
-                f"no value below {b} in the materialized prefix")
-        raise NoRightValue(
-            f"no value above {b} in the materialized prefix")
-    return state, on_image, (b_l, b_r)
+    return ApproxState(L=DiscreteSet(q.elem(j) for j in left),
+                       R=DiscreteSet(q.elem(j) for j in right),
+                       l=q.value(left[-1]), r=q.value(right[-1]),
+                       cut=a, bound=d)
 
 
-def _family_from_values(col, count: int, a, b, d) -> RatioFamily:
-    """:func:`ratio_family` over the first ``count`` indices of a value
-    column: :func:`_record_pass` with a gap-ratio term built for every
-    anchor as soon as ``b`` is bracketed."""
-    b = ExactNumber.coerce(b)
-    elems, value = col.elems, col.value
-    terms: list[RatioTerm] = []
+def _family(q, a: ExactNumber, b: ExactNumber, d: ExactNumber, k: int,
+            upto: int) -> RatioFamily:
+    """:func:`ratio_family` over the oracle queries ``q`` (see
+    :mod:`exactlab.dsets`): ``a``'s records over the indices <= k (those at
+    or below ``d``), ``b``'s brackets and the off-image checks over the
+    indices <= upto.
 
-    def bracketed(j: int, i: int, b_l: int, b_r: int) -> None:
-        l, r = value(b_l), value(b_r)
-        terms.append(RatioTerm(anchor=elems[j], bound_used=elems[i],
+    Each anchor's term reads ``b``'s bracket at the first bound from the
+    anchor on at which ``b`` has values on both sides: its record chains'
+    last entries at or below that bound, found by bisection.
+    """
+    a_left, a_right, b_left, b_right = q.records(a, b, k, upto)
+    state = _state(q, a, d, a_left, a_right)
+    if not b_left:
+        raise NoLeftValue(f"no value below {b} in the materialized prefix")
+    if not b_right:
+        raise NoRightValue(f"no value above {b} in the materialized prefix")
+    value, elem = q.value, q.elem
+    first = max(b_left[0], b_right[0])
+    terms = []
+    for j in a_left:
+        i = max(j, first)
+        l = value(b_left[bisect.bisect_right(b_left, i) - 1])
+        r = value(b_right[bisect.bisect_right(b_right, i) - 1])
+        terms.append(RatioTerm(anchor=elem(j), bound_used=elem(i),
                                left=l, right=r, value=gap_ratio(l, b, r)))
-
-    state, on_image, (b_l, b_r) = _record_pass(col, count, a, b, d,
-                                               bracketed)
+    on_image = any(n is not None and n <= upto
+                   for n in (q.orbit_index(a), q.orbit_index(b)))
     ratios = [t.value for t in terms]
     increasing = all(x < y for x, y in zip(ratios, ratios[1:]))
     yset = DiscreteSet([ExactNumber(0)] + ratios)
-    return RatioFamily(a=state.cut, b=b, d=state.bound, yset=yset,
+    return RatioFamily(a=a, b=b, d=d, yset=yset,
                        admissible=increasing and not on_image,
                        terms=tuple(terms), approx=state,
-                       checked_bound=elems[count - 1],
-                       bracket=(value(b_l), value(b_r)))
+                       checked_bound=elem(upto),
+                       bracket=(value(b_left[-1]), value(b_right[-1])))
+
+
+def _column_family(col: ValueColumn, count: int, a, b, d) -> RatioFamily:
+    """:func:`_family` over the first ``count`` indices of a column whose
+    elements increase, with ``a``'s records up to the element bound d."""
+    a, b, d = (ExactNumber.coerce(v) for v in (a, b, d))
+    within = _within(col, count, d)
+    return _family(col, a, b, d, within - 1, count - 1)
+
+
+def _column_state(col: ValueColumn, count: int, cut, bound) -> ApproxState:
+    """``cut``'s :class:`ApproxState` over the first ``count`` indices of a
+    column whose elements increase, up to the element bound."""
+    cut, bound = ExactNumber.coerce(cut), ExactNumber.coerce(bound)
+    within = _within(col, count, bound)
+    return _state(col, cut, bound, *col.records(cut, None, within - 1)[:2])
+
+
+def _within(col: ValueColumn, count: int, d: ExactNumber) -> int:
+    """How many of the first ``count`` elements are at or below d."""
+    within = bisect.bisect_right(col.elems, d, 0, count)
+    if within == 0:
+        raise EmptySet(f"no elements at or below {d}")
+    return within
 
 
 def _window(fam: RatioFamily, eps: ExactNumber
@@ -369,7 +342,7 @@ def widen_interval(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
             c = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
             if c in image_values:
                 continue
-            moved = _family_from_values(col, count, fam.a, c, fam.d)
+            moved = _column_family(col, count, fam.a, c, fam.d)
             if not moved.admissible or \
                     not is_approx_segment(moved.yset, 3 * eps, anchor_upto):
                 raise VerificationError(

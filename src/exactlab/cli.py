@@ -252,10 +252,33 @@ def _cmd_diffreport(args) -> list[str]:
         for p in report.nondifferentiable]
 
 
+# the most digits a report prints of one integer: the least limit an
+# interpreter can set on int-to-text conversion is 640
+_FULL_DIGITS = 640
+
+
+def _digits(n: int) -> int:
+    """The decimal digit count of n > 0, without writing n out."""
+    # 0.30102999 < log10(2), so this starts at or below the count
+    count = (n.bit_length() - 1) * 30102999 // 10 ** 8 + 1
+    while n >= 10 ** count:
+        count += 1
+    return count
+
+
 def _cmd_hpcheck(args) -> list[str]:
+    if args.budget < 0:
+        raise ValueError(f"cap must be non-negative, got {args.budget}")
+    if args.order > args.budget:
+        raise CapExceeded(f"order {args.order} exceeds cap {args.budget}")
     result = analysis.factorial_series_check(args.order)
-    return _lines(order=result.order, holds=result.holds,
-                  **{f"a_{result.order}": result.coefficients[-1]})
+    a = result.coefficients[-1]
+    digits = _digits(a)
+    if digits > _FULL_DIGITS:
+        coefficient = {f"a_{result.order}_digits": digits}
+    else:
+        coefficient = {f"a_{result.order}": a}
+    return _lines(order=result.order, holds=result.holds, **coefficient)
 
 
 # -- wiring -------------------------------------------------------------------
@@ -327,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hpcheck", help="factorial power-series identity check")
     p.add_argument("--order", type=int, required=True)
+    p.add_argument("--budget", type=int, default=5000,
+                   help="the largest order checked")
     p.set_defaults(handler=_cmd_hpcheck)
 
     return parser

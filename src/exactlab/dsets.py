@@ -356,7 +356,8 @@ def perturb(D: _SortedExact, shift: FunctionOracle, eps, upto) -> ValueSet:
 
 class _Naturals:
     """The first ``n`` naturals as a read-only sequence of exact numbers,
-    built on access; growing it is setting ``n``."""
+    built on access; growing it is setting ``n``.  ``n`` may pass 2^63,
+    where ``len()`` fails: read it, not the length."""
 
     __slots__ = ("n",)
 
@@ -398,8 +399,30 @@ class GrowableSet:
             else [])
 
     @property
+    def counts_naturals(self) -> bool:
+        """True for the default naturals, which keep only a count."""
+        return isinstance(self._elems, _Naturals)
+
+    @property
     def materialized_bound(self) -> int:
-        return len(self._elems) - 1
+        elems = self._elems
+        if isinstance(elems, _Naturals):
+            return elems.n - 1  # len() stops at 2^63
+        return len(elems) - 1
+
+    def index_of(self, e) -> int:
+        """The index of a materialized element: arithmetic on the default
+        naturals, a bisect otherwise."""
+        e = ExactNumber.coerce(e)
+        elems = self._elems
+        if isinstance(elems, _Naturals):
+            if e.is_integer and 0 <= e.p < elems.n:
+                return e.p
+        else:
+            i = bisect.bisect_left(elems, e)
+            if i < len(elems) and elems[i] == e:
+                return i
+        raise ValueError(f"{e} is not materialized")
 
     def element(self, k: int) -> ExactNumber:
         self._grow_to(k)
@@ -437,9 +460,9 @@ class GrowableSet:
         return out
 
     def materialized(self) -> DiscreteSet:
-        if not self._elems:
+        if self.materialized_bound < 0:
             self.element(0)
-        return self.prefix(len(self._elems) - 1)
+        return self.prefix(self.materialized_bound)
 
     def grow(self, predicate: Callable[[DiscreteSet], bool]) -> DiscreteSet:
         """Shortest prefix satisfying the predicate; CapExceeded past the cap."""
@@ -454,21 +477,37 @@ class GrowableSet:
             k += 1
 
 
-# -- value columns -------------------------------------------------------
+# -- oracle queries ------------------------------------------------------
 #
-# A column holds the oracle values over the first indices of a set: index i
-# stands for the set's i-th element, ``elems[i]``.  Searches read it through
-# three operations: ``value(i)``, the exact value; ``side(cut)``, a function
-# i -> sign(value(i) - cut); and ``cmp(i, j)``, the sign of
-# value(i) - value(j).  A column over a growable set also has ``reach(i)``,
-# called by a scan that has read every index below i and reads i next: it
-# materializes the set through i (CapExceeded past the cap) and returns how
-# many leading indices the scan may then read.
+# A search reads the oracle values over the first indices of a set (index i
+# stands for the set's i-th element) through four queries:
+#
+# - ``first_hit(n0, lo, hi, lo_open, hi_open, upto)``: the least index
+#   >= n0 whose value lies between lo and hi (None: unbounded), each end
+#   open or closed; None if there is none up to ``upto``;
+# - ``hits(k, lo, hi)``: every index <= k whose value lies in [lo, hi];
+# - ``records(a, b, k, upto)``: the left and right record chains of the
+#   cut a over indices <= k, and of the cut b over indices <= upto;
+# - ``orbit_index(v)``: the least index whose value is v, or None;
+#
+# plus ``value(i)`` and ``elem(i)``.  A record chain lists the indices at
+# which the value on one side of the cut comes closer to it.  Over a
+# growable set, an index past the cap raises CapExceeded.  A
+# :class:`ValueColumn` answers them by scanning; the first-hit engine
+# (:mod:`exactlab.orbit`) answers them for a rotation over the naturals.
 
 
 class ValueColumn:
-    """Oracle values held as exact numbers: a fixed list, or, over a
-    growable set, one value appended per newly reached index."""
+    """Oracle values held as exact numbers, and the queries answered by
+    scanning them: a fixed list, or, over a growable set, one value
+    appended per newly read index.
+
+    Scans read indices in order and compare in a fixed order: each index
+    read for the first time is first checked against every interval that
+    :meth:`hits` was asked for, in the order they were asked for, and only
+    then by the scan that read it.  A first hit in such an interval is
+    read off its hit list.
+    """
 
     def __init__(self, elems: Sequence[ExactNumber], values: list,
                  G: Optional[GrowableSet] = None,
@@ -477,77 +516,134 @@ class ValueColumn:
         self._values = values
         self._G = G
         self._f = f
+        self._watched: dict[tuple, list[int]] = {}
 
-    def reach(self, i: int) -> int:
+    def _read(self, i: int) -> None:
+        """Evaluate every index through i (CapExceeded past the cap)."""
         values = self._values
         while len(values) <= i:
-            values.append(self._f.eval(self._G.element(len(values))))
-        return len(values)
+            j = len(values)
+            values.append(self._f.eval(self._G.element(j)))
+            for (lo, hi), found in self._watched.items():
+                if self._inside(j, lo, hi):
+                    found.append(j)
+
+    def _inside(self, i: int, lo: ExactNumber, hi: ExactNumber) -> bool:
+        v = self._values[i]
+        return v.compare(lo) >= 0 and v.compare(hi) <= 0
 
     def value(self, i: int) -> ExactNumber:
         return self._values[i]
 
+    def elem(self, i: int) -> ExactNumber:
+        return self.elems[i]
+
     def side(self, cut) -> Callable[[int], int]:
+        """i -> the sign of value(i) - cut."""
         cut = ExactNumber.coerce(cut)
         values, compare = self._values, ExactNumber.compare
         return lambda i: compare(values[i], cut)
 
     def cmp(self, i: int, j: int) -> int:
+        """The sign of value(i) - value(j)."""
         return self._values[i].compare(self._values[j])
 
+    def first_hit(self, n0: int, lo, hi, lo_open: bool = False,
+                  hi_open: bool = False, upto: Optional[int] = None
+                  ) -> Optional[int]:
+        found = None if lo_open or hi_open else self._watched.get((lo, hi))
+        if found is not None:
+            while True:
+                j = bisect.bisect_left(found, n0)
+                if j < len(found):
+                    return found[j] if upto is None or found[j] <= upto else None
+                i = len(self._values)
+                if upto is not None and i > upto:
+                    return None
+                self._read(i)
+        above = None if lo is None else self.side(lo)
+        below = None if hi is None else self.side(hi)
+        i = n0
+        while upto is None or i <= upto:
+            self._read(i)
+            if above is not None:
+                s = above(i)
+                if s < 0 or (s == 0 and lo_open):
+                    i += 1
+                    continue
+            if below is not None:
+                s = below(i)
+                if s > 0 or (s == 0 and hi_open):
+                    i += 1
+                    continue
+            return i
+        return None
 
-class _RotationColumn:
-    """The values of a rotation oracle at the naturals, read from the
-    oracle's raw coefficient column: compares are integer sign tests and
-    build no exact numbers.
+    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
+        found = self._watched.get((lo, hi))
+        if found is None:
+            found = [i for i in range(len(self._values))
+                     if self._inside(i, lo, hi)]
+            self._watched[(lo, hi)] = found
+        self._read(k)
+        return found[:bisect.bisect_right(found, k)]
 
-    ``reach`` grows the oracle's column ahead in blocks, never past the
-    set's cap, and lets the scan read that far.  The set itself only
-    follows to the reached index, so a scan that stops inside a block
-    materializes its last index itself (``G.element``).
-    """
+    def records(self, a, b, k: int, upto: Optional[int] = None):
+        """One pass, index by index: a's side and record compares, then
+        b's.  a's chains keep ties (every index reaching the best value so
+        far), b's do not."""
+        upto = k if upto is None else upto
+        self._read(upto)
+        cmp = self.cmp
+        side_a = self.side(a)
+        side_b = None if b is None else self.side(b)
+        a_left: list[int] = []
+        a_right: list[int] = []
+        b_left: list[int] = []
+        b_right: list[int] = []
+        for i in range(upto + 1):
+            if i <= k:
+                side = side_a(i)
+                if side < 0:
+                    if not a_left or cmp(a_left[-1], i) <= 0:
+                        a_left.append(i)
+                elif side > 0:
+                    if not a_right or cmp(a_right[-1], i) >= 0:
+                        a_right.append(i)
+            if side_b is None:
+                continue
+            side = side_b(i)
+            if side < 0:
+                if not b_left or cmp(b_left[-1], i) < 0:
+                    b_left.append(i)
+            elif side > 0:
+                if not b_right or cmp(b_right[-1], i) > 0:
+                    b_right.append(i)
+        if side_b is None:
+            return a_left, a_right, None, None
+        return a_left, a_right, b_left, b_right
 
-    _BLOCK = 4096
-
-    def __init__(self, G: GrowableSet, f: RotationOracle):
-        self.elems = G._elems
-        self._G = G
-        self._f = f
-
-    def reach(self, i: int) -> int:
-        G, f = self._G, self._f
-        if i > 0:
-            G._grow_to(i - 1)  # the scan got here from index i - 1
-        G._grow_to(i)
-        if i >= len(f._rp):
-            f._grow(min(i + self._BLOCK, G.cap + 1))
-        return min(len(f._rp), G.cap + 1)
-
-    def value(self, i: int) -> ExactNumber:
-        return self._f._value(i)
-
-    def side(self, cut) -> Callable[[int], int]:
-        cut = ExactNumber.coerce(cut)
-        f = self._f
-        den, sq, m = f._den, f._sq, f._m
-        if cut.q != 0 and cut.m != m:
-            value = f._value  # raises RadicandMismatch past index 0
-            return lambda i: value(i).compare(cut)
-        # sign((rp[i] + i*sq*sqrt(m))/den - (cp + cq*sqrt(m))/cden), over the
-        # positive den*cden; f._rp is read per call, as growth may replace it
-        cden, cpd, sqc, cqd = cut.den, cut.p * den, sq * cut.den, cut.q * den
-        return lambda i: _sign_pair(f._rp[i] * cden - cpd, i * sqc - cqd, m)
-
-    def cmp(self, i: int, j: int) -> int:
-        f = self._f
-        rp = f._rp
-        return _sign_pair(rp[i] - rp[j], (i - j) * f._sq, f._m)
+    def orbit_index(self, v) -> Optional[int]:
+        for i, value in enumerate(self._values):
+            if value == v:
+                return i
+        return None
 
 
-def prefix_column(G: GrowableSet, f: FunctionOracle):
-    """The column of f over G's elements, readable as far as ``reach``
-    says: raw coefficients for a rotation oracle over the default naturals,
-    exact numbers otherwise."""
-    if isinstance(f, RotationOracle) and isinstance(G._elems, _Naturals):
-        return _RotationColumn(G, f)
-    return ValueColumn(G._elems, [], G, f)
+def record_chain(q, cut, k: int, below: bool) -> list[int]:
+    """The record chain of ``cut`` below (or above) it over indices <= k,
+    one first hit per link: each record is the first later index whose
+    value lies strictly between the last record's value and the cut."""
+    if below:
+        n = q.first_hit(0, None, cut, hi_open=True, upto=k)
+    else:
+        n = q.first_hit(0, cut, None, lo_open=True, upto=k)
+    chain: list[int] = []
+    while n is not None:
+        chain.append(n)
+        v = q.value(n)
+        if below:
+            n = q.first_hit(n + 1, v, cut, True, True, upto=k)
+        else:
+            n = q.first_hit(n + 1, cut, v, True, True, upto=k)
+    return chain

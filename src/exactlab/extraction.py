@@ -15,32 +15,42 @@ to 1) and repeatedly adjoins one more ratio close to the next integer:
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
-A step reads the oracle through a value column (see :mod:`exactlab.dsets`):
-phase 1 scans nothing, the scans of phases 2 and 4 reach each new index
-once, and phase 3 and the ratio family of the new cuts (anchors, brackets
-and off-image checks in one pass) read what the scans reached.  For a
-rotation oracle over the naturals the column is the oracle's own column of
-raw integer coefficients, so each index is computed once per extraction
-and every compare is an integer sign test; otherwise it is a list of exact
-values, evaluated once per index and step.
+A step reads the oracle only through four queries (see
+:mod:`exactlab.dsets`): the first index from some index on whose value
+lies in an interval, every index up to a bound whose value lies in one,
+the record chains of a cut, and the index of a value.  Phase 2 asks for
+the window's hits up to the previous bound, then for first hits after it;
+phase 3 walks the right-record chain of the best left value; phase 4 asks
+for one first hit, plus one per midpoint collision; phase 5 lists the
+window's hits up to the new bound; the ratio family of the new cuts reads
+four record chains and two value indices.
+
+For a rotation oracle over the default naturals the first-hit engine
+(:mod:`exactlab.orbit`) answers each query exactly in a number of
+big-integer steps logarithmic in the interval's width, so a step costs a
+few hundred recursion levels, whatever its indices: N = 5 reaches indices
+near 10^14 in under a second.  The set only records how far the step
+reached; a needed index past the budget still raises the scan's
+``index <cap+1> exceeds cap <cap>``, as soon as the index is known.  For any
+other oracle a column scan answers the queries, evaluating each index once
+per step and reading indices in order.  Both give identical traces.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step's
 output is re-verified with the independent segment checker; a failed check
 raises instead of returning.
 
-The search cost compounds: the window of step k+1 is a sliver of the gap
-found at step k, so the index needed grows super-exponentially with the
-number of steps.  With the default geometric tolerance schedule and a
-10^6-index budget, rotation oracles support about three steps; each further
-step multiplies the required budget by roughly two orders of magnitude.
+The indices compound: the window of step k+1 is a sliver of the gap found
+at step k, so the index needed grows super-exponentially with the number of
+steps.  With the default geometric tolerance schedule the default 10^6
+budget still binds at N = 4 (phi's step 3 needs index 1 347 866), and such
+a run fails in milliseconds; each further step multiplies the index by
+roughly two to four orders of magnitude.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     DegenerateOracle,
@@ -53,16 +63,19 @@ from .dsets import (
     DiscreteSet,
     FunctionOracle,
     GrowableSet,
+    RotationOracle,
+    ValueColumn,
     is_approx_segment,
-    prefix_column,
+    record_chain,
 )
 from .approx import (
     RatioFamily,
     _bracket_terms,  # unused here; perfbench's tracer patches this name
-    _family_from_values,
+    _family,
     _window,
     ratio_family,
 )
+from .orbit import Orbit
 from .qnum import ExactNumber
 
 ONE = ExactNumber(1)
@@ -87,14 +100,6 @@ class ExtractionTrace:
     @property
     def final(self) -> RatioFamily:
         return self.steps[-1].fam
-
-
-def _index_of(G: GrowableSet, e: ExactNumber) -> int:
-    elems = G._elems
-    i = bisect.bisect_left(elems, e)
-    if i >= len(elems) or elems[i] != e:
-        raise ValueError(f"{e} is not materialized")
-    return i
 
 
 def _bootstrap_with_ratio(G: GrowableSet, f: FunctionOracle,
@@ -127,68 +132,53 @@ def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
     return fam
 
 
+def _queries(G: GrowableSet, f: FunctionOracle):
+    """One step's oracle queries: the first-hit engine for a rotation over
+    the default naturals, a fresh column scan otherwise."""
+    if isinstance(f, RotationOracle) and G.counts_naturals:
+        return Orbit(G, f)
+    return ValueColumn(G._elems, [], G, f)
+
+
 def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
                ratio_target: ExactNumber, eps_move: ExactNumber) -> RatioFamily:
     """One pipeline step: adjoin a ratio exactly equal to ratio_target while
     moving every existing ratio by less than eps_move."""
-    col = prefix_column(G, f)
-    value, side, cmp = col.value, col.side, col.cmp
+    q = _queries(G, f)
+    value = q.value
     l_ue = prev.approx.l
-    e_idx = _index_of(G, prev.d)
+    e_idx = G.index_of(prev.d)
 
     # (1) window around the previous inner cut, from prev's terms and its
-    #     bracket over the previous prefix (no scan)
+    #     bracket over the previous prefix (no search)
     lo, hi = _window(prev, eps_move)
-    above_lo, below_hi = side(lo), side(hi)
 
-    # the scans read indices below `ready` and call col.reach to go on
-    ready = 0
-
-    # (2) least bound holding two image values inside the window
+    # (2) least bound from e_idx on holding two image values in the window
     found: dict[ExactNumber, int] = {}
-    i = 0
-    while True:
-        if i == ready:
-            ready = col.reach(i)
-        if above_lo(i) >= 0 and below_hi(i) <= 0:
-            found.setdefault(value(i), i)
-        if i >= e_idx and len(found) >= 2:
-            d0_idx = i
-            break
-        i += 1
+    for i in q.hits(e_idx, lo, hi):
+        found.setdefault(value(i), i)
+    d0_idx = e_idx
+    while len(found) < 2:
+        d0_idx = q.first_hit(d0_idx + 1, lo, hi)
+        found.setdefault(value(d0_idx), d0_idx)
 
     # (3) fresh outer cut: midpoint of the image-free gap above the
-    #     previous best left value
-    above_l = side(l_ue)
-    nxt: Optional[int] = None
-    for j in range(d0_idx + 1):
-        if above_l(j) > 0 and (nxt is None or cmp(j, nxt) < 0):
-            nxt = j
+    #     previous best left value, closed by l's last right record
+    nxt = record_chain(q, l_ue, d0_idx, below=False)[-1]
     a = (l_ue + value(nxt)) / 2
-    below_a = side(a)
 
-    # (4) least later element whose value lands between l and the new cut;
-    #     should the midpoint collide with a later image value, the gap has
-    #     shrunk: re-take its midpoint and keep scanning (a > l, so only a
-    #     value above l can collide)
-    i = d0_idx
-    while True:
-        if i == ready:
-            ready = col.reach(i)
-        if above_lo(i) >= 0 and below_hi(i) <= 0:
-            found.setdefault(value(i), i)
-        if above_l(i) > 0:
-            s = below_a(i)
-            if s < 0:
-                d_idx = i
-                break
-            if s == 0:
-                a = (l_ue + a) / 2
-                below_a = side(a)
-        i += 1
+    # (4) least later index whose value lands between l and the new cut;
+    #     should the midpoint be an image value met first, the gap has
+    #     shrunk: re-take its midpoint and search on past that index
+    d_idx = q.first_hit(d0_idx, l_ue, a, lo_open=True)
+    while value(d_idx) == a:
+        a = (l_ue + a) / 2
+        d_idx = q.first_hit(d_idx + 1, l_ue, a, lo_open=True)
     d = G.element(d_idx)
 
     # (5) widest image-free gap inside the window at the new bound
+    for i in q.hits(d_idx, lo, hi):
+        found.setdefault(value(i), i)
     inside = sorted(found.items())
     pair = None
     for (w1, _), (w2, _) in zip(inside, inside[1:]):
@@ -199,7 +189,7 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     # (6) inner cut placed so the new ratio is exact
     b = w1 + (w2 - w1) / ratio_target
 
-    fam = _family_from_values(col, d_idx + 1, a, b, d)
+    fam = _family(q, a, b, d, d_idx, d_idx)
 
     expected_anchors = tuple(prev.approx.L.elements) + (d,)
     if fam.approx.L.elements != expected_anchors:
@@ -255,14 +245,14 @@ def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
     eps_1 = eps_final / 6 ** (N - 1)
     fam = bootstrap(G, f, eps_1)
     steps.append(TraceStep(n=1, eps=eps_1, fam=fam,
-                           d_index=_index_of(G, fam.d),
+                           d_index=G.index_of(fam.d),
                            max_index=G.materialized_bound,
                            check_passed=True))
     for k in range(2, N + 1):
         eps_k = eps_final / 6 ** (N - k)
         fam = extend_step(G, f, fam, n=k - 1, eps=eps_k)
         steps.append(TraceStep(n=k, eps=eps_k, fam=fam,
-                               d_index=_index_of(G, fam.d),
+                               d_index=G.index_of(fam.d),
                                max_index=G.materialized_bound,
                                check_passed=True))
     return ExtractionTrace(steps=tuple(steps), oracle=f.describe(),

@@ -124,12 +124,15 @@ class FiniteUnion:
 
     @classmethod
     def parse(cls, text: str) -> "FiniteUnion":
-        """Parse whitespace-separated tokens: ``{p}`` is a point, and every
-        other token an interval read by :meth:`Interval.parse`, so ``(a,b)``
-        or ``[a,b]`` with any exact numbers as ends, bracket flavor ignored."""
+        """Parse whitespace-separated tokens: ``{p}`` is a point, ``{}``
+        the empty set (how the empty union prints), and every other token
+        an interval read by :meth:`Interval.parse`, so ``(a,b)`` or
+        ``[a,b]`` with any exact numbers as ends, bracket flavor ignored."""
         intervals = []
         points = []
         for token in text.split():
+            if token == "{}":
+                continue
             if token[0] == "{" and token[-1] == "}":
                 points.append(exact(token[1:-1]))
             else:

@@ -1,0 +1,192 @@
+"""The first-hit engine: the oracle queries of an extraction step, answered
+exactly for a rotation n -> {n*alpha} over the default naturals.
+
+Every search of a step asks where the orbit of a rotation first enters an
+interval.  :meth:`Orbit.first_hit` answers that in a number of big-integer
+steps logarithmic in the interval's width, by the continued-fraction
+recursion behind the three-distance theorem (see Alessandri and Berthé,
+*L'Enseignement Math.* 44, 1998).  Write a for {alpha}.  The least t >= 0
+with {beta + t*a} in an arc of width w < a from a point wraps round the
+circle j >= 0 times first, and j solves the same kind of problem for the
+rotation {1/a} or {-1/a}, whichever is below 1/2, on an arc of width w/a.
+Following the smaller rotation (the reflection a -> 1 - a) swaps which end
+of the arc is closed and at least doubles the width per level, so the
+recursion ends once the width reaches the rotation.
+
+A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
+at most one solution n, read off c's irrational part.  The record chains
+of a cut are walked one first hit per link; the other queries are built
+from these two.  Indices are plain ints of any size; the growable set only
+follows the indices the step needs, as a column scan would have read them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from .dsets import GrowableSet, RotationOracle, record_chain
+from .errors import CapExceeded
+from .qnum import ExactNumber
+
+ZERO = ExactNumber(0)
+ONE = ExactNumber(1)
+_HALF = ExactNumber(Fraction(1, 2))
+
+
+class Orbit:
+    """The oracle queries of a rotation over the naturals of ``G``.
+
+    It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
+    scanning.  ``first_hits`` counts the first-hit recursions run,
+    ``levels`` the levels they descended and ``solves`` the orbit solves.
+    """
+
+    def __init__(self, G: GrowableSet, f: RotationOracle):
+        self._G = G
+        self._a = f.alpha.frac()
+        self._m, self._den, self._sp, self._sq = (
+            self._a.m, self._a.den, self._a.p, self._a.q)
+        self.first_hits = 0
+        self.levels = 0
+        self.solves = 0
+
+    def value(self, n: int) -> ExactNumber:
+        return ExactNumber._raw(n * self._sp, n * self._sq, self._den,
+                                self._m).frac()
+
+    @staticmethod
+    def elem(n: int) -> ExactNumber:
+        return ExactNumber._raw(n, 0, 1, 0)
+
+    # -- the four queries ----------------------------------------------------
+
+    def first_hit(self, n0: int, lo: Optional[ExactNumber],
+                  hi: Optional[ExactNumber], lo_open: bool = False,
+                  hi_open: bool = False, upto: Optional[int] = None
+                  ) -> Optional[int]:
+        """Least n >= n0 with {n*alpha} between lo and hi (None: unbounded),
+        each end open or closed.  With ``upto``, None when that n exceeds it;
+        without, the set grows to n, and a scan's CapExceeded is raised if n
+        passes the cap (or does not exist)."""
+        n = self._first(n0, lo, hi, lo_open, hi_open)
+        if upto is not None:
+            return n if n is not None and n <= upto else None
+        G = self._G
+        if n is None or n > G.cap:
+            G._grow_to(G.cap)
+            raise CapExceeded(f"index {G.cap + 1} exceeds cap {G.cap}")
+        G._grow_to(n)
+        return n
+
+    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
+        """Every n <= k with {n*alpha} in the closed [lo, hi]."""
+        out: list[int] = []
+        n = self.first_hit(0, lo, hi, upto=k)
+        while n is not None:
+            out.append(n)
+            n = self.first_hit(n + 1, lo, hi, upto=k)
+        return out
+
+    def records(self, a: ExactNumber, b: Optional[ExactNumber], k: int,
+                upto: Optional[int] = None):
+        """The left and right record chains of ``a`` over indices <= k and
+        of ``b`` (None for no b: two Nones) over indices <= upto (default
+        k), as index lists."""
+        upto = k if upto is None else upto
+        chains = [record_chain(self, a, k, below=True),
+                  record_chain(self, a, k, below=False)]
+        if b is None:
+            return (*chains, None, None)
+        return (*chains, record_chain(self, b, upto, below=True),
+                record_chain(self, b, upto, below=False))
+
+    def orbit_index(self, v: ExactNumber) -> Optional[int]:
+        """The n with {n*alpha} = v, or None: n is fixed by the irrational
+        parts alone, then checked."""
+        self.solves += 1
+        v = ExactNumber.coerce(v)
+        if v.q == 0:
+            return 0 if v.p == 0 else None
+        if v.m != self._m:
+            return None
+        num, den = v.q * self._den, v.den * self._sq
+        if num % den:
+            return None
+        n = num // den
+        return n if n > 0 and self.value(n) == v else None
+
+    # -- the recursion -------------------------------------------------------
+
+    def _first(self, n0, lo, hi, lo_open, hi_open) -> Optional[int]:
+        """:meth:`first_hit` without the bound: [lo, hi) by the recursion,
+        then each end moved in or out by its orbit solve."""
+        if lo is None or lo.sign() < 0:
+            lo, lo_open = ZERO, False
+        if hi is None or hi.compare(1) >= 0:
+            hi, hi_open = ONE, True
+        s = lo.compare(hi)
+        if s > 0 or (s == 0 and (lo_open or hi_open)):
+            return None
+        if s == 0:
+            n = self.orbit_index(lo)
+            return n if n is not None and n >= n0 else None
+        w = hi - lo
+        n = n0 + self._least(self.value(n0), lo, w)
+        if lo_open and self.orbit_index(lo) == n:
+            # the orbit meets lo once, so the next hit is past it
+            n += 1 + self._least(self.value(n + 1), lo, w)
+        if not hi_open:
+            m = self.orbit_index(hi)
+            if m is not None and n0 <= m < n:
+                n = m
+        return n
+
+    def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber
+               ) -> int:
+        """Least t >= 0 with {beta + t*a} in [lo, lo + w), 0 < w <= 1.
+
+        A level solves it on an arc closed at its low end, [lo, lo + w),
+        or at its high end, (lo, lo + w].  Let g = {beta - lo} and c =
+        {-g}, the distance to the arc's low end; t must put t*a in
+        [c + j, c + j + w) (or (c + j, c + j + w]) for the least wrap count
+        j >= 0, so t = ceil((c + j)/a) (or floor((c + j)/a) + 1).  j = 0
+        serves when w >= a.  Otherwise, with x = (c + j)/a, the condition
+        on j reads {-x} in [0, w/a) (or (0, w/a]): an arc of width w/a for
+        the rotation {-1/a} from {-c/a}, or, read through {x}, the arc
+        (1 - w/a, 1] (or [1 - w/a, 1)) for {1/a} from {c/a}.
+        """
+        self.first_hits += 1
+        a, closed = self._a, True
+        stack: list[tuple[ExactNumber, ExactNumber, bool]] = []
+        while True:
+            self.levels += 1
+            g = (beta - lo).frac()
+            if closed:
+                if g.compare(w) < 0:
+                    t = 0
+                    break
+            elif g.sign() > 0 and g.compare(w) <= 0:
+                t = 0
+                break
+            c = ONE - g if g.sign() > 0 else g
+            if w.compare(a) >= 0:
+                t = _ceil(c / a) if closed else (c / a).floor() + 1
+                break
+            stack.append((c, a, closed))
+            inv = a.inverse()
+            x = c * inv
+            w = w * inv
+            up = inv.frac()
+            if up.compare(_HALF) < 0:
+                beta, a, lo, closed = x.frac(), up, ONE - w, not closed
+            else:
+                beta, a, lo = (-x).frac(), ONE - up, ZERO
+        for c, a, closed in reversed(stack):
+            x = (c + t) / a
+            t = _ceil(x) if closed else x.floor() + 1
+        return t
+
+
+def _ceil(x: ExactNumber) -> int:
+    return -(-x).floor()

@@ -42,7 +42,7 @@ from exactlab.errors import (
     TargetBelowOne,
     VerificationError,
 )
-from exactlab.extraction import ExtractionTrace, TraceStep, _index_of
+from exactlab.extraction import ExtractionTrace, TraceStep
 
 ONE = ExactNumber(1)
 
@@ -138,7 +138,7 @@ def extension(G: GrowableSet, evaluate: Evaluate, prev: RatioFamily,
               ) -> RatioFamily:
     """One step: adjoin a ratio equal to ratio_target."""
     l_ue = prev.approx.l
-    e_idx = _index_of(G, prev.d)
+    e_idx = G.index_of(prev.d)
     lo, hi = _window(prev, eps_move)
     vals: list[ExactNumber] = []
 
@@ -217,7 +217,7 @@ def extract(G: GrowableSet, f, N: int, eps_final,
     fam = bootstrap_with_ratio(G, evaluate, ONE + eps_1 / 2)
     if not is_approx_segment(fam.yset, eps_1, 1):
         raise StepVerificationFailed("bootstrap set failed its segment check")
-    steps = [TraceStep(n=1, eps=eps_1, fam=fam, d_index=_index_of(G, fam.d),
+    steps = [TraceStep(n=1, eps=eps_1, fam=fam, d_index=G.index_of(fam.d),
                        max_index=G.materialized_bound, check_passed=True)]
     for k in range(2, N + 1):
         n = k - 1
@@ -233,7 +233,7 @@ def extract(G: GrowableSet, f, N: int, eps_final,
                 f"extended set {fam.yset} failed its {eps}-segment "
                 f"check up to {n + 1}")
         steps.append(TraceStep(n=k, eps=eps, fam=fam,
-                               d_index=_index_of(G, fam.d),
+                               d_index=G.index_of(fam.d),
                                max_index=G.materialized_bound,
                                check_passed=True))
     return ExtractionTrace(steps=tuple(steps), oracle=f.describe(),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactlab import PLFunction, analysis
-from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, run
+from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, _digits, run
 
 
 def test_extract_reports_trace():
@@ -121,6 +121,28 @@ def test_diffreport_and_hpcheck():
     status, lines = run(["hpcheck", "--order", "8"])
     assert status == 0
     assert lines == ["order=8", "holds=true", "a_8=5040"]
+
+
+def test_hpcheck_budget_and_long_coefficients():
+    # a_1560 = 1559! has 4303 digits, past the interpreter's default limit
+    # on int-to-text conversion: the report gives its digit count instead
+    assert run(["hpcheck", "--order", "1560"]) == (
+        0, ["order=1560", "holds=true", "a_1560_digits=4303"])
+    assert run(["hpcheck", "--order", "5000"])[0] == 0
+    assert run(["hpcheck", "--order", "5001"]) == (
+        3, ["budget exhausted: order 5001 exceeds cap 5000"])
+    assert run(["hpcheck", "--order", "8", "--budget", "7"]) == (
+        3, ["budget exhausted: order 8 exceeds cap 7"])
+    assert run(["hpcheck", "--order", "8", "--budget", "-1"]) == (
+        2, ["error: cap must be non-negative, got -1"])
+    full = run(["hpcheck", "--order", "300"])[1][-1]
+    assert full.startswith("a_300=") and len(full) == len("a_300=") + 613
+
+
+def test_digit_count_matches_the_text():
+    for n in [1, 9, 10, 11, 99, 100, 2 ** 64, 10 ** 640 - 1, 10 ** 640,
+              3 ** 1000, 7 ** 3000 - 1]:
+        assert _digits(n) == len(str(n))
 
 
 @pytest.mark.parametrize("argv", [
@@ -274,10 +296,11 @@ def test_malformed_input_is_status_2_not_a_traceback(argv, message, tmp_path,
 
 
 # Argv for all nine subcommands, drawn from the README's input grammar plus
-# junk.  Every job stays small, because `hpcheck --order` and the digit
-# count of `code cf` have no budget: --budget <= 3000, --n <= 3, cantor:N
-# with N <= 9, --order <= 200 and at most 40 digits.  Free text holds no
-# decimal digit, so it never reads as a large integer.
+# junk.  Every job stays small, because the digit count of `code cf` has no
+# budget: --budget <= 3000, --n <= 3, cantor:N with N <= 9 and at most 40
+# digits.  --order reaches 6000, past every budget and past the orders whose
+# coefficients outgrow the interpreter's int-to-text limit.  Free text holds
+# no decimal digit, so it never reads as a large integer.
 _TEXT = st.text(st.characters(exclude_categories=("Nd",)), max_size=8)
 
 
@@ -326,7 +349,7 @@ _OPTIONS = {
     "dini": {"--fn": _PL, "--x": _NUMBER, "--budget": _BUDGET},
     "measure": {"--set": _UNION, "--delta": _NUMBER, "--probes": _UNION},
     "diffreport": {"--fn": _PL, "--mesh": _NUMBER, "--budget": _BUDGET},
-    "hpcheck": {"--order": _upto(200)},
+    "hpcheck": {"--order": _upto(6000), "--budget": _BUDGET},
 }
 # options whose defaults keep a job small, so a draw may leave them out
 _OMITTABLE = {"--c", "--digits", "--set", "--delta", "--probes"}

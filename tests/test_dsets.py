@@ -21,7 +21,7 @@ from exactlab import (
     segment_order,
     segment_union,
 )
-from exactlab.dsets import prefix_column
+from exactlab.orbit import Orbit
 from exactlab.errors import (
     CapExceeded,
     EmptySet,
@@ -34,7 +34,7 @@ from exactlab.errors import (
     ShiftTooLarge,
 )
 
-from conftest import rand_fraction, rand_nat_segment
+from conftest import alphas, rand_fraction, rand_nat_segment
 
 
 def test_successor():
@@ -282,61 +282,36 @@ def test_composed_oracle():
         ComposedOracle(TableOracle({}), rot).eval(exact(0))
 
 
-def _scan(col, top):
-    """Read a column through index top the way a search does."""
-    ready = 0
-    for i in range(top + 1):
-        if i == ready:
-            ready = col.reach(i)
-
-
-@st.composite
-def _alphas(draw):
-    """(p + q*sqrt(m)) / den > 0, with denominators and coefficients up to
-    far beyond 64 bits."""
-    m = draw(st.sampled_from([2, 3, 5, 6, 7, 13, 47]))
-    den = draw(st.one_of(st.integers(1, 12),
-                         st.sampled_from([10 ** 17, 10 ** 20])))
-    q = draw(st.one_of(st.integers(1, 6), st.just(den + 1)))
-    p = draw(st.integers(-20, 20))
-    alpha = ExactNumber(F(p, den), F(q * draw(st.sampled_from([1, -1])), den), m)
-    return alpha if alpha.sign() > 0 else -alpha
-
-
-@given(alpha=_alphas(), data=st.data())
+@given(alpha=alphas(), data=st.data())
 def test_rotation_column_matches_exact_compares(alpha, data):
+    # the oracle's raw coefficient column against plain exact arithmetic,
+    # and the first-hit engine's reading of a cut against its compares
     f = RotationOracle(alpha)
-    G = GrowableSet(cap=300)
-    col = prefix_column(G, f)
+    top = data.draw(st.integers(0, 300))
+    values = [f.eval(exact(i)) for i in range(top + 1)]
+    q = Orbit(GrowableSet(cap=300), f)
     m = alpha.m
     coef = st.fractions(min_value=-3, max_value=3, max_denominator=50)
     cuts = data.draw(st.lists(
         st.one_of(coef.map(exact),
                   st.builds(lambda a, b: ExactNumber(a, b, m), coef, coef)),
         min_size=1, max_size=4))
-    # built before the column grows, which may switch it to Python ints
-    sides = [col.side(c) for c in cuts]
-    top = data.draw(st.integers(0, 300))
-    _scan(col, top)
     indices = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=8))
-    cuts.append(col.value(indices[0]))
-    sides.append(col.side(cuts[-1]))
+    cuts.append(values[indices[0]])
     for i in indices:
-        v = col.value(i)
-        assert v == (i * alpha).frac() == f.eval(exact(i))
-        for c, side in zip(cuts, sides):
-            assert side(i) == v.compare(c)
-        for j in indices:
-            assert col.cmp(i, j) == v.compare(col.value(j))
-    other = ExactNumber(F(1, 3), F(1, 2), 11 if m != 11 else 2)
-    side = col.side(other)
-    assert side(0) == col.value(0).compare(other)
+        v = values[i]
+        assert v == (i * alpha).frac() == q.value(i)
+    for c in cuts:
+        above = [i for i in range(top + 1) if values[i].compare(c) > 0]
+        assert q.first_hit(0, c, None, lo_open=True, upto=top) == \
+            (above[0] if above else None)
+    other = ExactNumber(-1, F(1, 2), 11 if m != 11 else 2)  # in (0, 1)
     for i in indices:
         if i > 0:
             with pytest.raises(RadicandMismatch):
-                side(i)
+                values[i].compare(other)
             with pytest.raises(RadicandMismatch):
-                col.value(i).compare(other)
+                q.first_hit(i, other, None, upto=top)
 
 
 def test_rotation_column_switches_to_python_ints_mid_scan():
@@ -344,14 +319,24 @@ def test_rotation_column_switches_to_python_ints_mid_scan():
     # leaves 64 bits near n = 65
     alpha = ExactNumber(0, F(10 ** 17 + 1, 10 ** 17), 2)
     f = RotationOracle(alpha)
-    col = prefix_column(GrowableSet(cap=200), f)
-    cut = exact(F(1, 2))
-    side = col.side(cut)
-    _scan(col, 200)
-    assert type(f._rp) is list
     for i in range(201):
-        assert col.value(i) == (i * alpha).frac()
-        assert side(i) == col.value(i).compare(cut)
+        assert f.eval(exact(i)) == (i * alpha).frac()
+    assert type(f._rp) is list
+
+
+def test_counts_past_2_to_the_63():
+    G = GrowableSet(cap=2 ** 70)
+    n = 2 ** 64
+    assert G.element(n) == exact(n)
+    assert G.materialized_bound == n
+    assert G.index_of(exact(n)) == n and G.index_of(exact(n - 5)) == n - 5
+    with pytest.raises(ValueError, match="is not materialized"):
+        G.index_of(exact(n + 1))
+    with pytest.raises(ValueError, match="is not materialized"):
+        G.index_of(exact(F(1, 2)))
+    G = GrowableSet(cap=10)
+    G.element(4)
+    assert len(G._elems) == 5 and G.materialized_bound == 4
 
 
 def test_naturals_keep_a_count_and_other_generators_a_list():

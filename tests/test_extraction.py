@@ -19,6 +19,7 @@ from exactlab import (
     is_approx_segment,
     trace_report,
 )
+from exactlab.cli import run
 from exactlab.errors import (
     CapExceeded,
     DegenerateOracle,
@@ -259,3 +260,42 @@ def test_approximate_target_matches_golden():
               for t in fam.terms]
     assert _sha256(lines) == \
         "79252eb6f26226cd502d4dcc22c790de4de9abb3376ea2b1bb898b1ed32be678"
+
+
+# `extract --oracle rot(<name>) --n 3 --eps 1/24 --budget 10000000`, which
+# runs N = 4's first three steps, recorded once by the column scan (about
+# 7, 8 and 33 s; sqrt2 needs index 6 630 850), far too slow to re-derive
+# here.  The first-hit engine must reproduce every line.
+EPS_24_REPORTS = {
+    "phi": [
+        "oracle=rot(1/2+1/2*sqrt(5))",
+        "budget=10000000",
+        "steps=3",
+        "step=1 eps=1/864 a=-864/1729+864/1729*sqrt(5) b=-864/1729+864/1729*sqrt(5) d=1 d_index=1 max_index=1 Y={0,1729/1728} check=pass",
+        "step=2 eps=1/144 a=-341+305/2*sqrt(5) b=-2209/4+989/4*sqrt(5) d=1597 d_index=1597 max_index=1597 Y={0,1368/2731+610/2731*sqrt(5),2} check=pass",
+        "step=3 eps=1/24 a=-1156993/4+517423/4*sqrt(5) b=-2219135/6+992429/6*sqrt(5) d=1347866 d_index=1347866 max_index=1347866 Y={0,822903/1645198+1840059/8225990*sqrt(5),3003/3002+1347/3002*sqrt(5),3} check=pass",
+    ],
+    "sqrt3": [
+        "oracle=rot(1*sqrt(3))",
+        "budget=10000000",
+        "steps=3",
+        "step=1 eps=1/864 a=-1728/1729+1728/1729*sqrt(3) b=-1728/1729+1728/1729*sqrt(3) d=1 d_index=1 max_index=1 Y={0,1729/1728} check=pass",
+        "step=2 eps=1/144 a=-989/2+571/2*sqrt(3) b=-4055/2+1171*sqrt(3) d=2131 d_index=2131 max_index=2131 Y={0,5942/11867+3426/11867*sqrt(3),2} check=pass",
+        "step=3 eps=1/24 a=-1701539/2+491192*sqrt(3) b=-4503562/3+2600134/3*sqrt(3) d=1544972 d_index=1544972 max_index=1544972 Y={0,1236315/2470753+1427571/4941506*sqrt(3),4989/4994+2883/4994*sqrt(3),3} check=pass",
+    ],
+    "sqrt2": [
+        "oracle=rot(1*sqrt(2))",
+        "budget=10000000",
+        "steps=3",
+        "step=1 eps=1/864 a=-1728/1729+1728/1729*sqrt(2) b=-1728/1729+1728/1729*sqrt(2) d=1 d_index=1 max_index=1 Y={0,1729/1728} check=pass",
+        "step=2 eps=1/144 a=-1393/2+985/2*sqrt(2) b=-4349+6151/2*sqrt(2) d=5741 d_index=5741 max_index=5741 Y={0,3604/7199+2547/7199*sqrt(2),2} check=pass",
+        "step=3 eps=1/24 a=-1623759/2+1148171/2*sqrt(2) b=-8911534/3+2100469*sqrt(2) d=6630850 d_index=6630850 max_index=6630850 Y={0,5536920/11063071+7830381/22126142*sqrt(2),5622/5609+3969/5609*sqrt(2),3} check=pass",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPS_24_REPORTS))
+def test_eps_24_report_matches_the_scan(name):
+    assert run(["extract", "--oracle", f"rot({name})", "--n", "3",
+                "--eps", "1/24", "--budget", "10000000"]) == \
+        (0, EPS_24_REPORTS[name])

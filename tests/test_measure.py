@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from exactlab import (
+    ExactNumber,
     FiniteUnion,
     Interval,
     PHI,
@@ -12,6 +14,7 @@ from exactlab import (
     outer_measure,
     subadditivity_check,
 )
+from exactlab.cli import run
 from exactlab.errors import UnboundedInterval
 
 from conftest import rand_fraction
@@ -131,3 +134,34 @@ def test_intersect():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         FiniteUnion.parse("interval")
+
+
+def _unions():
+    """Finite unions over one radicand: rational or quadratic ends and
+    points, overlapping draws merged by the constructor; the empty union
+    too."""
+    def number(m):
+        rational = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+        return st.one_of(rational.map(exact),
+                         st.builds(lambda a, b: ExactNumber(a, b, m),
+                                   rational, rational))
+
+    def union(m):
+        ends = st.tuples(number(m), number(m)).filter(lambda p: p[0] != p[1])
+        return st.builds(
+            lambda pairs, points: FiniteUnion([sorted(p) for p in pairs],
+                                              points),
+            st.lists(ends, max_size=4), st.lists(number(m), max_size=3))
+    return st.sampled_from([2, 3, 5]).flatmap(union)
+
+
+@given(_unions())
+def test_parse_reads_back_every_printed_union(X):
+    assert FiniteUnion.parse(str(X)) == X
+
+
+def test_the_empty_union_reads_back():
+    assert str(FiniteUnion([], [])) == "{}"
+    assert FiniteUnion.parse("{}") == FiniteUnion([], [])
+    assert FiniteUnion.parse("{} (0,1)") == FiniteUnion([(0, 1)], [])
+    assert run(["measure", "outer", "{}"]) == (0, ["0"])

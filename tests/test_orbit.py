@@ -1,0 +1,179 @@
+"""The first-hit engine against brute force over the rotation's column.
+
+Each drawn rotation's first values come from the oracle's raw coefficient
+column (itself checked against exact arithmetic in ``test_dsets.py``); a
+query must return what a plain scan of those values returns, for every
+closure of the interval's ends.
+"""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exactlab import (
+    ExactNumber, GrowableSet, RotationOracle, SQRT2, exact, extract,
+    trace_report,
+)
+from exactlab import extraction
+from exactlab.cli import run
+from exactlab.dsets import ValueColumn
+from exactlab.errors import CapExceeded
+from exactlab.orbit import Orbit
+
+from conftest import alphas
+
+LIMIT = 1200
+
+
+def _inside(v, lo, hi, lo_open, hi_open):
+    if lo is not None:
+        s = v.compare(lo)
+        if s < 0 or (s == 0 and lo_open):
+            return False
+    if hi is not None:
+        s = v.compare(hi)
+        if s > 0 or (s == 0 and hi_open):
+            return False
+    return True
+
+
+def _setup(alpha):
+    f = RotationOracle(alpha)
+    values = [f.eval(exact(n)) for n in range(LIMIT + 1)]
+    return Orbit(GrowableSet(cap=LIMIT), f), values
+
+
+def _ends(values):
+    """Interval ends: none, a rational, an orbit value, or an orbit value
+    moved by a hair."""
+    orbit = st.integers(0, LIMIT).map(values.__getitem__)
+    return st.one_of(
+        st.none(),
+        st.fractions(min_value=F(-1, 4), max_value=F(5, 4),
+                     max_denominator=60).map(exact),
+        orbit, orbit,
+        st.builds(lambda v, h: v + F(h, 10 ** 9), orbit,
+                  st.integers(-3, 3)))
+
+
+@settings(max_examples=150)
+@given(alpha=alphas(), data=st.data())
+def test_first_hit_matches_brute_force(alpha, data):
+    q, values = _setup(alpha)
+    ends = _ends(values)
+    lo, hi = data.draw(ends), data.draw(ends)
+    n0 = data.draw(st.one_of(st.integers(0, 20), st.integers(0, LIMIT)))
+    for lo_open in (False, True):
+        for hi_open in (False, True):
+            want = next((n for n in range(n0, LIMIT + 1)
+                         if _inside(values[n], lo, hi, lo_open, hi_open)),
+                        None)
+            got = q.first_hit(n0, lo, hi, lo_open, hi_open, upto=LIMIT)
+            assert got == want, (lo, hi, lo_open, hi_open, n0)
+
+
+@settings(max_examples=60)
+@given(alpha=alphas(), data=st.data())
+def test_queries_match_a_column_scan(alpha, data):
+    q, values = _setup(alpha)
+    col = ValueColumn([exact(n) for n in range(LIMIT + 1)], values)
+    ends = _ends(values)
+    lo, hi = data.draw(ends), data.draw(ends)
+    k = data.draw(st.integers(0, LIMIT))
+    if lo is not None and hi is not None:
+        assert q.hits(k, lo, hi) == [
+            n for n in range(k + 1) if _inside(values[n], lo, hi, False, False)]
+    a = data.draw(ends.filter(lambda c: c is not None))
+    b = data.draw(st.one_of(st.none(), ends.filter(lambda c: c is not None)))
+    upto = data.draw(st.integers(k, LIMIT))
+    assert q.records(a, b, k, upto) == col.records(a, b, k, upto)
+    n = data.draw(st.integers(0, LIMIT))
+    assert q.value(n) == values[n] == (n * alpha).frac()
+    assert q.orbit_index(values[n]) == n
+    assert q.orbit_index(values[n] + F(1, 10 ** 9)) is None
+
+
+def test_an_unbounded_hit_past_the_cap_is_the_scans_cap_error():
+    G = GrowableSet(cap=1000)
+    q = Orbit(G, RotationOracle(SQRT2))
+    with pytest.raises(CapExceeded, match=r"^index 1001 exceeds cap 1000$"):
+        q.first_hit(0, exact(F(1, 2)), exact(F(1, 2) + F(1, 10 ** 6)))
+    assert G.materialized_bound == 1000
+    # a hit within the cap grows the set to it, and no further
+    G = GrowableSet(cap=1000)
+    n = Orbit(G, RotationOracle(SQRT2)).first_hit(0, exact(F(1, 2)), exact(1))
+    assert n == 2 and G.materialized_bound == 2
+
+
+def test_a_closed_point_interval_is_its_orbit_solve():
+    q, values = _setup(SQRT2)
+    assert q.first_hit(0, values[700], values[700]) == 700
+    assert q.first_hit(701, values[700], values[700], upto=LIMIT) is None
+    assert q.first_hit(0, values[700], values[700], lo_open=True,
+                       upto=LIMIT) is None
+
+
+def _engines(monkeypatch):
+    """The engines the extraction steps run on, in step order."""
+    engines = []
+    build = extraction._queries
+
+    def recorded(G, f):
+        q = build(G, f)
+        engines.append(q)
+        return q
+    monkeypatch.setattr(extraction, "_queries", recorded)
+    return engines
+
+
+def test_sqrt2_n3_cost(monkeypatch):
+    # steps 2 and 3: (first-hit recursions, levels descended, orbit solves)
+    engines = _engines(monkeypatch)
+    extract(GrowableSet(), RotationOracle(SQRT2), 3, F(1, 4))
+    assert [(q.first_hits, q.levels, q.solves) for q in engines] == \
+        [(43, 222, 43), (63, 531, 63)]
+
+
+# d_index per step at --eps 1/4 with a budget that never binds.  The
+# reference scan confirmed every index up to 6 630 850 (N = 4's first three
+# steps and N = 5's first two); the larger ones rest on the engine alone.
+D_INDEX = {
+    ("phi", 4): [1, 1597, 1347866, 166928007],
+    ("sqrt2", 4): [1, 5741, 6630850, 1318368971],
+    ("sqrt3", 4): [1, 2131, 1544972, 300848173],
+    ("phi", 5): [1, 4181, 24161998, 53340453171, 17221020630736],
+    ("sqrt2", 5): [1, 33461, 225092142, 259942614991, 299973738924056],
+    ("sqrt3", 5): [1, 7953, 80206004, 58143484157, 42095876668878],
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(D_INDEX))
+def test_deep_steps_land_on_their_known_indices(name, n):
+    status, lines = run(["extract", "--oracle", f"rot({name})", "--n", str(n),
+                         "--eps", "1/4", "--budget", str(10 ** 20)])
+    assert status == 0
+    steps = [line for line in lines if line.startswith("step=")]
+    assert [int(re.search(r" d_index=(\d+) ", s).group(1)) for s in steps] \
+        == D_INDEX[(name, n)]
+    assert all(s.endswith(" check=pass") for s in steps)
+
+
+@settings(max_examples=25)
+@given(alpha=alphas(), n=st.sampled_from([2, 3]),
+       eps=st.sampled_from([F(1, 2), F(1, 3), F(1, 4)]))
+def test_extract_on_the_engine_matches_the_column_scan(alpha, n, eps):
+    # deeper than the reference property reaches: a generated copy of the
+    # naturals sends the same rotation to the column scan
+    cap = 20000
+    outcomes = []
+    for G in (GrowableSet(cap=cap),
+              GrowableSet(generator=ExactNumber, cap=cap)):
+        try:
+            outcomes.append(trace_report(extract(G, RotationOracle(alpha), n,
+                                                 eps)))
+        except CapExceeded as err:
+            outcomes.append(str(err))
+        outcomes.append(G.materialized_bound)
+    assert outcomes[:2] == outcomes[2:]

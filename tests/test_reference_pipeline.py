@@ -5,7 +5,9 @@ Both sides must give identical trace reports, or raise the same exception
 type with the same message, and must leave their sets at the same
 materialized bound.  The library runs over the default naturals (count
 only) or over a generated copy of them, the reference always over the
-generated copy, so the two set representations are compared as well.
+generated copy, so the two set representations are compared as well; on
+the naturals a rotation's searches go to the first-hit engine, on the copy
+to a column scan, so both are diffed against the reference.
 Tables whose values mix radicands are drawn too: both sides must raise
 ``RadicandMismatch`` at the same compare, with the same message.
 """
@@ -26,24 +28,17 @@ from exactlab import (
 )
 
 import reference_pipeline as ref
+from conftest import alphas
 
-SQUAREFREE = [m for m in range(2, 51)
-              if all(m % (k * k) for k in range(2, 8))]
 EPS = [F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 10)]
 DEPTHS = st.sampled_from([2, 3, 1])
 # N = 3 on a rotation needs a few thousand indices at best (eps = 1/2)
 CAPS = st.one_of(st.integers(1, 2500), st.integers(2500, 9000))
 
 
-@st.composite
-def rotations(draw):
-    """rot(alpha) for alpha = (p + q*sqrt(m)) / den > 0."""
-    m = draw(st.sampled_from(SQUAREFREE))
-    p = draw(st.integers(-20, 20))
-    q = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
-    den = draw(st.integers(1, 12))
-    alpha = ExactNumber(F(p, den), F(q, den), m)
-    return RotationOracle(alpha if alpha.sign() > 0 else -alpha)
+def rotations():
+    """rot(alpha) over the first-hit engine's test draws (see conftest)."""
+    return alphas().map(RotationOracle)
 
 
 def _slow_rotation(f):
@@ -114,15 +109,13 @@ def _family_lines(fam):
 
 
 @settings(max_examples=120)
-@given(f=rotations(), n=DEPTHS, eps=st.sampled_from(EPS), cap=CAPS,
-       counted=st.booleans())
-def test_extract_matches_reference_on_rotations(f, n, eps, cap, counted):
-    G = GrowableSet(cap=cap) if counted else _naturals_copy(cap)
-    got = _outcome(lambda: trace_report(extract(G, f, n, eps)), G)
+@given(f=rotations(), n=DEPTHS, eps=st.sampled_from(EPS), cap=CAPS)
+def test_extract_matches_reference_on_rotations(f, n, eps, cap):
     G_ref = _naturals_copy(cap)
     want = _outcome(lambda: trace_report(
         ref.extract(G_ref, f, n, eps, evaluate=_slow_rotation(f))), G_ref)
-    assert got == want
+    for G in (GrowableSet(cap=cap), _naturals_copy(cap)):
+        assert _outcome(lambda: trace_report(extract(G, f, n, eps)), G) == want
 
 
 # two draws in three are single-radicand tables, as before mixed ones
