@@ -163,6 +163,10 @@ def _cmd_code(args) -> list[str]:
         return [_text(coding.beta(int(argv[0]), int(argv[1])))]
     if verb == "cf":
         upto = int(argv[1]) if len(argv) > 1 else 10
+        if args.budget < 0:
+            raise ValueError(f"cap must be non-negative, got {args.budget}")
+        if upto > args.budget:
+            raise CapExceeded(f"{upto} digits exceed cap {args.budget}")
         return [_text(coding.cf_digits(exact(argv[0]), upto))]
     if verb == "cf-decode":
         coded = coding.CodedReal.from_digits(_parse_int_list(argv[0]))
@@ -319,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("verb", choices=list(_CODE_ARITY))
     p.add_argument("args", nargs="*")
     p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--budget", type=int, default=10 ** 6,
+                   help="the most digits cf computes")
     p.set_defaults(handler=_cmd_code)
 
     p = sub.add_parser("sun", help="rising-sun decomposition / length bound")

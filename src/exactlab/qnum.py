@@ -6,6 +6,14 @@ rational, with ``q`` forced to zero).  All operations are exact; every
 comparison is decided by integer sign logic, never by rounding.  Two
 irrational operands must share the same radicand; a rational operand
 combines with anything.
+
+The hot paths branch on operand shape inside each method.  A plain ``int``
+(not ``bool``) is coerced without a ``Fraction``, is compared by the sign of
+``p - k*den`` and ``q``, and is added, subtracted or multiplied straight
+into the coefficients.  Two rationals (``q == 0``) are added, subtracted,
+multiplied and divided without the radicand check or the ``q`` products.
+Everything else takes the general formulas.  Every result goes through the
+same normalization, so the canonical form is the same on every path.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, ldexp
 from typing import Union
 
 from .errors import DivisionByZero, RadicandMismatch
@@ -85,10 +93,10 @@ class ExactNumber:
                 p //= g
                 q //= g
                 den //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "m", m)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_den(self, den)
+        _set_m(self, m)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactNumber is immutable")
@@ -112,6 +120,8 @@ class ExactNumber:
     def coerce(cls, value) -> "ExactNumber":
         if isinstance(value, ExactNumber):
             return value
+        if type(value) is int:
+            return cls._raw(value, 0, 1, 0)
         if isinstance(value, (int, Fraction)):
             f = Fraction(value)
             return cls._raw(f.numerator, 0, f.denominator, 0)
@@ -147,7 +157,13 @@ class ExactNumber:
         return self.m if self.q != 0 else other.m
 
     def __add__(self, other) -> "ExactNumber":
+        if type(other) is int:
+            return ExactNumber._raw(self.p + other * self.den, self.q,
+                                    self.den, self.m)
         other = ExactNumber.coerce(other)
+        if self.q == 0 == other.q:
+            return ExactNumber._raw(self.p * other.den + other.p * self.den,
+                                    0, self.den * other.den, 0)
         m = self._merged_m(other)
         return ExactNumber._raw(
             self.p * other.den + other.p * self.den,
@@ -160,7 +176,13 @@ class ExactNumber:
         return ExactNumber._raw(-self.p, -self.q, self.den, self.m)
 
     def __sub__(self, other) -> "ExactNumber":
+        if type(other) is int:
+            return ExactNumber._raw(self.p - other * self.den, self.q,
+                                    self.den, self.m)
         other = ExactNumber.coerce(other)
+        if self.q == 0 == other.q:
+            return ExactNumber._raw(self.p * other.den - other.p * self.den,
+                                    0, self.den * other.den, 0)
         m = self._merged_m(other)
         return ExactNumber._raw(
             self.p * other.den - other.p * self.den,
@@ -171,7 +193,13 @@ class ExactNumber:
         return ExactNumber.coerce(other) - self
 
     def __mul__(self, other) -> "ExactNumber":
+        if type(other) is int:
+            return ExactNumber._raw(self.p * other, self.q * other,
+                                    self.den, self.m)
         other = ExactNumber.coerce(other)
+        if self.q == 0 == other.q:
+            return ExactNumber._raw(self.p * other.p, 0,
+                                    self.den * other.den, 0)
         m = self._merged_m(other)
         p = self.p * other.p + self.q * other.q * m
         q = self.p * other.q + self.q * other.p
@@ -189,7 +217,13 @@ class ExactNumber:
         return ExactNumber._raw(self.den * self.p, -self.den * self.q, norm, self.m)
 
     def __truediv__(self, other) -> "ExactNumber":
-        return self * ExactNumber.coerce(other).inverse()
+        other = ExactNumber.coerce(other)
+        if self.q == 0 == other.q:
+            if other.p == 0:
+                raise DivisionByZero("inverse of zero")
+            return ExactNumber._raw(self.p * other.den, 0,
+                                    self.den * other.p, 0)
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "ExactNumber":
         return ExactNumber.coerce(other) * self.inverse()
@@ -206,6 +240,9 @@ class ExactNumber:
         this stays cheap in search loops.  Denominators are positive, so
         equal ones cancel and the numerators can be subtracted directly.
         """
+        if type(other) is int:
+            # the sign of (p - other*den + q*sqrt(m)) / den
+            return _sign_pair(self.p - other * self.den, self.q, self.m)
         if type(other) is not ExactNumber:
             other = ExactNumber.coerce(other)
         q, oq = self.q, other.q
@@ -224,7 +261,9 @@ class ExactNumber:
         return _sign_pair(a, b, self.m if q != 0 else other.m)
 
     def __eq__(self, other) -> bool:
-         # canonical form makes value equality structural within one radicand
+        # canonical form makes value equality structural within one radicand
+        if type(other) is int:
+            return self.q == 0 and self.den == 1 and self.p == other
         try:
             other = ExactNumber.coerce(other)
         except TypeError:
@@ -297,10 +336,35 @@ class ExactNumber:
         return f"ExactNumber('{self}')"
 
     def __float__(self) -> float:
-        # convenience for debugging only; never used in library logic
-        if self.q == 0:
-            return self.p / self.den
-        return (self.p + self.q * self.m ** 0.5) / self.den
+        """The value as a float, for display only; never used in library logic.
+
+        An irrational value is read from n = floor(value * 2^k), taken with
+        k large enough that n has at least 60 bits.  That floor is decided
+        exactly, so p and q*sqrt(m) cannot cancel: the float has the
+        value's sign and a relative error below 2^-52.
+        """
+        p, q, den, m = self.p, self.q, self.den, self.m
+        if q == 0:
+            return p / den  # int / int rounds correctly
+        # 61 bits above the value's leading bit, when nothing cancels
+        k = 61 + den.bit_length() - max(p.bit_length(),
+                                        (q * q * m).bit_length() // 2)
+        while True:
+            if k >= 0:
+                n = ExactNumber._raw(p << k, q << k, den, m).floor()
+            else:
+                n = ExactNumber._raw(p, q, den << -k, m).floor()
+            if n.bit_length() >= 60:
+                return ldexp(n, -k)
+            k += 61 - n.bit_length()
+
+
+# _install writes the slots through their descriptors, saved once here:
+# cheaper than object.__setattr__, and __setattr__ still refuses writes
+_set_p = ExactNumber.p.__set__
+_set_q = ExactNumber.q.__set__
+_set_den = ExactNumber.den.__set__
+_set_m = ExactNumber.m.__set__
 
 
 _TERM_RE = re.compile(

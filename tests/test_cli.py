@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactlab import PLFunction, analysis
+from exactlab import PLFunction, analysis, coding
 from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, _digits, run
 
 
@@ -137,6 +137,20 @@ def test_hpcheck_budget_and_long_coefficients():
         2, ["error: cap must be non-negative, got -1"])
     full = run(["hpcheck", "--order", "300"])[1][-1]
     assert full.startswith("a_300=") and len(full) == len("a_300=") + 613
+
+
+def test_code_cf_budget_is_checked_before_any_digit(monkeypatch):
+    assert run(["code", "cf", "sqrt2", "5", "--budget", "5"]) == (
+        0, ["1,2,2,2,2"])
+    monkeypatch.setattr(coding, "cf_digits", _never)
+    assert run(["code", "cf", "sqrt2", "100000000"]) == (
+        3, ["budget exhausted: 100000000 digits exceed cap 1000000"])
+    assert run(["code", "cf", "phi", "6", "--budget", "5"]) == (
+        3, ["budget exhausted: 6 digits exceed cap 5"])
+    assert run(["code", "cf", "phi", "--budget", "9"]) == (
+        3, ["budget exhausted: 10 digits exceed cap 9"])
+    assert run(["code", "cf", "phi", "5", "--budget", "-1"]) == (
+        2, ["error: cap must be non-negative, got -1"])
 
 
 def test_digit_count_matches_the_text():
@@ -296,9 +310,10 @@ def test_malformed_input_is_status_2_not_a_traceback(argv, message, tmp_path,
 
 
 # Argv for all nine subcommands, drawn from the README's input grammar plus
-# junk.  Every job stays small, because the digit count of `code cf` has no
-# budget: --budget <= 3000, --n <= 3, cantor:N with N <= 9 and at most 40
-# digits.  --order reaches 6000, past every budget and past the orders whose
+# junk.  Every job stays small: --budget <= 3000, --n <= 3, cantor:N with
+# N <= 9 and at most 40 digits, with `code`'s --budget drawn from the same
+# range as the digit counts, so that `code cf` exits 3 about as often as it
+# runs.  --order reaches 6000, past every budget and past the orders whose
 # coefficients outgrow the interpreter's int-to-text limit.  Free text holds
 # no decimal digit, so it never reads as a large integer.
 _TEXT = st.text(st.characters(exclude_categories=("Nd",)), max_size=8)
@@ -344,7 +359,7 @@ _OPTIONS = {
                "--budget": _BUDGET},
     "yfam": {"--oracle": _ORACLE, "--a": _NUMBER, "--b": _NUMBER,
              "--d": _NUMBER, "--budget": _BUDGET},
-    "code": {"--digits": _upto(40)},
+    "code": {"--digits": _upto(40), "--budget": _upto(40)},
     "sun": {"--fn": _PL, "--c": _NUMBER, "--budget": _BUDGET},
     "dini": {"--fn": _PL, "--x": _NUMBER, "--budget": _BUDGET},
     "measure": {"--set": _UNION, "--delta": _NUMBER, "--probes": _UNION},
@@ -381,10 +396,35 @@ def test_every_subcommand_ends_in_status_0_2_3_or_4(data):
         # "--" keeps drawn arguments such as "-3" from parsing as options
         argv += [verb, "--", *args]
     first = _status(argv)
-    # code and measure have no budget and no self-check to fail
-    assert first[0] in ((0, 2) if command in _VERBS else (0, 2, 3, 4)), \
-        (argv, first)
+    # measure has no budget, and neither it nor code has a self-check to fail
+    allowed = {"measure": (0, 2), "code": (0, 2, 3)}.get(command, (0, 2, 3, 4))
+    assert first[0] in allowed, (argv, first)
     assert _status(argv) == first
+
+
+# the contract property seldom draws `code cf` with a well-formed count, so
+# its budget gets a property of its own, on the same small draws
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@given(_NUMBER, _upto(40), _upto(40))
+def test_code_cf_ends_by_its_budget(x, count, budget):
+    status, lines = _status(["code", "--budget", budget, "cf", "--", x, count])
+    n, cap = _int(count), _int(budget)
+    if n is None or cap is None:
+        assert status == 2
+    elif cap < 0:
+        assert (status, lines) == (
+            2, [f"error: cap must be non-negative, got {cap}"])
+    elif n > cap:
+        assert (status, lines) == (
+            3, [f"budget exhausted: {n} digits exceed cap {cap}"])
+    else:
+        assert status in (0, 2)
 
 
 # SHA-256 of the report lines, recorded before the breakpoint column

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -240,3 +240,126 @@ def test_mixed_radicands_still_rejected(ms, p1, q1, p2, q2):
         x.compare(y)
     with pytest.raises(RadicandMismatch):
         x - y
+
+
+# Plain ints take their own branches in compare, ==, + - * and coerce; bool
+# keeps the Fraction path.  Each must give what the int's ExactNumber gives.
+_ints = st.one_of(st.sampled_from([0, 1, -1, True, False]),
+                  st.integers(-10 ** 6, 10 ** 6), st.integers(-2 ** 80, 2 ** 80))
+
+
+def _same(op, x, k):
+    """op(x, k) against op(x, exact(Fraction(k))): equal fields, or the same
+    error with the same message."""
+    try:
+        expected = op(x, exact(F(k)))
+    except DivisionByZero as err:
+        with pytest.raises(DivisionByZero, match=f"^{err}$"):
+            op(x, k)
+        return
+    got = op(x, k)
+    if isinstance(expected, ExactNumber):
+        assert _fields(got) == _fields(expected)
+        assert all(type(v) is int for v in _fields(got))
+    else:
+        assert got == expected
+
+
+@given(st.sampled_from([0, 2, 3, 5]).flatmap(_numbers), _ints)
+def test_int_operands_match_their_exact_number(x, k):
+    assert _fields(exact(k)) == _fields(exact(F(k)))
+    assert all(type(v) is int for v in _fields(exact(k)))
+    for op in (lambda a, b: a.compare(b), lambda a, b: a == b,
+               lambda a, b: a + b, lambda a, b: b + a,
+               lambda a, b: a - b, lambda a, b: b - a,
+               lambda a, b: a * b, lambda a, b: b * a,
+               lambda a, b: a / b, lambda a, b: b / a):
+        _same(op, x, k)
+
+
+@given(_coef, _coef)
+def test_rational_division_matches_fraction(a, b):
+    if b == 0:
+        with pytest.raises(DivisionByZero, match="^inverse of zero$"):
+            exact(a) / exact(b)
+        return
+    z = exact(a) / exact(b)
+    assert _fields(z) == (F(a / b).numerator, 0, F(a / b).denominator, 0)
+
+
+def _slow_floor(x):
+    """floor of x = (p + q*sqrt(m)) / den from brackets of q*sqrt(m) by
+    isqrt(q^2 m 4^k) / 2^k, refined until both ends of x's bracket share
+    their floor."""
+    p, q, den, m = x.p, x.q, x.den, x.m
+    k = 0
+    while True:
+        s = isqrt(q * q * m << 2 * k)
+        lo, hi = F(s, 1 << k), F(s + 1, 1 << k)  # lo <= |q| sqrt(m) < hi
+        if q < 0:
+            lo, hi = -hi, -lo
+        n = (p + lo) / den // 1
+        if (p + hi) / den // 1 == n:
+            return int(n)
+        k += 8
+
+
+_wide = st.integers(-2 ** 100, 2 ** 100)
+
+
+@st.composite
+def _wide_irrationals(draw):
+    """(p + q*sqrt(m)) / den with coefficients past 64 bits, half of them
+    with p within a few units of -q*sqrt(m), so the value sits near an
+    integer multiple of 1/den."""
+    m = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    q = draw(_wide.filter(bool))
+    den = draw(st.integers(1, 2 ** 80))
+    if draw(st.booleans()):
+        r = isqrt(q * q * m)
+        p = (r if q < 0 else -r) + draw(st.integers(-3, 3))
+    else:
+        p = draw(_wide)
+    return ExactNumber(F(p, den), F(q, den), m)
+
+
+@given(_wide_irrationals())
+def test_wide_floor_and_frac_match_a_slow_bracket(x):
+    n = _slow_floor(x)
+    assert x.floor() == n
+    f = x.frac()
+    assert _fields(f) == _fields(ExactNumber(F(x.p, x.den) - n,
+                                             F(x.q, x.den), x.m))
+    assert f.sign() >= 0 and f.compare(1) < 0
+
+
+def _convergent_gap(k):
+    """p_k - q_k*sqrt(2) for the k-th convergent p_k/q_k of sqrt(2),
+    counting 1/1 as the 0th: of size about 1/(2.8 q_k), sign (-1)^(k+1)."""
+    p, q = 1, 1
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return ExactNumber(p, -q, 2)
+
+
+def _float_is_close(x):
+    f = float(x)
+    assert (f > 0) - (f < 0) == x.sign()
+    # |f - x| < 2^-50 |x|, decided exactly
+    assert (abs(exact(F(f)) - x) * 2 ** 50).compare(abs(x)) < 0
+
+
+def test_float_of_a_cancelling_value_keeps_its_sign():
+    # p and q*sqrt(2) agree to 77 bits: evaluated in floats this gave
+    # -16777216.0 for a value of about -1.6e-24
+    x = _convergent_gap(60)
+    assert x.sign() == -1
+    _float_is_close(x)
+    assert -1e-23 < float(x) < 0
+    for k in range(100):
+        _float_is_close(_convergent_gap(k))
+
+
+@given(_wide_irrationals())
+def test_float_of_wide_irrationals(x):
+    _float_is_close(x)
