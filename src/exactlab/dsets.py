@@ -11,7 +11,6 @@ tests here are decided exactly.
 from __future__ import annotations
 
 import bisect
-from array import array
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -27,7 +26,7 @@ from .errors import (
     ShiftTooLarge,
     VerificationError,
 )
-from .qnum import ExactNumber, exact, _sign_pair
+from .qnum import ExactNumber, exact
 
 ONE = ExactNumber(1)
 ZERO = ExactNumber(0)
@@ -161,15 +160,12 @@ class FunctionOracle:
 
 
 class RotationOracle(FunctionOracle):
-    """n -> frac(n * alpha) for a fixed irrational alpha > 0.
+    """x -> frac(x * alpha) for a fixed irrational alpha > 0.
 
-    Values lie in [0, 1).  The values at the naturals are kept as one column
-    of raw integers: with frac(alpha) = (sp + sq*sqrt(m)) / den, the value
-    at n is (rp[n] + n*sq*sqrt(m)) / den, so only rp[n] is stored.  The
-    column grows by one exact addition and comparison per new index, lives
-    as long as the oracle, and holds machine integers (``array('q')``) until
-    a coefficient leaves 64 bits, then Python ints.  Values are built on
-    demand, in canonical form.
+    Values lie in [0, 1).  The oracle holds only alpha: every value is
+    computed in closed form, one product and one exact floor, for any
+    exact x.  Searches over the naturals read the orbit through the
+    first-hit engine (:class:`exactlab.orbit.Orbit`), not value by value.
     """
 
     def __init__(self, alpha: ExactNumber):
@@ -179,39 +175,9 @@ class RotationOracle(FunctionOracle):
         if alpha.sign() <= 0:
             raise ValueError("rotation oracle needs alpha > 0")
         self.alpha = alpha
-        step = alpha.frac()
-        self._den = step.den
-        self._sp, self._sq, self._m = step.p, step.q, step.m
-        self._rp = array("q", [0])
-
-    def _grow(self, n: int) -> None:
-        """Extend the coefficient column to n indices."""
-        rp = self._rp
-        den, sp, sq, m = self._den, self._sp, self._sq, self._m
-        k = len(rp)
-        p, q = rp[-1], (k - 1) * sq
-        for _ in range(k, n):
-            p += sp
-            q += sq
-            if _sign_pair(p - den, q, m) >= 0:
-                p -= den
-            try:
-                rp.append(p)
-            except OverflowError:
-                rp = self._rp = list(rp)
-                rp.append(p)
-
-    def _value(self, n: int) -> ExactNumber:
-        return ExactNumber._raw(self._rp[n], n * self._sq, self._den, self._m)
 
     def eval(self, x: ExactNumber) -> ExactNumber:
-        x = ExactNumber.coerce(x)
-        if x.is_integer and x.sign() >= 0:
-            n = x.p
-            if n >= len(self._rp):
-                self._grow(n + 1)
-            return self._value(n)
-        return (x * self.alpha).frac()
+        return (ExactNumber.coerce(x) * self.alpha).frac()
 
     def describe(self) -> str:
         return f"rot({self.alpha})"
@@ -425,10 +391,10 @@ class GrowableSet:
         raise ValueError(f"{e} is not materialized")
 
     def element(self, k: int) -> ExactNumber:
-        self._grow_to(k)
+        self._materialize(k)
         return self._elems[k]
 
-    def _grow_to(self, k: int) -> None:
+    def _materialize(self, k: int) -> None:
         """Materialize every index up to k."""
         if k > self.cap:
             raise CapExceeded(f"index {k} exceeds cap {self.cap}")

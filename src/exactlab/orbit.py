@@ -45,15 +45,13 @@ class Orbit:
     def __init__(self, G: GrowableSet, f: RotationOracle):
         self._G = G
         self._a = f.alpha.frac()
-        self._m, self._den, self._sp, self._sq = (
-            self._a.m, self._a.den, self._a.p, self._a.q)
+        self._m, self._den, self._sq = self._a.m, self._a.den, self._a.q
         self.first_hits = 0
         self.levels = 0
         self.solves = 0
 
     def value(self, n: int) -> ExactNumber:
-        return ExactNumber._raw(n * self._sp, n * self._sq, self._den,
-                                self._m).frac()
+        return (n * self._a).frac()
 
     @staticmethod
     def elem(n: int) -> ExactNumber:
@@ -74,9 +72,9 @@ class Orbit:
             return n if n is not None and n <= upto else None
         G = self._G
         if n is None or n > G.cap:
-            G._grow_to(G.cap)
+            G._materialize(G.cap)
             raise CapExceeded(f"index {G.cap + 1} exceeds cap {G.cap}")
-        G._grow_to(n)
+        G._materialize(n)
         return n
 
     def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:

@@ -14,6 +14,9 @@ into the coefficients.  Two rationals (``q == 0``) are added, subtracted,
 multiplied and divided without the radicand check or the ``q`` products.
 Everything else takes the general formulas.  Every result goes through the
 same normalization, so the canonical form is the same on every path.
+``floor`` compares nothing: a rational is one integer division, and an
+irrational adds ``s = isqrt(q*q*m)`` to ``p`` (``-s - 1`` when ``q < 0``)
+before it divides.
 """
 
 from __future__ import annotations
@@ -299,18 +302,13 @@ class ExactNumber:
         p, q, den, m = self.p, self.q, self.den, self.m
         if q == 0:
             return p // den
+        # m is square-free and not 1, so |q| sqrt(m) is irrational and
+        # s < |q| sqrt(m) < s + 1: floor(q sqrt(m)) is s or -s - 1, and
+        # floor((p + x)/den) = floor((p + floor(x))/den) for every real x
         s = isqrt(q * q * m)
-        # s <= |q| sqrt(m) < s + 1
         if q > 0:
-            n = (p + s) // den
-        else:
-            n = (p - s - 1) // den
-        # the bracket has width < 1: at most one upward correction
-        while self.compare(n + 1) >= 0:
-            n += 1
-        while self.compare(n) < 0:
-            n -= 1
-        return n
+            return (p + s) // den
+        return (p - s - 1) // den
 
     __floor__ = floor
 

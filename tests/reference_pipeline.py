@@ -15,8 +15,8 @@ time, and the verification samples of :func:`stability_interval` and
 
 ``evaluate`` defaults to ``f.eval``.  The differential tests pass an
 independent one for rotation oracles, ``e -> frac(e * alpha)`` through
-``ExactNumber.floor``, so the library's raw coefficient column is checked
-against plain exact arithmetic too.
+``ExactNumber.floor``, memoized per element, so the reference never calls
+the oracle or the first-hit engine that the library reads.
 """
 
 from __future__ import annotations

@@ -1,31 +1,36 @@
-"""The package names that perfbench's tracer wraps must exist.
+"""The package names that perfbench's tracer wraps must exist, and its
+microbench must run.
 
 ``perfbench/tracer.py`` replaces functions by (module, qualified name), and
 looks each one up in its owner's own namespace; a name that a refactor
 renames or deletes breaks ``perfbench/run.py --trace 1`` while every other
-test still passes.  The tracer module is only read here: it imports the
-standard library alone, and nothing is installed.
+test still passes.  ``perfbench/microbench.py`` calls the package's public
+API, which a change can break the same way.  Both modules are only read
+here: they import the standard library alone, and nothing is installed.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
+import exactlab
 from exactlab import approx, cli, extraction
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 WRAPPED = sorted({*tracer.SPANS, *tracer.COUNTERS, tracer.EXTEND_STEP,
                   ("dsets", "GrowableSet.__init__")})
 
@@ -46,3 +51,11 @@ def test_names_imported_by_name_are_the_same_objects():
     assert extraction.ratio_family is approx.ratio_family
     assert cli.best_approx is approx.best_approx
     assert cli.ratio_family is approx.ratio_family
+
+
+def test_microbench_runs():
+    metrics = _load("microbench").run(exactlab, "pl-survey", 1)
+    for name in ("qnum.compare_us", "qnum.add_us", "qnum.mul_us",
+                 "qnum.floor_us", "dsets.eval_cached_us",
+                 "dsets.eval_grow_us"):
+        assert math.isfinite(metrics[name]) and metrics[name] > 0, name

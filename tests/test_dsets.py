@@ -283,9 +283,9 @@ def test_composed_oracle():
 
 
 @given(alpha=alphas(), data=st.data())
-def test_rotation_column_matches_exact_compares(alpha, data):
-    # the oracle's raw coefficient column against plain exact arithmetic,
-    # and the first-hit engine's reading of a cut against its compares
+def test_rotation_values_match_exact_compares(alpha, data):
+    # the oracle's values and the first-hit engine's against plain exact
+    # arithmetic, and the engine's reading of a cut against its compares
     f = RotationOracle(alpha)
     top = data.draw(st.integers(0, 300))
     values = [f.eval(exact(i)) for i in range(top + 1)]
@@ -305,7 +305,8 @@ def test_rotation_column_matches_exact_compares(alpha, data):
         above = [i for i in range(top + 1) if values[i].compare(c) > 0]
         assert q.first_hit(0, c, None, lo_open=True, upto=top) == \
             (above[0] if above else None)
-    other = ExactNumber(-1, F(1, 2), 11 if m != 11 else 2)  # in (0, 1)
+    other = (ExactNumber(-1, F(1, 2), 11) if m != 11
+             else ExactNumber(-1, 1, 2))  # in (0, 1)
     for i in indices:
         if i > 0:
             with pytest.raises(RadicandMismatch):
@@ -314,14 +315,38 @@ def test_rotation_column_matches_exact_compares(alpha, data):
                 q.first_hit(i, other, None, upto=top)
 
 
-def test_rotation_column_switches_to_python_ints_mid_scan():
-    # the raw coefficient of index n is about -n * 1.4 * 10^17, which
-    # leaves 64 bits near n = 65
+def test_rotation_values_with_wide_coefficients():
+    # the rational coefficient of frac(n * alpha) is about -n * 1.4 * 10^17,
+    # which leaves 64 bits near n = 65
     alpha = ExactNumber(0, F(10 ** 17 + 1, 10 ** 17), 2)
     f = RotationOracle(alpha)
+    q = Orbit(GrowableSet(cap=0), f)
     for i in range(201):
-        assert f.eval(exact(i)) == (i * alpha).frac()
-    assert type(f._rp) is list
+        assert f.eval(exact(i)) == (i * alpha).frac() == q.value(i)
+
+
+@st.composite
+def rotation_arguments(draw):
+    """A natural past 2^63, a negative integer or a non-integer rational."""
+    kind = draw(st.sampled_from(["large", "negative", "fraction"]))
+    if kind == "large":
+        return draw(st.sampled_from([2 ** 64, 10 ** 30])) + \
+            draw(st.integers(0, 1000))
+    if kind == "negative":
+        return -draw(st.integers(1, 10 ** 30))
+    x = draw(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                          max_denominator=10 ** 6))
+    return x if x.denominator > 1 else x + F(1, 2)
+
+
+@given(alpha=alphas(), x=rotation_arguments())
+def test_rotation_eval_is_the_fractional_part(alpha, x):
+    f = RotationOracle(alpha)
+    v = f.eval(exact(x))
+    assert exact(0) <= v < exact(1)
+    assert (exact(x) * alpha - v).is_integer
+    if isinstance(x, int) and x >= 0:
+        assert v == Orbit(GrowableSet(cap=0), f).value(x)
 
 
 def test_counts_past_2_to_the_63():
