@@ -9,7 +9,6 @@ equations, so the classical inequalities are verified with zero tolerance.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -148,8 +147,10 @@ def rising_sun(g: PLFunction) -> SunResult:
     higher, as maximal components, each with its verified entry inequality.
 
     Computed by a right-to-left sweep carrying the supremum of g over the
-    remaining interval; inside a piece the membership condition is a linear
-    inequality solved exactly.
+    remaining interval.  Inside a piece the membership condition is a linear
+    inequality: comparing that supremum with the piece's two end values
+    settles it, and only a piece the supremum crosses divides out its
+    crossing point.
     """
     pts = g.points
     n = len(pts) - 1
@@ -169,18 +170,18 @@ def rising_sun(g: PLFunction) -> SunResult:
     for i in range(n):
         c = ceiling[i]
         x0, x1 = pts[i].x, pts[i + 1].x
-        v0 = pts[i].right
-        s = g.slope(i)
-        if s.sign() == 0:
-            sub = (x0, x1) if v0 < c else None
+        v0, v1 = pts[i].right, pts[i + 1].left
+        rising = v0 < v1
+        low, high = (v0, v1) if rising else (v1, v0)
+        # the piece runs from v0 to v1, so the points under c are none of
+        # it, all of it, or the part on the low side of one crossing
+        if c <= low:
+            sub = None
+        elif c >= high:
+            sub = (x0, x1)
         else:
-            crossing = x0 + (c - v0) / s
-            if s.sign() > 0:
-                hi = crossing if crossing < x1 else x1
-                sub = (x0, hi) if hi > x0 else None
-            else:
-                lo = crossing if crossing > x0 else x0
-                sub = (lo, x1) if lo < x1 else None
+            crossing = x0 + (c - v0) / g.slope(i)
+            sub = (x0, crossing) if rising else (crossing, x1)
         # the supremum over (x_i, b] is max(right_i, c), so x_i is in the
         # set exactly when c exceeds both of its limits
         if i > 0 and c > max(pts[i].left, pts[i].right):
@@ -320,10 +321,14 @@ def differentiability_report(f: PLFunction, mesh,
     so the survey doubles as an exact certificate; interior points where
     the four values disagree are listed separately.
 
-    A cell's interior breakpoints are one slice of ``f.breakpoints``, found
-    by two bisections, and its witness's Dini values reuse ``f``'s slope
-    memo, so a cell costs O(log n + k) compares for k breakpoints inside
-    it.  With ``cap`` given, a survey of more than ``cap`` cells raises
+    The cells and the breakpoints are walked together, in one merge: each
+    cell starts where the last one ended, at ``a + mesh * k`` exactly, and
+    two cursors into ``f.breakpoints`` only ever move forward, one to the
+    first breakpoint above the cell's ``lo`` and one to the first at or
+    above its ``hi``.  The breakpoints between them are the cell's interior
+    ones, so the walk costs O(cells + n) compares for n breakpoints, beside
+    one Dini evaluation per cell, whose values reuse ``f``'s slope memo.
+    With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
     mesh = ExactNumber.coerce(mesh)
@@ -336,15 +341,18 @@ def differentiability_report(f: PLFunction, mesh,
             raise CapExceeded(f"{count} cells exceed cap {cap}")
     xs = f.breakpoints
     cells = []
-    k = 0
-    while True:
-        lo = a + mesh * k
-        if lo >= b:
-            break
-        hi = lo + mesh
-        if hi > b:
-            hi = b
-        marks = [lo, *xs[bisect_right(xs, lo):bisect_left(xs, hi)], hi]
+    lo = a
+    i = 0
+    # every cell has lo < b = xs[-1] and hi <= b, so neither cursor runs off
+    while lo < b:
+        end = lo + mesh
+        hi = b if end > b else end
+        while xs[i] <= lo:
+            i += 1
+        j = i
+        while xs[j] < hi:
+            j += 1
+        marks = [lo, *xs[i:j], hi]
         best, width = None, None
         for u, v in zip(marks, marks[1:]):
             gap = v - u
@@ -358,7 +366,7 @@ def differentiability_report(f: PLFunction, mesh,
                 f"differentiability")
         cells.append(CellReport(lo=lo, hi=hi, witness=witness,
                                 derivative=values.lower_left))
-        k += 1
+        lo, i = end, j
     bad = []
     for x in xs[1:-1]:
         values = dini(f, x)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, record_chain
-from .errors import CapExceeded
+from .errors import CapExceeded, RadicandMismatch
 from .qnum import ExactNumber
 
 ZERO = ExactNumber(0)
@@ -118,7 +118,14 @@ class Orbit:
 
     def _first(self, n0, lo, hi, lo_open, hi_open) -> Optional[int]:
         """:meth:`first_hit` without the bound: [lo, hi) by the recursion,
-        then each end moved in or out by its orbit solve."""
+        then each end moved in or out by its orbit solve.  A cut irrational
+        in another radicand than alpha's is refused before any clamping, as
+        a scan's compares refuse it."""
+        m = self._m
+        if lo is not None and lo.q and lo.m != m:
+            _refuse(lo.m, m)
+        if hi is not None and hi.q and hi.m != m:
+            _refuse(hi.m, m)
         if lo is None or lo.sign() < 0:
             lo, lo_open = ZERO, False
         if hi is None or hi.compare(1) >= 0:
@@ -184,6 +191,11 @@ class Orbit:
             x = (c + t) / a
             t = _ceil(x) if closed else x.floor() + 1
         return t
+
+
+def _refuse(m: int, other: int) -> None:
+    small, big = sorted((m, other))
+    raise RadicandMismatch(f"cannot compare sqrt({small}) with sqrt({big})")
 
 
 def _ceil(x: ExactNumber) -> int:

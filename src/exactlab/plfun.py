@@ -31,7 +31,9 @@ class PLFunction:
     in the pass that checks strict increase; every positional query is a
     ``bisect`` on it, so locating a point costs O(log n) compares.  Each
     piece's slope is divided out at most once, on first use, into a
-    per-piece memo; the function itself never changes.
+    per-piece memo; the function itself never changes.  The nondecreasing
+    test and the rising sun compare a piece's two end values instead, and
+    divide only at a piece the rising sun's ceiling crosses.
     """
 
     __slots__ = ("points", "breakpoints", "_slopes")
@@ -181,8 +183,10 @@ class PLFunction:
     # -- shape predicates --------------------------------------------------
 
     def is_nondecreasing(self) -> bool:
-        for i in range(len(self.points) - 1):
-            if self.slope(i).sign() < 0:
+        # a piece falls exactly when its end is below its start: widths are
+        # positive, so this is the sign of its slope
+        for p, q in zip(self.points, self.points[1:]):
+            if q.left < p.right:
                 return False
         for p in self.points:
             if p.right < p.left:

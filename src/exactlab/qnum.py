@@ -320,7 +320,8 @@ class ExactNumber:
 
     def __str__(self) -> str:
         if self.q == 0:
-            return str(Fraction(self.p, self.den))
+            # canonical: gcd(p, den) = 1 and den > 0, as Fraction prints it
+            return str(self.p) if self.den == 1 else f"{self.p}/{self.den}"
         rat = Fraction(self.p, self.den)
         coef = Fraction(self.q, self.den)
         tail = f"{coef}*sqrt({self.m})" if coef > 0 else f"-{-coef}*sqrt({self.m})"

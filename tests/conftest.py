@@ -6,9 +6,12 @@ from hypothesis import settings, strategies as st
 
 from exactlab import DiscreteSet, ExactNumber, PHI, SQRT2, SQRT3
 
-# Every property draws the same examples on every run: the seed comes from
-# the test function, and there is no example database to replay.  Example
-# times vary with the machine's load, so no deadline.
+# A property's seed comes from the test function, and there is no example
+# database to replay.  Its examples still repeat only for an unchanged tree
+# and command line: hypothesis mixes literal constants from every loaded
+# module into its draws, so editing any test or library module, or
+# collecting another set of test files, can change what a property draws.
+# Example times vary with the machine's load, so no deadline.
 settings.register_profile("exactlab", derandomize=True, deadline=None)
 settings.load_profile("exactlab")
 

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from exactlab import (
+    ExactNumber,
     NEG_INF,
     POS_INF,
     PLFunction,
@@ -20,6 +22,8 @@ from exactlab.errors import (
     NotStrictlyIncreasing,
     OutOfDomain,
 )
+
+from exactlab.cli import run
 
 from conftest import rand_fraction
 
@@ -352,3 +356,35 @@ def test_rising_sun_upward_jump_inside():
     # entry limit 1 against the roof at the jump point: max(1/2, 3) = 3
     assert shadow.roof == exact(3)
     assert shadow.holds
+
+
+# -- cost of the PL sweeps ------------------------------------------------------
+
+def _count_calls(monkeypatch):
+    """Count the divisions, products and compares of ExactNumber (the
+    operators <, <=, > and >= all go through compare)."""
+    counts = Counter()
+    for name in ("__truediv__", "__mul__", "compare"):
+        method = getattr(ExactNumber, name)
+
+        def counted(*args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(ExactNumber, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # the rising sun divides only where its ceiling crosses a piece
+    (["sun", "--fn", "cantor:9", "--c", "2"],
+     {"__truediv__": 22, "__mul__": 1054, "compare": 11791}),
+    (["sun", "--fn", "cantor:9"], {"compare": 8221}),
+    # the mesh survey walks 2 187 cells and 256 breakpoints in one merge
+    (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
+     {"__truediv__": 2443, "compare": 33670}),
+], ids=["sun-9-c2", "sun-9", "diffreport-7-2187"])
+def test_pl_sweep_costs(monkeypatch, argv, calls):
+    counts = _count_calls(monkeypatch)
+    status, _ = run(argv)
+    assert status == 0
+    assert dict(counts) == calls

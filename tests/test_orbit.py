@@ -19,7 +19,7 @@ from exactlab import (
 from exactlab import extraction
 from exactlab.cli import run
 from exactlab.dsets import ValueColumn
-from exactlab.errors import CapExceeded
+from exactlab.errors import CapExceeded, RadicandMismatch
 from exactlab.orbit import Orbit
 
 from conftest import alphas
@@ -113,6 +113,24 @@ def test_a_closed_point_interval_is_its_orbit_solve():
     assert q.first_hit(701, values[700], values[700], upto=LIMIT) is None
     assert q.first_hit(0, values[700], values[700], lo_open=True,
                        upto=LIMIT) is None
+
+
+@pytest.mark.parametrize("cut", [
+    ExactNumber(-1, F(1, 2), 2),          # below 0
+    ExactNumber(F(-1, 2), F(1, 2), 2),    # in (0, 1)
+    ExactNumber(1, F(1, 2), 2),           # above 1
+], ids=str)
+def test_a_cut_in_another_radicand_is_refused_by_both_engines(cut):
+    # the engine clamps a cut outside [0, 1) to the unit interval; it must
+    # refuse a foreign radicand first, as the scan's compares do
+    alpha = ExactNumber.sqrt(11)
+    q, values = _setup(alpha)
+    col = ValueColumn([exact(n) for n in range(LIMIT + 1)], values)
+    for engine in (q, col):
+        for lo, hi in ((cut, None), (None, cut), (cut, exact(1))):
+            with pytest.raises(RadicandMismatch,
+                               match=r"^cannot compare sqrt\(2\) with sqrt\(11\)$"):
+                engine.first_hit(1, lo, hi, upto=LIMIT)
 
 
 def _engines(monkeypatch):

@@ -182,6 +182,15 @@ def test_str_of_rationals_matches_fraction():
     assert str(PHI) == "1/2+1/2*sqrt(5)"
 
 
+@given(num=st.integers(-10 ** 30, 10 ** 30),
+       den=st.integers(1, 10 ** 20), sign=st.sampled_from([1, -1]))
+def test_str_of_a_rational_is_its_fractions(num, den, sign):
+    # the canonical form prints itself; Fraction reduces again
+    x = ExactNumber._raw(num, 0, sign * den, 0)
+    assert str(x) == str(F(num, sign * den))
+    assert str(x / 7) == str(F(num, sign * den * 7))
+
+
 # -- fast paths against their slow formulas ----------------------------------
 
 # small denominators make equal denominators after normalization common
