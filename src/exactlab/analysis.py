@@ -99,7 +99,12 @@ def dini(f: PLFunction, x) -> DiniValues:
     a, b = f.domain
     if not a < x < b:
         raise OutOfDomain(f"{x} is not interior to [{a}, {b}]")
-    i = f._locate(x)
+    return _dini_on_piece(f, f._locate(x), x)
+
+
+def _dini_on_piece(f: PLFunction, i: int, x: ExactNumber) -> DiniValues:
+    """:func:`dini` at an interior x on piece i, breakpoints[i] <= x <
+    breakpoints[i + 1], for callers that already know the piece."""
     p = f.points[i]
     if p.x != x:
         s = f.slope(i)
@@ -326,8 +331,11 @@ def differentiability_report(f: PLFunction, mesh,
     two cursors into ``f.breakpoints`` only ever move forward, one to the
     first breakpoint above the cell's ``lo`` and one to the first at or
     above its ``hi``.  The breakpoints between them are the cell's interior
-    ones, so the walk costs O(cells + n) compares for n breakpoints, beside
-    one Dini evaluation per cell, whose values reuse ``f``'s slope memo.
+    ones, so the walk costs O(cells + n) compares for n breakpoints.  The
+    widest gap between the cursors names the witness's piece, so each cell
+    checks that its witness lies inside that piece and reads the Dini
+    values there without locating it again; so does each breakpoint.  The
+    values reuse ``f``'s slope memo.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -354,13 +362,18 @@ def differentiability_report(f: PLFunction, mesh,
             j += 1
         marks = [lo, *xs[i:j], hi]
         best, width = None, None
-        for u, v in zip(marks, marks[1:]):
+        for g, (u, v) in enumerate(zip(marks, marks[1:])):
             gap = v - u
             if best is None or gap > width:
-                best, width = (u, v), gap
-        witness = (best[0] + best[1]) / 2
-        values = dini(f, witness)
-        if not values.all_equal_finite():
+                best, width = g, gap
+        witness = (marks[best] + marks[best + 1]) / 2
+        # the widest gap lies on piece k: marks[g] is xs[i + g - 1] for
+        # g >= 1, and lo lies on piece i - 1
+        k = i - 1 + best
+        values = None
+        if xs[k] < witness < xs[k + 1]:
+            values = _dini_on_piece(f, k, witness)
+        if values is None or not values.all_equal_finite():
             raise VerificationError(
                 f"cell [{lo}, {hi}] witness {witness} is not a point of "
                 f"differentiability")
@@ -368,8 +381,8 @@ def differentiability_report(f: PLFunction, mesh,
                                 derivative=values.lower_left))
         lo, i = end, j
     bad = []
-    for x in xs[1:-1]:
-        values = dini(f, x)
+    for k, x in enumerate(xs[1:-1], 1):
+        values = _dini_on_piece(f, k, x)
         if not values.all_equal_finite():
             bad.append(NonDiffPoint(x=x, values=values))
     return DifferentiabilityReport(mesh=mesh, cells=tuple(cells),

@@ -13,6 +13,15 @@ Following the smaller rotation (the reflection a -> 1 - a) swaps which end
 of the arc is closed and at least doubles the width per level, so the
 recursion ends once the width reaches the rotation.
 
+The chain of rotations a_0 = a, a_1, a_2, ... depends on alpha alone; for a
+quadratic irrational it is the eventually periodic continued-fraction chain
+(Lagrange).  Each :class:`Orbit` keeps it as a *rotation ladder*, built
+rung by rung on first use: rung k holds a_k, 1/a_k, whether a_(k+1) is
+{1/a_k} (the circle is read reflected) and a_(k+1).  A recursion walks
+down the ladder by level index, carrying only the distance of its point
+above the arc's low end from level to level, and unwinds by multiplying
+with the inverses the ladder holds; no level inverts or floors a rotation.
+
 A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
 at most one solution n, read off c's irrational part.  The record chains
 of a cut are walked one first hit per link; the other queries are built
@@ -46,6 +55,7 @@ class Orbit:
         self._G = G
         self._a = f.alpha.frac()
         self._m, self._den, self._sq = self._a.m, self._a.den, self._a.q
+        self._ladder: list[tuple] = []
         self.first_hits = 0
         self.levels = 0
         self.solves = 0
@@ -67,7 +77,7 @@ class Orbit:
         each end open or closed.  With ``upto``, None when that n exceeds it;
         without, the set grows to n, and a scan's CapExceeded is raised if n
         passes the cap (or does not exist)."""
-        n = self._first(n0, lo, hi, lo_open, hi_open)
+        n = self._first(n0, lo, hi, lo_open, hi_open, upto)
         if upto is not None:
             return n if n is not None and n <= upto else None
         G = self._G
@@ -116,16 +126,16 @@ class Orbit:
 
     # -- the recursion -------------------------------------------------------
 
-    def _first(self, n0, lo, hi, lo_open, hi_open) -> Optional[int]:
+    def _first(self, n0, lo, hi, lo_open, hi_open, upto=None
+               ) -> Optional[int]:
         """:meth:`first_hit` without the bound: [lo, hi) by the recursion,
         then each end moved in or out by its orbit solve.  A cut irrational
-        in another radicand than alpha's is refused before any clamping, as
-        a scan's compares refuse it."""
+        in another radicand than alpha's goes to :meth:`_foreign` before
+        any clamping."""
         m = self._m
-        if lo is not None and lo.q and lo.m != m:
-            _refuse(lo.m, m)
-        if hi is not None and hi.q and hi.m != m:
-            _refuse(hi.m, m)
+        if (lo is not None and lo.q and lo.m != m
+                or hi is not None and hi.q and hi.m != m):
+            return self._foreign(n0, lo, hi, lo_open, hi_open, upto)
         if lo is None or lo.sign() < 0:
             lo, lo_open = ZERO, False
         if hi is None or hi.compare(1) >= 0:
@@ -147,26 +157,72 @@ class Orbit:
                 n = m
         return n
 
+    def _foreign(self, n0, lo, hi, lo_open, hi_open, upto
+                 ) -> Optional[int]:
+        """:meth:`_first` with a cut in another radicand, answered as a
+        scan answers it.  value(0) = 0 is rational and compares with any
+        cut.  Every later value is irrational, and the scan compares it
+        with lo first and with hi only if it passes lo, so it refuses at
+        the first such compare with the foreign cut within ``upto`` (or
+        the cap), and answers None if there is none."""
+        if n0 == 0:
+            s = 1 if lo is None else -lo.sign()     # sign of 0 - lo
+            t = 1 if hi is None else hi.sign()      # sign of hi - 0
+            if ((s > 0 or s == 0 and not lo_open)
+                    and (t > 0 or t == 0 and not hi_open)):
+                return 0
+            n0 = 1
+        m = self._m
+        if lo is not None and lo.q and lo.m != m:
+            n, cut = n0, lo
+        else:
+            n = n0 if lo is None else self._first(n0, lo, None, lo_open, False)
+            cut = hi
+        limit = self._G.cap if upto is None else upto
+        if n is None or n > limit:
+            return None
+        _refuse(cut.m, m)
+
+    def _rung(self, k: int) -> tuple:
+        """Rung k of the rotation ladder, built on first use:
+        ``(a_k, 1/a_k, reflect_k, a_(k+1))`` with a_0 = {alpha}.  The next
+        rotation is {1/a_k} if that is below 1/2 (reflect_k), else
+        {-1/a_k} = 1 - {1/a_k}; the ladder depends on alpha alone."""
+        ladder = self._ladder
+        while len(ladder) <= k:
+            a = ladder[-1][3] if ladder else self._a
+            inv = a.inverse()
+            up = inv.frac()
+            if up.compare(_HALF) < 0:
+                ladder.append((a, inv, True, up))
+            else:
+                ladder.append((a, inv, False, ONE - up))
+        return ladder[k]
+
     def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber
                ) -> int:
         """Least t >= 0 with {beta + t*a} in [lo, lo + w), 0 < w <= 1.
 
-        A level solves it on an arc closed at its low end, [lo, lo + w),
-        or at its high end, (lo, lo + w].  Let g = {beta - lo} and c =
-        {-g}, the distance to the arc's low end; t must put t*a in
-        [c + j, c + j + w) (or (c + j, c + j + w]) for the least wrap count
-        j >= 0, so t = ceil((c + j)/a) (or floor((c + j)/a) + 1).  j = 0
-        serves when w >= a.  Otherwise, with x = (c + j)/a, the condition
-        on j reads {-x} in [0, w/a) (or (0, w/a]): an arc of width w/a for
-        the rotation {-1/a} from {-c/a}, or, read through {x}, the arc
-        (1 - w/a, 1] (or [1 - w/a, 1)) for {1/a} from {c/a}.
+        Level k solves it for the rotation a_k of rung k (see
+        :meth:`_rung`) on an arc closed at its low end or at its high end,
+        from the distance g = {beta - lo} of the point above the arc's low
+        end.  If g is inside the arc, t = 0.  Otherwise c = {-g} is the
+        distance up to the low end; t must put t*a in [c + j, c + j + w)
+        (or (c + j, c + j + w]) for the least wrap count j >= 0, so
+        t = ceil((c + j)/a) (or floor((c + j)/a) + 1).  j = 0 serves when
+        w >= a.  Otherwise, with x = c/a and w' = w/a, j solves level
+        k + 1: the arc [0, w') from {-x} for the rotation {-1/a}, so
+        g = {-x}; or, on a reflecting rung, the arc (1 - w', 1] (or
+        [1 - w', 1)) from {x} for {1/a}, so g = {x + w'} and the closed
+        end swaps.  The stack unwinds as (c + j) * (1/a), each rung's
+        inverse read off the ladder.
         """
         self.first_hits += 1
-        a, closed = self._a, True
+        rung = self._rung
+        g, closed, k = (beta - lo).frac(), True, 0
         stack: list[tuple[ExactNumber, ExactNumber, bool]] = []
         while True:
             self.levels += 1
-            g = (beta - lo).frac()
             if closed:
                 if g.compare(w) < 0:
                     t = 0
@@ -175,20 +231,20 @@ class Orbit:
                 t = 0
                 break
             c = ONE - g if g.sign() > 0 else g
-            if w.compare(a) >= 0:
-                t = _ceil(c / a) if closed else (c / a).floor() + 1
-                break
-            stack.append((c, a, closed))
-            inv = a.inverse()
+            a, inv, reflect, _ = rung(k)
             x = c * inv
+            if w.compare(a) >= 0:
+                t = _ceil(x) if closed else x.floor() + 1
+                break
+            stack.append((c, inv, closed))
             w = w * inv
-            up = inv.frac()
-            if up.compare(_HALF) < 0:
-                beta, a, lo, closed = x.frac(), up, ONE - w, not closed
+            if reflect:
+                g, closed = (x + w).frac(), not closed
             else:
-                beta, a, lo = (-x).frac(), ONE - up, ZERO
-        for c, a, closed in reversed(stack):
-            x = (c + t) / a
+                g = (-x).frac()
+            k += 1
+        for c, inv, closed in reversed(stack):
+            x = (c + t) * inv
             t = _ceil(x) if closed else x.floor() + 1
         return t
 

@@ -1,0 +1,70 @@
+"""A frozen reference for the first-hit recursion.
+
+:func:`least` is ``Orbit._least`` as it stood before the rotation ladder:
+every level inverts its rotation, takes the fractional part of the
+inverse, compares it with 1/2, and recomputes the distance {beta - lo}
+from a new start point and arc end; the stack unwinds by dividing.  It is
+a plain function of an :class:`exactlab.orbit.Orbit`, whose ``_a``,
+``first_hits`` and ``levels`` it reads and counts as the method did.
+``test_orbit.py`` runs the library's recursion against it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from exactlab import ExactNumber
+
+ZERO = ExactNumber(0)
+ONE = ExactNumber(1)
+_HALF = ExactNumber(Fraction(1, 2))
+
+
+def least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber
+          ) -> int:
+    """Least t >= 0 with {beta + t*a} in [lo, lo + w), 0 < w <= 1.
+
+    A level solves it on an arc closed at its low end, [lo, lo + w),
+    or at its high end, (lo, lo + w].  Let g = {beta - lo} and c =
+    {-g}, the distance to the arc's low end; t must put t*a in
+    [c + j, c + j + w) (or (c + j, c + j + w]) for the least wrap count
+    j >= 0, so t = ceil((c + j)/a) (or floor((c + j)/a) + 1).  j = 0
+    serves when w >= a.  Otherwise, with x = (c + j)/a, the condition
+    on j reads {-x} in [0, w/a) (or (0, w/a]): an arc of width w/a for
+    the rotation {-1/a} from {-c/a}, or, read through {x}, the arc
+    (1 - w/a, 1] (or [1 - w/a, 1)) for {1/a} from {c/a}.
+    """
+    self.first_hits += 1
+    a, closed = self._a, True
+    stack: list[tuple[ExactNumber, ExactNumber, bool]] = []
+    while True:
+        self.levels += 1
+        g = (beta - lo).frac()
+        if closed:
+            if g.compare(w) < 0:
+                t = 0
+                break
+        elif g.sign() > 0 and g.compare(w) <= 0:
+            t = 0
+            break
+        c = ONE - g if g.sign() > 0 else g
+        if w.compare(a) >= 0:
+            t = _ceil(c / a) if closed else (c / a).floor() + 1
+            break
+        stack.append((c, a, closed))
+        inv = a.inverse()
+        x = c * inv
+        w = w * inv
+        up = inv.frac()
+        if up.compare(_HALF) < 0:
+            beta, a, lo, closed = x.frac(), up, ONE - w, not closed
+        else:
+            beta, a, lo = (-x).frac(), ONE - up, ZERO
+    for c, a, closed in reversed(stack):
+        x = (c + t) / a
+        t = _ceil(x) if closed else x.floor() + 1
+    return t
+
+
+def _ceil(x: ExactNumber) -> int:
+    return -(-x).floor()

@@ -23,6 +23,7 @@ from exactlab.errors import CapExceeded, RadicandMismatch
 from exactlab.orbit import Orbit
 
 from conftest import alphas
+from reference_orbit import least as reference_least
 
 LIMIT = 1200
 
@@ -95,6 +96,34 @@ def test_queries_match_a_column_scan(alpha, data):
     assert q.orbit_index(values[n] + F(1, 10 ** 9)) is None
 
 
+@settings(max_examples=150)
+@given(alpha=alphas(), data=st.data())
+def test_least_matches_the_frozen_recursion(alpha, data):
+    # deeper than brute force reaches: start points up to 10^30 steps out
+    # on the orbit and arcs down to 10^-40 wide, three queries per engine,
+    # so later ones climb a ladder the earlier ones built
+    f = RotationOracle(alpha)
+    ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
+    orbit = st.integers(0, 10 ** 30).map(q.value)
+    below_one = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
+    tiny = st.integers(0, 40).map(lambda e: F(1, 10 ** e))
+    for _ in range(3):
+        beta = data.draw(orbit)
+        lo = data.draw(st.one_of(below_one.filter(lambda x: x < 1).map(exact),
+                                 orbit))
+        width = data.draw(st.one_of(
+            st.builds(lambda k, s: exact(k * s), st.integers(1, 999), tiny),
+            st.builds(lambda v, s: v * s, orbit.filter(bool), tiny)))
+        w = min(width, 1 - lo)
+        levels = ref.levels
+        t = reference_least(ref, beta, lo, w)
+        depth = ref.levels - levels
+        levels = q.levels
+        assert q._least(beta, lo, w) == t, (beta, lo, w)
+        assert q.levels - levels == depth
+    assert q.first_hits == ref.first_hits == 3
+
+
 def test_an_unbounded_hit_past_the_cap_is_the_scans_cap_error():
     G = GrowableSet(cap=1000)
     q = Orbit(G, RotationOracle(SQRT2))
@@ -115,6 +144,13 @@ def test_a_closed_point_interval_is_its_orbit_solve():
                        upto=LIMIT) is None
 
 
+def _answer(engine, n0, lo, hi, upto):
+    try:
+        return engine.first_hit(n0, lo, hi, upto=upto)
+    except RadicandMismatch as err:
+        return str(err)
+
+
 @pytest.mark.parametrize("cut", [
     ExactNumber(-1, F(1, 2), 2),          # below 0
     ExactNumber(F(-1, 2), F(1, 2), 2),    # in (0, 1)
@@ -122,15 +158,27 @@ def test_a_closed_point_interval_is_its_orbit_solve():
 ], ids=str)
 def test_a_cut_in_another_radicand_is_refused_by_both_engines(cut):
     # the engine clamps a cut outside [0, 1) to the unit interval; it must
-    # refuse a foreign radicand first, as the scan's compares do
+    # answer as the scan's compares do: value(0) = 0 is rational and
+    # compares with any cut, every later value is irrational, and the scan
+    # compares an index with hi only once it passes lo
     alpha = ExactNumber.sqrt(11)
     q, values = _setup(alpha)
     col = ValueColumn([exact(n) for n in range(LIMIT + 1)], values)
-    for engine in (q, col):
-        for lo, hi in ((cut, None), (None, cut), (cut, exact(1))):
-            with pytest.raises(RadicandMismatch,
-                               match=r"^cannot compare sqrt\(2\) with sqrt\(11\)$"):
-                engine.first_hit(1, lo, hi, upto=LIMIT)
+    refused = "cannot compare sqrt(2) with sqrt(11)"
+    for lo, hi in ((cut, None), (None, cut), (cut, exact(1))):
+        assert _answer(q, 1, lo, hi, LIMIT) == refused
+        assert _answer(col, 1, lo, hi, LIMIT) == refused
+    half, high = exact(F(1, 2)), exact(F(999999, 10 ** 6))
+    for n0, lo, hi, upto in [
+            (0, cut, None, 50), (0, None, cut, 50), (0, cut, exact(1), 50),
+            (0, cut, None, 0), (5, cut, None, 3), (5, None, cut, 3),
+            (1, half, cut, LIMIT), (0, half, cut, LIMIT),
+            (1, high, cut, 40), (0, exact(-1), cut, 0)]:
+        want = _answer(col, n0, lo, hi, upto)
+        assert _answer(q, n0, lo, hi, upto) == want, (n0, lo, hi, upto)
+    # index 0 answers a cut below 0 before any irrational compare
+    assert (_answer(q, 0, cut, None, 50) == 0) == (cut.sign() < 0)
+    assert q.first_hit(5, cut, None, upto=3) is None
 
 
 def _engines(monkeypatch):
@@ -149,9 +197,19 @@ def _engines(monkeypatch):
 def test_sqrt2_n3_cost(monkeypatch):
     # steps 2 and 3: (first-hit recursions, levels descended, orbit solves)
     engines = _engines(monkeypatch)
+    inverses = []
+    inverse = ExactNumber.inverse
+
+    def counted(x):
+        inverses.append(x)
+        return inverse(x)
+    monkeypatch.setattr(ExactNumber, "inverse", counted)
     extract(GrowableSet(), RotationOracle(SQRT2), 3, F(1, 4))
     assert [(q.first_hits, q.levels, q.solves) for q in engines] == \
         [(43, 222, 43), (63, 531, 63)]
+    # 24 build the two steps' ladders, one per rung (9 and 15 rungs); the
+    # other 15 are irrational divisions outside the engine
+    assert len(inverses) == 39
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
