@@ -446,7 +446,7 @@ class GrowableSet:
 # -- oracle queries ------------------------------------------------------
 #
 # A search reads the oracle values over the first indices of a set (index i
-# stands for the set's i-th element) through four queries:
+# stands for the set's i-th element) through five queries:
 #
 # - ``first_hit(n0, lo, hi, lo_open, hi_open, upto)``: the least index
 #   >= n0 whose value lies between lo and hi (None: unbounded), each end
@@ -454,6 +454,7 @@ class GrowableSet:
 # - ``hits(k, lo, hi)``: every index <= k whose value lies in [lo, hi];
 # - ``records(a, b, k, upto)``: the left and right record chains of the
 #   cut a over indices <= k, and of the cut b over indices <= upto;
+# - ``chain(cut, k, below)``: one record chain of one cut over indices <= k;
 # - ``orbit_index(v)``: the least index whose value is v, or None;
 #
 # plus ``value(i)`` and ``elem(i)``.  A record chain lists the indices at
@@ -588,6 +589,9 @@ class ValueColumn:
         if side_b is None:
             return a_left, a_right, None, None
         return a_left, a_right, b_left, b_right
+
+    def chain(self, cut, k: int, below: bool) -> list[int]:
+        return record_chain(self, cut, k, below)
 
     def orbit_index(self, v) -> Optional[int]:
         for i, value in enumerate(self._values):

@@ -15,25 +15,28 @@ to 1) and repeatedly adjoins one more ratio close to the next integer:
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
-A step reads the oracle only through four queries (see
+A step reads the oracle only through five queries (see
 :mod:`exactlab.dsets`): the first index from some index on whose value
 lies in an interval, every index up to a bound whose value lies in one,
-the record chains of a cut, and the index of a value.  Phase 2 asks for
-the window's hits up to the previous bound, then for first hits after it;
-phase 3 walks the right-record chain of the best left value; phase 4 asks
-for one first hit, plus one per midpoint collision; phase 5 lists the
-window's hits up to the new bound; the ratio family of the new cuts reads
-four record chains and two value indices.
+the record chains of two cuts or one chain of one cut, and the index of a
+value.  Phase 2 asks for the window's hits up to the previous bound,
+then for first hits after it; phase 3 walks the right-record chain of the
+best left value; phase 4 asks for one first hit, plus one per midpoint
+collision; phase 5 lists the window's hits up to the new bound; the ratio
+family of the new cuts reads four record chains and two value indices.
 
-For a rotation oracle over the default naturals the first-hit engine
-(:mod:`exactlab.orbit`) answers each query exactly in a number of
-big-integer steps logarithmic in the interval's width, so a step costs a
-few hundred recursion levels, whatever its indices: N = 5 reaches indices
-near 10^14 in under a second.  The set only records how far the step
-reached; a needed index past the budget still raises the scan's
+For a rotation oracle over the default naturals one first-hit engine
+(:mod:`exactlab.orbit`) serves the whole extraction, so its rotation ladder
+and record tables, which depend on the rotation alone, are built once.  It
+answers a first hit exactly in a number of big-integer steps logarithmic
+in the interval's width, and a record chain with one floor per link off
+the record tables, whatever its indices: N = 9 reaches indices near 10^45
+in under a second.  The set only records how far the step reached; a
+needed index past the budget still raises the scan's
 ``index <cap+1> exceeds cap <cap>``, as soon as the index is known.  For any
-other oracle a column scan answers the queries, evaluating each index once
-per step and reading indices in order.  Both give identical traces.
+other oracle a fresh column scan answers each step's queries, evaluating
+each index once per step and reading indices in order.  Both give
+identical traces.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step's
@@ -66,7 +69,6 @@ from .dsets import (
     RotationOracle,
     ValueColumn,
     is_approx_segment,
-    record_chain,
 )
 from .approx import (
     RatioFamily,
@@ -133,18 +135,23 @@ def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
 
 
 def _queries(G: GrowableSet, f: FunctionOracle):
-    """One step's oracle queries: the first-hit engine for a rotation over
-    the default naturals, a fresh column scan otherwise."""
+    """An extraction's oracle queries, as a function giving each step its
+    own: one first-hit engine for a rotation over the default naturals,
+    whose ladder and record tables serve every step; a fresh column scan
+    per step otherwise."""
     if isinstance(f, RotationOracle) and G.counts_naturals:
-        return Orbit(G, f)
-    return ValueColumn(G._elems, [], G, f)
+        orbit = Orbit(G, f)
+        return lambda: orbit
+    return lambda: ValueColumn(G._elems, [], G, f)
 
 
 def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
-               ratio_target: ExactNumber, eps_move: ExactNumber) -> RatioFamily:
+               ratio_target: ExactNumber, eps_move: ExactNumber,
+               queries) -> RatioFamily:
     """One pipeline step: adjoin a ratio exactly equal to ratio_target while
-    moving every existing ratio by less than eps_move."""
-    q = _queries(G, f)
+    moving every existing ratio by less than eps_move, reading the oracle
+    through ``queries()`` (see :func:`_queries`)."""
+    q = queries()
     value = q.value
     l_ue = prev.approx.l
     e_idx = G.index_of(prev.d)
@@ -164,7 +171,7 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
 
     # (3) fresh outer cut: midpoint of the image-free gap above the
     #     previous best left value, closed by l's last right record
-    nxt = record_chain(q, l_ue, d0_idx, below=False)[-1]
+    nxt = q.chain(l_ue, d0_idx, below=False)[-1]
     a = (l_ue + value(nxt)) / 2
 
     # (4) least later index whose value lands between l and the new cut;
@@ -211,8 +218,9 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
 
 
 def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
-                n: int, eps) -> RatioFamily:
-    """Extend an (eps/6)-segment up to n into an eps-segment up to n + 1."""
+                n: int, eps, queries=None) -> RatioFamily:
+    """Extend an (eps/6)-segment up to n into an eps-segment up to n + 1,
+    through an extraction's ``queries`` (default: this step's own)."""
     eps = ExactNumber.coerce(eps)
     if eps.sign() <= 0:
         raise PreconditionFailed(f"eps must be positive, got {eps}")
@@ -221,7 +229,9 @@ def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     if not is_approx_segment(prev.yset, eps / 6, n):
         raise PreconditionFailed(
             f"previous set is not an {eps}/6-segment up to {n}")
-    fam = _extension(G, f, prev, ExactNumber(n + 1), eps / 6)
+    if queries is None:
+        queries = _queries(G, f)
+    fam = _extension(G, f, prev, ExactNumber(n + 1), eps / 6, queries)
     if not is_approx_segment(fam.yset, eps, n + 1):
         raise StepVerificationFailed(
             f"extended set {fam.yset} failed its {eps}-segment "
@@ -242,6 +252,7 @@ def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
     if eps_final.sign() <= 0:
         raise ValueError(f"eps_final must be positive, got {eps_final}")
     steps = []
+    queries = _queries(G, f)
     eps_1 = eps_final / 6 ** (N - 1)
     fam = bootstrap(G, f, eps_1)
     steps.append(TraceStep(n=1, eps=eps_1, fam=fam,
@@ -250,7 +261,7 @@ def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
                            check_passed=True))
     for k in range(2, N + 1):
         eps_k = eps_final / 6 ** (N - k)
-        fam = extend_step(G, f, fam, n=k - 1, eps=eps_k)
+        fam = extend_step(G, f, fam, n=k - 1, eps=eps_k, queries=queries)
         steps.append(TraceStep(n=k, eps=eps_k, fam=fam,
                                d_index=G.index_of(fam.d),
                                max_index=G.materialized_bound,
@@ -283,9 +294,10 @@ def approximate_target(G: GrowableSet, f: FunctionOracle, F: DiscreteSet,
     first = targets[0]
     ratio_1 = first if first.compare(1) > 0 else ONE + eps_1 / 2
     fam = _bootstrap_with_ratio(G, f, ratio_1)
+    queries = _queries(G, f)
     for j in range(2, k + 1):
         eps_j = scale / 6 ** (k - j)
-        fam = _extension(G, f, fam, targets[j - 1], eps_j / 6)
+        fam = _extension(G, f, fam, targets[j - 1], eps_j / 6, queries)
 
     goal = DiscreteSet([ExactNumber(0)] + targets)
     worst = max(max(fam.yset.dist(t) for t in goal),

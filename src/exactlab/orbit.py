@@ -23,10 +23,24 @@ above the arc's low end from level to level, and unwinds by multiplying
 with the inverses the ladder holds; no level inverts or floors a rotation.
 
 A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
-at most one solution n, read off c's irrational part.  The record chains
-of a cut are walked one first hit per link; the other queries are built
-from these two.  Indices are plain ints of any size; the growable set only
-follows the indices the step needs, as a column scan would have read them.
+at most one solution n, read off c's irrational part.
+
+Record chains take no first hit.  The next left record of a cut c after n
+is n + d for the least d >= 1 with {d*alpha} < c - {n*alpha} (the sum
+cannot wrap, as it stays below c <= 1), so d is a record low of {d*alpha}:
+a value below every earlier one.  The right chain steps by the least
+record high within {n*alpha} - c of 1.  Both record sequences depend on
+alpha alone: they are the convergent and intermediate denominators of its
+continued fraction (Rockett and Szüsz, *Continued Fractions*, 1992), and
+each :class:`Orbit` keeps them as two *record tables*, built run by run on
+first use.  From the latest low d_L at x = {d_L*alpha} and the latest
+high d_H at 1 - y, if x > y the next floor(x/y) lows are d_L + j*d_H at
+x - j*y, and the highs' run mirrors this.  A link reads the least record
+under its gap off one run with one floor, so a chain costs O(1) exact
+steps per link and per run, however long a run is.  The first-hit
+queries are built from the recursion and the orbit solve.  Indices are
+plain ints of any size; the growable set only follows the indices the
+step needs, as a column scan would have read them.
 """
 
 from __future__ import annotations
@@ -48,17 +62,28 @@ class Orbit:
 
     It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
     scanning.  ``first_hits`` counts the first-hit recursions run,
-    ``levels`` the levels they descended and ``solves`` the orbit solves.
+    ``levels`` the levels they descended, ``solves`` the orbit solves,
+    ``runs`` the record-table runs built and ``links`` the record-chain
+    links read off them.  The rotation ladder and the record tables are
+    caches filled on first use, so an :class:`Orbit` belongs to one
+    extraction, like its set.
     """
 
     def __init__(self, G: GrowableSet, f: RotationOracle):
         self._G = G
-        self._a = f.alpha.frac()
-        self._m, self._den, self._sq = self._a.m, self._a.den, self._a.q
+        a = self._a = f.alpha.frac()
+        self._m, self._den, self._sq = a.m, a.den, a.q
         self._ladder: list[tuple] = []
+        # record tables: each starts with d = 1 as a run of one, stepped
+        # from a virtual record d = 0 at distance 1 (see _grow)
+        self._lows: list[tuple] = [(0, 1, ONE, ONE - a, None, 1, a)]
+        self._highs: list[tuple] = [(0, 1, ONE, a, None, 1, ONE - a)]
+        self._tips = ((1, a), (1, ONE - a))
         self.first_hits = 0
         self.levels = 0
         self.solves = 0
+        self.runs = 0
+        self.links = 0
 
     def value(self, n: int) -> ExactNumber:
         return (n * self._a).frac()
@@ -67,7 +92,7 @@ class Orbit:
     def elem(n: int) -> ExactNumber:
         return ExactNumber._raw(n, 0, 1, 0)
 
-    # -- the four queries ----------------------------------------------------
+    # -- the queries ---------------------------------------------------------
 
     def first_hit(self, n0: int, lo: Optional[ExactNumber],
                   hi: Optional[ExactNumber], lo_open: bool = False,
@@ -102,12 +127,32 @@ class Orbit:
         of ``b`` (None for no b: two Nones) over indices <= upto (default
         k), as index lists."""
         upto = k if upto is None else upto
-        chains = [record_chain(self, a, k, below=True),
-                  record_chain(self, a, k, below=False)]
+        chains = [self.chain(a, k, below=True), self.chain(a, k, below=False)]
         if b is None:
             return (*chains, None, None)
-        return (*chains, record_chain(self, b, upto, below=True),
-                record_chain(self, b, upto, below=False))
+        return (*chains, self.chain(b, upto, below=True),
+                self.chain(b, upto, below=False))
+
+    def chain(self, cut: ExactNumber, k: int, below: bool) -> list[int]:
+        """The record chain of ``cut`` below (or above) it over indices
+        <= k.  The left chain starts at index 0 and steps by record lows
+        within the gap up to the cut; the right one steps by record highs
+        from index 0 read as the value 1, which it leaves out.  A cut
+        outside [0, 1) is clamped as :meth:`_first` clamps it; one in
+        another radicand is walked by first hits, which refuse it as a scan
+        does."""
+        if cut.q and cut.m != self._m:
+            return record_chain(self, cut, k, below)
+        if below:
+            if cut.sign() <= 0:
+                return []
+            gap = ONE if cut.compare(1) >= 0 else cut
+            return self._links(self._lows, [0], gap, k)
+        if cut.compare(1) >= 0:
+            return []
+        if cut.sign() < 0:
+            return [0]
+        return self._links(self._highs, [], ONE - cut, k)
 
     def orbit_index(self, v: ExactNumber) -> Optional[int]:
         """The n with {n*alpha} = v, or None: n is fixed by the irrational
@@ -182,6 +227,61 @@ class Orbit:
         if n is None or n > limit:
             return None
         _refuse(cut.m, m)
+
+    # -- the record tables ---------------------------------------------------
+
+    def _links(self, table: list[tuple], chain: list[int], gap: ExactNumber,
+               k: int) -> list[int]:
+        """Extend ``chain`` by the links from index 0 up to k: the next
+        index is n + d for the table's least record d at distance below
+        ``gap``, and the gap shrinks by that distance.
+
+        A run ``(d0, s, v0, y, inv, J, end)`` holds the records d0 + j*s
+        at distance v0 - j*y for 1 <= j <= J (``inv`` = 1/y, ``end`` the
+        last distance), below every earlier record's.  Records only get
+        closer, so the search goes on from the run of the last link; in it
+        the least record under the gap is j = floor((v0 - gap)/y) + 1.
+        """
+        n = r = 0
+        while True:
+            while len(table) <= r:
+                self._grow()
+            d0, s, v0, y, inv, J, end = table[r]
+            if d0 + s > k - n:
+                return chain
+            if end.compare(gap) >= 0:
+                r += 1
+                continue
+            j = 1 if J == 1 else ((v0 - gap) * inv).floor() + 1
+            d = d0 + j * s
+            if d > k - n:
+                return chain
+            self.links += 1
+            n += d
+            chain.append(n)
+            gap = gap - (end if j == J else v0 - j * y)
+
+    def _grow(self) -> None:
+        """Append the next run to the record tables.  The tips are the
+        latest low d_L at distance x = {d_L*alpha} above 0 and the latest
+        high d_H at distance y = 1 - {d_H*alpha} below 1.  If x > y, the
+        next J = floor(x/y) lows are d_L + j*d_H at x - j*y, since
+        d_H*alpha is -y modulo 1; then x - J*y < y and the highs' run comes
+        next, the mirror image.  These are the continued fraction's
+        intermediate and convergent denominators, one run per partial
+        quotient."""
+        self.runs += 1
+        (dl, x), (dh, y) = self._tips
+        low = x.compare(y) > 0
+        if not low:
+            (dl, x), (dh, y) = (dh, y), (dl, x)
+        inv = y.inverse()
+        J = (x * inv).floor()
+        end = x - J * y
+        (self._lows if low else self._highs).append(
+            (dl, dh, x, y, inv, J, end))
+        tip = (dl + J * dh, end)
+        self._tips = (tip, (dh, y)) if low else ((dh, y), tip)
 
     def _rung(self, k: int) -> tuple:
         """Rung k of the rotation ladder, built on first use:

@@ -1,4 +1,9 @@
-"""A frozen reference for the first-hit recursion.
+"""Frozen references for the first-hit engine.
+
+:func:`record_chain` is the record-chain walk as it stood before the
+record tables: one first hit per link, each asking for the first later
+index whose value lies strictly between the last record's value and the
+cut.  ``test_orbit.py`` runs ``Orbit.chain`` against it.
 
 :func:`least` is ``Orbit._least`` as it stood before the rotation ladder:
 every level inverts its rotation, takes the fractional part of the
@@ -18,6 +23,24 @@ from exactlab import ExactNumber
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
 _HALF = ExactNumber(Fraction(1, 2))
+
+
+def record_chain(q, cut, k: int, below: bool) -> list[int]:
+    """The record chain of ``cut`` below (or above) it over indices <= k,
+    one first hit per link."""
+    if below:
+        n = q.first_hit(0, None, cut, hi_open=True, upto=k)
+    else:
+        n = q.first_hit(0, cut, None, lo_open=True, upto=k)
+    chain: list[int] = []
+    while n is not None:
+        chain.append(n)
+        v = q.value(n)
+        if below:
+            n = q.first_hit(n + 1, v, cut, True, True, upto=k)
+        else:
+            n = q.first_hit(n + 1, cut, v, True, True, upto=k)
+    return chain
 
 
 def least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber

@@ -24,6 +24,7 @@ from exactlab.orbit import Orbit
 
 from conftest import alphas
 from reference_orbit import least as reference_least
+from reference_orbit import record_chain as reference_chain
 
 LIMIT = 1200
 
@@ -124,6 +125,87 @@ def test_least_matches_the_frozen_recursion(alpha, data):
     assert q.first_hits == ref.first_hits == 3
 
 
+def _k_bound(alpha, links=300):
+    """The largest k <= 10^30 at which a record chain over indices <= k
+    stays near ``links`` links: at least ``links``, else the last
+    convergent denominator q_j of {alpha} with a_1 + ... + a_j <= links.
+    A chain takes its links from the runs of record lows (or highs), one
+    run per partial quotient, each record at most about a_i times in a
+    row; the frozen walk spends a first hit on every link, and alpha near
+    0 or 1 has a_1 near 1/{alpha}."""
+    x, q0, q1, total = alpha.frac(), 0, 1, 0
+    while q1 < 10 ** 30:
+        x = x.inverse()
+        a = x.floor()
+        x = x - a
+        total += a
+        if total > links:
+            break
+        q0, q1 = q1, a * q1 + q0
+    return max(links, min(q1, 10 ** 30))
+
+
+def _link_count(chains):
+    # every index of a chain but index 0 is a link
+    return sum(len(c) - (c[:1] == [0]) for c in chains)
+
+
+@settings(max_examples=100)
+@given(alpha=alphas(), data=st.data())
+def test_record_chains_match_the_first_hit_walk(alpha, data):
+    # the record tables against the frozen walk, one first hit per link,
+    # over indices up to 10^30 (bounded by _k_bound); cuts are rationals
+    # around [0, 1), orbit values and orbit values moved by a hair
+    f = RotationOracle(alpha)
+    ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
+    e = data.draw(st.integers(0, 30))
+    k = min(data.draw(st.integers(10 ** e // 10, 10 ** e)), _k_bound(alpha))
+    orbit = st.integers(0, 10 ** 30).map(q.value)
+    cuts = st.one_of(
+        st.fractions(min_value=F(-1, 4), max_value=F(5, 4),
+                     max_denominator=10 ** 6).map(exact),
+        orbit,
+        st.builds(lambda v, h, p: v + F(h, 10 ** p), orbit,
+                  st.integers(-3, 3), st.sampled_from([9, 40])))
+    chains = []
+    for _ in range(2):
+        cut = data.draw(cuts)
+        for below in (True, False):
+            chain = q.chain(cut, k, below)
+            assert chain == reference_chain(ref, cut, k, below), \
+                (cut, k, below)
+            chains.append(chain)
+    assert q.links == _link_count(chains)
+    # the tips' denominators grow at least like the Fibonacci numbers
+    assert q.runs <= 2 * k.bit_length() + 4
+    assert q.first_hits == 0
+
+
+def test_record_chains_of_a_tiny_rotation():
+    # {alpha} is about 3.5*10^-24, so the record highs' first run holds
+    # about 2.8*10^23 records, and a walk that stepped record by record
+    # would not end; the tables skip each run with one floor.  Left chains
+    # of cuts above {alpha} have about cut/{alpha} links on any walk, so
+    # the left cuts here lie below it.
+    alpha = ExactNumber(F(8, 3 ** 50), F(-1, 3 ** 50), 30)
+    f = RotationOracle(alpha)
+    ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
+    k = 10 ** 30
+    under = q.value((1 / alpha).floor() + 1)    # in (0, {alpha})
+    hair = F(1, 10 ** 40)
+    cases = [(exact(F(1, 2)), False), (q.value(10 ** 29), False),
+             (q.value(10 ** 29) - hair, False), (exact(F(1, 10 ** 30)), True),
+             (under, True), (under + hair, True), (exact(F(-1, 4)), False),
+             (exact(F(5, 4)), False), (exact(F(-1, 4)), True)]
+    chains = [q.chain(cut, k, below) for cut, below in cases]
+    assert chains == [reference_chain(ref, cut, k, below)
+                      for cut, below in cases]
+    # 15 runs of the tables and 492 links: one floor per link or skipped
+    # run, no first hit
+    assert q.links == _link_count(chains)
+    assert (q.runs, q.links, q.first_hits) == (15, 492, 0)
+
+
 def test_an_unbounded_hit_past_the_cap_is_the_scans_cap_error():
     G = GrowableSet(cap=1000)
     q = Orbit(G, RotationOracle(SQRT2))
@@ -182,20 +264,21 @@ def test_a_cut_in_another_radicand_is_refused_by_both_engines(cut):
 
 
 def _engines(monkeypatch):
-    """The engines the extraction steps run on, in step order."""
+    """The engines the extractions run on, one per extraction."""
     engines = []
     build = extraction._queries
 
     def recorded(G, f):
-        q = build(G, f)
-        engines.append(q)
-        return q
+        queries = build(G, f)
+        engines.append(queries())
+        return queries
     monkeypatch.setattr(extraction, "_queries", recorded)
     return engines
 
 
 def test_sqrt2_n3_cost(monkeypatch):
-    # steps 2 and 3: (first-hit recursions, levels descended, orbit solves)
+    # one engine serves steps 2 and 3: (first-hit recursions, levels
+    # descended, orbit solves, record-table runs built, record links read)
     engines = _engines(monkeypatch)
     inverses = []
     inverse = ExactNumber.inverse
@@ -205,11 +288,12 @@ def test_sqrt2_n3_cost(monkeypatch):
         return inverse(x)
     monkeypatch.setattr(ExactNumber, "inverse", counted)
     extract(GrowableSet(), RotationOracle(SQRT2), 3, F(1, 4))
-    assert [(q.first_hits, q.levels, q.solves) for q in engines] == \
-        [(43, 222, 43), (63, 531, 63)]
-    # 24 build the two steps' ladders, one per rung (9 and 15 rungs); the
-    # other 15 are irrational divisions outside the engine
-    assert len(inverses) == 39
+    assert [(q.first_hits, q.levels, q.solves, q.runs, q.links)
+            for q in engines] == [(20, 193, 26, 15, 70)]
+    # 14 build the ladder, one per rung, and 15 the record tables, one per
+    # run; the other 15 are irrational divisions outside the engine
+    assert len(engines[0]._ladder) == 14
+    assert len(inverses) == 44
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
