@@ -21,7 +21,7 @@ from .errors import (
 )
 from .dsets import ValueSet
 from .plfun import PLFunction
-from .qnum import ExactNumber
+from .qnum import ZERO, ExactNumber
 
 
 class _Infinity:
@@ -134,7 +134,7 @@ class SunResult:
     shadows: tuple[ShadowCheck, ...]
 
     def measure(self) -> ExactNumber:
-        total = ExactNumber(0)
+        total = ZERO
         for lo, hi in self.components:
             total = total + (hi - lo)
         return total
@@ -161,13 +161,17 @@ def rising_sun(g: PLFunction) -> SunResult:
     n = len(pts) - 1
     # ceiling[i] = max of the limits of g at x_{i+1}, ..., x_n: the constant
     # part of the supremum of g over (x, b] seen from inside piece i; None
-    # encodes the empty tail
+    # encodes the empty tail; a breakpoint whose limits are one object
+    # offers one candidate
     ceiling: list[Optional[ExactNumber]] = [None] * (n + 1)
     for i in range(n - 1, -1, -1):
-        c = pts[i + 1].left
-        for v in (pts[i + 1].right, ceiling[i + 1]):
-            if v is not None and v > c:
-                c = v
+        p = pts[i + 1]
+        c = p.left
+        if p.right is not c and p.right > c:
+            c = p.right
+        tail = ceiling[i + 1]
+        if tail is not None and tail > c:
+            c = tail
         ceiling[i] = c
 
     components: list[tuple[ExactNumber, ExactNumber]] = []
@@ -189,7 +193,8 @@ def rising_sun(g: PLFunction) -> SunResult:
             sub = (x0, crossing) if rising else (crossing, x1)
         # the supremum over (x_i, b] is max(right_i, c), so x_i is in the
         # set exactly when c exceeds both of its limits
-        if i > 0 and c > max(pts[i].left, pts[i].right):
+        p = pts[i]
+        if i > 0 and c > p.right and (p.left is p.right or c > p.left):
             # a qualifying breakpoint always glues two piece intervals
             assert current is not None and current[1] == x0, \
                 "breakpoint in the sun set must extend a component"
@@ -334,8 +339,11 @@ def differentiability_report(f: PLFunction, mesh,
     ones, so the walk costs O(cells + n) compares for n breakpoints.  The
     widest gap between the cursors names the witness's piece, so each cell
     checks that its witness lies inside that piece and reads the Dini
-    values there without locating it again; so does each breakpoint.  The
-    values reuse ``f``'s slope memo.
+    values there without locating it again; so does each breakpoint.  A
+    cell with no interior breakpoint is its own widest gap: its witness is
+    ``lo + mesh/2``, with ``mesh/2`` divided once per survey, or
+    ``(lo + hi)/2`` for a last cell that ``b`` cuts short.  The values
+    reuse ``f``'s slope memo.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -348,6 +356,7 @@ def differentiability_report(f: PLFunction, mesh,
         if count > cap:
             raise CapExceeded(f"{count} cells exceed cap {cap}")
     xs = f.breakpoints
+    half = mesh / 2
     cells = []
     lo = a
     i = 0
@@ -360,16 +369,22 @@ def differentiability_report(f: PLFunction, mesh,
         j = i
         while xs[j] < hi:
             j += 1
-        marks = [lo, *xs[i:j], hi]
-        best, width = None, None
-        for g, (u, v) in enumerate(zip(marks, marks[1:])):
-            gap = v - u
-            if best is None or gap > width:
-                best, width = g, gap
-        witness = (marks[best] + marks[best + 1]) / 2
-        # the widest gap lies on piece k: marks[g] is xs[i + g - 1] for
-        # g >= 1, and lo lies on piece i - 1
-        k = i - 1 + best
+        if i == j:
+            # no interior breakpoint: the cell is its own widest gap, on
+            # piece i - 1
+            witness = lo + half if hi is end else (lo + hi) / 2
+            k = i - 1
+        else:
+            marks = [lo, *xs[i:j], hi]
+            best, width = None, None
+            for g, (u, v) in enumerate(zip(marks, marks[1:])):
+                gap = v - u
+                if best is None or gap > width:
+                    best, width = g, gap
+            witness = (marks[best] + marks[best + 1]) / 2
+            # the widest gap lies on piece k: marks[g] is xs[i + g - 1] for
+            # g >= 1, and lo lies on piece i - 1
+            k = i - 1 + best
         values = None
         if xs[k] < witness < xs[k + 1]:
             values = _dini_on_piece(f, k, witness)

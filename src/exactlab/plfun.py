@@ -34,6 +34,15 @@ class PLFunction:
     per-piece memo; the function itself never changes.  The nondecreasing
     test and the rising sun compare a piece's two end values instead, and
     divide only at a piece the rising sun's ceiling crosses.
+
+    A continuous breakpoint may hold one object for both limits, and the
+    constructors make it so: an entry whose left and right are the same
+    object is coerced once (``from_values``, ``linear``, ``step_function``
+    and ``cantor_staircase`` all pass such entries, and the first
+    breakpoint always shares its limits), and ``add_linear`` shifts a
+    shared limit once and keeps it shared.  The sweeps skip the compare of
+    two limits that are one object; equal limits held by two objects are
+    still continuous, only compared.
     """
 
     __slots__ = ("points", "breakpoints", "_slopes")
@@ -45,9 +54,10 @@ class PLFunction:
                 pts.append(entry)
             else:
                 x, left, right = entry
-                pts.append(Breakpoint(ExactNumber.coerce(x),
-                                      ExactNumber.coerce(left),
-                                      ExactNumber.coerce(right)))
+                shared = right is left
+                left = ExactNumber.coerce(left)
+                right = left if shared else ExactNumber.coerce(right)
+                pts.append(Breakpoint(ExactNumber.coerce(x), left, right))
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
         xs = [pts[0].x]
@@ -189,7 +199,7 @@ class PLFunction:
             if q.left < p.right:
                 return False
         for p in self.points:
-            if p.right < p.left:
+            if p.right is not p.left and p.right < p.left:
                 return False
         return True
 
@@ -208,7 +218,9 @@ class PLFunction:
         pts = []
         for p in self.points:
             shift = intercept + slope * p.x
-            pts.append(Breakpoint(p.x, p.left + shift, p.right + shift))
+            right = p.right + shift
+            left = right if p.left is p.right else p.left + shift
+            pts.append(Breakpoint(p.x, left, right))
         return PLFunction(pts)
 
     # -- text format ----------------------------------------------------------

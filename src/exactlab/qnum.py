@@ -7,16 +7,26 @@ comparison is decided by integer sign logic, never by rounding.  Two
 irrational operands must share the same radicand; a rational operand
 combines with anything.
 
-The hot paths branch on operand shape inside each method.  A plain ``int``
-(not ``bool``) is coerced without a ``Fraction``, is compared by the sign of
-``p - k*den`` and ``q``, and is added, subtracted or multiplied straight
-into the coefficients.  Two rationals (``q == 0``) are added, subtracted,
-multiplied and divided without the radicand check or the ``q`` products.
-Everything else takes the general formulas.  Every result goes through the
-same normalization, so the canonical form is the same on every path.
-``floor`` compares nothing: a rational is one integer division, and an
-irrational adds ``s = isqrt(q*q*m)`` to ``p`` (``-s - 1`` when ``q < 0``)
-before it divides.
+The hot paths branch on operand shape inside each method:
+
+- an ``ExactNumber`` operand is used as it is, without ``coerce``;
+- a plain ``int`` (not ``bool``) is coerced without a ``Fraction``, is
+  compared by the sign of ``p - k*den`` and ``q``, is added, subtracted or
+  multiplied straight into the coefficients, and as a nonzero divisor
+  multiplies into ``den``;
+- two rationals (``q == 0``) are added, subtracted, multiplied and divided
+  without the radicand check or the ``q`` products, and compared by the
+  sign of ``p*oden - op*den`` alone;
+- ``==`` holds at once for the same object, and ``!=`` has its own method
+  rather than the inherited one, which calls ``__eq__`` through a slot.
+
+Everything else takes the general formulas.  Every value, whichever path
+built it, is made by one constructor, ``_raw``, which normalizes in the
+same call, so the canonical form is the same on every path; a rational
+reduces by ``gcd(p, den)``.  ``<``, ``<=``, ``>`` and ``>=`` all go through
+``compare``.  ``floor`` compares nothing: a rational is one integer
+division, and an irrational adds ``s = isqrt(q*q*m)`` to ``p`` (``-s - 1``
+when ``q < 0``) before it divides.
 """
 
 from __future__ import annotations
@@ -69,7 +79,7 @@ class ExactNumber:
 
     __slots__ = ("p", "q", "den", "m")
 
-    def __init__(self, a: Rationalish = 0, b: Rationalish = 0, m: int = 0):
+    def __new__(cls, a: Rationalish = 0, b: Rationalish = 0, m: int = 0):
         a = Fraction(a)
         b = Fraction(b)
         _check_radicand(m)
@@ -81,33 +91,37 @@ class ExactNumber:
         den = a.denominator * b.denominator
         p = a.numerator * b.denominator
         q = b.numerator * a.denominator
-        self._install(p, q, den, m)
-
-    def _install(self, p: int, q: int, den: int, m: int) -> None:
-        if den == 0:
-            raise DivisionByZero("zero denominator")
-        if q == 0:
-            m = 0
-        if den < 0:
-            p, q, den = -p, -q, -den
-        if den != 1:
-            g = gcd(p, q, den)
-            if g > 1:
-                p //= g
-                q //= g
-                den //= g
-        _set_p(self, p)
-        _set_q(self, q)
-        _set_den(self, den)
-        _set_m(self, m)
+        return cls._raw(p, q, den, m)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactNumber is immutable")
 
     @classmethod
     def _raw(cls, p: int, q: int, den: int, m: int) -> "ExactNumber":
+        # the one normalization: every value is built here, and a rational
+        # reduces by the two-argument gcd
+        if den <= 0:
+            if den == 0:
+                raise DivisionByZero("zero denominator")
+            p, q, den = -p, -q, -den
+        if q == 0:
+            m = 0
+            if den != 1:
+                g = gcd(p, den)
+                if g != 1:
+                    p //= g
+                    den //= g
+        elif den != 1:
+            g = gcd(p, q, den)
+            if g != 1:
+                p //= g
+                q //= g
+                den //= g
         self = object.__new__(cls)
-        self._install(p, q, den, m)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_den(self, den)
+        _set_m(self, m)
         return self
 
     # -- constructors ---------------------------------------------------
@@ -160,10 +174,11 @@ class ExactNumber:
         return self.m if self.q != 0 else other.m
 
     def __add__(self, other) -> "ExactNumber":
-        if type(other) is int:
-            return ExactNumber._raw(self.p + other * self.den, self.q,
-                                    self.den, self.m)
-        other = ExactNumber.coerce(other)
+        if type(other) is not ExactNumber:
+            if type(other) is int:
+                return ExactNumber._raw(self.p + other * self.den, self.q,
+                                        self.den, self.m)
+            other = ExactNumber.coerce(other)
         if self.q == 0 == other.q:
             return ExactNumber._raw(self.p * other.den + other.p * self.den,
                                     0, self.den * other.den, 0)
@@ -179,10 +194,11 @@ class ExactNumber:
         return ExactNumber._raw(-self.p, -self.q, self.den, self.m)
 
     def __sub__(self, other) -> "ExactNumber":
-        if type(other) is int:
-            return ExactNumber._raw(self.p - other * self.den, self.q,
-                                    self.den, self.m)
-        other = ExactNumber.coerce(other)
+        if type(other) is not ExactNumber:
+            if type(other) is int:
+                return ExactNumber._raw(self.p - other * self.den, self.q,
+                                        self.den, self.m)
+            other = ExactNumber.coerce(other)
         if self.q == 0 == other.q:
             return ExactNumber._raw(self.p * other.den - other.p * self.den,
                                     0, self.den * other.den, 0)
@@ -196,10 +212,11 @@ class ExactNumber:
         return ExactNumber.coerce(other) - self
 
     def __mul__(self, other) -> "ExactNumber":
-        if type(other) is int:
-            return ExactNumber._raw(self.p * other, self.q * other,
-                                    self.den, self.m)
-        other = ExactNumber.coerce(other)
+        if type(other) is not ExactNumber:
+            if type(other) is int:
+                return ExactNumber._raw(self.p * other, self.q * other,
+                                        self.den, self.m)
+            other = ExactNumber.coerce(other)
         if self.q == 0 == other.q:
             return ExactNumber._raw(self.p * other.p, 0,
                                     self.den * other.den, 0)
@@ -220,7 +237,13 @@ class ExactNumber:
         return ExactNumber._raw(self.den * self.p, -self.den * self.q, norm, self.m)
 
     def __truediv__(self, other) -> "ExactNumber":
-        other = ExactNumber.coerce(other)
+        if type(other) is not ExactNumber:
+            if type(other) is int:
+                if other == 0:
+                    raise DivisionByZero("inverse of zero")
+                return ExactNumber._raw(self.p, self.q, self.den * other,
+                                        self.m)
+            other = ExactNumber.coerce(other)
         if self.q == 0 == other.q:
             if other.p == 0:
                 raise DivisionByZero("inverse of zero")
@@ -240,15 +263,19 @@ class ExactNumber:
         """Exact three-way comparison: sign of ``self - other``.
 
         Works on raw coefficients; no normalization needed for a sign, so
-        this stays cheap in search loops.  Denominators are positive, so
-        equal ones cancel and the numerators can be subtracted directly.
+        this stays cheap in search loops.  Two rationals are decided by one
+        cross product.  Otherwise, as denominators are positive, equal ones
+        cancel and the numerators can be subtracted directly.
         """
-        if type(other) is int:
-            # the sign of (p - other*den + q*sqrt(m)) / den
-            return _sign_pair(self.p - other * self.den, self.q, self.m)
         if type(other) is not ExactNumber:
+            if type(other) is int:
+                # the sign of (p - other*den + q*sqrt(m)) / den
+                return _sign_pair(self.p - other * self.den, self.q, self.m)
             other = ExactNumber.coerce(other)
         q, oq = self.q, other.q
+        if q == 0 == oq:
+            a = self.p * other.den - other.p * self.den
+            return (a > 0) - (a < 0)
         if q != 0 and oq != 0 and self.m != other.m:
             lo, hi = sorted((self.m, other.m))
             raise RadicandMismatch(f"cannot compare sqrt({lo}) with sqrt({hi})")
@@ -264,16 +291,28 @@ class ExactNumber:
         return _sign_pair(a, b, self.m if q != 0 else other.m)
 
     def __eq__(self, other) -> bool:
-        # canonical form makes value equality structural within one radicand
-        if type(other) is int:
-            return self.q == 0 and self.den == 1 and self.p == other
-        try:
-            other = ExactNumber.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.q != 0 and other.q != 0 and self.m != other.m:
-            return False
-        return (self.p, self.q, self.den) == (other.p, other.q, other.den)
+        # canonical form makes value equality structural: equal values have
+        # equal fields, the radicand included (it is 0 when q is)
+        if other is self:
+            return True
+        if type(other) is not ExactNumber:
+            if type(other) is int:
+                return self.q == 0 and self.den == 1 and self.p == other
+            try:
+                other = ExactNumber.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return (self.p == other.p and self.q == other.q
+                and self.den == other.den and self.m == other.m)
+
+    def __ne__(self, other) -> bool:
+        # spelled out: the inherited __ne__ would call __eq__ through a slot
+        if type(other) is ExactNumber:
+            return other is not self and (
+                self.p != other.p or self.q != other.q
+                or self.den != other.den or self.m != other.m)
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -358,7 +397,7 @@ class ExactNumber:
             k += 61 - n.bit_length()
 
 
-# _install writes the slots through their descriptors, saved once here:
+# _raw writes the slots through their descriptors, saved once here:
 # cheaper than object.__setattr__, and __setattr__ still refuses writes
 _set_p = ExactNumber.p.__set__
 _set_q = ExactNumber.q.__set__

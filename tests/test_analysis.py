@@ -362,28 +362,38 @@ def test_rising_sun_upward_jump_inside():
 
 def _count_calls(monkeypatch):
     """Count the divisions, products and compares of ExactNumber (the
-    operators <, <=, > and >= all go through compare)."""
+    operators <, <=, > and >= all go through compare), and the values it
+    builds (every one is made by _raw)."""
     counts = Counter()
-    for name in ("__truediv__", "__mul__", "compare"):
+    for name in ("__truediv__", "__mul__", "compare", "_raw"):
         method = getattr(ExactNumber, name)
 
         def counted(*args, _name=name, _method=method):
             counts[_name] += 1
             return _method(*args)
-        monkeypatch.setattr(ExactNumber, name, counted)
+        # _raw is a classmethod, read off the class already bound
+        monkeypatch.setattr(ExactNumber, name, staticmethod(counted)
+                            if name == "_raw" else counted)
     return counts
 
 
 @pytest.mark.parametrize("argv, calls", [
-    # the rising sun divides only where its ceiling crosses a piece
+    # the rising sun divides only where its ceiling crosses a piece, and
+    # compares a continuous breakpoint's shared limit once
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 22, "__mul__": 1054, "compare": 11791}),
-    (["sun", "--fn", "cantor:9"], {"compare": 8221}),
+     {"__truediv__": 22, "__mul__": 1054, "compare": 8722, "_raw": 5278}),
+    (["sun", "--fn", "cantor:9"], {"compare": 6176, "_raw": 2050}),
     # the mesh survey walks 2 187 cells and 256 breakpoints in one merge,
-    # and reads each witness's Dini values on the piece the walk holds
+    # and reads each witness's Dini values on the piece the walk holds; a
+    # cell with no breakpoint inside adds the one mesh/2 to its lo
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 2443, "compare": 13633}),
-], ids=["sun-9-c2", "sun-9", "diffreport-7-2187"])
+     {"__truediv__": 257, "compare": 13633, "_raw": 5655}),
+    # the staircase builds 1 025 breakpoints from 2 050 values and checks
+    # their order in 1 024 compares; a continuous breakpoint divides out its
+    # two slopes
+    (["dini", "--fn", "cantor:9", "--x", "1/3"],
+     {"__truediv__": 2, "compare": 1035, "_raw": 2055}),
+], ids=["sun-9-c2", "sun-9", "diffreport-7-2187", "dini-9"])
 def test_pl_sweep_costs(monkeypatch, argv, calls):
     counts = _count_calls(monkeypatch)
     status, _ = run(argv)

@@ -58,7 +58,11 @@ def numbers(draw, irrational, unit=SQRT2_UNIT):
 @st.composite
 def pl_functions(draw, monotone=False):
     """With ``monotone``, every jump and every piece goes up or stays flat.
-    A third of the irrational draws take their values in Q(sqrt(3))."""
+    A third of the irrational draws take their values in Q(sqrt(3)).
+
+    In both modes a breakpoint's right limit is the left limit's own object
+    (half the time), an equal value held by another object, or a value of
+    its own, so the short cuts taken at shared limits meet all three."""
     n = draw(st.integers(2, 40))
     irrational = draw(st.booleans())
     unit = SQRT2_UNIT
@@ -78,11 +82,17 @@ def pl_functions(draw, monotone=False):
     level = draw(numbers(irrational, unit))
     for x in xs:
         left = level if draw(st.booleans()) else draw(numbers(irrational, unit))
-        right = (draw(numbers(irrational, unit)) if draw(st.integers(0, 3)) == 0
-                 else left)
         if monotone:
             left = level + abs(left - level)
-            right = left + abs(right - left)
+        kind = draw(st.sampled_from(["shared", "shared", "equal", "own"]))
+        if kind == "shared":
+            right = left
+        elif kind == "equal":
+            right = ExactNumber._raw(left.p, left.q, left.den, left.m)
+        else:
+            right = draw(numbers(irrational, unit))
+            if monotone:
+                right = left + abs(right - left)
         pts.append((x, left, right))
         level = right
     return PLFunction(pts)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactlab import PLFunction, exact
+from exactlab import PHI, PLFunction, exact
 from exactlab.errors import OutOfDomain
 
 
@@ -85,6 +85,29 @@ def test_add_linear():
     assert g(0) == exact(1)
     assert g(1) == exact(0)
     assert g(F(1, 2)) == exact(F(1, 2))
+
+
+def test_continuous_breakpoints_share_one_limit():
+    # an int, a Fraction or an ExactNumber value is coerced once per entry
+    for v in (2, F(2, 3), exact(F(2, 3)) + PHI):
+        f = PLFunction.from_values([(0, v), (1, v), (2, 5)])
+        assert all(p.left is p.right for p in f.points)
+    for f in (PLFunction.linear(0, 2, F(1, 3), 1),
+              PLFunction.step_function(0, 3, [(1, F(1, 2))]),
+              PLFunction.cantor_staircase(2)):
+        assert f.points[0].left is f.points[0].right
+        assert f.points[-1].left is f.points[-1].right
+    # a jump keeps two limits; equal limits in two objects stay two
+    f = PLFunction([(0, 0, 0), (1, F(1, 2), 1), (2, exact(3), exact(3))])
+    assert f.points[1].left is not f.points[1].right
+    assert f.points[2].left is not f.points[2].right
+    # add_linear shifts a shared limit once and keeps it shared
+    g = PLFunction.from_values([(0, 0), (1, F(1, 2)), (3, 2)]).add_linear(1, -2)
+    assert all(p.left is p.right for p in g.points)
+    assert [p.right for p in g.points] == [exact(1), exact(F(-1, 2)), exact(-3)]
+    jumpy = PLFunction([(0, 0, 0), (1, F(1, 2), 1), (3, 2, 2)]).add_linear(0, 1)
+    assert (jumpy.points[1].left, jumpy.points[1].right) == \
+        (exact(F(3, 2)), exact(2))
 
 
 def test_text_round_trip():

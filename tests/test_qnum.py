@@ -9,7 +9,7 @@ from exactlab import ExactNumber, PHI, SQRT2, SQRT3, exact, parse_exact
 from exactlab.errors import DivisionByZero, RadicandMismatch
 from exactlab.qnum import _sign_pair
 
-from conftest import rand_quadratic
+from conftest import alphas, rand_quadratic
 
 
 def test_rational_addition():
@@ -222,9 +222,14 @@ def test_compare_agrees_with_cross_multiplied_sign(pair):
     assert y.compare(x) == _slow_compare(y, x)
 
 
-@given(_coef, _coef)
+# wide rationals: two of them are compared by one cross product
+_wide_coef = st.builds(F, st.integers(-2 ** 90, 2 ** 90), st.integers(1, 2 ** 70))
+
+
+@given(_coef | _wide_coef, _coef | _wide_coef)
 def test_compare_agrees_with_fraction_order(a, b):
-    expected = (a > b) - (a < b)
+    d = a - b
+    expected = (d > 0) - (d < 0)
     assert exact(a).compare(exact(b)) == expected
     assert exact(a).compare(b) == expected
 
@@ -294,6 +299,85 @@ def test_rational_division_matches_fraction(a, b):
         return
     z = exact(a) / exact(b)
     assert _fields(z) == (F(a / b).numerator, 0, F(a / b).denominator, 0)
+
+
+# The lean lane: an int divisor, identity in == and !=, and _raw's own
+# normalization, each against the general path.
+
+# small, negative, and past 2^63 on either side
+_divisors = st.one_of(st.integers(-12, 12).filter(bool),
+                      st.integers(2 ** 63, 2 ** 80),
+                      st.integers(-2 ** 80, -2 ** 63))
+_dividends = st.one_of(alphas(), st.sampled_from([0, 2, 3, 5]).flatmap(_numbers),
+                       st.builds(lambda a: -a, alphas()))
+
+
+@given(_dividends, _divisors)
+def test_int_divisor_matches_the_general_division(x, k):
+    z = x / k
+    assert _fields(z) == _fields(x / ExactNumber(k))
+    assert z.den > 0 and gcd(z.p, z.q, z.den) == 1
+    assert _fields(z * k) == _fields(x)
+
+
+@given(_dividends)
+def test_zero_and_bool_divisors_take_the_general_path(x):
+    with pytest.raises(DivisionByZero, match="^inverse of zero$"):
+        x / ExactNumber(0)
+    with pytest.raises(DivisionByZero, match="^inverse of zero$"):
+        x / 0
+    with pytest.raises(DivisionByZero, match="^inverse of zero$"):
+        x / False
+    assert _fields(x / True) == _fields(x / ExactNumber(1)) == _fields(x)
+
+
+def test_only_a_bool_divisor_is_coerced(monkeypatch):
+    calls = []
+    coerce = ExactNumber.coerce
+
+    def counted(value):
+        calls.append(value)
+        return coerce(value)
+    monkeypatch.setattr(ExactNumber, "coerce", staticmethod(counted))
+    x = ExactNumber(F(3, 4), F(-1, 6), 7)
+    assert _fields(x / 5) == _fields(x / ExactNumber(5))
+    assert _fields(x / x) == (1, 0, 1, 0)
+    assert calls == []
+    x / True
+    assert calls == [True]
+
+
+@given(_dividends, st.integers(-3, 3))
+def test_ne_is_not_eq(x, k):
+    copy = ExactNumber._raw(x.p, x.q, x.den, x.m)
+    assert copy is not x
+    for y in (x, copy, x + k, x * 2, x / 3, x.p, k, F(k, 2), SQRT2):
+        assert (x != y) is (not (x == y))
+        assert (y != x) is (not (y == x))
+    assert x == x and not x != x
+    assert x == copy and not x != copy
+
+
+def test_ne_gives_foreign_types_back():
+    for foreign in (object(), 1.5, None, (1, 2)):
+        assert PHI.__eq__(foreign) is NotImplemented
+        assert PHI.__ne__(foreign) is NotImplemented
+        assert PHI != foreign and not PHI == foreign
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70),
+       st.integers(-2 ** 40, 2 ** 40), st.sampled_from([0, 2, 3, 5]))
+def test_raw_normalizes_as_the_constructor_does(p, q, den, m):
+    if m == 0:
+        q = 0
+    if den == 0:
+        with pytest.raises(DivisionByZero, match="^zero denominator$"):
+            ExactNumber._raw(p, q, den, m)
+        return
+    x = ExactNumber._raw(p, q, den, m)
+    assert _fields(x) == _fields(ExactNumber(F(p, den), F(q, den), m))
+    assert x.den > 0 and gcd(x.p, x.q, x.den) == 1
+    assert x.m == (m if x.q else 0)
 
 
 def _slow_floor(x):
