@@ -22,11 +22,12 @@ the anchor index, never on the ambient bound.
 
 One family builder: :func:`_family` reads the record chains of both cuts
 and their orbit indices through the oracle queries of :mod:`exactlab.dsets`,
-so the entry points here (over a value column, which evaluates D once: up
-to the bound in :func:`best_approx` and :func:`stability_interval`, all of
-D in :func:`ratio_family`, and in :func:`widen_interval` only to verify)
-and the extraction step (over a column or the first-hit engine) build
-families alike.  Samples reuse the column.
+so the entry points here and the extraction step build families alike, on
+the queries one rule picks: the first-hit engine for a rotation over a
+naturals view (:meth:`GrowableSet.prefix`), at any bound; else a column that
+evaluates D once: up to the bound in :func:`best_approx` and
+:func:`stability_interval`, all of D in :func:`ratio_family`, and in
+:func:`widen_interval` only to verify.
 """
 
 from __future__ import annotations
@@ -47,7 +48,16 @@ from .errors import (
     NotInJ,
     VerificationError,
 )
-from .dsets import DiscreteSet, FunctionOracle, ValueColumn, is_approx_segment
+from .dsets import (
+    DiscreteSet,
+    FunctionOracle,
+    GrowableSet,
+    ValueColumn,
+    _last,
+    _rank,
+    is_approx_segment,
+)
+from .orbit import Orbit, serves
 from .qnum import ExactNumber, exact
 
 _QUARTER = exact("1/4")
@@ -82,8 +92,9 @@ def best_approx(D: DiscreteSet, f: FunctionOracle, cut, bound) -> ApproxState:
     Raises NoLeftValue / NoRightValue when all values within the bound lie on
     one side of the cut.
     """
-    Dd = D.restrict(bound)
-    return _column_state(_column(Dd, f), len(Dd), cut, bound)
+    cut, bound = ExactNumber.coerce(cut), ExactNumber.coerce(bound)
+    q, k, _ = _queries(D, f, bound)
+    return _state(q, cut, bound, *q.records(cut, None, k)[:2])
 
 
 def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
@@ -96,24 +107,19 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
     ``verify_samples`` re-derives L and R at that many seeded random cuts
     inside the interval (a configuration knob, not part of the contract).
     """
-    cut = ExactNumber.coerce(cut)
-    bound = ExactNumber.coerce(bound)
-    Dd = D.restrict(bound)
-    values = []
-    for e in Dd:
-        v = f.eval(e)
-        if v == cut:
-            raise CutInImage(f"{cut} is an image value at or below {bound}")
-        values.append(v)
-    col = ValueColumn(Dd.elements, values)
-    state = _column_state(col, len(values), cut, bound)
+    cut, bound = ExactNumber.coerce(cut), ExactNumber.coerce(bound)
+    q, k, _ = _queries(D, f, bound)
+    n = q.orbit_index(cut)
+    if n is not None and n <= k:
+        raise CutInImage(f"{cut} is an image value at or below {bound}")
+    state = _state(q, cut, bound, *q.records(cut, None, k)[:2])
     lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
         for _ in range(verify_samples):
             b = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            resampled = _column_state(col, len(values), b, bound)
+            resampled = _state(q, b, bound, *q.records(b, None, k)[:2])
             if resampled.L != state.L or resampled.R != state.R:
                 raise VerificationError(
                     f"approximations changed inside ({lo}, {hi}) at cut {b}")
@@ -197,15 +203,33 @@ def ratio_family(D: DiscreteSet, f: FunctionOracle, a, b, d) -> RatioFamily:
     cuts in the image is decided against the materialized prefix ``D`` and
     recorded via ``checked_bound``.
 
-    One pass over the values of ``D`` finds the anchors, their brackets
-    and both off-image flags.
+    The record chains of both cuts, one pass of a column or the engine's
+    (see :func:`_queries`), find the anchors, their brackets and the flags.
     """
-    return _column_family(_column(D, f), len(D), a, b, d)
+    a, b, d = (ExactNumber.coerce(v) for v in (a, b, d))
+    q, k, upto = _queries(D, f, d, whole=True)
+    return _family(q, a, b, d, k, upto)
 
 
-def _column(D: DiscreteSet, f: FunctionOracle) -> ValueColumn:
-    """The values of f over D, each evaluated once."""
-    return ValueColumn(D.elements, [f.eval(e) for e in D.elements])
+def _queries(D: DiscreteSet, f: FunctionOracle, d: ExactNumber,
+             whole: bool = False):
+    """The oracle queries of f over D up to d, or over all of D if
+    ``whole``, with the index of D's last element at or below d (EmptySet
+    if none) and that of the last element queried.  A rotation over a
+    naturals view gets the first-hit engine, whose queries here all carry
+    their bound; else a column of f's values: over all of D evaluated
+    first, as a scan reads them; up to d each evaluated as a query first
+    reads it, so a cut on the image is refused before any later index."""
+    k = _rank(D.elements, d) - 1
+    elems = D.elements if whole else D.elements[:k + 1]
+    if serves(elems, f):
+        q = Orbit(GrowableSet(cap=0), f)
+    else:
+        q = ValueColumn(elems, [f.eval(e) for e in elems] if whole else [],
+                        None, f)
+    if k < 0:
+        raise EmptySet(f"no elements at or below {d}")
+    return q, k, _last(elems)
 
 
 def _state(q, a: ExactNumber, d: ExactNumber, left: list[int],
@@ -257,30 +281,6 @@ def _family(q, a: ExactNumber, b: ExactNumber, d: ExactNumber, k: int,
                        terms=tuple(terms), approx=state,
                        checked_bound=elem(upto),
                        bracket=(value(b_left[-1]), value(b_right[-1])))
-
-
-def _column_family(col: ValueColumn, count: int, a, b, d) -> RatioFamily:
-    """:func:`_family` over the first ``count`` indices of a column whose
-    elements increase, with ``a``'s records up to the element bound d."""
-    a, b, d = (ExactNumber.coerce(v) for v in (a, b, d))
-    within = _within(col, count, d)
-    return _family(col, a, b, d, within - 1, count - 1)
-
-
-def _column_state(col: ValueColumn, count: int, cut, bound) -> ApproxState:
-    """``cut``'s :class:`ApproxState` over the first ``count`` indices of a
-    column whose elements increase, up to the element bound."""
-    cut, bound = ExactNumber.coerce(cut), ExactNumber.coerce(bound)
-    within = _within(col, count, bound)
-    return _state(col, cut, bound, *col.records(cut, None, within - 1)[:2])
-
-
-def _within(col: ValueColumn, count: int, d: ExactNumber) -> int:
-    """How many of the first ``count`` elements are at or below d."""
-    within = bisect.bisect_right(col.elems, d, 0, count)
-    if within == 0:
-        raise EmptySet(f"no elements at or below {d}")
-    return within
 
 
 def _window(fam: RatioFamily, eps: ExactNumber
@@ -336,13 +336,13 @@ def widen_interval(D: DiscreteSet, f: FunctionOracle, fam: RatioFamily,
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
-        col, count = _column(D, f), len(D)
-        image_values = {col.value(i) for i in range(count)}
+        q, k, upto = _queries(D, f, fam.d, whole=True)
         for _ in range(verify_samples):
             c = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            if c in image_values:
+            n = q.orbit_index(c)
+            if n is not None and n <= upto:
                 continue
-            moved = _column_family(col, count, fam.a, c, fam.d)
+            moved = _family(q, fam.a, c, fam.d, k, upto)
             if not moved.admissible or \
                     not is_approx_segment(moved.yset, 3 * eps, anchor_upto):
                 raise VerificationError(

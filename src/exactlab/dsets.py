@@ -34,7 +34,7 @@ _QUARTER = ExactNumber(Fraction(1, 4))
 
 
 class _SortedExact:
-    """Immutable sorted tuple of distinct exact numbers."""
+    """Immutable sorted tuple (or naturals view) of distinct exact numbers."""
 
     __slots__ = ("elements",)
 
@@ -61,11 +61,11 @@ class _SortedExact:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SortedExact):
-            return self.elements == other.elements
+            return tuple(self.elements) == tuple(other.elements)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash(tuple(self.elements))
 
     def __repr__(self) -> str:
         inner = ", ".join(str(e) for e in self.elements)
@@ -87,13 +87,8 @@ class _SortedExact:
             raise EmptySet("dist over an empty set")
         a = ExactNumber.coerce(a)
         i = bisect.bisect_left(self.elements, a)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self.elements):
-                cand = abs(self.elements[j] - a)
-                if best is None or cand < best:
-                    best = cand
-        return best
+        return min(abs(self.elements[j] - a) for j in (i - 1, i)
+                   if 0 <= j < len(self.elements))
 
 
 class ValueSet(_SortedExact):
@@ -135,9 +130,9 @@ class DiscreteSet(_SortedExact):
         return self.elements[i]
 
     def restrict(self, bound) -> "DiscreteSet":
-        """Subset of elements <= bound (inclusive; may be empty)."""
-        bound = ExactNumber.coerce(bound)
-        i = bisect.bisect_right(self.elements, bound)
+        """Subset of elements <= bound (inclusive; may be empty); a naturals
+        view stays a view."""
+        i = _rank(self.elements, ExactNumber.coerce(bound))
         out = object.__new__(type(self))
         object.__setattr__(out, "elements", self.elements[:i])
         return out
@@ -322,21 +317,37 @@ def perturb(D: _SortedExact, shift: FunctionOracle, eps, upto) -> ValueSet:
 
 class _Naturals:
     """The first ``n`` naturals as a read-only sequence of exact numbers,
-    built on access; growing it is setting ``n``.  ``n`` may pass 2^63,
-    where ``len()`` fails: read it, not the length."""
+    built on access; growing it is setting ``n``, and a prefix slice is
+    again a view.  ``n`` may pass 2^63, where ``len()`` fails: read it,
+    not the length."""
 
     __slots__ = ("n",)
 
-    def __init__(self):
-        self.n = 0
+    def __init__(self, n: int = 0):
+        self.n = n
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [ExactNumber._raw(j, 0, 1, 0) for j in range(self.n)[k]]
+            r = range(self.n)[k]
+            if r.start == 0 and r.step == 1:
+                return _Naturals(r.stop)
+            return [ExactNumber._raw(j, 0, 1, 0) for j in r]
         return ExactNumber._raw(range(self.n)[k], 0, 1, 0)
+
+
+def _last(elems: Sequence) -> int:
+    """The index of the last of ``elems``: a naturals view's count is read."""
+    return (elems.n if isinstance(elems, _Naturals) else len(elems)) - 1
+
+
+def _rank(elems: Sequence, x: ExactNumber) -> int:
+    """How many of ``elems`` are <= x: arithmetic on a view, else bisect."""
+    if isinstance(elems, _Naturals):
+        return max(min(x.floor() + 1, elems.n), 0)
+    return bisect.bisect_right(elems, x)
 
 
 class GrowableSet:
@@ -365,29 +376,15 @@ class GrowableSet:
             else [])
 
     @property
-    def counts_naturals(self) -> bool:
-        """True for the default naturals, which keep only a count."""
-        return isinstance(self._elems, _Naturals)
-
-    @property
     def materialized_bound(self) -> int:
-        elems = self._elems
-        if isinstance(elems, _Naturals):
-            return elems.n - 1  # len() stops at 2^63
-        return len(elems) - 1
+        return _last(self._elems)
 
     def index_of(self, e) -> int:
-        """The index of a materialized element: arithmetic on the default
-        naturals, a bisect otherwise."""
+        """The index of a materialized element."""
         e = ExactNumber.coerce(e)
-        elems = self._elems
-        if isinstance(elems, _Naturals):
-            if e.is_integer and 0 <= e.p < elems.n:
-                return e.p
-        else:
-            i = bisect.bisect_left(elems, e)
-            if i < len(elems) and elems[i] == e:
-                return i
+        i = _rank(self._elems, e) - 1
+        if i >= 0 and self._elems[i] == e:
+            return i
         raise ValueError(f"{e} is not materialized")
 
     def element(self, k: int) -> ExactNumber:
@@ -419,16 +416,16 @@ class GrowableSet:
             elems.append(e)
 
     def prefix(self, k: int) -> DiscreteSet:
-        """The first k+1 elements as a DiscreteSet."""
-        self.element(k)
+        """The first k+1 elements, as a view over the default naturals."""
+        self._materialize(k)
+        part = self._elems[: k + 1]
         out = object.__new__(DiscreteSet)
-        object.__setattr__(out, "elements", tuple(self._elems[: k + 1]))
+        object.__setattr__(out, "elements",
+                           part if isinstance(part, _Naturals) else tuple(part))
         return out
 
     def materialized(self) -> DiscreteSet:
-        if self.materialized_bound < 0:
-            self.element(0)
-        return self.prefix(self.materialized_bound)
+        return self.prefix(max(self.materialized_bound, 0))
 
     def grow(self, predicate: Callable[[DiscreteSet], bool]) -> DiscreteSet:
         """Shortest prefix satisfying the predicate; CapExceeded past the cap."""
@@ -466,8 +463,8 @@ class GrowableSet:
 
 class ValueColumn:
     """Oracle values held as exact numbers, and the queries answered by
-    scanning them: a fixed list, or, over a growable set, one value
-    appended per newly read index.
+    scanning them: a fixed list, or, given ``f``, one value appended per
+    newly read index, over the fixed ``elems`` or a growable set.
 
     Scans read indices in order and compare in a fixed order: each index
     read for the first time is first checked against every interval that
@@ -482,6 +479,7 @@ class ValueColumn:
         self.elems = elems
         self._values = values
         self._G = G
+        self._element = elems.__getitem__ if G is None else G.element
         self._f = f
         self._watched: dict[tuple, list[int]] = {}
 
@@ -490,7 +488,7 @@ class ValueColumn:
         values = self._values
         while len(values) <= i:
             j = len(values)
-            values.append(self._f.eval(self._G.element(j)))
+            values.append(self._f.eval(self._element(j)))
             for (lo, hi), found in self._watched.items():
                 if self._inside(j, lo, hi):
                     found.append(j)
@@ -594,8 +592,11 @@ class ValueColumn:
         return record_chain(self, cut, k, below)
 
     def orbit_index(self, v) -> Optional[int]:
-        for i, value in enumerate(self._values):
-            if value == v:
+        """Reads on through the last of fixed elements; over a growable
+        set, looks only at the indices already read."""
+        for i in range(_last(self._values if self._G else self.elems) + 1):
+            self._read(i)
+            if self._values[i] == v:
                 return i
         return None
 

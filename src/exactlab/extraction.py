@@ -66,7 +66,6 @@ from .dsets import (
     DiscreteSet,
     FunctionOracle,
     GrowableSet,
-    RotationOracle,
     ValueColumn,
     is_approx_segment,
 )
@@ -77,7 +76,7 @@ from .approx import (
     _window,
     ratio_family,
 )
-from .orbit import Orbit
+from .orbit import Orbit, serves
 from .qnum import ExactNumber
 
 ONE = ExactNumber(1)
@@ -136,10 +135,10 @@ def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
 
 def _queries(G: GrowableSet, f: FunctionOracle):
     """An extraction's oracle queries, as a function giving each step its
-    own: one first-hit engine for a rotation over the default naturals,
-    whose ladder and record tables serve every step; a fresh column scan
-    per step otherwise."""
-    if isinstance(f, RotationOracle) and G.counts_naturals:
+    own, by the rule the approx entry points follow: one first-hit engine
+    where :func:`~exactlab.orbit.serves` holds, whose ladder and record
+    tables serve every step; a fresh column scan per step otherwise."""
+    if serves(G._elems, f):
         orbit = Orbit(G, f)
         return lambda: orbit
     return lambda: ValueColumn(G._elems, [], G, f)

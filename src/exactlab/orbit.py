@@ -1,5 +1,5 @@
-"""The first-hit engine: the oracle queries of an extraction step, answered
-exactly for a rotation n -> {n*alpha} over the default naturals.
+"""The first-hit engine: the oracle queries of a search, answered exactly
+for a rotation n -> {n*alpha} over the naturals (see :func:`serves`).
 
 Every search of a step asks where the orbit of a rotation first enters an
 interval.  :meth:`Orbit.first_hit` answers that in a number of big-integer
@@ -48,13 +48,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .dsets import GrowableSet, RotationOracle, record_chain
+from .dsets import GrowableSet, RotationOracle, _Naturals, record_chain
 from .errors import CapExceeded, RadicandMismatch
 from .qnum import ExactNumber
 
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
 _HALF = ExactNumber(Fraction(1, 2))
+
+
+def serves(elems, f) -> bool:
+    """True for a rotation over a naturals view, which an Orbit answers."""
+    return isinstance(f, RotationOracle) and isinstance(elems, _Naturals)
 
 
 class Orbit:

@@ -156,11 +156,6 @@ class ExactNumber:
     def is_integer(self) -> bool:
         return self.q == 0 and self.den == 1
 
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.p, self.den)
-
     def sign(self) -> int:
         """Exact sign of the value: -1, 0 or 1."""
         return _sign_pair(self.p, self.q, self.m)

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from exactlab import (
     DiscreteSet,
+    ExactNumber,
+    GrowableSet,
     PHI,
     RotationOracle,
     SQRT2,
@@ -32,7 +34,7 @@ from exactlab.errors import (
 )
 
 import reference_pipeline as ref
-from conftest import ROTATION_BASES
+from conftest import ROTATION_BASES, SQUAREFREE, alphas
 
 
 def brute_force_check(D, f, state):
@@ -470,3 +472,87 @@ def test_best_approx_with_a_bracket_across_radicands():
     assert stability_interval(D, f, cut, 1) == (SQRT2 - 1, SQRT3 - 1)
     with pytest.raises(RadicandMismatch):
         ratio_family(D, f, cut, cut, 1)
+
+
+# -- the first-hit engine against the column scan ------------------------------
+#
+# G.prefix(k) holds a naturals view, so a rotation over it is read through
+# the first-hit engine; DiscreteSet.naturals(k) holds a tuple, so the same
+# rotation over it is scanned.  Each entry point must give the same result,
+# or fail with the same exception class and message, on both.
+
+
+def _cut_draws(alpha, k):
+    """Cuts for a rotation by alpha over {0, ..., k}: rationals in
+    [-1/4, 5/4], orbit values inside the prefix and past it, and cuts in a
+    radicand other than alpha's."""
+    foreign = [m for m in SQUAREFREE if m != alpha.m][:6]
+    return st.one_of(
+        st.integers(-25, 125).map(lambda n: F(n, 100)),
+        st.integers(-1, 5).map(lambda n: F(n, 4)),
+        st.integers(0, 2 * k + 2).map(lambda n: (n * alpha).frac()),
+        st.sampled_from(foreign).map(lambda m: ExactNumber.sqrt(m).frac()))
+
+
+def _bootstrap_cut(f, ratio):
+    """The bootstrap's cut: the first two values at the given ratio."""
+    low, high = sorted([f.eval(exact(0)), f.eval(exact(1))])
+    return low + (high - low) / ratio
+
+
+def _both(call, scanned):
+    """call(D) on the engine's prefix and on the scanned tuple of the same
+    naturals."""
+    k = len(scanned) - 1
+    return (_outcome(lambda: call(GrowableSet(cap=k).prefix(k))),
+            _outcome(lambda: call(scanned)))
+
+
+def _entry_points(f, a, b, d, samples, seed, eps, anchor_upto):
+    """The four entry points, each as a function of D."""
+    def widen(D):
+        fam = ratio_family(D, f, a, b, d)
+        return widen_interval(D, f, fam, eps, anchor_upto, samples, seed)
+    return [lambda D: best_approx(D, f, a, d),
+            lambda D: stability_interval(D, f, a, d, samples, seed),
+            lambda D: ratio_family(D, f, a, b, d),
+            widen]
+
+
+@settings(max_examples=60)
+@given(alpha=alphas(), data=st.data())
+def test_engine_and_scan_agree_on_every_entry_point(alpha, data):
+    f = RotationOracle(alpha)
+    k = data.draw(st.one_of(
+        st.integers(0, 9), st.integers(10, 99), st.integers(100, 999),
+        st.integers(1000, 10 ** 4)), label="k")
+    cuts = _cut_draws(alpha, k)
+    a, b = data.draw(cuts, label="a"), data.draw(cuts, label="b")
+    ends = st.integers(-1, k + 2)
+    d = data.draw(st.one_of(ends, ends.map(lambda n: F(2 * n + 1, 2))),
+                  label="d")
+    samples = data.draw(st.integers(1, 3), label="samples")
+    seed = data.draw(st.integers(0, 3), label="seed")
+    if k >= 1 and data.draw(st.booleans(), label="bootstrap"):
+        # a family that widen_interval accepts, so its samples run
+        a = b = _bootstrap_cut(f, data.draw(
+            st.sampled_from([F(21, 20), F(11, 10)]), label="ratio"))
+        d = 1
+    scanned = DiscreteSet.naturals(k)
+    for call in _entry_points(f, a, b, d, samples, seed, F(1, 10), 1):
+        engine, scan = _both(call, scanned)
+        assert engine == scan, (k, a, b, d)
+
+
+def test_engine_and_scan_agree_at_two_hundred_thousand():
+    k, f = 200000, RotationOracle(SQRT2)
+    scanned = DiscreteSet.naturals(k)
+    boot = _bootstrap_cut(f, F(21, 20))
+    best, stable, family, _ = _entry_points(
+        f, F(1, 3), F(2, 5), F(2 * k - 1, 2), 1, 5, F(1, 10), 1)
+    *_, widen = _entry_points(f, boot, boot, 1, 1, 5, F(1, 10), 1)
+    for call in (best, stable, family, widen):
+        engine, scan = _both(call, scanned)
+        assert engine == scan
+        # every call succeeds; the last is widen_interval's sample check
+        assert not (isinstance(engine, tuple) and isinstance(engine[0], type))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,22 @@ def test_code_cf_budget_is_checked_before_any_digit(monkeypatch):
         3, ["budget exhausted: 10 digits exceed cap 9"])
     assert run(["code", "cf", "phi", "5", "--budget", "-1"]) == (
         2, ["error: cap must be non-negative, got -1"])
+
+
+@pytest.mark.parametrize("bound", [10 ** 30, 2 ** 64 + 1])
+def test_approx_and_yfam_answer_a_huge_bound_without_a_prefix(bound):
+    approx = ["approx", "--oracle", "rot(phi)", "--cut", "1/2",
+              "--bound", str(bound)]
+    yfam = ["yfam", "--oracle", "rot(phi)", "--a", "1/2", "--b", "2/5",
+            "--d", str(bound)]
+    for argv in (approx, yfam):
+        start = time.perf_counter()
+        status, lines = run(argv + ["--budget", str(10 * bound)])
+        # a prefix of 10^30 elements would never finish
+        assert time.perf_counter() - start < 10
+        assert status == 0 and f"={bound}" in lines[2 if argv is yfam else 1]
+    assert run(approx) == (3, [
+        f"budget exhausted: index {bound} exceeds cap 1000000"])
 
 
 def test_digit_count_matches_the_text():
@@ -399,6 +416,37 @@ def test_every_subcommand_ends_in_status_0_2_3_or_4(data):
     # measure has no budget, and neither it nor code has a self-check to fail
     allowed = {"measure": (0, 2), "code": (0, 2, 3)}.get(command, (0, 2, 3, 4))
     assert first[0] in allowed, (argv, first)
+    assert _status(argv) == first
+
+
+# approx and yfam over a rotation read the first-hit engine, which builds
+# no prefix, so their bounds and budgets may be drawn far past the small
+# ones above: up to 10^40, round 2^63 where len() gives out, and halves.
+# Cuts are mostly rationals inside (0, 1), so most runs succeed.  They end
+# in 0, 2 (a malformed or one-sided cut) or 3 (a bound past the budget),
+# never in a traceback.
+_HUGE = st.one_of(
+    st.integers(-2, 10 ** 40),
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 + 1,
+                     10 ** 30, 10 ** 40]))
+_CUT = _seldom(_NUMBER, st.integers(1, 96).map("{}/97".format))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_approx_and_yfam_over_a_rotation_end_in_0_2_or_3_at_any_size(data):
+    command = data.draw(st.sampled_from(["approx", "yfam"]))
+    base = data.draw(st.sampled_from(["phi", "sqrt2", "SQRT3", "sqrt(7)",
+                                      "-1+sqrt(7)", "1/3*sqrt(10)"]))
+    n = data.draw(_HUGE)
+    bound = f"{n}/2" if data.draw(st.booleans()) else str(n)
+    budget = data.draw(st.one_of(_HUGE, st.integers(0, 2).map(n.__add__)))
+    cuts = ["--cut"] if command == "approx" else ["--a", "--b"]
+    argv = [command, f"--oracle=rot({base})", f"--budget={budget}",
+            f"--{'bound' if command == 'approx' else 'd'}={bound}",
+            *(f"{flag}={data.draw(_CUT)}" for flag in cuts)]
+    first = _status(argv)
+    assert first[0] in (0, 2, 3), (argv, first)
     assert _status(argv) == first
 
 

@@ -375,3 +375,47 @@ def test_naturals_keep_a_count_and_other_generators_a_list():
     # a witness above the naturals' gap must still fail the gap check
     with pytest.raises(ValueError, match="discreteness witness"):
         GrowableSet(min_gap=2).element(1)
+
+
+def test_a_naturals_prefix_is_a_view_equal_to_the_tuple_set():
+    G = GrowableSet(cap=100)
+    for k in (0, 1, 7, 50):
+        view = G.prefix(k)
+        assert view == DiscreteSet.naturals(k) == view
+        assert hash(view) == hash(DiscreteSet.naturals(k))
+        assert list(view) == list(DiscreteSet.naturals(k))
+    assert G.prefix(3) != DiscreteSet([0, 1, 2, F(7, 2)])
+    assert G.prefix(3) != G.prefix(4)
+
+
+def test_a_prefix_handed_out_keeps_its_size_as_the_set_grows():
+    G = GrowableSet(cap=100)
+    early = G.prefix(4)
+    G.element(60)
+    assert len(early) == 5 and early.max() == exact(4)
+    assert early == DiscreteSet.naturals(4)
+    assert len(G.prefix(60)) == 61
+
+
+def test_restrict_on_a_view_returns_a_view():
+    view = GrowableSet(cap=100).prefix(20)
+    for bound, size in [(F(15, 2), 8), (7, 8), (-1, 0), (F(-1, 2), 0),
+                        (20, 21), (10 ** 40, 21), (PHI + 5, 7)]:
+        part = view.restrict(bound)
+        assert type(part.elements) is type(view.elements)
+        assert part == DiscreteSet.naturals(20).restrict(bound)
+        assert len(part) == size
+
+
+def test_a_huge_prefix_builds_no_element(monkeypatch):
+    G = GrowableSet(cap=10 ** 13)
+    built = []
+    raw = ExactNumber._raw
+    monkeypatch.setattr(ExactNumber, "_raw", staticmethod(
+        lambda *args: built.append(args) or raw(*args)))
+    D = G.prefix(10 ** 12)
+    assert built == []
+    part = D.restrict(10 ** 9)
+    assert G.materialized_bound == 10 ** 12
+    assert D.elements.n == 10 ** 12 + 1 and part.elements.n == 10 ** 9 + 1
+    assert D[-1] == exact(10 ** 12)

@@ -291,10 +291,11 @@ def test_sqrt2_n3_cost(monkeypatch):
     assert [(q.first_hits, q.levels, q.solves, q.runs, q.links)
             for q in engines] == [(20, 193, 26, 15, 70)]
     # 14 build the ladder, one per rung, and 15 the record tables, one per
-    # run; the other 13 are irrational divisions outside the engine (a
-    # plain int divisor multiplies into the denominator instead)
+    # run; 2 build the two runs of the bootstrap's own engine over the
+    # two-index prefix; the other 13 are irrational divisions outside the
+    # engines (a plain int divisor multiplies into the denominator instead)
     assert len(engines[0]._ladder) == 14
-    assert len(inverses) == 42
+    assert len(inverses) == 44
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
