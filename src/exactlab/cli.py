@@ -45,7 +45,8 @@ def parse_oracle(spec: str) -> FunctionOracle:
 
 def parse_pl(spec: str, budget: int = 10 ** 6) -> PLFunction:
     """A PL function by spec; ``cantor:N`` has 2^(N+1) breakpoints, which
-    must not exceed the budget (CapExceeded, checked before building)."""
+    must not exceed the budget (CapExceeded, checked before building or
+    looking up a shared staircase)."""
     if budget < 0:
         raise ValueError(f"cap must be non-negative, got {budget}")
     spec = spec.strip()

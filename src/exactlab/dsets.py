@@ -49,15 +49,21 @@ class _SortedExact:
         return iter(self.elements)
 
     def __len__(self) -> int:
+        """The number of elements.  A prefix of the naturals may hold 2^63
+        or more, where this raises OverflowError as ``len()`` does for any
+        container that large; the other queries answer at every size."""
         return len(self.elements)
+
+    def __bool__(self) -> bool:
+        return bool(self.elements)
 
     def __getitem__(self, idx):
         return self.elements[idx]
 
     def __contains__(self, value) -> bool:
         value = ExactNumber.coerce(value)
-        i = bisect.bisect_left(self.elements, value)
-        return i < len(self.elements) and self.elements[i] == value
+        i = _rank(self.elements, value)
+        return i > 0 and self.elements[i - 1] == value
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SortedExact):
@@ -86,9 +92,9 @@ class _SortedExact:
         if not self.elements:
             raise EmptySet("dist over an empty set")
         a = ExactNumber.coerce(a)
-        i = bisect.bisect_left(self.elements, a)
+        i, last = _rank(self.elements, a), _last(self.elements)
         return min(abs(self.elements[j] - a) for j in (i - 1, i)
-                   if 0 <= j < len(self.elements))
+                   if 0 <= j <= last)
 
 
 class ValueSet(_SortedExact):
@@ -124,8 +130,8 @@ class DiscreteSet(_SortedExact):
         d = ExactNumber.coerce(d)
         if d not in self:
             raise NotAMember(f"{d} is not in the set")
-        i = bisect.bisect_right(self.elements, d)
-        if i == len(self.elements):
+        i = _rank(self.elements, d)
+        if i > _last(self.elements):
             raise NoSuccessor(f"{d} is the maximum")
         return self.elements[i]
 
@@ -328,6 +334,9 @@ class _Naturals:
 
     def __len__(self) -> int:
         return self.n
+
+    def __bool__(self) -> bool:
+        return self.n > 0
 
     def __getitem__(self, k):
         if isinstance(k, slice):

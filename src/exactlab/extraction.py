@@ -74,7 +74,7 @@ from .approx import (
     _bracket_terms,  # unused here; perfbench's tracer patches this name
     _family,
     _window,
-    ratio_family,
+    ratio_family,  # unused here; perfbench's tracer patches this name
 )
 from .orbit import Orbit, serves
 from .qnum import ExactNumber
@@ -104,8 +104,10 @@ class ExtractionTrace:
 
 
 def _bootstrap_with_ratio(G: GrowableSet, f: FunctionOracle,
-                          ratio: ExactNumber) -> RatioFamily:
-    """Two-element base instance: a single exact ratio from the first bracket."""
+                          ratio: ExactNumber, queries) -> RatioFamily:
+    """Two-element base instance: a single exact ratio from the first
+    bracket, its family read through the extraction's ``queries()`` (see
+    :func:`_queries`) over the first two indices."""
     e0, e1 = G.element(0), G.element(1)
     v0, v1 = f.eval(e0), f.eval(e1)
     if v0 == v1:
@@ -114,7 +116,7 @@ def _bootstrap_with_ratio(G: GrowableSet, f: FunctionOracle,
     low = v0 if v0 < v1 else v1
     high = v1 if v0 < v1 else v0
     a = low + (high - low) / ratio
-    fam = ratio_family(G.prefix(1), f, a, a, e1)
+    fam = _family(queries(), a, a, e1, 1, 1)
     expected = DiscreteSet([ExactNumber(0), ratio])
     if fam.yset != expected or not fam.admissible:
         raise StepVerificationFailed(
@@ -122,12 +124,16 @@ def _bootstrap_with_ratio(G: GrowableSet, f: FunctionOracle,
     return fam
 
 
-def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
-    """Base step: ratios {0, 1 + eps/2}, an eps-segment up to 1."""
+def bootstrap(G: GrowableSet, f: FunctionOracle, eps, queries=None
+              ) -> RatioFamily:
+    """Base step: ratios {0, 1 + eps/2}, an eps-segment up to 1, through an
+    extraction's ``queries`` (default: the step's own)."""
     eps = ExactNumber.coerce(eps)
     if eps.sign() <= 0:
         raise PreconditionFailed(f"eps must be positive, got {eps}")
-    fam = _bootstrap_with_ratio(G, f, ONE + eps / 2)
+    if queries is None:
+        queries = _queries(G, f)
+    fam = _bootstrap_with_ratio(G, f, ONE + eps / 2, queries)
     if not is_approx_segment(fam.yset, eps, 1):
         raise StepVerificationFailed("bootstrap set failed its segment check")
     return fam
@@ -253,7 +259,7 @@ def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
     steps = []
     queries = _queries(G, f)
     eps_1 = eps_final / 6 ** (N - 1)
-    fam = bootstrap(G, f, eps_1)
+    fam = bootstrap(G, f, eps_1, queries)
     steps.append(TraceStep(n=1, eps=eps_1, fam=fam,
                            d_index=G.index_of(fam.d),
                            max_index=G.materialized_bound,
@@ -292,8 +298,8 @@ def approximate_target(G: GrowableSet, f: FunctionOracle, F: DiscreteSet,
     eps_1 = scale / 6 ** (k - 1)
     first = targets[0]
     ratio_1 = first if first.compare(1) > 0 else ONE + eps_1 / 2
-    fam = _bootstrap_with_ratio(G, f, ratio_1)
     queries = _queries(G, f)
+    fam = _bootstrap_with_ratio(G, f, ratio_1, queries)
     for j in range(2, k + 1):
         eps_j = scale / 6 ** (k - j)
         fam = _extension(G, f, fam, targets[j - 1], eps_j / 6, queries)

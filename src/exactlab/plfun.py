@@ -16,6 +16,16 @@ from typing import Iterable, Sequence
 from .errors import OutOfDomain
 from .qnum import ExactNumber, exact
 
+# The deepest staircase kept once built.  Depth k has 2^(k+1) breakpoints:
+# depth 12 takes about 2.6 MiB (tracemalloc), and all depths up to it
+# together about twice that.  The default budget admits depth 18, 64 times
+# larger, which one ``sun --fn cantor:18`` would otherwise pin for the life
+# of the process.  Deeper staircases are rebuilt on every call.
+STAIRCASE_MEMO_DEPTH = 12
+
+# depth -> the staircase built at that depth, shared by every caller
+_staircases: dict[int, "PLFunction"] = {}
+
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -43,6 +53,13 @@ class PLFunction:
     shared limit once and keeps it shared.  The sweeps skip the compare of
     two limits that are one object; equal limits held by two objects are
     still continuous, only compared.
+
+    ``cantor_staircase`` builds each depth up to ``STAIRCASE_MEMO_DEPTH``
+    once per process and hands every later caller the same object, its
+    slope memo included; a deeper staircase is built afresh on each call.
+    Each build runs the strict-increase check.  Sharing is safe across ops
+    and threads because nothing changes a function but its slope memo, and
+    each slot of that is only ever written with the same exact value.
     """
 
     __slots__ = ("points", "breakpoints", "_slopes")
@@ -121,9 +138,13 @@ class PLFunction:
         Built on integer numerators over 3^depth (abscissae) and 2^depth
         (values): stage k+1 is stage k followed by stage k shifted by 2*3^k
         and 2^k, so each breakpoint's numbers are made once, at the end.
+        A depth up to ``STAIRCASE_MEMO_DEPTH`` is built once and shared.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
+        fn = _staircases.get(depth)
+        if fn is not None:
+            return fn
         xs, ys = [0, 1], [0, 1]
         for k in range(depth):
             shift_x, shift_y = 2 * 3 ** k, 2 ** k
@@ -134,7 +155,10 @@ class PLFunction:
         for x, y in zip(xs, ys):
             value = ExactNumber._raw(y, 0, yden, 0)
             pts.append(Breakpoint(ExactNumber._raw(x, 0, xden, 0), value, value))
-        return cls(pts)
+        fn = cls(pts)
+        if depth <= STAIRCASE_MEMO_DEPTH:
+            _staircases[depth] = fn
+        return fn
 
     # -- basic queries ----------------------------------------------------
 

@@ -23,6 +23,7 @@ from exactlab.errors import (
     OutOfDomain,
 )
 
+from exactlab import plfun
 from exactlab.cli import run
 
 from conftest import rand_fraction
@@ -363,7 +364,9 @@ def test_rising_sun_upward_jump_inside():
 def _count_calls(monkeypatch):
     """Count the divisions, products and compares of ExactNumber (the
     operators <, <=, > and >= all go through compare), and the values it
-    builds (every one is made by _raw)."""
+    builds (every one is made by _raw).  The staircase memo starts empty, so
+    the counts do not depend on which tests ran before."""
+    monkeypatch.setattr(plfun, "_staircases", {})
     counts = Counter()
     for name in ("__truediv__", "__mul__", "compare", "_raw"):
         method = getattr(ExactNumber, name)
@@ -388,8 +391,8 @@ def _count_calls(monkeypatch):
     # cell with no breakpoint inside adds the one mesh/2 to its lo
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
      {"__truediv__": 257, "compare": 13633, "_raw": 5655}),
-    # the staircase builds 1 025 breakpoints from 2 050 values and checks
-    # their order in 1 024 compares; a continuous breakpoint divides out its
+    # the staircase builds 1 024 breakpoints from 2 048 values and checks
+    # their order in 1 023 compares; a continuous breakpoint divides out its
     # two slopes
     (["dini", "--fn", "cantor:9", "--x", "1/3"],
      {"__truediv__": 2, "compare": 1035, "_raw": 2055}),
@@ -398,4 +401,25 @@ def test_pl_sweep_costs(monkeypatch, argv, calls):
     counts = _count_calls(monkeypatch)
     status, _ = run(argv)
     assert status == 0
+    assert dict(counts) == calls
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # the second run reads the first one's staircase: no build, no order
+    # check, and the 7 slopes divided on the first run are not divided again
+    (["sun", "--fn", "cantor:9", "--c", "2"],
+     {"__truediv__": 15, "__mul__": 1054, "compare": 7699, "_raw": 3209}),
+    # all 255 slopes were divided on the first run; the 256 breakpoints'
+    # 512 values and 255 order compares are not made again
+    (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
+     {"__truediv__": 2, "compare": 13378, "_raw": 4378}),
+    # the 1 023 order compares, 2 048 values and 2 slope divisions are gone
+    (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 12, "_raw": 1}),
+], ids=["sun-9-c2", "diffreport-7-2187", "dini-9"])
+def test_pl_sweep_costs_on_a_shared_staircase(monkeypatch, argv, calls):
+    counts = _count_calls(monkeypatch)
+    first = run(argv)
+    counts.clear()
+    assert run(argv) == first
+    assert first[0] == 0
     assert dict(counts) == calls

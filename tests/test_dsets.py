@@ -419,3 +419,23 @@ def test_a_huge_prefix_builds_no_element(monkeypatch):
     assert G.materialized_bound == 10 ** 12
     assert D.elements.n == 10 ** 12 + 1 and part.elements.n == 10 ** 9 + 1
     assert D[-1] == exact(10 ** 12)
+
+
+def test_a_prefix_past_2_to_the_63_answers_every_query():
+    D = GrowableSet(cap=2 ** 70).prefix(2 ** 64)
+    top = exact(2 ** 64)
+    assert D and D.min() == exact(0) and D.max() == top
+    assert 5 in D and top in D and F(5, 2) not in D
+    assert exact(2 ** 64 + 1) not in D and -1 not in D
+    assert D.successor(5) == exact(6)
+    with pytest.raises(NoSuccessor):
+        D.successor(top)
+    assert D.dist(F(2 ** 65 + 1, 2)) == exact(F(1, 2))
+    assert D.dist(2 ** 66) == exact(2 ** 66 - 2 ** 64)
+    assert D.dist(-3) == exact(3)
+    with pytest.raises(OverflowError):
+        len(D)
+    empty = GrowableSet(cap=5).prefix(3).restrict(-1)
+    assert not empty
+    with pytest.raises(EmptySet):
+        empty.max()

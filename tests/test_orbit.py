@@ -277,8 +277,9 @@ def _engines(monkeypatch):
 
 
 def test_sqrt2_n3_cost(monkeypatch):
-    # one engine serves steps 2 and 3: (first-hit recursions, levels
-    # descended, orbit solves, record-table runs built, record links read)
+    # one engine serves the bootstrap and steps 2 and 3: (first-hit
+    # recursions, levels descended, orbit solves, record-table runs built,
+    # record links read); the bootstrap adds 2 solves and 2 links
     engines = _engines(monkeypatch)
     inverses = []
     inverse = ExactNumber.inverse
@@ -289,13 +290,12 @@ def test_sqrt2_n3_cost(monkeypatch):
     monkeypatch.setattr(ExactNumber, "inverse", counted)
     extract(GrowableSet(), RotationOracle(SQRT2), 3, F(1, 4))
     assert [(q.first_hits, q.levels, q.solves, q.runs, q.links)
-            for q in engines] == [(20, 193, 26, 15, 70)]
+            for q in engines] == [(20, 193, 28, 15, 72)]
     # 14 build the ladder, one per rung, and 15 the record tables, one per
-    # run; 2 build the two runs of the bootstrap's own engine over the
-    # two-index prefix; the other 13 are irrational divisions outside the
-    # engines (a plain int divisor multiplies into the denominator instead)
+    # run; the other 13 are irrational divisions outside the engine (a
+    # plain int divisor multiplies into the denominator instead)
     assert len(engines[0]._ladder) == 14
-    assert len(inverses) == 44
+    assert len(inverses) == 42
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
