@@ -65,17 +65,36 @@ class _SortedExact:
         i = _rank(self.elements, value)
         return i > 0 and self.elements[i - 1] == value
 
+    @classmethod
+    def _of(cls, elements: Sequence) -> "_SortedExact":
+        """A set over ``elements`` as given: a sorted tuple or a naturals
+        view, checked by the caller."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "elements", elements)
+        return out
+
     def __eq__(self, other) -> bool:
+        # counts first, so no naturals view is walked past another's size
         if isinstance(other, _SortedExact):
-            return tuple(self.elements) == tuple(other.elements)
+            mine, theirs = self.elements, other.elements
+            if _last(mine) != _last(theirs):
+                return False
+            if isinstance(mine, _Naturals) and isinstance(theirs, _Naturals):
+                return True
+            return tuple(mine) == tuple(theirs)
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.elements))
+        # the count and the two ends: equal for equal sets, at any size
+        elems, last = self.elements, _last(self.elements)
+        return hash((last, elems[0], elems[-1]) if last >= 0 else ())
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(e) for e in self.elements)
-        return f"{type(self).__name__}({{{inner}}})"
+        name, elems = type(self).__name__, self.elements
+        if isinstance(elems, _Naturals):
+            return f"{name}(<the first {elems.n} naturals>)"
+        inner = ", ".join(str(e) for e in elems)
+        return f"{name}({{{inner}}})"
 
     def min(self) -> ExactNumber:
         if not self.elements:
@@ -139,9 +158,7 @@ class DiscreteSet(_SortedExact):
         """Subset of elements <= bound (inclusive; may be empty); a naturals
         view stays a view."""
         i = _rank(self.elements, ExactNumber.coerce(bound))
-        out = object.__new__(type(self))
-        object.__setattr__(out, "elements", self.elements[:i])
-        return out
+        return self._of(self.elements[:i])
 
     def mirror(self) -> ValueSet:
         """The symmetric set D U -D."""
@@ -428,10 +445,8 @@ class GrowableSet:
         """The first k+1 elements, as a view over the default naturals."""
         self._materialize(k)
         part = self._elems[: k + 1]
-        out = object.__new__(DiscreteSet)
-        object.__setattr__(out, "elements",
-                           part if isinstance(part, _Naturals) else tuple(part))
-        return out
+        return DiscreteSet._of(
+            part if isinstance(part, _Naturals) else tuple(part))
 
     def materialized(self) -> DiscreteSet:
         return self.prefix(max(self.materialized_bound, 0))

@@ -26,8 +26,9 @@ collision; phase 5 lists the window's hits up to the new bound; the ratio
 family of the new cuts reads four record chains and two value indices.
 
 For a rotation oracle over the default naturals one first-hit engine
-(:mod:`exactlab.orbit`) serves the whole extraction, so its rotation ladder
-and record tables, which depend on the rotation alone, are built once.  It
+(:mod:`exactlab.orbit`) serves the whole extraction, so the rotation's
+continued-fraction expansion, which depends on the rotation alone and
+holds its record tables and its rotation ladder, is built once.  It
 answers a first hit exactly in a number of big-integer steps logarithmic
 in the interval's width, and a record chain with one floor per link off
 the record tables, whatever its indices: N = 9 reaches indices near 10^45
@@ -142,8 +143,8 @@ def bootstrap(G: GrowableSet, f: FunctionOracle, eps, queries=None
 def _queries(G: GrowableSet, f: FunctionOracle):
     """An extraction's oracle queries, as a function giving each step its
     own, by the rule the approx entry points follow: one first-hit engine
-    where :func:`~exactlab.orbit.serves` holds, whose ladder and record
-    tables serve every step; a fresh column scan per step otherwise."""
+    where :func:`~exactlab.orbit.serves` holds, whose continued-fraction
+    runs serve every step; a fresh column scan per step otherwise."""
     if serves(G._elems, f):
         orbit = Orbit(G, f)
         return lambda: orbit

@@ -15,12 +15,12 @@ recursion ends once the width reaches the rotation.
 
 The chain of rotations a_0 = a, a_1, a_2, ... depends on alpha alone; for a
 quadratic irrational it is the eventually periodic continued-fraction chain
-(Lagrange).  Each :class:`Orbit` keeps it as a *rotation ladder*, built
-rung by rung on first use: rung k holds a_k, 1/a_k, whether a_(k+1) is
-{1/a_k} (the circle is read reflected) and a_(k+1).  A recursion walks
-down the ladder by level index, carrying only the distance of its point
-above the arc's low end from level to level, and unwinds by multiplying
-with the inverses the ladder holds; no level inverts or floors a rotation.
+(Lagrange).  Each :class:`Orbit` keeps it as a *rotation ladder*: rung k
+holds a_k, 1/a_k and whether a_(k+1) is {1/a_k} (the circle is read
+reflected).  A recursion walks down the ladder by level index, carrying
+only the distance of its point above the arc's low end from level to
+level, and unwinds by multiplying with the inverses the ladder holds; no
+level inverts or floors a rotation.
 
 A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
 at most one solution n, read off c's irrational part.
@@ -31,21 +31,20 @@ cannot wrap, as it stays below c <= 1), so d is a record low of {d*alpha}:
 a value below every earlier one.  The right chain steps by the least
 record high within {n*alpha} - c of 1.  Both record sequences depend on
 alpha alone: they are the convergent and intermediate denominators of its
-continued fraction (Rockett and Szüsz, *Continued Fractions*, 1992), and
-each :class:`Orbit` keeps them as two *record tables*, built run by run on
-first use.  From the latest low d_L at x = {d_L*alpha} and the latest
-high d_H at 1 - y, if x > y the next floor(x/y) lows are d_L + j*d_H at
-x - j*y, and the highs' run mirrors this.  A link reads the least record
-under its gap off one run with one floor, so a chain costs O(1) exact
-steps per link and per run, however long a run is.  The first-hit
-queries are built from the recursion and the orbit solve.  Indices are
-plain ints of any size; the growable set only follows the indices the
-step needs, as a column scan would have read them.
+regular continued fraction (Rockett and Szüsz, *Continued Fractions*,
+1992), whose runs, one per partial quotient, make two *record tables*.
+They are the one expansion of alpha an :class:`Orbit` builds, run by run
+on first use: a run holds the inverse of a convergent denominator Q's
+distance ||Q*alpha||, and a rung of the ladder is a ratio of two such
+distances, read off the runs with two products.  A link reads the
+least record under its gap off one run with one floor, so a chain costs
+O(1) exact steps per link and per run, however long a run is.  Indices
+are plain ints of any size; the growable set only follows the indices
+the step needs, as a column scan would have read them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, _Naturals, record_chain
@@ -54,7 +53,6 @@ from .qnum import ExactNumber
 
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
-_HALF = ExactNumber(Fraction(1, 2))
 
 
 def serves(elems, f) -> bool:
@@ -68,10 +66,10 @@ class Orbit:
     It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
     scanning.  ``first_hits`` counts the first-hit recursions run,
     ``levels`` the levels they descended, ``solves`` the orbit solves,
-    ``runs`` the record-table runs built and ``links`` the record-chain
-    links read off them.  The rotation ladder and the record tables are
-    caches filled on first use, so an :class:`Orbit` belongs to one
-    extraction, like its set.
+    ``runs`` the continued-fraction runs built, for the record tables and
+    the ladder alike, and ``links`` the record-chain links read off them.
+    The runs and the ladder are caches filled on first use, so an
+    :class:`Orbit` belongs to one extraction, like its set.
     """
 
     def __init__(self, G: GrowableSet, f: RotationOracle):
@@ -79,11 +77,9 @@ class Orbit:
         a = self._a = f.alpha.frac()
         self._m, self._den, self._sq = a.m, a.den, a.q
         self._ladder: list[tuple] = []
-        # record tables: each starts with d = 1 as a run of one, stepped
-        # from a virtual record d = 0 at distance 1 (see _grow)
+        # highs: the even runs; lows: d = 1 as a run of one, then the odd runs
         self._lows: list[tuple] = [(0, 1, ONE, ONE - a, None, 1, a)]
-        self._highs: list[tuple] = [(0, 1, ONE, a, None, 1, ONE - a)]
-        self._tips = ((1, a), (1, ONE - a))
+        self._highs: list[tuple] = []
         self.first_hits = 0
         self.levels = 0
         self.solves = 0
@@ -266,42 +262,46 @@ class Orbit:
             chain.append(n)
             gap = gap - (end if j == J else v0 - j * y)
 
+    def _run(self, s: int) -> tuple:
+        """Run s of the continued fraction (see :meth:`_grow`)."""
+        while self.runs <= s:
+            self._grow()
+        return (self._lows if s % 2 else self._highs)[(s + 1) // 2]
+
     def _grow(self) -> None:
-        """Append the next run to the record tables.  The tips are the
-        latest low d_L at distance x = {d_L*alpha} above 0 and the latest
-        high d_H at distance y = 1 - {d_H*alpha} below 1.  If x > y, the
-        next J = floor(x/y) lows are d_L + j*d_H at x - j*y, since
-        d_H*alpha is -y modulo 1; then x - J*y < y and the highs' run comes
-        next, the mirror image.  These are the continued fraction's
-        intermediate and convergent denominators, one run per partial
-        quotient."""
+        """Append run s: ``(Q_(s-1), Q_s, delta_(s-1), delta_s, 1/delta_s,
+        J, delta_(s+1))``, J = floor(delta_(s-1)/delta_s), from Q_(-1) = 0
+        at delta_(-1) = 1 and Q_0 = 1 at delta_0 = a.  Q_s*alpha lies
+        delta_s above an integer for even s and below one for odd s, so
+        the run's records Q_(s-1) + j*Q_s at delta_(s-1) - j*delta_s,
+        1 <= j <= J, are highs for even s and lows for odd s."""
+        s = self.runs
         self.runs += 1
-        (dl, x), (dh, y) = self._tips
-        low = x.compare(y) > 0
-        if not low:
-            (dl, x), (dh, y) = (dh, y), (dl, x)
+        # run -1 steps from Q_(-2) = 1 by Q_(-1) = 0
+        d0, q, _, x, _, J, y = (self._run(s - 1) if s else
+                                (1, 0, None, ONE, None, 0, self._a))
+        d0, q = q, d0 + J * q
         inv = y.inverse()
         J = (x * inv).floor()
-        end = x - J * y
-        (self._lows if low else self._highs).append(
-            (dl, dh, x, y, inv, J, end))
-        tip = (dl + J * dh, end)
-        self._tips = (tip, (dh, y)) if low else ((dh, y), tip)
+        (self._lows if s % 2 else self._highs).append(
+            (d0, q, x, y, inv, J, x - J * y))
 
     def _rung(self, k: int) -> tuple:
-        """Rung k of the rotation ladder, built on first use:
-        ``(a_k, 1/a_k, reflect_k, a_(k+1))`` with a_0 = {alpha}.  The next
-        rotation is {1/a_k} if that is below 1/2 (reflect_k), else
-        {-1/a_k} = 1 - {1/a_k}; the ladder depends on alpha alone."""
+        """Rung k of the rotation ladder, read off the runs on first use:
+        ``(a_k, 1/a_k, reflect_k, next (i, j))``.  a_(k+1) is {1/a_k} if
+        that is below 1/2 (reflect_k), else {-1/a_k}.  In :meth:`_grow`'s
+        distances a_k = delta_j/delta_i, with (i, j) = (-1, 0) at k = 0 and
+        i = j - 1 or j - 2 later, so {1/a_k} = delta_(j+1)/delta_j.  Thus
+        reflect_k holds when 2*delta_(j+1) < delta_j, with next pair
+        (j, j + 1); else the next partial quotient is 1, and (j, j + 2)."""
         ladder = self._ladder
         while len(ladder) <= k:
-            a = ladder[-1][3] if ladder else self._a
-            inv = a.inverse()
-            up = inv.frac()
-            if up.compare(_HALF) < 0:
-                ladder.append((a, inv, True, up))
-            else:
-                ladder.append((a, inv, False, ONE - up))
+            i, j = ladder[-1][3] if ladder else (-1, 0)
+            _, _, _, dj, inv_j, _, after = self._run(j)
+            di, inv_i = self._run(i)[3:5] if i >= 0 else (ONE, ONE)
+            reflect = (after * 2).compare(dj) < 0
+            ladder.append((dj * inv_i, di * inv_j, reflect,
+                           (j, j + 1 if reflect else j + 2)))
         return ladder[k]
 
     def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber

@@ -12,6 +12,11 @@ from a new start point and arc end; the stack unwinds by dividing.  It is
 a plain function of an :class:`exactlab.orbit.Orbit`, whose ``_a``,
 ``first_hits`` and ``levels`` it reads and counts as the method did.
 ``test_orbit.py`` runs the library's recursion against it.
+
+:func:`rungs` is the rotation ladder as ``Orbit._rung`` built it before it
+was read off the record tables' runs: each rung inverts its rotation,
+takes the fractional part of the inverse and compares it with 1/2.
+``test_orbit.py`` runs the ladder against it.
 """
 
 from __future__ import annotations
@@ -87,6 +92,23 @@ def least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber
         x = (c + t) / a
         t = _ceil(x) if closed else x.floor() + 1
     return t
+
+
+def rungs(alpha: ExactNumber, k: int) -> list[tuple]:
+    """Rungs 0 to k of the rotation ladder of ``alpha``:
+    ``(a_k, 1/a_k, reflect_k, a_(k+1))`` with a_0 = {alpha}.  The next
+    rotation is {1/a_k} if that is below 1/2 (reflect_k), else
+    {-1/a_k} = 1 - {1/a_k}; the ladder depends on alpha alone."""
+    ladder: list[tuple] = []
+    while len(ladder) <= k:
+        a = ladder[-1][3] if ladder else alpha.frac()
+        inv = a.inverse()
+        up = inv.frac()
+        if up.compare(_HALF) < 0:
+            ladder.append((a, inv, True, up))
+        else:
+            ladder.append((a, inv, False, ONE - up))
+    return ladder
 
 
 def _ceil(x: ExactNumber) -> int:

@@ -409,11 +409,16 @@ def test_restrict_on_a_view_returns_a_view():
 
 def test_a_huge_prefix_builds_no_element(monkeypatch):
     G = GrowableSet(cap=10 ** 13)
+    small = DiscreteSet.naturals(3)
     built = []
     raw = ExactNumber._raw
     monkeypatch.setattr(ExactNumber, "_raw", staticmethod(
         lambda *args: built.append(args) or raw(*args)))
     D = G.prefix(10 ** 12)
+    # equality reads counts, and a view's repr names its count
+    assert D == G.prefix(10 ** 12) != G.prefix(10 ** 12 - 1)
+    assert D != small != D
+    assert repr(D) == "DiscreteSet(<the first 1000000000001 naturals>)"
     assert built == []
     part = D.restrict(10 ** 9)
     assert G.materialized_bound == 10 ** 12
@@ -435,6 +440,11 @@ def test_a_prefix_past_2_to_the_63_answers_every_query():
     assert D.dist(-3) == exact(3)
     with pytest.raises(OverflowError):
         len(D)
+    same = GrowableSet(cap=2 ** 70).prefix(2 ** 64)
+    assert D == same and hash(D) == hash(same)
+    assert D != D.restrict(2 ** 64 - 1) and D != DiscreteSet.naturals(5)
+    assert D.restrict(2 ** 63) == same.restrict(2 ** 63 + F(1, 2))
+    assert repr(D) == f"DiscreteSet(<the first {2 ** 64 + 1} naturals>)"
     empty = GrowableSet(cap=5).prefix(3).restrict(-1)
     assert not empty
     with pytest.raises(EmptySet):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactlab import (
-    ExactNumber, GrowableSet, RotationOracle, SQRT2, exact, extract,
-    trace_report,
+    PHI, SQRT2, SQRT3, ExactNumber, GrowableSet, RotationOracle, exact,
+    extract, trace_report,
 )
 from exactlab import extraction
 from exactlab.cli import run
@@ -25,6 +25,7 @@ from exactlab.orbit import Orbit
 from conftest import alphas
 from reference_orbit import least as reference_least
 from reference_orbit import record_chain as reference_chain
+from reference_orbit import rungs as reference_rungs
 
 LIMIT = 1200
 
@@ -125,6 +126,40 @@ def test_least_matches_the_frozen_recursion(alpha, data):
     assert q.first_hits == ref.first_hits == 3
 
 
+RUNGS = 40
+
+
+def _ladder_matches_the_frozen_rungs(alpha):
+    q = Orbit(GrowableSet(), RotationOracle(alpha))
+    got = [q._rung(k)[:3] for k in range(RUNGS + 1)]
+    assert got == [r[:3] for r in reference_rungs(alpha, RUNGS)]
+    return got
+
+
+@settings(max_examples=100)
+@given(alpha=alphas())
+def test_ladder_matches_the_frozen_rungs(alpha):
+    # (a_k, 1/a_k, reflect_k) read off the runs against the ladder that
+    # inverted and floored each rotation
+    _ladder_matches_the_frozen_rungs(alpha)
+
+
+TINY = ExactNumber(F(8, 3 ** 50), F(-1, 3 ** 50), 30)
+
+
+@pytest.mark.parametrize("alpha, reflect", [
+    (SQRT2, True),              # {alpha} < 1/2
+    (PHI, False),               # {alpha} in (1/2, 2/3)
+    (SQRT3, True),              # {alpha} in (2/3, 1)
+    (TINY, False),              # {alpha} near 0
+    (1 - TINY, True),           # {alpha} near 1
+], ids=["sqrt2", "phi", "sqrt3", "tiny", "tiny_mirror"])
+def test_ladder_matches_the_frozen_rungs_at_both_first_runs(alpha, reflect):
+    # both shapes of run 0 (the lows' first run or the highs' d = 1 alone)
+    # and both outcomes of reflect_0
+    assert _ladder_matches_the_frozen_rungs(alpha)[0][2] is reflect
+
+
 def _k_bound(alpha, links=300):
     """The largest k <= 10^30 at which a record chain over indices <= k
     stays near ``links`` links: at least ``links``, else the last
@@ -187,7 +222,7 @@ def test_record_chains_of_a_tiny_rotation():
     # would not end; the tables skip each run with one floor.  Left chains
     # of cuts above {alpha} have about cut/{alpha} links on any walk, so
     # the left cuts here lie below it.
-    alpha = ExactNumber(F(8, 3 ** 50), F(-1, 3 ** 50), 30)
+    alpha = TINY
     f = RotationOracle(alpha)
     ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
     k = 10 ** 30
@@ -276,10 +311,9 @@ def _engines(monkeypatch):
     return engines
 
 
-def test_sqrt2_n3_cost(monkeypatch):
-    # one engine serves the bootstrap and steps 2 and 3: (first-hit
-    # recursions, levels descended, orbit solves, record-table runs built,
-    # record links read); the bootstrap adds 2 solves and 2 links
+def _cost(monkeypatch, alpha):
+    """The engine's counters over an extraction at N = 3, its ladder's
+    length and the run's count of ``ExactNumber.inverse`` calls."""
     engines = _engines(monkeypatch)
     inverses = []
     inverse = ExactNumber.inverse
@@ -288,14 +322,28 @@ def test_sqrt2_n3_cost(monkeypatch):
         inverses.append(x)
         return inverse(x)
     monkeypatch.setattr(ExactNumber, "inverse", counted)
-    extract(GrowableSet(), RotationOracle(SQRT2), 3, F(1, 4))
-    assert [(q.first_hits, q.levels, q.solves, q.runs, q.links)
-            for q in engines] == [(20, 193, 28, 15, 72)]
-    # 14 build the ladder, one per rung, and 15 the record tables, one per
-    # run; the other 13 are irrational divisions outside the engine (a
-    # plain int divisor multiplies into the denominator instead)
-    assert len(engines[0]._ladder) == 14
-    assert len(inverses) == 42
+    extract(GrowableSet(), RotationOracle(alpha), 3, F(1, 4))
+    assert len(engines) == 1
+    q = engines[0]
+    return ((q.first_hits, q.levels, q.solves, q.runs, q.links),
+            len(q._ladder), len(inverses))
+
+
+def test_sqrt2_n3_cost(monkeypatch):
+    # one engine serves the bootstrap and steps 2 and 3: (first-hit
+    # recursions, levels descended, orbit solves, continued-fraction runs
+    # built, record links read); the bootstrap adds 2 solves and 2 links.
+    # The runs make every inverse the engine takes, one per run, and the
+    # ladder's 14 rungs multiply theirs; the other 13 are irrational
+    # divisions outside the engine (a plain int divisor multiplies into
+    # the denominator instead)
+    assert _cost(monkeypatch, SQRT2) == ((20, 193, 28, 15, 72), 14, 28)
+
+
+def test_phi_n3_cost(monkeypatch):
+    # {phi} > 1/2, so run 0 holds only the record high d = 1, with the
+    # 1/{phi} that rung 0 reads: one run more than the record chains need
+    assert _cost(monkeypatch, PHI) == ((14, 119, 22, 23, 60), 11, 36)
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
