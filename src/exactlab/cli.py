@@ -10,18 +10,42 @@ exact counterexample).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import analysis, coding, extraction, measure
 from .approx import best_approx, ratio_family
 from .dsets import DiscreteSet, FunctionOracle, GrowableSet, RotationOracle, TableOracle
 from .errors import BudgetError, CapExceeded, PreconditionError, VerificationError
-from .plfun import PLFunction
 from .qnum import ExactNumber, exact
+
+
+def _lazy(name: str):
+    """The package's submodule ``name``, entered in sys.modules and bound on
+    the package now, its body run on first attribute access: each command
+    runs only the modules its handler reads."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# bound to the entries themselves: an import statement naming an entered
+# module reads its __spec__, which would run the body at once
+analysis = _lazy("analysis")
+coding = _lazy("coding")
+extraction = _lazy("extraction")
+measure = _lazy("measure")
+plfun = _lazy("plfun")
 
 
 def parse_oracle(spec: str) -> FunctionOracle:
@@ -43,7 +67,7 @@ def parse_oracle(spec: str) -> FunctionOracle:
     raise ValueError(f"unknown oracle spec {spec!r}; use rot(...) or table(file)")
 
 
-def parse_pl(spec: str, budget: int = 10 ** 6) -> PLFunction:
+def parse_pl(spec: str, budget: int = 10 ** 6) -> plfun.PLFunction:
     """A PL function by spec; ``cantor:N`` has 2^(N+1) breakpoints, which
     must not exceed the budget (CapExceeded, checked before building or
     looking up a shared staircase)."""
@@ -51,15 +75,15 @@ def parse_pl(spec: str, budget: int = 10 ** 6) -> PLFunction:
         raise ValueError(f"cap must be non-negative, got {budget}")
     spec = spec.strip()
     if spec == "worked3":
-        return PLFunction.from_values(
+        return plfun.PLFunction.from_values(
             [(0, 0), (1, 2), (2, 1), (3, Fraction(3, 2))])
     if spec.startswith("cantor:"):
         depth = int(spec.split(":", 1)[1])
         # 2^(depth+1) > budget, decided without building the power
         if depth >= 0 and depth + 1 >= budget.bit_length():
             raise CapExceeded(f"2^{depth + 1} breakpoints exceed cap {budget}")
-        return PLFunction.cantor_staircase(depth)
-    return PLFunction.parse(Path(spec).read_text())
+        return plfun.PLFunction.cantor_staircase(depth)
+    return plfun.PLFunction.parse(Path(spec).read_text())
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -18,6 +18,7 @@ import pytest
 
 import exactlab
 from exactlab import approx, cli, extraction
+from fresh import run_code
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,6 +45,18 @@ def test_traced_name_resolves(module, qualname):
     # the tracer reads the owner's own namespace, not an inherited one
     assert attr in vars(owner), f"{module}.{qualname}"
     assert callable(getattr(owner, attr))
+
+
+def test_traced_modules_are_entered_by_the_cli_import():
+    """The tracer reads its owners from sys.modules after set-up, which
+    imports exactlab.cli alone; a module cli loads lazily must be entered
+    there all the same, though its body may not have run."""
+    traced = sorted({f"exactlab.{m}" for m, _ in [*tracer.SPANS, *tracer.COUNTERS,
+                                                  tracer.EXTEND_STEP]})
+    out = run_code("import sys, exactlab.cli\n"
+                   "print(' '.join(n for n in sys.argv[1:] if n not in sys.modules))",
+                   *traced)
+    assert out.split() == []
 
 
 def test_names_imported_by_name_are_the_same_objects():
