@@ -1,8 +1,10 @@
-"""Constructive extraction of approximate integer segments from a dense
-oracle image.
+"""Constructive extraction of approximate integer segments, or of any
+finite target set, from a dense oracle image.
 
-The pipeline starts from a two-element prefix (giving a single ratio close
-to 1) and repeatedly adjoins one more ratio close to the next integer:
+One driver serves :func:`extract` (targets 1..N) and
+:func:`approximate_target` (any finite targets >= 1).  Its base step puts
+one exact ratio between the first two values; step j of k adjoins one
+more, exactly the j-th target, at tolerance scale/6^(k-j):
 
 1. compute the window around the inner cut on which every existing ratio
    moves by less than a sixth of the step tolerance, in closed form from
@@ -26,23 +28,20 @@ collision; phase 5 lists the window's hits up to the new bound; the ratio
 family of the new cuts reads four record chains and two value indices.
 
 For a rotation oracle over the default naturals one first-hit engine
-(:mod:`exactlab.orbit`) serves the whole extraction, so the rotation's
-continued-fraction expansion, which depends on the rotation alone and
-holds its record tables and its rotation ladder, is built once.  It
-answers a first hit exactly in a number of big-integer steps logarithmic
-in the interval's width, and a record chain with one floor per link off
-the record tables, whatever its indices: N = 9 reaches indices near 10^45
-in under a second.  The set only records how far the step reached; a
-needed index past the budget still raises the scan's
-``index <cap+1> exceeds cap <cap>``, as soon as the index is known.  For any
-other oracle a fresh column scan answers each step's queries, evaluating
-each index once per step and reading indices in order.  Both give
-identical traces.
+(:mod:`exactlab.orbit`) serves the whole extraction and builds the
+rotation's continued-fraction expansion once; it answers every query
+exactly whatever its indices (N = 9 reaches indices near 10^45 in under a
+second), and a needed index past the budget still raises the scan's
+``index <cap+1> exceeds cap <cap>``.  For any other oracle a fresh column
+scan answers each step's queries, reading each index once per step.  Both
+give identical traces.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
-inversion), so identical inputs produce bit-identical traces.  Each step's
-output is re-verified with the independent segment checker; a failed check
-raises instead of returning.
+inversion), so identical inputs produce bit-identical traces.  Each step
+is checked once, and a failed check raises instead of returning: while the
+targets so far are 1..j, by the independent segment checker up to j;
+otherwise by the both-ways distance from the value set to {0} united with
+those targets.
 
 The indices compound: the window of step k+1 is a sliver of the gap found
 at step k, so the index needed grows super-exponentially with the number of
@@ -55,6 +54,7 @@ roughly two to four orders of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     DegenerateOracle,
@@ -85,7 +85,7 @@ ONE = ExactNumber(1)
 
 @dataclass(frozen=True)
 class TraceStep:
-    n: int                      # segment target reached at this step
+    n: int                      # step number (extract's segment target)
     eps: ExactNumber            # tolerance the step was checked at
     fam: RatioFamily
     d_index: int                # index of the step's bound element
@@ -104,42 +104,6 @@ class ExtractionTrace:
         return self.steps[-1].fam
 
 
-def _bootstrap_with_ratio(G: GrowableSet, f: FunctionOracle,
-                          ratio: ExactNumber, queries) -> RatioFamily:
-    """Two-element base instance: a single exact ratio from the first
-    bracket, its family read through the extraction's ``queries()`` (see
-    :func:`_queries`) over the first two indices."""
-    e0, e1 = G.element(0), G.element(1)
-    v0, v1 = f.eval(e0), f.eval(e1)
-    if v0 == v1:
-        raise DegenerateOracle(
-            f"oracle is constant on the two smallest elements ({v0})")
-    low = v0 if v0 < v1 else v1
-    high = v1 if v0 < v1 else v0
-    a = low + (high - low) / ratio
-    fam = _family(queries(), a, a, e1, 1, 1)
-    expected = DiscreteSet([ExactNumber(0), ratio])
-    if fam.yset != expected or not fam.admissible:
-        raise StepVerificationFailed(
-            f"bootstrap produced {fam.yset} instead of {expected}")
-    return fam
-
-
-def bootstrap(G: GrowableSet, f: FunctionOracle, eps, queries=None
-              ) -> RatioFamily:
-    """Base step: ratios {0, 1 + eps/2}, an eps-segment up to 1, through an
-    extraction's ``queries`` (default: the step's own)."""
-    eps = ExactNumber.coerce(eps)
-    if eps.sign() <= 0:
-        raise PreconditionFailed(f"eps must be positive, got {eps}")
-    if queries is None:
-        queries = _queries(G, f)
-    fam = _bootstrap_with_ratio(G, f, ONE + eps / 2, queries)
-    if not is_approx_segment(fam.yset, eps, 1):
-        raise StepVerificationFailed("bootstrap set failed its segment check")
-    return fam
-
-
 def _queries(G: GrowableSet, f: FunctionOracle):
     """An extraction's oracle queries, as a function giving each step its
     own, by the rule the approx entry points follow: one first-hit engine
@@ -151,12 +115,28 @@ def _queries(G: GrowableSet, f: FunctionOracle):
     return lambda: ValueColumn(G._elems, [], G, f)
 
 
-def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
-               ratio_target: ExactNumber, eps_move: ExactNumber,
-               queries) -> RatioFamily:
-    """One pipeline step: adjoin a ratio exactly equal to ratio_target while
-    moving every existing ratio by less than eps_move, reading the oracle
-    through ``queries()`` (see :func:`_queries`)."""
+def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
+          target: ExactNumber, eps: ExactNumber, queries) -> RatioFamily:
+    """One step at tolerance eps, through ``queries()`` (see
+    :func:`_queries`).  The base step (no ``prev``) takes the target as its
+    ratio if it is above 1, else 1 + eps/2; a later step adjoins a ratio
+    equal to the target, moving every earlier one by less than eps/6."""
+    if prev is None:
+        e0, e1 = G.element(0), G.element(1)
+        v0, v1 = f.eval(e0), f.eval(e1)
+        if v0 == v1:
+            raise DegenerateOracle(
+                f"oracle is constant on the two smallest elements ({v0})")
+        low, high = (v0, v1) if v0 < v1 else (v1, v0)
+        ratio = target if target.compare(1) > 0 else ONE + eps / 2
+        a = low + (high - low) / ratio
+        fam = _family(queries(), a, a, e1, 1, 1)
+        expected = DiscreteSet([ExactNumber(0), ratio])
+        if fam.yset != expected or not fam.admissible:
+            raise StepVerificationFailed(
+                f"bootstrap produced {fam.yset} instead of {expected}")
+        return fam
+    eps_move = eps / 6
     q = queries()
     value = q.value
     l_ue = prev.approx.l
@@ -200,7 +180,7 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     w1, w2 = pair
 
     # (6) inner cut placed so the new ratio is exact
-    b = w1 + (w2 - w1) / ratio_target
+    b = w1 + (w2 - w1) / target
 
     fam = _family(q, a, b, d, d_idx, d_idx)
 
@@ -212,14 +192,50 @@ def _extension(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     if not fam.admissible:
         raise StepVerificationFailed("extended family is not admissible")
     new_term = fam.terms[-1]
-    if new_term.value != ratio_target:
+    if new_term.value != target:
         raise StepVerificationFailed(
-            f"new ratio {new_term.value} is not the target {ratio_target}")
+            f"new ratio {new_term.value} is not the target {target}")
     for old, new in zip(prev.terms, fam.terms):
         drift = abs(new.value - old.value)
         if drift.compare(eps_move) >= 0:
             raise StepVerificationFailed(
                 f"term at anchor {old.anchor} drifted by {drift} >= {eps_move}")
+    return fam
+
+
+def _check(fam: RatioFamily, targets, eps: ExactNumber,
+           final: bool = False) -> None:
+    """The one check of the step that reached ``targets``: the segment
+    checker up to n while they are 1..n, else the both-ways distance from
+    the value set to {0} united with them, which a ``final`` check takes."""
+    n = len(targets)
+    if not final and all(t == i for i, t in enumerate(targets, 1)):
+        if not is_approx_segment(fam.yset, eps, n):
+            raise StepVerificationFailed(
+                f"extended set {fam.yset} failed its {eps}-segment "
+                f"check up to {n}" if n > 1 else
+                "bootstrap set failed its segment check")
+        return
+    goal = DiscreteSet([ExactNumber(0)] + list(targets))
+    worst = max(max(fam.yset.dist(t) for t in goal),
+                max(goal.dist(y) for y in fam.yset))
+    if worst.compare(eps) >= 0:
+        raise StepVerificationFailed(
+            f"{'final' if final else f'step {n}'} set {fam.yset} is {worst} "
+            f"away from {goal}, beyond eps = {eps}")
+
+
+def bootstrap(G: GrowableSet, f: FunctionOracle, eps, queries=None
+              ) -> RatioFamily:
+    """Base step: ratios {0, 1 + eps/2}, an eps-segment up to 1, through an
+    extraction's ``queries`` (default: the step's own)."""
+    eps = ExactNumber.coerce(eps)
+    if eps.sign() <= 0:
+        raise PreconditionFailed(f"eps must be positive, got {eps}")
+    if queries is None:
+        queries = _queries(G, f)
+    fam = _step(G, f, None, ONE, eps, queries)
+    _check(fam, [ONE], eps)
     return fam
 
 
@@ -237,12 +253,29 @@ def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
             f"previous set is not an {eps}/6-segment up to {n}")
     if queries is None:
         queries = _queries(G, f)
-    fam = _extension(G, f, prev, ExactNumber(n + 1), eps / 6, queries)
-    if not is_approx_segment(fam.yset, eps, n + 1):
-        raise StepVerificationFailed(
-            f"extended set {fam.yset} failed its {eps}-segment "
-            f"check up to {n + 1}")
+    fam = _step(G, f, prev, ExactNumber(n + 1), eps, queries)
+    _check(fam, range(1, n + 2), eps)
     return fam
+
+
+def _pipeline(G: GrowableSet, f: FunctionOracle, targets,
+              scale: ExactNumber) -> ExtractionTrace:
+    """The one loop behind both entry points: step j of k aims a ratio at
+    targets[j-1] (a sequence of exact numbers or ints) at tolerance
+    scale/6^(k-j), through one ``queries`` for the whole run, and passes
+    its one check (see :func:`_check`)."""
+    queries = _queries(G, f)
+    steps, fam = [], None
+    for j, target in enumerate(targets, 1):
+        eps = scale / 6 ** (len(targets) - j)
+        fam = _step(G, f, fam, ExactNumber.coerce(target), eps, queries)
+        _check(fam, targets[:j], eps)
+        steps.append(TraceStep(n=j, eps=eps, fam=fam,
+                               d_index=G.index_of(fam.d),
+                               max_index=G.materialized_bound,
+                               check_passed=True))
+    return ExtractionTrace(steps=tuple(steps), oracle=f.describe(),
+                           budget=G.cap)
 
 
 def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
@@ -257,32 +290,16 @@ def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
         raise ValueError(f"N must be >= 1, got {N}")
     if eps_final.sign() <= 0:
         raise ValueError(f"eps_final must be positive, got {eps_final}")
-    steps = []
-    queries = _queries(G, f)
-    eps_1 = eps_final / 6 ** (N - 1)
-    fam = bootstrap(G, f, eps_1, queries)
-    steps.append(TraceStep(n=1, eps=eps_1, fam=fam,
-                           d_index=G.index_of(fam.d),
-                           max_index=G.materialized_bound,
-                           check_passed=True))
-    for k in range(2, N + 1):
-        eps_k = eps_final / 6 ** (N - k)
-        fam = extend_step(G, f, fam, n=k - 1, eps=eps_k, queries=queries)
-        steps.append(TraceStep(n=k, eps=eps_k, fam=fam,
-                               d_index=G.index_of(fam.d),
-                               max_index=G.materialized_bound,
-                               check_passed=True))
-    return ExtractionTrace(steps=tuple(steps), oracle=f.describe(),
-                           budget=G.cap)
+    return _pipeline(G, f, range(1, N + 1), eps_final)
 
 
 def approximate_target(G: GrowableSet, f: FunctionOracle, F: DiscreteSet,
                        eps) -> RatioFamily:
     """Drive the ratios onto an arbitrary finite target set with min >= 1.
 
-    Generalizes the pipeline by aiming each new ratio at the next target
-    element instead of the next integer.  The returned family's value set
-    is within eps of {0} united with the targets, in both directions.
+    The pipeline aims step j's ratio at the j-th target, on the scale
+    min(eps, least target, least gap between targets).  A final check
+    confirms the value set within eps of {0} united with the targets.
     """
     eps = ExactNumber.coerce(eps)
     if len(F) == 0:
@@ -293,25 +310,8 @@ def approximate_target(G: GrowableSet, f: FunctionOracle, F: DiscreteSet,
         raise ValueError(f"eps must be positive, got {eps}")
     targets = list(F.elements)
     increments = [targets[0]] + [b - a for a, b in zip(targets, targets[1:])]
-    scale = min([eps] + increments)
-    k = len(targets)
-
-    eps_1 = scale / 6 ** (k - 1)
-    first = targets[0]
-    ratio_1 = first if first.compare(1) > 0 else ONE + eps_1 / 2
-    queries = _queries(G, f)
-    fam = _bootstrap_with_ratio(G, f, ratio_1, queries)
-    for j in range(2, k + 1):
-        eps_j = scale / 6 ** (k - j)
-        fam = _extension(G, f, fam, targets[j - 1], eps_j / 6, queries)
-
-    goal = DiscreteSet([ExactNumber(0)] + targets)
-    worst = max(max(fam.yset.dist(t) for t in goal),
-                max(goal.dist(y) for y in fam.yset))
-    if worst.compare(eps) >= 0:
-        raise StepVerificationFailed(
-            f"final set {fam.yset} is {worst} away from {goal}, "
-            f"beyond eps = {eps}")
+    fam = _pipeline(G, f, targets, min([eps] + increments)).final
+    _check(fam, targets, eps, final=True)
     return fam
 
 

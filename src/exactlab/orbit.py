@@ -174,10 +174,11 @@ class Orbit:
 
     def _first(self, n0, lo, hi, lo_open, hi_open, upto=None
                ) -> Optional[int]:
-        """:meth:`first_hit` without the bound: [lo, hi) by the recursion,
-        then each end moved in or out by its orbit solve.  A cut irrational
-        in another radicand than alpha's goes to :meth:`_foreign` before
-        any clamping."""
+        """:meth:`first_hit` up to its limit, ``upto`` or else the cap:
+        [lo, hi) by the recursion, then each end moved in or out by its
+        orbit solve.  An answer past the limit may be any index past it.  A
+        cut irrational in another radicand than alpha's goes to
+        :meth:`_foreign` before any clamping."""
         m = self._m
         if (lo is not None and lo.q and lo.m != m
                 or hi is not None and hi.q and hi.m != m):
@@ -193,10 +194,11 @@ class Orbit:
             n = self.orbit_index(lo)
             return n if n is not None and n >= n0 else None
         w = hi - lo
-        n = n0 + self._least(self.value(n0), lo, w)
+        limit = self._G.cap if upto is None else upto
+        n = n0 + self._least(self.value(n0), lo, w, limit - n0)
         if lo_open and self.orbit_index(lo) == n:
             # the orbit meets lo once, so the next hit is past it
-            n += 1 + self._least(self.value(n + 1), lo, w)
+            n += 1 + self._least(self.value(n + 1), lo, w, limit - n - 1)
         if not hi_open:
             m = self.orbit_index(hi)
             if m is not None and n0 <= m < n:
@@ -222,7 +224,8 @@ class Orbit:
         if lo is not None and lo.q and lo.m != m:
             n, cut = n0, lo
         else:
-            n = n0 if lo is None else self._first(n0, lo, None, lo_open, False)
+            n = n0 if lo is None else self._first(n0, lo, None, lo_open,
+                                                  False, upto)
             cut = hi
         limit = self._G.cap if upto is None else upto
         if n is None or n > limit:
@@ -304,9 +307,10 @@ class Orbit:
                            (j, j + 1 if reflect else j + 2)))
         return ladder[k]
 
-    def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber
-               ) -> int:
-        """Least t >= 0 with {beta + t*a} in [lo, lo + w), 0 < w <= 1.
+    def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber,
+               limit: int) -> int:
+        """Least t >= 0 with {beta + t*a} in [lo, lo + w), 0 < w <= 1, if
+        it is at most ``limit``; else some value above ``limit``.
 
         Level k solves it for the rotation a_k of rung k (see
         :meth:`_rung`) on an arc closed at its low end or at its high end,
@@ -321,6 +325,11 @@ class Orbit:
         [1 - w', 1)) from {x} for {1/a}, so g = {x + w'} and the closed
         end swaps.  The stack unwinds as (c + j) * (1/a), each rung's
         inverse read off the ladder.
+
+        The last level pushed unwinds to t >= 1, and every rung after
+        rung 0 is at most 1/2, so each further unwinding but rung 0's at
+        least doubles t: with s levels on the stack t >= 2^(s-2), and the
+        descent stops once that passes ``limit``.
         """
         self.first_hits += 1
         rung = self._rung
@@ -342,6 +351,8 @@ class Orbit:
                 t = _ceil(x) if closed else x.floor() + 1
                 break
             stack.append((c, inv, closed))
+            if len(stack) > 2 and 1 << (len(stack) - 2) > limit:
+                return limit + 1
             w = w * inv
             if reflect:
                 g, closed = (x + w).frac(), not closed

@@ -19,6 +19,7 @@ from exactlab import (
     is_approx_segment,
     trace_report,
 )
+from exactlab import extraction
 from exactlab.cli import run
 from exactlab.errors import (
     CapExceeded,
@@ -205,6 +206,53 @@ def test_approximate_target_rejects_below_one():
     with pytest.raises(EmptySet):
         approximate_target(GrowableSet(), RotationOracle(PHI),
                            DiscreteSet([]), F(1, 10))
+
+
+def _segment_checks(monkeypatch):
+    """The (eps, upto) of every segment check the pipeline runs."""
+    calls = []
+    check = extraction.is_approx_segment
+
+    def counted(D, eps, upto):
+        calls.append((eps, upto))
+        return check(D, eps, upto)
+    monkeypatch.setattr(extraction, "is_approx_segment", counted)
+    return calls
+
+
+def test_extract_checks_each_step_once(monkeypatch):
+    # each step's set once, at its own tolerance: step k + 1 would test
+    # step k's set again at eps_(k+1)/6 = eps_k
+    calls = _segment_checks(monkeypatch)
+    extract(GrowableSet(), RotationOracle(SQRT2), 3, F(1, 4))
+    assert calls == [(F(1, 144), 1), (F(1, 24), 2), (F(1, 4), 3)]
+
+
+def test_approximate_target_checks_each_step_once(monkeypatch):
+    # the targets 1, 2, 3 get the segment checks extract gives them, then
+    # the final check against the targets at eps
+    calls = _segment_checks(monkeypatch)
+    approximate_target(GrowableSet(), RotationOracle(PHI),
+                       DiscreteSet([1, 2, 3]), F(1, 4))
+    assert calls == [(F(1, 144), 1), (F(1, 24), 2), (F(1, 4), 3)]
+
+
+def test_pipeline_checks_other_targets_by_their_distance(monkeypatch):
+    # past the targets 1..j each step is checked by the both-ways distance
+    # to {0} and the targets so far, at the step's own tolerance
+    calls = _segment_checks(monkeypatch)
+    targets = [exact(1), exact(F(3, 2)), exact(F(5, 2))]
+    trace = extraction._pipeline(GrowableSet(), RotationOracle(SQRT2),
+                                 targets, exact(F(1, 2)))
+    assert calls == [(F(1, 72), 1)]
+    assert [s.eps for s in trace.steps] == \
+        [exact(F(1, 72)), exact(F(1, 12)), exact(F(1, 2))]
+    for j, step in enumerate(trace.steps, 1):
+        goal = DiscreteSet([0] + targets[:j])
+        assert all(step.fam.yset.dist(t) < step.eps for t in goal)
+        assert all(goal.dist(y) < step.eps for y in step.fam.yset)
+        if j > 1:   # the base step's ratio is 1 + eps/2
+            assert step.fam.terms[-1].value == targets[j - 1]
 
 
 def test_trace_report_shape():

@@ -103,7 +103,8 @@ def test_queries_match_a_column_scan(alpha, data):
 def test_least_matches_the_frozen_recursion(alpha, data):
     # deeper than brute force reaches: start points up to 10^30 steps out
     # on the orbit and arcs down to 10^-40 wide, three queries per engine,
-    # so later ones climb a ladder the earlier ones built
+    # so later ones climb a ladder the earlier ones built; under a drawn
+    # limit, an answer within it is exact, and one past it stays past it
     f = RotationOracle(alpha)
     ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
     orbit = st.integers(0, 10 ** 30).map(q.value)
@@ -120,10 +121,35 @@ def test_least_matches_the_frozen_recursion(alpha, data):
         levels = ref.levels
         t = reference_least(ref, beta, lo, w)
         depth = ref.levels - levels
+        limit = data.draw(st.one_of(
+            st.integers(-2, 10 ** 45),
+            st.integers(-3, 3).map(lambda step: t + step)))
         levels = q.levels
-        assert q._least(beta, lo, w) == t, (beta, lo, w)
-        assert q.levels - levels == depth
+        got = q._least(beta, lo, w, limit)
+        if t <= limit:
+            assert got == t, (beta, lo, w, limit)
+            assert q.levels - levels == depth
+        else:
+            assert got > limit, (beta, lo, w, limit)
     assert q.first_hits == ref.first_hits == 3
+
+
+@pytest.mark.parametrize("alpha", [SQRT2, PHI, SQRT3],
+                         ids=["sqrt2", "phi", "sqrt3"])
+def test_least_is_exact_at_its_own_limit(alpha, rng):
+    # the early stop rests on t >= 2^(s-2) with s levels on the stack,
+    # which shallow recursions come within a factor of 2.5 of: at limit t
+    # the answer is still t, and at limit t - 1 it is past t - 1
+    q = Orbit(GrowableSet(), RotationOracle(alpha))
+    for _ in range(400):
+        beta = q.value(rng.randrange(10 ** 6))
+        lo = exact(F(rng.randrange(10 ** 6), 10 ** 6))
+        w = min(exact(F(rng.randrange(1, 1000), 10 ** rng.randrange(1, 5))),
+                1 - lo)
+        t = q._least(beta, lo, w, 10 ** 9)
+        assert t <= 10 ** 9
+        assert q._least(beta, lo, w, t) == t, (beta, lo, w)
+        assert q._least(beta, lo, w, t - 1) > t - 1, (beta, lo, w)
 
 
 RUNGS = 40
@@ -337,13 +363,26 @@ def test_sqrt2_n3_cost(monkeypatch):
     # ladder's 14 rungs multiply theirs; the other 13 are irrational
     # divisions outside the engine (a plain int divisor multiplies into
     # the denominator instead)
-    assert _cost(monkeypatch, SQRT2) == ((20, 193, 28, 15, 72), 14, 28)
+    assert _cost(monkeypatch, SQRT2) == ((20, 185, 28, 15, 72), 14, 28)
 
 
 def test_phi_n3_cost(monkeypatch):
     # {phi} > 1/2, so run 0 holds only the record high d = 1, with the
     # 1/{phi} that rung 0 reads: one run more than the record chains need
-    assert _cost(monkeypatch, PHI) == ((14, 119, 22, 23, 60), 11, 36)
+    assert _cost(monkeypatch, PHI) == ((14, 112, 22, 23, 60), 11, 36)
+
+
+def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):
+    # at N = 1280 the base step runs at eps/6^1279, so step 2's window is
+    # about 10^-1000 wide and its first hit lies far past the 10^6 budget.
+    # A recursion stops once its answer must pass the budget, after 28
+    # levels; running it out to the exact hit takes 7 152 levels and 4 765
+    # continued-fraction runs (about 5 s)
+    engines = _engines(monkeypatch)
+    with pytest.raises(CapExceeded, match=r"^index 1000001 exceeds cap 1000000$"):
+        extract(GrowableSet(), RotationOracle(PHI), 1280, F(1, 4))
+    q = engines[0]
+    assert (q.first_hits, q.levels) == (3, 28)
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The

@@ -23,9 +23,11 @@ from exactlab import (
     RotationOracle,
     TableOracle,
     approximate_target,
+    exact,
     extract,
     trace_report,
 )
+from exactlab import extraction
 
 import reference_pipeline as ref
 from conftest import alphas
@@ -144,3 +146,35 @@ def test_approximate_target_matches_reference(f, targets, eps, cap):
     want = _outcome(lambda: _family_lines(ref.approximate_target(
         G_ref, f, F_set, eps, evaluate=_slow_rotation(f))), G_ref)
     assert got == want
+
+
+def _as_approximate_target_runs_it(f, n, eps, cap):
+    """``_pipeline`` on the targets 1..n at scale eps (approximate_target's
+    scale for eps <= 1) and approximate_target's family, against extract:
+    the same report and final family, or the same failure, each at the
+    same materialized bound."""
+    def run(call):
+        G = GrowableSet(cap=cap)
+        return _outcome(lambda: call(G), G)
+
+    def rendered(trace):
+        return trace_report(trace), _family_lines(trace.final)
+    targets = DiscreteSet(range(1, n + 1))
+    want = run(lambda G: rendered(extract(G, f, n, eps)))
+    assert run(lambda G: rendered(extraction._pipeline(
+        G, f, list(targets.elements), exact(eps)))) == want
+    got = run(lambda G: _family_lines(approximate_target(G, f, targets, eps)))
+    assert got == (want if len(want) == 3 else (want[0][1], want[1]))
+
+
+@settings(max_examples=60)
+@given(f=rotations(), n=DEPTHS, eps=st.sampled_from(EPS), cap=CAPS)
+def test_pipeline_on_one_to_n_is_extract_on_rotations(f, n, eps, cap):
+    _as_approximate_target_runs_it(f, n, eps, cap)
+
+
+@settings(max_examples=100)
+@given(f=st.one_of(tables(), tables(), mixed_tables()), n=DEPTHS,
+       eps=st.sampled_from(EPS))
+def test_pipeline_on_one_to_n_is_extract_on_tables(f, n, eps):
+    _as_approximate_target_runs_it(f, n, eps, len(f.table) - 1)
