@@ -331,19 +331,25 @@ def differentiability_report(f: PLFunction, mesh,
     so the survey doubles as an exact certificate; interior points where
     the four values disagree are listed separately.
 
-    The cells and the breakpoints are walked together, in one merge: each
-    cell starts where the last one ended, at ``a + mesh * k`` exactly, and
-    two cursors into ``f.breakpoints`` only ever move forward, one to the
-    first breakpoint above the cell's ``lo`` and one to the first at or
-    above its ``hi``.  The breakpoints between them are the cell's interior
-    ones, so the walk costs O(cells + n) compares for n breakpoints.  The
-    widest gap between the cursors names the witness's piece, so each cell
-    checks that its witness lies inside that piece and reads the Dini
-    values there without locating it again; so does each breakpoint.  A
-    cell with no interior breakpoint is its own widest gap: its witness is
-    ``lo + mesh/2``, with ``mesh/2`` divided once per survey, or
-    ``(lo + hi)/2`` for a last cell that ``b`` cuts short.  The values
-    reuse ``f``'s slope memo.
+    The survey runs over its ``ceil((b - a)/mesh)`` cells, counted by the
+    one floor the cap check reads; each cell starts where the last one
+    ended, at ``a + mesh * k`` exactly, and only the last can be cut short
+    by ``b``.  A cursor into ``f.breakpoints`` holds the first breakpoint
+    above the cell's ``lo``, so a cell that ends below it has no breakpoint
+    inside: that one compare settles it, on the piece under ``lo``, with
+    witness ``lo + mesh/2`` (``mesh/2`` divided once per survey).  Any
+    other cell walks a second cursor forward to the first breakpoint at or
+    above its ``hi``; the breakpoints between the two are the cell's
+    interior ones, the widest gap between them names the witness's piece
+    and its midpoint (``(lo + hi)/2`` for a last cell that ``b`` cuts
+    short), and the second cursor, stepped past a breakpoint at ``hi`` by
+    one equality test, is the next cell's first.  So the walk costs about
+    three compares per cell with no breakpoint inside, with the witness
+    check, and O(cells + n) in all for n breakpoints.  Every cell checks
+    that its witness lies strictly inside the piece it names.  There all
+    four Dini values are the piece's slope, so each piece's values are read
+    from ``f``'s slope memo, and checked to agree, at its first witness
+    only, and its later cells reuse them.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -351,50 +357,64 @@ def differentiability_report(f: PLFunction, mesh,
     if mesh.sign() <= 0:
         raise ValueError("mesh must be positive")
     a, b = f.domain
-    if cap is not None:
-        count = -((a - b) / mesh).floor()  # ceil((b - a) / mesh)
-        if count > cap:
-            raise CapExceeded(f"{count} cells exceed cap {cap}")
+    count = -((a - b) / mesh).floor()  # ceil((b - a) / mesh)
+    if cap is not None and count > cap:
+        raise CapExceeded(f"{count} cells exceed cap {cap}")
     xs = f.breakpoints
     half = mesh / 2
+    # piece k -> its Dini values, once a witness on it has passed the check
+    piece_values: list[Optional[DiniValues]] = [None] * (len(xs) - 1)
     cells = []
+    last = count - 1
     lo = a
-    i = 0
-    # every cell has lo < b = xs[-1] and hi <= b, so neither cursor runs off
-    while lo < b:
+    # xs[i] is the first breakpoint above lo; every cell has lo < b = xs[-1]
+    # and hi <= b, so no cursor runs off, and every cell but the last ends
+    # below b
+    i = 1
+    for n in range(count):
         end = lo + mesh
-        hi = b if end > b else end
-        while xs[i] <= lo:
-            i += 1
-        j = i
-        while xs[j] < hi:
-            j += 1
-        if i == j:
-            # no interior breakpoint: the cell is its own widest gap, on
-            # piece i - 1
-            witness = lo + half if hi is end else (lo + hi) / 2
-            k = i - 1
+        if end < xs[i]:
+            # nothing inside, and lo lies on piece i - 1
+            hi, witness, k = end, lo + half, i - 1
         else:
-            marks = [lo, *xs[i:j], hi]
-            best, width = None, None
-            for g, (u, v) in enumerate(zip(marks, marks[1:])):
-                gap = v - u
-                if best is None or gap > width:
-                    best, width = g, gap
-            witness = (marks[best] + marks[best + 1]) / 2
-            # the widest gap lies on piece k: marks[g] is xs[i + g - 1] for
-            # g >= 1, and lo lies on piece i - 1
-            k = i - 1 + best
+            hi = b if n == last and end > b else end
+            j = i
+            while xs[j] < hi:
+                j += 1
+            if i == j:
+                # no interior breakpoint: the cell is its own widest gap, on
+                # piece i - 1
+                witness = lo + half if hi is end else (lo + hi) / 2
+                k = i - 1
+            else:
+                marks = [lo, *xs[i:j], hi]
+                best, width = None, None
+                for g, (u, v) in enumerate(zip(marks, marks[1:])):
+                    gap = v - u
+                    if best is None or gap > width:
+                        best, width = g, gap
+                witness = (marks[best] + marks[best + 1]) / 2
+                # the widest gap lies on piece k: marks[g] is xs[i + g - 1]
+                # for g >= 1, and lo lies on piece i - 1
+                k = i - 1 + best
+            # xs[j] >= hi, so the next cell's first breakpoint is xs[j] or,
+            # when that is its lo, the one after
+            i = j + 1 if xs[j] == end else j
         values = None
         if xs[k] < witness < xs[k + 1]:
-            values = _dini_on_piece(f, k, witness)
-        if values is None or not values.all_equal_finite():
+            values = piece_values[k]
+            if values is None:
+                values = _dini_on_piece(f, k, witness)
+                if not values.all_equal_finite():
+                    values = None
+                piece_values[k] = values
+        if values is None:
             raise VerificationError(
                 f"cell [{lo}, {hi}] witness {witness} is not a point of "
                 f"differentiability")
         cells.append(CellReport(lo=lo, hi=hi, witness=witness,
                                 derivative=values.lower_left))
-        lo, i = end, j
+        lo = end
     bad = []
     for k, x in enumerate(xs[1:-1], 1):
         values = _dini_on_piece(f, k, x)

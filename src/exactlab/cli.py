@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +104,8 @@ def _parse_probes(text: str) -> list[measure.Interval]:
 def _text(value) -> str:
     """One report value: a bool as true/false, a set as {a,b}, a list or
     tuple comma-joined, anything else by str."""
+    if type(value) is ExactNumber:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, DiscreteSet):
@@ -118,8 +121,11 @@ def _lines(**fields) -> list[str]:
 
 
 def _row(tag: str, **fields) -> str:
-    """One line: the tag, then space-separated key=value fields."""
-    return " ".join([tag] + _lines(**fields))
+    """One line: the tag, then space-separated key=value fields, each as
+    ``_lines`` writes it; an ExactNumber goes straight to str."""
+    return " ".join([tag] + [
+        f"{key}={str(value) if type(value) is ExactNumber else _text(value)}"
+        for key, value in fields.items()])
 
 
 # verb -> (least, most) positional arguments; also the parser's choices
@@ -222,13 +228,14 @@ def _cmd_sun(args) -> list[str]:
             _row("component", start=s.start, end=s.end, entry=s.entry_limit,
                  roof=s.roof, shadow="ok" if s.holds else "VIOLATED")
             for s in sun.shadows]
-    result = analysis.sun_measure_bound(f, exact(args.c))
-    return _lines(c=args.c, mu=result.mu, bound=result.bound,
+    c = exact(args.c)
+    result = analysis.sun_measure_bound(f, c)
+    return _lines(c=c, mu=result.mu, bound=result.bound,
                   holds=result.holds) + [
-        _row("component", start=c.start, end=c.end,
-             scaled_width=c.scaled_width, rise=c.rise,
-             check="ok" if c.holds else "VIOLATED")
-        for c in result.per_component]
+        _row("component", start=part.start, end=part.end,
+             scaled_width=part.scaled_width, rise=part.rise,
+             check="ok" if part.holds else "VIOLATED")
+        for part in result.per_component]
 
 
 def _cmd_dini(args) -> list[str]:
@@ -418,10 +425,20 @@ def run(argv: Optional[Sequence[str]] = None) -> tuple[int, list[str]]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one job and print its report; a reader that stops early, as
+    ``| head`` does, ends the printing but not the job's status."""
     status, lines = run(argv)
     out = sys.stdout if status == 0 else sys.stderr
-    for line in lines:
-        print(line, file=out)
+    try:
+        for line in lines:
+            print(line, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the interpreter flushes the stream again at exit, which would
+        # raise once more: let that flush write to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return status
 
 

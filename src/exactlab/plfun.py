@@ -236,12 +236,16 @@ class PLFunction:
     # -- transforms ---------------------------------------------------------
 
     def add_linear(self, intercept, slope) -> "PLFunction":
-        """Pointwise sum with ``intercept + slope * x``."""
+        """Pointwise sum with ``intercept + slope * x``; a zero intercept
+        is not added."""
         intercept = ExactNumber.coerce(intercept)
         slope = ExactNumber.coerce(slope)
+        with_intercept = intercept.sign() != 0
         pts = []
         for p in self.points:
-            shift = intercept + slope * p.x
+            shift = slope * p.x
+            if with_intercept:
+                shift = intercept + shift
             right = p.right + shift
             left = right if p.left is p.right else p.left + shift
             pts.append(Breakpoint(p.x, left, right))

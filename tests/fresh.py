@@ -11,13 +11,17 @@ import exactlab
 SRC = str(Path(exactlab.__file__).resolve().parents[1])
 
 
+def python_env() -> dict[str, str]:
+    """The environment with exactlab's source directory first on the path."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
 def run_python(*args: str, text: bool = True) -> subprocess.CompletedProcess:
     """``python *args`` with exactlab's source directory first on the path;
     standard output and error are captured."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=text, timeout=120)
+    return subprocess.run([sys.executable, *args], env=python_env(),
+                          capture_output=True, text=text, timeout=120)
 
 
 def run_code(code: str, *args: str) -> str:

@@ -382,15 +382,18 @@ def _count_calls(monkeypatch):
 
 @pytest.mark.parametrize("argv, calls", [
     # the rising sun divides only where its ceiling crosses a piece, and
-    # compares a continuous breakpoint's shared limit once
+    # compares a continuous breakpoint's shared limit once; f - c x adds no
+    # zero intercept to the 1 024 breakpoints' shifts
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 22, "__mul__": 1054, "compare": 8722, "_raw": 5278}),
+     {"__truediv__": 22, "__mul__": 1054, "compare": 8722, "_raw": 4254}),
     (["sun", "--fn", "cantor:9"], {"compare": 6176, "_raw": 2050}),
-    # the mesh survey walks 2 187 cells and 256 breakpoints in one merge,
-    # and reads each witness's Dini values on the piece the walk holds; a
-    # cell with no breakpoint inside adds the one mesh/2 to its lo
+    # the mesh survey walks 2 187 cells against 256 breakpoints; the 1 932
+    # cells that end below the next breakpoint are settled by one compare
+    # and check their witness lo + mesh/2 by two, the 255 that end on one
+    # take four (the last, which also tests b, five), and each of the 255
+    # pieces divides out its slope once
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 257, "compare": 13633, "_raw": 5655}),
+     {"__truediv__": 257, "compare": 7072, "_raw": 5655}),
     # the staircase builds 1 024 breakpoints from 2 048 values and checks
     # their order in 1 023 compares; a continuous breakpoint divides out its
     # two slopes
@@ -408,14 +411,19 @@ def test_pl_sweep_costs(monkeypatch, argv, calls):
     # the second run reads the first one's staircase: no build, no order
     # check, and the 7 slopes divided on the first run are not divided again
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 15, "__mul__": 1054, "compare": 7699, "_raw": 3209}),
+     {"__truediv__": 15, "__mul__": 1054, "compare": 7699, "_raw": 2185}),
     # all 255 slopes were divided on the first run; the 256 breakpoints'
     # 512 values and 255 order compares are not made again
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 2, "compare": 13378, "_raw": 4378}),
+     {"__truediv__": 2, "compare": 6817, "_raw": 4378}),
+    # no breakpoint falls on a cell edge: each of the 254 interior ones lies
+    # inside a cell, which takes the midpoint of its wider side, and the
+    # cells after it are settled by one compare again
+    (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
+     {"__truediv__": 256, "compare": 7318, "_raw": 5136}),
     # the 1 023 order compares, 2 048 values and 2 slope divisions are gone
     (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 12, "_raw": 1}),
-], ids=["sun-9-c2", "diffreport-7-2187", "dini-9"])
+], ids=["sun-9-c2", "diffreport-7-2187", "diffreport-7-2185", "dini-9"])
 def test_pl_sweep_costs_on_a_shared_staircase(monkeypatch, argv, calls):
     counts = _count_calls(monkeypatch)
     first = run(argv)

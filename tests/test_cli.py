@@ -1,12 +1,17 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactlab import PLFunction, analysis, coding
-from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, _digits, run
+from exactlab import DiscreteSet, ExactNumber, PLFunction, analysis, coding
+from exactlab.cli import _CODE_ARITY, _MEASURE_ARITY, _digits, _row, run
+
+from fresh import python_env
 
 
 def test_extract_reports_trace():
@@ -94,6 +99,13 @@ def test_sun_and_bound_reports():
     assert run(["sun", "--fn", "cantor:3", "--c", "1/2"]) == (0, [
         "c=1/2", "mu=1", "bound=2", "holds=true",
         "component start=0 end=1 scaled_width=1/2 rise=1 check=ok"])
+
+
+def test_sun_bound_prints_c_as_its_value():
+    status, lines = run(["sun", "--fn", "cantor:3", "--c", "4/2"])
+    assert status == 0 and lines[0] == "c=2"
+    assert run(["sun", "--fn", "cantor:3", "--c", " 2"]) == \
+        run(["sun", "--fn", "cantor:3", "--c", "2"])
 
 
 def test_dini_report():
@@ -192,6 +204,7 @@ def test_digit_count_matches_the_text():
     pytest.param(["measure", "localnull", "--set", "(0,{})", "--delta", "1/2",
                   "--probes", "(0,1)"], id="measure localnull set"),
     ["measure", "mass", "(0,{})"],
+    ["sun", "--fn", "cantor:3", "--c", "{}"],
 ], ids=lambda argv: " ".join(argv[:2]))
 @pytest.mark.parametrize("alias, spelled", [
     ("sqrt2", "sqrt(2)"), ("phi", "1/2+1/2*sqrt(5)"), ("SQRT3", "sqrt(3)")])
@@ -537,3 +550,59 @@ def test_pl_jobs_at_their_budget_run():
                     ["diffreport", "--fn", "worked3", "--mesh", "1"]):
         assert run(command + ["--budget", "-1"]) == (
             2, ["error: cap must be non-negative, got -1"])
+
+
+def test_a_reader_that_stops_early_ends_in_no_traceback():
+    # about 400 kB of cell rows, more than a pipe holds, so the job is still
+    # printing when its reader goes away
+    argv = ["diffreport", "--fn", "cantor:8", "--mesh", "1/6561"]
+    with subprocess.Popen([sys.executable, "-m", "exactlab.cli", *argv],
+                          env=python_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as job:
+        assert job.stdout.readline() == b"mesh=1/6561\n"
+        job.stdout.close()
+        err = job.stderr.read()
+        status = job.wait(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert status == 0
+
+
+def _frozen_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, DiscreteSet):
+        return "{" + _frozen_text(value.elements) + "}"
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _frozen_row(tag: str, **fields) -> str:
+    """The row as it was written before ExactNumber fields went straight to
+    str: every field through a keyword dict of lines and the isinstance
+    chain."""
+    lines = [f"{key}={_frozen_text(value)}" for key, value in fields.items()]
+    return " ".join([tag] + lines)
+
+
+exact_numbers = st.builds(
+    lambda p, q, den, m: ExactNumber(Fraction(p, den),
+                                     Fraction(q, den) if m else 0, m),
+    st.integers(-10 ** 6, 10 ** 6), st.integers(-50, 50),
+    st.integers(1, 3 ** 9), st.sampled_from([0, 0, 2, 3, 5]))
+# a set's members are ordered, so they share one radicand
+non_negative = st.builds(lambda p, den: ExactNumber(Fraction(p, den)),
+                     st.integers(0, 10 ** 6), st.integers(1, 3 ** 9))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(
+    exact_numbers, st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+    st.lists(exact_numbers, max_size=4),
+    st.lists(exact_numbers, max_size=4).map(tuple),
+    st.lists(non_negative, max_size=4).map(DiscreteSet),
+    st.sampled_from([analysis.POS_INF, analysis.NEG_INF, "ok", "VIOLATED"])),
+    max_size=6))
+def test_row_formats_every_field_as_before(values):
+    fields = {f"k{i}": v for i, v in enumerate(values)}
+    assert _row("cell", **fields) == _frozen_row("cell", **fields)

@@ -31,14 +31,20 @@ from exactlab import (
     ExactNumber,
     PLFunction,
     ValueSet,
+    analysis,
     differentiability_report,
     dini,
     jump_points,
     rising_sun,
     sun_measure_bound,
 )
-from exactlab.analysis import SunResult
-from exactlab.errors import CapExceeded, NotMonotone, RadicandMismatch
+from exactlab.analysis import DiniValues, SunResult
+from exactlab.errors import (
+    CapExceeded,
+    NotMonotone,
+    RadicandMismatch,
+    VerificationError,
+)
 
 import reference_plfun as ref
 
@@ -100,12 +106,30 @@ def pl_functions(draw, monotone=False):
 
 @st.composite
 def meshes(draw, f):
-    """Mostly a fraction of the width, so at most about 40 cells; sometimes
-    a rational mesh, zero or a negative one."""
+    """A fraction of the width, so at most about 40 cells; the width over k
+    for k up to 400, so that many cells share a piece; a gap between two
+    breakpoints over an integer, which puts the later breakpoint, and often
+    others, on cell edges; an irrational mesh, in Q(sqrt(3)) only over
+    rational abscissae; sometimes a rational mesh, zero or a negative one."""
     a, b = f.domain
-    kind = draw(st.sampled_from(["width", "width", "width", "rational", "bad"]))
+    xs = f.breakpoints
+    kind = draw(st.sampled_from(["width", "width", "fine", "edge", "edge",
+                                 "irrational", "rational", "bad"]))
     if kind == "width":
         return (b - a) * F(draw(st.integers(1, 30)), draw(st.integers(1, 40)))
+    if kind == "fine":
+        return (b - a) * F(1, draw(st.integers(1, 400)))
+    if kind == "edge":
+        i = draw(st.integers(1, len(xs) - 1))
+        j = draw(st.integers(0, i - 1))
+        return (xs[i] - xs[j]) * F(1, draw(st.integers(1, 12)))
+    if kind == "irrational":
+        unit = SQRT2_UNIT
+        if all(x.q == 0 for x in xs) and draw(st.booleans()):
+            unit = SQRT3_UNIT
+        # a factor between 1 + 1/16 sqrt(m) and 1 + 1/2 sqrt(m)
+        mesh = (b - a) * F(1, draw(st.integers(1, 200)))
+        return mesh * (1 + unit * draw(st.integers(1, 8)))
     if kind == "rational":
         return ExactNumber(F((b - a).floor() + 1, draw(st.integers(1, 30))))
     return ExactNumber(draw(st.integers(-2, 0)))
@@ -229,13 +253,54 @@ def test_survey_matches_reference(data, f):
     assert _report(lambda: differentiability_report(f, mesh)) == want
     # a cap at or above the cell count changes nothing; below it, the
     # survey stops with CapExceeded before building a cell
-    cap = data.draw(st.integers(0, 50))
-    got = _report(lambda: differentiability_report(f, mesh, cap=cap))
     cells = _cells(f, mesh) if mesh.sign() > 0 else 0
+    cap = data.draw(st.one_of(st.integers(0, 50),
+                              st.integers(max(cells - 2, 0), cells + 2)))
+    got = _report(lambda: differentiability_report(f, mesh, cap=cap))
     if cells <= cap:
         assert got == want
     else:
         assert got == (CapExceeded, f"{cells} cells exceed cap {cap}")
+
+
+# three pieces, with slopes 2, -1 and 1/2
+WORKED3 = PLFunction.from_values([(0, 0), (1, 2), (2, 1), (3, F(3, 2))])
+
+
+def test_survey_checks_each_piece_once(monkeypatch):
+    # strictly inside a piece the Dini values do not depend on the point,
+    # so the survey reads them at the piece's first witness and reuses them
+    read = []
+
+    def dini_on_piece(g, k, x, _real=analysis._dini_on_piece):
+        read.append((k, x))
+        return _real(g, k, x)
+    monkeypatch.setattr(analysis, "_dini_on_piece", dini_on_piece)
+    report = differentiability_report(WORKED3, F(1, 4))
+    assert len(report.cells) == 12
+    assert [c.derivative for c in report.cells] == \
+        [ExactNumber(v) for v in [2] * 4 + [-1] * 4 + [F(1, 2)] * 4]
+    # one witness per piece, then the two interior breakpoints
+    assert read == [(0, ExactNumber(F(1, 8))), (1, ExactNumber(F(9, 8))),
+                    (2, ExactNumber(F(17, 8))), (1, ExactNumber(1)),
+                    (2, ExactNumber(2))]
+
+
+@pytest.mark.parametrize("bad_piece, message", [
+    (0, "cell [0, 1/4] witness 1/8 is not a point of differentiability"),
+    (2, "cell [2, 9/4] witness 17/8 is not a point of differentiability"),
+])
+def test_survey_raises_when_a_piece_has_unequal_dini_values(
+        monkeypatch, bad_piece, message):
+    def dini_on_piece(g, k, x, _real=analysis._dini_on_piece):
+        if k != bad_piece:
+            return _real(g, k, x)
+        s = g.slope(k)
+        return DiniValues(s, s, s, s + 1)
+    monkeypatch.setattr(analysis, "_dini_on_piece", dini_on_piece)
+    with pytest.raises(VerificationError) as err:
+        differentiability_report(WORKED3, F(1, 4))
+    assert str(err.value) == message
 
 
 @settings(max_examples=150)
