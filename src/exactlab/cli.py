@@ -63,7 +63,10 @@ def parse_oracle(spec: str) -> FunctionOracle:
             fields = line.split()
             if len(fields) != 2:
                 raise ValueError(f"table line needs 2 fields: {line!r}")
-            pairs[exact(fields[0])] = exact(fields[1])
+            key = exact(fields[0])
+            if key in pairs:
+                raise ValueError(f"table key {key} appears twice")
+            pairs[key] = exact(fields[1])
         return TableOracle(pairs)
     raise ValueError(f"unknown oracle spec {spec!r}; use rot(...) or table(file)")
 

@@ -472,7 +472,8 @@ class GrowableSet:
 # - ``first_hit(n0, lo, hi, lo_open, hi_open, upto)``: the least index
 #   >= n0 whose value lies between lo and hi (None: unbounded), each end
 #   open or closed; None if there is none up to ``upto``;
-# - ``hits(k, lo, hi)``: every index <= k whose value lies in [lo, hi];
+# - ``hits(n0, k, lo, hi)``: every index from n0 through k whose value lies
+#   in [lo, hi];
 # - ``records(a, b, k, upto)``: the left and right record chains of the
 #   cut a over indices <= k, and of the cut b over indices <= upto;
 # - ``chain(cut, k, below)``: one record chain of one cut over indices <= k;
@@ -481,8 +482,10 @@ class GrowableSet:
 # plus ``value(i)`` and ``elem(i)``.  A record chain lists the indices at
 # which the value on one side of the cut comes closer to it.  Over a
 # growable set, an index past the cap raises CapExceeded.  A
-# :class:`ValueColumn` answers them by scanning; the first-hit engine
+# :class:`ValueColumn` answers them by scanning, and watches one window,
+# the last one ``hits`` was asked for; the first-hit engine
 # (:mod:`exactlab.orbit`) answers them for a rotation over the naturals.
+# Either one belongs to one extraction, like its set.
 
 
 class ValueColumn:
@@ -491,10 +494,10 @@ class ValueColumn:
     newly read index, over the fixed ``elems`` or a growable set.
 
     Scans read indices in order and compare in a fixed order: each index
-    read for the first time is first checked against every interval that
-    :meth:`hits` was asked for, in the order they were asked for, and only
-    then by the scan that read it.  A first hit in such an interval is
-    read off its hit list.
+    read for the first time is first checked against the one window that
+    :meth:`hits` was last asked for, and only then by the scan that read
+    it.  The window keeps every index read so far that lies in it, and a
+    column keeps its values, so each index is evaluated once.
     """
 
     def __init__(self, elems: Sequence[ExactNumber], values: list,
@@ -505,17 +508,16 @@ class ValueColumn:
         self._G = G
         self._element = elems.__getitem__ if G is None else G.element
         self._f = f
-        self._watched: dict[tuple, list[int]] = {}
+        self._window: Optional[tuple] = None    # (lo, hi, hits so far)
 
     def _read(self, i: int) -> None:
         """Evaluate every index through i (CapExceeded past the cap)."""
-        values = self._values
+        values, window = self._values, self._window
         while len(values) <= i:
             j = len(values)
             values.append(self._f.eval(self._element(j)))
-            for (lo, hi), found in self._watched.items():
-                if self._inside(j, lo, hi):
-                    found.append(j)
+            if window is not None and self._inside(j, window[0], window[1]):
+                window[2].append(j)
 
     def _inside(self, i: int, lo: ExactNumber, hi: ExactNumber) -> bool:
         v = self._values[i]
@@ -540,16 +542,6 @@ class ValueColumn:
     def first_hit(self, n0: int, lo, hi, lo_open: bool = False,
                   hi_open: bool = False, upto: Optional[int] = None
                   ) -> Optional[int]:
-        found = None if lo_open or hi_open else self._watched.get((lo, hi))
-        if found is not None:
-            while True:
-                j = bisect.bisect_left(found, n0)
-                if j < len(found):
-                    return found[j] if upto is None or found[j] <= upto else None
-                i = len(self._values)
-                if upto is not None and i > upto:
-                    return None
-                self._read(i)
         above = None if lo is None else self.side(lo)
         below = None if hi is None else self.side(hi)
         i = n0
@@ -568,14 +560,18 @@ class ValueColumn:
             return i
         return None
 
-    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
-        found = self._watched.get((lo, hi))
-        if found is None:
+    def hits(self, n0: int, k: int, lo: ExactNumber, hi: ExactNumber
+             ) -> list[int]:
+        """[lo, hi] becomes the watched window, in place of the last one."""
+        window = self._window
+        if window is None or window[:2] != (lo, hi):
             found = [i for i in range(len(self._values))
                      if self._inside(i, lo, hi)]
-            self._watched[(lo, hi)] = found
+            window = self._window = (lo, hi, found)
         self._read(k)
-        return found[:bisect.bisect_right(found, k)]
+        found = window[2]
+        return found[bisect.bisect_left(found, n0):
+                     bisect.bisect_right(found, k)]
 
     def records(self, a, b, k: int, upto: Optional[int] = None):
         """One pass, index by index: a's side and record compares, then

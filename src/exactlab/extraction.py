@@ -19,22 +19,23 @@ more, exactly the j-th target, at tolerance scale/6^(k-j):
 
 A step reads the oracle only through five queries (see
 :mod:`exactlab.dsets`): the first index from some index on whose value
-lies in an interval, every index up to a bound whose value lies in one,
-the record chains of two cuts or one chain of one cut, and the index of a
-value.  Phase 2 asks for the window's hits up to the previous bound,
+lies in an interval, every index between two bounds whose value lies in
+one, the record chains of two cuts or one chain of one cut, and the index
+of a value.  Phase 2 asks for the window's hits up to the previous bound,
 then for first hits after it; phase 3 walks the right-record chain of the
 best left value; phase 4 asks for one first hit, plus one per midpoint
-collision; phase 5 lists the window's hits up to the new bound; the ratio
-family of the new cuts reads four record chains and two value indices.
+collision; phase 5 lists the window's hits past phase 2's bound up to the
+new one; the ratio family of the new cuts reads four record chains and two
+value indices.
 
 For a rotation oracle over the default naturals one first-hit engine
 (:mod:`exactlab.orbit`) serves the whole extraction and builds the
 rotation's continued-fraction expansion once; it answers every query
 exactly whatever its indices (N = 9 reaches indices near 10^45 in under a
 second), and a needed index past the budget still raises the scan's
-``index <cap+1> exceeds cap <cap>``.  For any other oracle a fresh column
-scan answers each step's queries, reading each index once per step.  Both
-give identical traces.
+``index <cap+1> exceeds cap <cap>``.  For any other oracle one column
+scan answers the whole extraction's queries and keeps its values, so it
+evaluates each index once per extraction.  Both give identical traces.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step
@@ -105,22 +106,22 @@ class ExtractionTrace:
 
 
 def _queries(G: GrowableSet, f: FunctionOracle):
-    """An extraction's oracle queries, as a function giving each step its
-    own, by the rule the approx entry points follow: one first-hit engine
-    where :func:`~exactlab.orbit.serves` holds, whose continued-fraction
-    runs serve every step; a fresh column scan per step otherwise."""
+    """The one query object of an extraction over G, by the rule the approx
+    entry points follow: a first-hit engine where
+    :func:`~exactlab.orbit.serves` holds, whose continued-fraction runs
+    serve every step; else a column scan, whose values every step reads."""
     if serves(G._elems, f):
-        orbit = Orbit(G, f)
-        return lambda: orbit
-    return lambda: ValueColumn(G._elems, [], G, f)
+        return Orbit(G, f)
+    return ValueColumn(G._elems, [], G, f)
 
 
 def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
-          target: ExactNumber, eps: ExactNumber, queries) -> RatioFamily:
-    """One step at tolerance eps, through ``queries()`` (see
-    :func:`_queries`).  The base step (no ``prev``) takes the target as its
-    ratio if it is above 1, else 1 + eps/2; a later step adjoins a ratio
-    equal to the target, moving every earlier one by less than eps/6."""
+          target: ExactNumber, eps: ExactNumber, q) -> RatioFamily:
+    """One step at tolerance eps, through the extraction's query object
+    ``q`` (see :func:`_queries`).  The base step (no ``prev``) takes the
+    target as its ratio if it is above 1, else 1 + eps/2; a later step
+    adjoins a ratio equal to the target, moving every earlier one by less
+    than eps/6."""
     if prev is None:
         e0, e1 = G.element(0), G.element(1)
         v0, v1 = f.eval(e0), f.eval(e1)
@@ -130,14 +131,13 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
         low, high = (v0, v1) if v0 < v1 else (v1, v0)
         ratio = target if target.compare(1) > 0 else ONE + eps / 2
         a = low + (high - low) / ratio
-        fam = _family(queries(), a, a, e1, 1, 1)
+        fam = _family(q, a, a, e1, 1, 1)
         expected = DiscreteSet([ExactNumber(0), ratio])
         if fam.yset != expected or not fam.admissible:
             raise StepVerificationFailed(
                 f"bootstrap produced {fam.yset} instead of {expected}")
         return fam
     eps_move = eps / 6
-    q = queries()
     value = q.value
     l_ue = prev.approx.l
     e_idx = G.index_of(prev.d)
@@ -148,7 +148,7 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
 
     # (2) least bound from e_idx on holding two image values in the window
     found: dict[ExactNumber, int] = {}
-    for i in q.hits(e_idx, lo, hi):
+    for i in q.hits(0, e_idx, lo, hi):
         found.setdefault(value(i), i)
     d0_idx = e_idx
     while len(found) < 2:
@@ -169,8 +169,9 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
         d_idx = q.first_hit(d_idx + 1, l_ue, a, lo_open=True)
     d = G.element(d_idx)
 
-    # (5) widest image-free gap inside the window at the new bound
-    for i in q.hits(d_idx, lo, hi):
+    # (5) widest image-free gap inside the window at the new bound; found
+    #     holds every hit through d0_idx, so only later ones are listed
+    for i in q.hits(d0_idx + 1, d_idx, lo, hi):
         found.setdefault(value(i), i)
     inside = sorted(found.items())
     pair = None
@@ -225,24 +226,21 @@ def _check(fam: RatioFamily, targets, eps: ExactNumber,
             f"away from {goal}, beyond eps = {eps}")
 
 
-def bootstrap(G: GrowableSet, f: FunctionOracle, eps, queries=None
-              ) -> RatioFamily:
-    """Base step: ratios {0, 1 + eps/2}, an eps-segment up to 1, through an
-    extraction's ``queries`` (default: the step's own)."""
+def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
+    """Base step: ratios {0, 1 + eps/2}, an eps-segment up to 1, through
+    its own query object."""
     eps = ExactNumber.coerce(eps)
     if eps.sign() <= 0:
         raise PreconditionFailed(f"eps must be positive, got {eps}")
-    if queries is None:
-        queries = _queries(G, f)
-    fam = _step(G, f, None, ONE, eps, queries)
+    fam = _step(G, f, None, ONE, eps, _queries(G, f))
     _check(fam, [ONE], eps)
     return fam
 
 
 def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
-                n: int, eps, queries=None) -> RatioFamily:
+                n: int, eps) -> RatioFamily:
     """Extend an (eps/6)-segment up to n into an eps-segment up to n + 1,
-    through an extraction's ``queries`` (default: this step's own)."""
+    through its own query object."""
     eps = ExactNumber.coerce(eps)
     if eps.sign() <= 0:
         raise PreconditionFailed(f"eps must be positive, got {eps}")
@@ -251,9 +249,7 @@ def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     if not is_approx_segment(prev.yset, eps / 6, n):
         raise PreconditionFailed(
             f"previous set is not an {eps}/6-segment up to {n}")
-    if queries is None:
-        queries = _queries(G, f)
-    fam = _step(G, f, prev, ExactNumber(n + 1), eps, queries)
+    fam = _step(G, f, prev, ExactNumber(n + 1), eps, _queries(G, f))
     _check(fam, range(1, n + 2), eps)
     return fam
 
@@ -262,13 +258,13 @@ def _pipeline(G: GrowableSet, f: FunctionOracle, targets,
               scale: ExactNumber) -> ExtractionTrace:
     """The one loop behind both entry points: step j of k aims a ratio at
     targets[j-1] (a sequence of exact numbers or ints) at tolerance
-    scale/6^(k-j), through one ``queries`` for the whole run, and passes
-    its one check (see :func:`_check`)."""
-    queries = _queries(G, f)
+    scale/6^(k-j), through one query object for the whole run (see
+    :func:`_queries`), and passes its one check (see :func:`_check`)."""
+    q = _queries(G, f)
     steps, fam = [], None
     for j, target in enumerate(targets, 1):
         eps = scale / 6 ** (len(targets) - j)
-        fam = _step(G, f, fam, ExactNumber.coerce(target), eps, queries)
+        fam = _step(G, f, fam, ExactNumber.coerce(target), eps, q)
         _check(fam, targets[:j], eps)
         steps.append(TraceStep(n=j, eps=eps, fam=fam,
                                d_index=G.index_of(fam.d),

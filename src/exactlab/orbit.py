@@ -113,10 +113,11 @@ class Orbit:
         G._materialize(n)
         return n
 
-    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
-        """Every n <= k with {n*alpha} in the closed [lo, hi]."""
+    def hits(self, n0: int, k: int, lo: ExactNumber, hi: ExactNumber
+             ) -> list[int]:
+        """Every n from n0 through k with {n*alpha} in the closed [lo, hi]."""
         out: list[int] = []
-        n = self.first_hit(0, lo, hi, upto=k)
+        n = self.first_hit(n0, lo, hi, upto=k)
         while n is not None:
             out.append(n)
             n = self.first_hit(n + 1, lo, hi, upto=k)

@@ -319,6 +319,12 @@ def test_reports_are_deterministic():
     (["extract", "--oracle", "table(one-field.txt)", "--n", "1",
       "--eps", "1/4"],
      "error: table line needs 2 fields: '0'"),
+    (["extract", "--oracle", "table(key-twice.txt)", "--n", "1",
+      "--eps", "1/4"],
+     "error: table key 1 appears twice"),
+    (["extract", "--oracle", "table(equal-keys.txt)", "--n", "1",
+      "--eps", "1/4"],
+     "error: table key 1 appears twice"),
     (["measure", "mass", "(0,1"], "error: cannot parse interval '(0,1'"),
     (["measure", "outer", "(0,1/2,1)"],
      "error: cannot parse interval '(0,1/2,1)'"),
@@ -329,13 +335,16 @@ def test_reports_are_deterministic():
         "cf-no-args", "delta-row-one-arg", "mass-no-args", "outer-no-args",
         "localnull-extra-arg", "delta-encode-negative-digits",
         "delta-row-negative-digits", "table-line-three-fields",
-        "table-line-one-field", "interval-unclosed", "interval-two-commas"])
+        "table-line-one-field", "table-key-twice", "table-keys-equal",
+        "interval-unclosed", "interval-two-commas"])
 def test_malformed_input_is_status_2_not_a_traceback(argv, message, tmp_path,
                                                      monkeypatch):
     # the table(...) cases read these files from the working directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / "three-fields.txt").write_text("0 0\n0 1/2 junk\n")
     (tmp_path / "one-field.txt").write_text("# index value\n0\n")
+    (tmp_path / "key-twice.txt").write_text("0 0\n1 2/3\n1 1/5\n")
+    (tmp_path / "equal-keys.txt").write_text("0 0\n1 2/3\n2/2 1/5\n")
     assert run(argv) == (2, [message])
 
 

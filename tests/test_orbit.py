@@ -81,15 +81,22 @@ def test_first_hit_matches_brute_force(alpha, data):
 @given(alpha=alphas(), data=st.data())
 def test_queries_match_a_column_scan(alpha, data):
     q, values = _setup(alpha)
-    col = ValueColumn([exact(n) for n in range(LIMIT + 1)], values)
+    # a column that reads each value as a query first needs it
+    col = ValueColumn([exact(n) for n in range(LIMIT + 1)], [],
+                      f=RotationOracle(alpha))
     ends = _ends(values)
-    lo, hi = data.draw(ends), data.draw(ends)
+    cuts = ends.filter(lambda c: c is not None)
     k = data.draw(st.integers(0, LIMIT))
-    if lo is not None and hi is not None:
-        assert q.hits(k, lo, hi) == [
-            n for n in range(k + 1) if _inside(values[n], lo, hi, False, False)]
-    a = data.draw(ends.filter(lambda c: c is not None))
-    b = data.draw(st.one_of(st.none(), ends.filter(lambda c: c is not None)))
+    # the column watches one window at a time: ask it for a second one
+    for _ in range(2):
+        lo, hi = data.draw(cuts), data.draw(cuts)
+        n0 = data.draw(st.integers(0, k + 1))
+        want = [n for n in range(n0, k + 1)
+                if _inside(values[n], lo, hi, False, False)]
+        assert q.hits(n0, k, lo, hi) == want, (n0, k, lo, hi)
+        assert col.hits(n0, k, lo, hi) == want, (n0, k, lo, hi)
+    a = data.draw(cuts)
+    b = data.draw(st.one_of(st.none(), cuts))
     upto = data.draw(st.integers(k, LIMIT))
     assert q.records(a, b, k, upto) == col.records(a, b, k, upto)
     n = data.draw(st.integers(0, LIMIT))
@@ -330,9 +337,9 @@ def _engines(monkeypatch):
     build = extraction._queries
 
     def recorded(G, f):
-        queries = build(G, f)
-        engines.append(queries())
-        return queries
+        q = build(G, f)
+        engines.append(q)
+        return q
     monkeypatch.setattr(extraction, "_queries", recorded)
     return engines
 
@@ -359,17 +366,19 @@ def test_sqrt2_n3_cost(monkeypatch):
     # one engine serves the bootstrap and steps 2 and 3: (first-hit
     # recursions, levels descended, orbit solves, continued-fraction runs
     # built, record links read); the bootstrap adds 2 solves and 2 links.
-    # The runs make every inverse the engine takes, one per run, and the
-    # ladder's 14 rungs multiply theirs; the other 13 are irrational
-    # divisions outside the engine (a plain int divisor multiplies into
-    # the denominator instead)
-    assert _cost(monkeypatch, SQRT2) == ((20, 185, 28, 15, 72), 14, 28)
+    # Phase 5 reads only the window's hits past phase 2's bound; phase 2
+    # listed those up to it.  The runs make every inverse the engine
+    # takes, one per run, and the ladder's 14 rungs multiply theirs; the
+    # other 13 are irrational divisions outside the engine (a plain int
+    # divisor multiplies into the denominator instead)
+    assert _cost(monkeypatch, SQRT2) == ((16, 147, 24, 15, 72), 14, 28)
 
 
 def test_phi_n3_cost(monkeypatch):
     # {phi} > 1/2, so run 0 holds only the record high d = 1, with the
-    # 1/{phi} that rung 0 reads: one run more than the record chains need
-    assert _cost(monkeypatch, PHI) == ((14, 112, 22, 23, 60), 11, 36)
+    # 1/{phi} that rung 0 reads: one run more than the record chains need.
+    # Phase 5 reads only the window's hits past phase 2's bound
+    assert _cost(monkeypatch, PHI) == ((10, 78, 18, 23, 60), 11, 36)
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):
