@@ -482,10 +482,12 @@ class GrowableSet:
 # plus ``value(i)`` and ``elem(i)``.  A record chain lists the indices at
 # which the value on one side of the cut comes closer to it.  Over a
 # growable set, an index past the cap raises CapExceeded.  A
-# :class:`ValueColumn` answers them by scanning, and watches one window,
-# the last one ``hits`` was asked for; the first-hit engine
+# :class:`ValueColumn` answers them by scanning; the first-hit engine
 # (:mod:`exactlab.orbit`) answers them for a rotation over the naturals.
-# Either one belongs to one extraction, like its set.
+# Both watch one window, the last one ``hits`` was asked for, and keep the
+# indices they found in it: the column checks each newly read index
+# against it, and the engine steps from one visit to the next by the
+# three-gap theorem.  Either one belongs to one extraction, like its set.
 
 
 class ValueColumn:

@@ -13,6 +13,18 @@ Following the smaller rotation (the reflection a -> 1 - a) swaps which end
 of the arc is closed and at least doubles the width per level, so the
 recursion ends once the width reaches the rotation.
 
+Once one visit to a closed window [lo, hi] with 0 <= lo < hi < 1 is known,
+the later ones follow without a recursion, by the three-gap theorem
+(Slater, "Gaps and steps for the sequence n*theta mod 1", *Proc. Cambridge
+Philos. Soc.* 63, 1967; same survey): the return times of the orbit to
+[lo, lo + w) take only the values A, B and A + B, where A is the least
+d >= 1 with {d*alpha} < w and B the least with {d*alpha} > 1 - w.  From a
+visit n at x = {n*alpha} - lo the next one is n + A if x + {A*alpha} < w,
+else n + B if x + {B*alpha} >= 1, else n + A + B: one compare per visit.
+A and B are read off the record tables below, and the closed high end
+adds its one orbit solve.  :meth:`Orbit.hits` watches one such window and
+keeps its visits, so a closed first hit on it reads the same list.
+
 The chain of rotations a_0 = a, a_1, a_2, ... depends on alpha alone; for a
 quadratic irrational it is the eventually periodic continued-fraction chain
 (Lagrange).  Each :class:`Orbit` keeps it as a *rotation ladder*: rung k
@@ -45,6 +57,7 @@ the step needs, as a column scan would have read them.
 
 from __future__ import annotations
 
+import bisect
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, _Naturals, record_chain
@@ -65,11 +78,13 @@ class Orbit:
 
     It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
     scanning.  ``first_hits`` counts the first-hit recursions run,
-    ``levels`` the levels they descended, ``solves`` the orbit solves,
-    ``runs`` the continued-fraction runs built, for the record tables and
-    the ladder alike, and ``links`` the record-chain links read off them.
-    The runs and the ladder are caches filled on first use, so an
-    :class:`Orbit` belongs to one extraction, like its set.
+    ``levels`` the levels they descended, ``steps`` the window visits
+    reached by a gap step instead, ``solves`` the orbit solves, ``runs``
+    the continued-fraction runs built, for the record tables and the
+    ladder alike, and ``links`` the record-chain links read off them.
+    The runs, the ladder and the watched window (see :meth:`hits`) are
+    caches filled on first use, so an :class:`Orbit` belongs to one
+    extraction, like its set.
     """
 
     def __init__(self, G: GrowableSet, f: RotationOracle):
@@ -80,8 +95,10 @@ class Orbit:
         # highs: the even runs; lows: d = 1 as a run of one, then the odd runs
         self._lows: list[tuple] = [(0, 1, ONE, ONE - a, None, 1, a)]
         self._highs: list[tuple] = []
+        self._watch: Optional[_Window] = None
         self.first_hits = 0
         self.levels = 0
+        self.steps = 0
         self.solves = 0
         self.runs = 0
         self.links = 0
@@ -115,12 +132,34 @@ class Orbit:
 
     def hits(self, n0: int, k: int, lo: ExactNumber, hi: ExactNumber
              ) -> list[int]:
-        """Every n from n0 through k with {n*alpha} in the closed [lo, hi]."""
-        out: list[int] = []
-        n = self.first_hit(n0, lo, hi, upto=k)
-        while n is not None:
-            out.append(n)
-            n = self.first_hit(n + 1, lo, hi, upto=k)
+        """Every n from n0 through k with {n*alpha} in the closed [lo, hi].
+
+        A window with 0 <= lo < hi < 1 and no end in another radicand
+        becomes the watched one, in place of the last: its visits are
+        found by one recursion and then by gap steps (see :meth:`_advance`)
+        and kept, from n0 on, so a later query on it that starts within
+        what is known, or right after it, steps on from there.  Any other
+        window takes one first hit per visit."""
+        if not self._steppable(lo, hi):
+            out: list[int] = []
+            n = self.first_hit(n0, lo, hi, upto=k)
+            while n is not None:
+                out.append(n)
+                n = self.first_hit(n + 1, lo, hi, upto=k)
+            return out
+        win = self._watch
+        if win is None or win.lo != lo or win.hi != hi:
+            win = self._watch = _Window(lo, hi, self.orbit_index(hi))
+        if not win.start <= n0 <= win.through + 1:
+            win.restart(n0)
+        reach = max(k, self._G.cap)
+        while win.through < k:
+            self._advance(win, reach)
+        visits = win.visits
+        out = visits[bisect.bisect_left(visits, n0):
+                     bisect.bisect_right(visits, k)]
+        if win.top is not None and n0 <= win.top <= k:
+            bisect.insort(out, win.top)
         return out
 
     def records(self, a: ExactNumber, b: Optional[ExactNumber], k: int,
@@ -179,7 +218,14 @@ class Orbit:
         [lo, hi) by the recursion, then each end moved in or out by its
         orbit solve.  An answer past the limit may be any index past it.  A
         cut irrational in another radicand than alpha's goes to
-        :meth:`_foreign` before any clamping."""
+        :meth:`_foreign` before any clamping.  A closed window that
+        :meth:`hits` watches is read off its visits when n0 lies within
+        them or right after them."""
+        win = self._watch
+        if (win is not None and not (lo_open or hi_open)
+                and win.start <= n0 <= win.through + 1
+                and win.lo == lo and win.hi == hi):
+            return self._watched(win, n0, upto)
         m = self._m
         if (lo is not None and lo.q and lo.m != m
                 or hi is not None and hi.q and hi.m != m):
@@ -233,38 +279,118 @@ class Orbit:
             return None
         _refuse(cut.m, m)
 
+    # -- the watched window --------------------------------------------------
+
+    def _steppable(self, lo: ExactNumber, hi: ExactNumber) -> bool:
+        """True for a window that :meth:`hits` watches: 0 <= lo < hi < 1,
+        neither end in another radicand."""
+        m = self._m
+        return ((not lo.q or lo.m == m) and (not hi.q or hi.m == m)
+                and lo.sign() >= 0 and hi.compare(1) < 0
+                and lo.compare(hi) < 0)
+
+    def _watched(self, win: _Window, n0: int, upto: Optional[int]
+                 ) -> Optional[int]:
+        """:meth:`_first` on the watched window, for n0 within its visits or
+        right after them: the least visit >= n0 or the closed high end's
+        index, whichever comes first; None, or an index past the limit, if
+        neither is within it."""
+        reach = self._G.cap if upto is None else max(upto, self._G.cap)
+        visits = win.visits
+        i = bisect.bisect_left(visits, n0)
+        while i == len(visits) and win.through < reach:
+            self._advance(win, reach)
+        n = visits[i] if i < len(visits) else None
+        top = win.top
+        if top is not None and top >= n0 and (n is None or top < n):
+            return top
+        return n
+
+    def _advance(self, win: _Window, reach: int) -> None:
+        """Find the window's next visit to [lo, hi) after what it knows:
+        the first by one recursion from ``win.through + 1``, any later one
+        by a gap step from the last (see the module docstring).  A visit
+        past ``reach``, or a gap that would step past it, which counts as
+        none, only moves ``win.through`` to ``reach``; a stepped visit past
+        it is exact and is kept.  The gaps are read once per window, up to
+        ``reach`` from the visit that first steps, and read again only if
+        one was past that and a later step may go further."""
+        lo, w, visits = win.lo, win.w, win.visits
+        if not visits:
+            n = win.through + 1
+            n += self._least(self.value(n), lo, w, reach - n)
+            if n > reach:
+                win.through = reach
+                return
+            win.x = self.value(n) - lo
+            win.through = n
+            visits.append(n)
+            return
+        limit = reach - visits[-1]
+        if win.gaps is None or win.gaps[0] < limit and None in win.gaps[1:]:
+            win.gaps = (limit, self._record(self._lows, 0, w, limit),
+                        self._record(self._highs, 0, w, limit))
+        _, low, high = win.gaps
+        x = win.x
+        if low is not None and (x + low[2]).compare(w) < 0:
+            d, x = low[1], x + low[2]
+        elif high is not None and x.compare(high[2]) >= 0:
+            d, x = high[1], x - high[2]
+        elif low is not None and high is not None:
+            d, x = low[1] + high[1], x + low[2] - high[2]
+        else:
+            win.through = reach
+            return
+        self.steps += 1
+        win.x = x
+        win.through = visits[-1] + d
+        visits.append(win.through)
+
     # -- the record tables ---------------------------------------------------
 
     def _links(self, table: list[tuple], chain: list[int], gap: ExactNumber,
                k: int) -> list[int]:
         """Extend ``chain`` by the links from index 0 up to k: the next
         index is n + d for the table's least record d at distance below
-        ``gap``, and the gap shrinks by that distance.
+        ``gap``, and the gap shrinks by that distance.  Records only get
+        closer, so the search goes on from the run of the last link."""
+        n = r = 0
+        while True:
+            found = self._record(table, r, gap, k - n)
+            if found is None:
+                return chain
+            r, d, dist = found
+            self.links += 1
+            n += d
+            chain.append(n)
+            gap = gap - dist
+
+    def _record(self, table: list[tuple], r: int, gap: ExactNumber,
+                limit: int) -> Optional[tuple]:
+        """The least record d of ``table`` at distance below ``gap``, from
+        run r on: ``(its run, d, its distance)``, or None if d would pass
+        ``limit``.
 
         A run ``(d0, s, v0, y, inv, J, end)`` holds the records d0 + j*s
         at distance v0 - j*y for 1 <= j <= J (``inv`` = 1/y, ``end`` the
-        last distance), below every earlier record's.  Records only get
-        closer, so the search goes on from the run of the last link; in it
-        the least record under the gap is j = floor((v0 - gap)/y) + 1.
+        last distance), below every earlier record's; in the first run
+        that reaches below the gap the least such record is
+        j = floor((v0 - gap)/y) + 1.
         """
-        n = r = 0
         while True:
             while len(table) <= r:
                 self._grow()
             d0, s, v0, y, inv, J, end = table[r]
-            if d0 + s > k - n:
-                return chain
+            if d0 + s > limit:
+                return None
             if end.compare(gap) >= 0:
                 r += 1
                 continue
             j = 1 if J == 1 else ((v0 - gap) * inv).floor() + 1
             d = d0 + j * s
-            if d > k - n:
-                return chain
-            self.links += 1
-            n += d
-            chain.append(n)
-            gap = gap - (end if j == J else v0 - j * y)
+            if d > limit:
+                return None
+            return r, d, (end if j == J else v0 - j * y)
 
     def _run(self, s: int) -> tuple:
         """Run s of the continued fraction (see :meth:`_grow`)."""
@@ -364,6 +490,29 @@ class Orbit:
             x = (c + t) * inv
             t = _ceil(x) if closed else x.floor() + 1
         return t
+
+
+class _Window:
+    """The closed window [lo, hi] an :class:`Orbit` watches: ``w`` = hi -
+    lo; ``top``, the index whose value is hi, or None; ``visits``, every
+    index from ``start`` through ``through`` whose value lies in [lo, hi);
+    ``x``, the last visit's value minus lo; ``gaps``, None or
+    ``(limit, A, B)`` with A and B the step gaps as :meth:`Orbit._record`
+    read them up to ``limit`` (None for one past it)."""
+
+    __slots__ = ("lo", "hi", "w", "top", "start", "through", "visits", "x",
+                 "gaps")
+
+    def __init__(self, lo: ExactNumber, hi: ExactNumber, top: Optional[int]):
+        self.lo, self.hi, self.w, self.top = lo, hi, hi - lo, top
+        self.gaps: Optional[tuple] = None
+        self.restart(0)
+
+    def restart(self, n0: int) -> None:
+        """Forget the visits: what is known starts at n0 and is empty."""
+        self.start, self.through = n0, n0 - 1
+        self.visits: list[int] = []
+        self.x: Optional[ExactNumber] = None
 
 
 def _refuse(m: int, other: int) -> None:

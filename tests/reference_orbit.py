@@ -17,6 +17,13 @@ a plain function of an :class:`exactlab.orbit.Orbit`, whose ``_a``,
 was read off the record tables' runs: each rung inverts its rotation,
 takes the fractional part of the inverse and compares it with 1/2.
 ``test_orbit.py`` runs the ladder against it.
+
+:func:`hits` is ``Orbit.hits`` as it stood before the watched window: one
+first hit per visit to the closed window, each up to the query's bound.
+On an :class:`exactlab.orbit.Orbit` that :meth:`~exactlab.orbit.Orbit.hits`
+was never asked for, every such first hit runs its own recursion and its
+own solve of the closed high end.  ``test_orbit.py`` runs the stepped
+``hits`` and the closed first hits on its window against it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,18 @@ def record_chain(q, cut, k: int, below: bool) -> list[int]:
         else:
             n = q.first_hit(n + 1, cut, v, True, True, upto=k)
     return chain
+
+
+def hits(q, n0: int, k: int, lo: ExactNumber, hi: ExactNumber
+         ) -> list[int]:
+    """Every n from n0 through k with {n*alpha} in the closed [lo, hi],
+    one first hit per visit."""
+    out: list[int] = []
+    n = q.first_hit(n0, lo, hi, upto=k)
+    while n is not None:
+        out.append(n)
+        n = q.first_hit(n + 1, lo, hi, upto=k)
+    return out
 
 
 def least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber

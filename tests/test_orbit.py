@@ -23,6 +23,7 @@ from exactlab.errors import CapExceeded, RadicandMismatch
 from exactlab.orbit import Orbit
 
 from conftest import alphas
+from reference_orbit import hits as reference_hits
 from reference_orbit import least as reference_least
 from reference_orbit import record_chain as reference_chain
 from reference_orbit import rungs as reference_rungs
@@ -249,6 +250,118 @@ def test_record_chains_match_the_first_hit_walk(alpha, data):
     assert q.first_hits == 0
 
 
+def _foreign_cut(alpha):
+    """A cut in (0, 1) irrational in another radicand than alpha's."""
+    return ExactNumber.sqrt(3 if alpha.frac().m == 2 else 2) - 1
+
+
+def _hits_or_refusal(hits, q, n0, k, lo, hi):
+    try:
+        return hits(q, n0, k, lo, hi)
+    except RadicandMismatch as err:
+        return str(err)
+
+
+def _closest(alpha, span):
+    """A rational at most min ||d*alpha|| over 1 <= d <= span, the distance
+    to the nearest integer, and above half of it: that minimum is
+    ||q*alpha|| for the last convergent denominator q <= span of alpha's
+    continued fraction (its best approximations).  Two visits to a window
+    of width w among span + 1 consecutive indices are at least that far
+    apart, so the window holds at most w/that + 1 of them."""
+    x, q0, q1, p0, p1 = alpha, 0, 1, 1, alpha.floor()
+    x = x - p1
+    while True:
+        x = x.inverse()
+        a = x.floor()
+        x = x - a
+        if a * q1 + q0 > span:
+            return exact(F(1, abs(q1 * alpha - p1).inverse().floor() + 1))
+        q0, q1, p0, p1 = q1, a * q1 + q0, p1, a * p1 + p0
+
+
+# at most this many visits, plus the closed end's, per drawn window, so the
+# frozen walk stays fast
+VISITS = 30
+
+
+@settings(max_examples=200)
+@given(alpha=alphas(), data=st.data())
+def test_stepped_hits_match_one_first_hit_per_visit(alpha, data):
+    # the watched window's gap steps against the frozen walk, one recursion
+    # and one closed-end solve per visit, over bounds up to 10^30; a window
+    # holds at most VISITS + 1 visits (see _closest).  One end is a
+    # rational around [0, 1) (so some need clamping), an orbit value within
+    # the bound (a high end there is a visit only its solve finds), one
+    # moved by a hair, or a cut in another radicand; the other end is that
+    # end moved by the width.  Two windows per engine: the second replaces
+    # the first
+    f = RotationOracle(alpha)
+    ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
+    e = data.draw(st.integers(0, 30))
+    k = data.draw(st.integers(10 ** e // 10, 10 ** e))
+    for _ in range(2):
+        n0 = data.draw(st.one_of(st.integers(0, 3), st.integers(0, k + 1)))
+        orbit = st.integers(n0, max(n0, k)).map(q.value)
+        end = data.draw(st.one_of(
+            st.fractions(min_value=F(-1, 4), max_value=F(5, 4),
+                         max_denominator=10 ** 6).map(exact),
+            orbit, orbit,
+            st.builds(lambda v, h, p: v + F(h, 10 ** p), orbit,
+                      st.integers(-3, 3), st.sampled_from([9, 40])),
+            st.just(_foreign_cut(alpha))))
+        width = data.draw(st.integers(0, VISITS)) * _closest(alpha, k - n0)
+        lo, hi = ((end, end + width) if data.draw(st.booleans())
+                  else (end - width, end))
+        want = _hits_or_refusal(reference_hits, ref, n0, k, lo, hi)
+        got = _hits_or_refusal(Orbit.hits, q, n0, k, lo, hi)
+        assert got == want, (n0, k, lo, hi)
+
+
+@settings(max_examples=150)
+@given(alpha=alphas(), data=st.data())
+def test_queries_on_the_watched_window_match_the_frozen_walk(alpha, data):
+    # hits, closed first hits and closed first hits up to a bound, mixed
+    # on one window over a small cap: a query may start below an earlier
+    # one's start, inside what the window knows or past it, and a first hit
+    # with no bound may run out of the cap.  Answers, cap errors and the
+    # grown bound equal the frozen walk's, whose first hits each recurse.
+    # The window holds at most 3*VISITS + 1 visits up to twice the cap
+    cap = data.draw(st.integers(0, 3000))
+    f = RotationOracle(alpha)
+    ref, q = Orbit(GrowableSet(cap=cap), f), Orbit(GrowableSet(cap=cap), f)
+    orbit = st.integers(0, cap).map(q.value)
+    width = (data.draw(st.integers(1, 3 * VISITS))
+             * _closest(alpha, 2 * cap + 2))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.one_of(
+            st.fractions(min_value=0, max_value=F(9, 10),
+                         max_denominator=10 ** 6).map(exact), orbit))
+        hi = lo + width
+    else:
+        hi = data.draw(orbit)
+        lo = hi - width
+    starts = st.one_of(st.integers(0, cap + 2),
+                       st.integers(max(cap - 20, 0), cap + 2))
+    for _ in range(data.draw(st.integers(2, 8))):
+        op = data.draw(st.sampled_from(["hits", "first", "upto"]))
+        n0 = data.draw(starts)
+        bound = data.draw(st.integers(n0 - 1, 2 * cap + 2))
+        outcomes = []
+        for engine, hits in ((ref, reference_hits), (q, Orbit.hits)):
+            try:
+                if op == "hits":
+                    outcomes.append(hits(engine, n0, bound, lo, hi))
+                elif op == "first":
+                    outcomes.append(engine.first_hit(n0, lo, hi))
+                else:
+                    outcomes.append(engine.first_hit(n0, lo, hi, upto=bound))
+            except CapExceeded as err:
+                outcomes.append(str(err))
+            outcomes.append(engine._G.materialized_bound)
+        assert outcomes[:2] == outcomes[2:], (op, n0, bound, lo, hi)
+
+
 def test_record_chains_of_a_tiny_rotation():
     # {alpha} is about 3.5*10^-24, so the record highs' first run holds
     # about 2.8*10^23 records, and a walk that stepped record by record
@@ -358,40 +471,44 @@ def _cost(monkeypatch, alpha):
     extract(GrowableSet(), RotationOracle(alpha), 3, F(1, 4))
     assert len(engines) == 1
     q = engines[0]
-    return ((q.first_hits, q.levels, q.solves, q.runs, q.links),
+    return ((q.first_hits, q.levels, q.steps, q.solves, q.runs, q.links),
             len(q._ladder), len(inverses))
 
 
 def test_sqrt2_n3_cost(monkeypatch):
     # one engine serves the bootstrap and steps 2 and 3: (first-hit
-    # recursions, levels descended, orbit solves, continued-fraction runs
-    # built, record links read); the bootstrap adds 2 solves and 2 links.
-    # Phase 5 reads only the window's hits past phase 2's bound; phase 2
-    # listed those up to it.  The runs make every inverse the engine
-    # takes, one per run, and the ladder's 14 rungs multiply theirs; the
-    # other 13 are irrational divisions outside the engine (a plain int
-    # divisor multiplies into the denominator instead)
-    assert _cost(monkeypatch, SQRT2) == ((16, 147, 24, 15, 72), 14, 28)
+    # recursions, levels descended, window visits reached by a gap step,
+    # orbit solves, continued-fraction runs built, record links read); the
+    # bootstrap adds 2 solves and 2 links.  Each step's window takes one
+    # recursion, to its first visit up to the budget, and one solve of its
+    # closed high end; phase 2's later hits and phase 5's are gap steps.
+    # Phase 4 takes the other recursion of each step.  The runs make every
+    # inverse the engine takes, one per run, and the ladder's 14 rungs
+    # multiply theirs; the other 13 are irrational divisions outside the
+    # engine (a plain int divisor multiplies into the denominator instead)
+    assert _cost(monkeypatch, SQRT2) == ((4, 41, 9, 12, 15, 72), 14, 28)
 
 
 def test_phi_n3_cost(monkeypatch):
     # {phi} > 1/2, so run 0 holds only the record high d = 1, with the
     # 1/{phi} that rung 0 reads: one run more than the record chains need.
-    # Phase 5 reads only the window's hits past phase 2's bound
-    assert _cost(monkeypatch, PHI) == ((10, 78, 18, 23, 60), 11, 36)
+    # One recursion per window and one per phase 4, as for sqrt(2); the
+    # deepest recursion reads 10 rungs
+    assert _cost(monkeypatch, PHI) == ((4, 34, 3, 12, 23, 60), 10, 36)
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):
     # at N = 1280 the base step runs at eps/6^1279, so step 2's window is
     # about 10^-1000 wide and its first hit lies far past the 10^6 budget.
-    # A recursion stops once its answer must pass the budget, after 28
-    # levels; running it out to the exact hit takes 7 152 levels and 4 765
-    # continued-fraction runs (about 5 s)
+    # The window's one recursion stops once its answer must pass the
+    # budget, after 22 levels, and phase 2's first hit past the previous
+    # bound reads that off the window; running it out to the exact hit
+    # takes 7 152 levels and 4 765 continued-fraction runs (about 5 s)
     engines = _engines(monkeypatch)
     with pytest.raises(CapExceeded, match=r"^index 1000001 exceeds cap 1000000$"):
         extract(GrowableSet(), RotationOracle(PHI), 1280, F(1, 4))
     q = engines[0]
-    assert (q.first_hits, q.levels) == (3, 28)
+    assert (q.first_hits, q.levels, q.steps) == (1, 22, 0)
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
