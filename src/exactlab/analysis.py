@@ -5,6 +5,10 @@ inverses, and a mesh-scale differentiability survey.
 Everything is decided with exact arithmetic: the rising-sun set of a PL
 function is a finite union of open intervals whose endpoints solve linear
 equations, so the classical inequalities are verified with zero tolerance.
+
+``dini``, ``rising_sun`` and ``sun_measure_bound`` also take a
+:class:`~exactlab.plfun.CantorStaircase`, which they answer from its
+self-similarity without listing its breakpoints.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .dsets import ValueSet
-from .plfun import PLFunction
+from .plfun import CantorStaircase, PLFunction
 from .qnum import ZERO, ExactNumber
 
 
@@ -87,18 +91,22 @@ class DiniValues:
                 and self.lower_right == first and self.upper_right == first)
 
 
-def dini(f: PLFunction, x) -> DiniValues:
+def dini(f: Union[PLFunction, CantorStaircase], x) -> DiniValues:
     """The four one-sided extreme difference quotients at an interior point.
 
     Exact for PL functions: off breakpoints all four equal the piece slope;
     at a continuous breakpoint the pairs are the two adjacent slopes; at a
     jump the left pair is infinite with the sign the jump forces (the value
     at a breakpoint is its right limit, so the right pair stays finite).
+    A staircase has no jumps and reads its two slopes off x's digits.
     """
     x = ExactNumber.coerce(x)
     a, b = f.domain
     if not a < x < b:
         raise OutOfDomain(f"{x} is not interior to [{a}, {b}]")
+    if isinstance(f, CantorStaircase):
+        left, right = f.slopes(x)
+        return DiniValues(left, left, right, right)
     return _dini_on_piece(f, f._locate(x), x)
 
 
@@ -134,10 +142,14 @@ class SunResult:
     shadows: tuple[ShadowCheck, ...]
 
     def measure(self) -> ExactNumber:
-        total = ZERO
-        for lo, hi in self.components:
-            total = total + (hi - lo)
-        return total
+        return _total_width(self.components)
+
+
+def _total_width(components) -> ExactNumber:
+    total = ZERO
+    for lo, hi in components:
+        total = total + (hi - lo)
+    return total
 
 
 def _roof(g: PLFunction, x: ExactNumber) -> ExactNumber:
@@ -147,15 +159,34 @@ def _roof(g: PLFunction, x: ExactNumber) -> ExactNumber:
     return left if left > right else right
 
 
-def rising_sun(g: PLFunction) -> SunResult:
+def rising_sun(g: Union[PLFunction, CantorStaircase]) -> SunResult:
     """The open set of points from which some later point of g is strictly
     higher, as maximal components, each with its verified entry inequality.
 
-    Computed by a right-to-left sweep carrying the supremum of g over the
-    remaining interval.  Inside a piece the membership condition is a linear
-    inequality: comparing that supremum with the piece's two end values
-    settles it, and only a piece the supremum crosses divides out its
-    crossing point.
+    A PL function is swept breakpoint by breakpoint (``_sweep``); a
+    staircase is walked node by node (:class:`StaircaseSun`).  Either way
+    each component's entry and roof come from g's own point queries.
+    """
+    if isinstance(g, CantorStaircase):
+        components = StaircaseSun(g, ZERO).components
+    else:
+        components = _sweep(g)
+    shadows = []
+    for lo, hi in components:
+        assert lo < hi, "components of an open set have positive width"
+        entry = g.right_limit(lo)
+        roof = _roof(g, hi)
+        shadows.append(ShadowCheck(start=lo, end=hi, entry_limit=entry,
+                                   roof=roof, holds=entry <= roof))
+    return SunResult(components=components, shadows=tuple(shadows))
+
+
+def _sweep(g: PLFunction) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
+    """The rising sun's components by a right-to-left sweep carrying the
+    supremum of g over the remaining interval.  Inside a piece the
+    membership condition is a linear inequality: comparing that supremum
+    with the piece's two end values settles it, and only a piece the
+    supremum crosses divides out its crossing point.
     """
     pts = g.points
     n = len(pts) - 1
@@ -206,15 +237,165 @@ def rising_sun(g: PLFunction) -> SunResult:
         current = sub
     if current is not None:
         components.append(current)
+    return tuple(components)
 
-    shadows = []
-    for lo, hi in components:
-        assert lo < hi, "components of an open set have positive width"
-        entry = g.right_limit(lo)
-        roof = _roof(g, hi)
-        shadows.append(ShadowCheck(start=lo, end=hi, entry_limit=entry,
-                                   roof=roof, holds=entry <= roof))
-    return SunResult(components=tuple(components), shadows=tuple(shadows))
+
+# the kinds of work on a StaircaseSun walk's stack
+_NODE, _POINT, _PIECE = range(3)
+
+
+class StaircaseSun:
+    """The rising sun of g(x) = C_N(x) - c x on [0, 1], for a staircase C_N
+    and a slope c >= 0, by a right-to-left walk over triadic nodes.
+
+    On a node of level k starting at L, g is g(L) plus a copy of the
+    level's own shape, C_(N-k)(y) - c (2/3)^k y scaled by 2^-k, so each
+    level keeps, relative to g(L): the sup ``hi`` and inf ``lo`` of g on
+    the node; ``at``, the one end (0 or 1) where the sup is reached if it
+    is reached nowhere else, or None; and ``own``, the components of the
+    node's rising sun with nothing to its right.  (The sup is never reached
+    at both ends alone: that needs both children to reach it, and then the
+    right child reaches it at its start, inside the node.)  The walk carries the ceiling, the exact sup of g to the
+    right of where it stands, and settles a node without splitting it when
+    the ceiling tops the node's sup, or meets it while the sup is reached
+    only at an end (the open node lies in the set), or when the ceiling is
+    at or below the node's inf (the set inside is the level's ``own``,
+    shifted).  Any other node splits into its right child, its middle
+    third, on which g falls at slope c, and its left child, taken in that
+    order; a leaf, on which g is linear, divides out the ceiling's
+    crossing instead.  A point between two of these parts is in the set
+    exactly when the ceiling past it is above g there, and only such a
+    point glues the parts on its two sides into one component.
+
+    ``own`` at level k is that walk started at a split of a level-k node
+    with no ceiling: its right child is then settled by ``own`` at level
+    k + 1, so the levels are filled from N up, and the sun is ``own`` at
+    level 0.  Every pruning is an exact compare, so the components are
+    the explicit sweep's.  ``nodes`` counts the nodes visited: it grows
+    with the number of components, not with the 2^N leaves.
+    """
+
+    def __init__(self, f: CantorStaircase, c: ExactNumber):
+        n = f.depth
+        self.nodes = 0
+        half = [ExactNumber._raw(1, 0, 1 << k, 0) for k in range(n + 1)]
+        third = [ExactNumber._raw(1, 0, 3 ** k, 0) for k in range(n + 1)]
+        self._width = third
+        # g(right end) - g(left end) of a level-k node
+        self._end = [half[k] - c * third[k] for k in range(n + 1)]
+        # g(start of the right child) - g(left end) of a level-k node
+        self._rho = [half[k + 1] - c * third[k + 1] * 2 for k in range(n)]
+        self._c = c
+        self._leaf_slope = f.slope - c
+        self._leaf_rises = self._end[n].sign() > 0
+        hi, lo, at = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+        rise = self._end[n]
+        hi[n], lo[n] = (rise, ZERO) if self._leaf_rises else (ZERO, rise)
+        at[n] = None if rise.sign() == 0 else 1 if self._leaf_rises else 0
+        for k in range(n - 1, -1, -1):
+            rho = self._rho[k]
+            side = rho.sign()
+            # the sup is the higher child's: the right one's when rho > 0,
+            # whose end 1 is the node's and whose end 0 lies inside it
+            if side > 0:
+                hi[k], lo[k] = hi[k + 1] + rho, lo[k + 1]
+                at[k] = 1 if at[k + 1] == 1 else None
+            elif side < 0:
+                hi[k], lo[k] = hi[k + 1], lo[k + 1] + rho
+                at[k] = 0 if at[k + 1] == 0 else None
+            else:
+                hi[k], lo[k] = hi[k + 1], lo[k + 1]
+        self._hi, self._lo, self._at = hi, lo, at
+        self._depth = n
+        self._own: list = [None] * (n + 1)
+        # a leaf's own sun: all of it when g rises there, else nothing
+        self.nodes += 1
+        self._own[n] = ((ZERO, third[n]),) if self._leaf_rises else ()
+        for k in range(n - 1, -1, -1):
+            self._own[k] = self._walk(k)
+        self.components = self._own[0]
+
+    def _walk(self, k: int) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
+        """``own`` at level k, from ``own`` at the levels below it."""
+        n, width, own = self._depth, self._width, self._own
+        hi, lo, at = self._hi, self._lo, self._at
+        stack: list = []
+        self.nodes += 1
+        self._split(k, ZERO, ZERO, stack)
+        ceiling: Optional[ExactNumber] = None
+        found: list[tuple[ExactNumber, ExactNumber]] = []
+        current: Optional[tuple[ExactNumber, ExactNumber]] = None
+        glue = False    # the point just passed lies in the set
+        while stack:
+            task = stack.pop()
+            kind = task[0]
+            if kind == _POINT:
+                _, x, v = task
+                glue = ceiling > v
+                assert not glue or current is not None and current[0] == x, \
+                    "a point of the set must have the set on its right"
+                continue
+            if kind == _PIECE:
+                _, x0, x1, v0, v1 = task
+                # g falls from v0 to v1, or stays flat when c = 0
+                if ceiling <= v1:
+                    parts = ()
+                elif ceiling >= v0:
+                    parts = ((x0, x1),)
+                else:
+                    parts = ((x0 + (v0 - ceiling) / self._c, x1),)
+                if ceiling < v0:
+                    ceiling = v0
+            else:
+                _, j, start, base = task
+                self.nodes += 1
+                top = base + hi[j]
+                if ceiling is not None and (
+                        ceiling > top or ceiling == top and at[j] is not None):
+                    parts = ((start, start + width[j]),)
+                elif ceiling is None or ceiling <= base + lo[j]:
+                    parts = tuple((start + u, start + v) for u, v in own[j])
+                elif j == n:
+                    crossing = start + (ceiling - base) / self._leaf_slope
+                    parts = ((start, crossing),) if self._leaf_rises else \
+                        ((crossing, start + width[n]),)
+                else:
+                    self._split(j, start, base, stack)
+                    continue
+                if ceiling is None or top > ceiling:
+                    ceiling = top
+            assert parts or not glue, \
+                "a point of the set must have the set on its left"
+            for part in reversed(parts):
+                assert part[0] < part[1], \
+                    "components of an open set have positive width"
+                if glue:
+                    assert part[1] == current[0]
+                    current = (part[0], current[1])
+                    glue = False
+                else:
+                    if current is not None:
+                        found.append(current)
+                    current = part
+        if current is not None:
+            found.append(current)
+        found.reverse()
+        return tuple(found)
+
+    def _split(self, j: int, start: ExactNumber, base: ExactNumber,
+               stack: list) -> None:
+        """Push a level-j node's parts, so that its right child comes off
+        the stack first and its left child last."""
+        w = self._width[j + 1]
+        x0 = start + w
+        x1 = x0 + w
+        v0 = base + self._end[j + 1]
+        v1 = base + self._rho[j]
+        stack.append((_NODE, j + 1, start, base))
+        stack.append((_POINT, x0, v0))
+        stack.append((_PIECE, x0, x1, v0, v1))
+        stack.append((_POINT, x1, v1))
+        stack.append((_NODE, j + 1, x1, v1))
 
 
 @dataclass(frozen=True)
@@ -235,30 +416,36 @@ class SunBoundResult:
     holds: bool
 
 
-def sun_measure_bound(f: PLFunction, c) -> SunBoundResult:
+def sun_measure_bound(f: Union[PLFunction, CantorStaircase],
+                      c) -> SunBoundResult:
     """Rising-sun length bound for a nondecreasing f and a slope c > 0.
 
-    Applies the sweep to f(x) - c x; the total length of the resulting
+    Finds the rising sun of f(x) - c x, by the sweep over f.add_linear(0,
+    -c) or, for a staircase, by the walk; the total length of the
     components is at most (f(b) - f(a)) / c, and each component separately
-    satisfies c * width <= rise of f across it.  Both checked exactly.
+    satisfies c * width <= rise of f across it, read by f's own point
+    queries.  Both checked exactly.
     """
     c = ExactNumber.coerce(c)
     if c.sign() <= 0:
         raise ValueError("c must be positive")
     if not f.is_nondecreasing():
         raise NotMonotone("sun_measure_bound needs a nondecreasing function")
-    sun = rising_sun(f.add_linear(0, -c))
+    if isinstance(f, CantorStaircase):
+        components = StaircaseSun(f, c).components
+    else:
+        components = rising_sun(f.add_linear(0, -c)).components
     a, b = f.domain
     bound = (f.eval(b) - f.eval(a)) / c
-    mu = sun.measure()
+    mu = _total_width(components)
     per = []
-    for lo, hi in sun.components:
+    for lo, hi in components:
         width = hi - lo
         rise = f.right_limit_or_value(hi) - f.right_limit_or_value(lo)
         per.append(ComponentBound(start=lo, end=hi,
                                   scaled_width=c * width, rise=rise,
                                   holds=c * width <= rise))
-    result = SunBoundResult(components=sun.components, mu=mu, bound=bound,
+    result = SunBoundResult(components=components, mu=mu, bound=bound,
                             per_component=tuple(per),
                             holds=mu <= bound and all(p.holds for p in per))
     if not result.holds:
@@ -322,7 +509,7 @@ class DifferentiabilityReport:
     all_cells_pass: bool
 
 
-def differentiability_report(f: PLFunction, mesh,
+def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
                              cap: Optional[int] = None) -> DifferentiabilityReport:
     """Split the domain into mesh-width cells and exhibit, in each, a point
     where all four Dini derivatives agree and are finite.
@@ -360,6 +547,8 @@ def differentiability_report(f: PLFunction, mesh,
     count = -((a - b) / mesh).floor()  # ceil((b - a) / mesh)
     if cap is not None and count > cap:
         raise CapExceeded(f"{count} cells exceed cap {cap}")
+    if isinstance(f, CantorStaircase):
+        f = f.explicit()
     xs = f.breakpoints
     half = mesh / 2
     # piece k -> its Dini values, once a witness on it has passed the check

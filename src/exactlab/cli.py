@@ -71,10 +71,12 @@ def parse_oracle(spec: str) -> FunctionOracle:
     raise ValueError(f"unknown oracle spec {spec!r}; use rot(...) or table(file)")
 
 
-def parse_pl(spec: str, budget: int = 10 ** 6) -> plfun.PLFunction:
-    """A PL function by spec; ``cantor:N`` has 2^(N+1) breakpoints, which
-    must not exceed the budget (CapExceeded, checked before building or
-    looking up a shared staircase)."""
+def parse_pl(spec: str, budget: int = 10 ** 6
+             ) -> plfun.PLFunction | plfun.CantorStaircase:
+    """A PL function by spec: a ``PLFunction``, or for ``cantor:N`` a
+    ``CantorStaircase``, which lists no breakpoints until ``diffreport``
+    asks for them.  Its 2^(N+1) breakpoints must not exceed the budget
+    (CapExceeded, checked first)."""
     if budget < 0:
         raise ValueError(f"cap must be non-negative, got {budget}")
     spec = spec.strip()
@@ -86,7 +88,7 @@ def parse_pl(spec: str, budget: int = 10 ** 6) -> plfun.PLFunction:
         # 2^(depth+1) > budget, decided without building the power
         if depth >= 0 and depth + 1 >= budget.bit_length():
             raise CapExceeded(f"2^{depth + 1} breakpoints exceed cap {budget}")
-        return plfun.PLFunction.cantor_staircase(depth)
+        return plfun.CantorStaircase(depth)
     return plfun.PLFunction.parse(Path(spec).read_text())
 
 

@@ -5,6 +5,9 @@ a right limit; between consecutive breakpoints the graph is the segment
 from one right limit to the next left limit.  Evaluation at a breakpoint
 returns the right limit (at the domain's right end that slot simply holds
 the value).  First and last breakpoints are the domain.
+
+``CantorStaircase`` answers the same point queries for the middle-thirds
+staircase from its self-similarity, without the list.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import OutOfDomain
-from .qnum import ExactNumber, exact
+from .qnum import ONE, ZERO, ExactNumber, exact
 
-# The deepest staircase kept once built.  Depth k has 2^(k+1) breakpoints:
+# The deepest explicit staircase kept once built, for the mesh survey, the
+# one command that walks every breakpoint (``sun`` and ``dini`` read a
+# ``CantorStaircase`` and build none).  Depth k has 2^(k+1) breakpoints:
 # depth 12 takes about 2.6 MiB (tracemalloc), and all depths up to it
 # together about twice that.  The default budget admits depth 18, 64 times
-# larger, which one ``sun --fn cantor:18`` would otherwise pin for the life
-# of the process.  Deeper staircases are rebuilt on every call.
+# larger, which one ``diffreport --fn cantor:18`` would otherwise pin for
+# the life of the process.  Deeper staircases are rebuilt on every call.
 STAIRCASE_MEMO_DEPTH = 12
 
 # depth -> the staircase built at that depth, shared by every caller
@@ -59,7 +64,10 @@ class PLFunction:
     slope memo included; a deeper staircase is built afresh on each call.
     Each build runs the strict-increase check.  Sharing is safe across ops
     and threads because nothing changes a function but its slope memo, and
-    each slot of that is only ever written with the same exact value.
+    each slot of that is only ever written with the same exact value.  The
+    explicit staircase serves the mesh survey and stands as the reference
+    for :class:`CantorStaircase`, which reads the same function from its
+    self-similarity for point queries and the rising sun.
     """
 
     __slots__ = ("points", "breakpoints", "_slopes")
@@ -285,3 +293,124 @@ class PLFunction:
     def __repr__(self) -> str:
         a, b = self.domain
         return f"PLFunction([{a}, {b}], {len(self.points)} breakpoints)"
+
+
+class CantorStaircase:
+    """The depth-N middle-thirds staircase C_N on [0, 1], the function that
+    ``PLFunction.cantor_staircase(N)`` spells out, read from its
+    self-similarity instead of its 2^(N+1) breakpoints.
+
+    C_N rises at ``slope`` = (3/2)^N across each of the 2^N triadic
+    intervals of level N and is flat on every middle third removed above
+    them; it has no jumps.  On a triadic node of level k, C_N is an affine
+    copy of C_(N-k), its values scaled by 2^-k and its abscissae by 3^-k.
+    A point query reads x's first N ternary digits, so it costs O(N): a
+    rational x = p/q by integer steps on p, each exact against q, and an
+    irrational x from the one floor of 3^N x, which no breakpoint can
+    equal.  The first middle digit puts x on a flat piece, or on one of
+    its two ends; N digits without one put x inside a rising piece.
+    Nothing is kept between queries, so one object serves any number of
+    threads.
+    """
+
+    __slots__ = ("depth",)
+
+    domain = (ZERO, ONE)
+
+    def __init__(self, depth: int):
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        object.__setattr__(self, "depth", depth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CantorStaircase is immutable")
+
+    @property
+    def slope(self) -> ExactNumber:
+        """(3/2)^N, the slope of every rising piece."""
+        return ExactNumber._raw(3 ** self.depth, 0, 2 ** self.depth, 0)
+
+    def explicit(self) -> PLFunction:
+        """The same function with every breakpoint listed."""
+        return PLFunction.cantor_staircase(self.depth)
+
+    def _read(self, x: ExactNumber):
+        """(C_N(x), left, right) for x in [0, 1], where a side is True on a
+        rising piece, False on a flat one and None past the domain's end."""
+        n = self.depth
+        if x.q == 0:
+            p, q = x.p, x.den
+            if p == 0:
+                return ZERO, None, True
+            if p == q:
+                return ONE, True, None
+            # x = node start + 3^-k (p/q) with 0 < p < q, and 2^n C_N(node
+            # start) = y
+            y = 0
+            for k in range(n):
+                t = 3 * p
+                if t < q:
+                    p = t
+                elif t > 2 * q:
+                    p = t - 2 * q
+                    y += 1 << (n - k - 1)
+                else:
+                    value = ExactNumber._raw(y + (1 << (n - k - 1)), 0,
+                                             1 << n, 0)
+                    if t == q:
+                        return value, True, False
+                    if t == 2 * q:
+                        return value, False, True
+                    return value, False, False
+            return ExactNumber._raw(y * q + p, 0, q << n, 0), True, True
+        # the digits of floor(3^n x), most significant first
+        scaled = x * 3 ** n
+        whole = scaled.floor()
+        rest, unit, y = whole, 3 ** n, 0
+        for k in range(n):
+            unit //= 3
+            digit, rest = divmod(rest, unit)
+            if digit == 1:
+                return ExactNumber._raw(y + (1 << (n - k - 1)), 0, 1 << n,
+                                        0), False, False
+            if digit == 2:
+                y += 1 << (n - k - 1)
+        return (scaled - whole + y) / (1 << n), True, True
+
+    def _checked(self, x) -> ExactNumber:
+        x = ExactNumber.coerce(x)
+        if x < 0 or x > 1:
+            raise OutOfDomain(f"{x} outside [0, 1]")
+        return x
+
+    def eval(self, x) -> ExactNumber:
+        return self._read(self._checked(x))[0]
+
+    # continuous: the value is both limits wherever they exist
+    __call__ = right_limit_or_value = eval
+
+    def left_limit(self, x) -> ExactNumber:
+        x = self._checked(x)
+        if x.sign() == 0:
+            raise OutOfDomain("no left limit at the domain minimum")
+        return self._read(x)[0]
+
+    def right_limit(self, x) -> ExactNumber:
+        x = ExactNumber.coerce(x)
+        if x == 1:
+            raise OutOfDomain("no right limit at the domain maximum")
+        return self._read(self._checked(x))[0]
+
+    def slopes(self, x: ExactNumber) -> tuple[ExactNumber, ExactNumber]:
+        """The slopes left and right of an x inside (0, 1): (3/2)^N on a
+        rising piece, 0 on a flat one."""
+        _, left, right = self._read(x)
+        rise = self.slope if left or right else ZERO
+        return (rise if left else ZERO), (rise if right else ZERO)
+
+    def is_nondecreasing(self) -> bool:
+        # every piece rises at ``slope`` or is flat, and no breakpoint jumps
+        return self.slope.sign() >= 0
+
+    def __repr__(self) -> str:
+        return f"CantorStaircase(depth {self.depth})"

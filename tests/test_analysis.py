@@ -23,8 +23,9 @@ from exactlab.errors import (
     OutOfDomain,
 )
 
-from exactlab import plfun
+from exactlab import analysis, plfun
 from exactlab.cli import run
+from exactlab.plfun import CantorStaircase
 
 from conftest import rand_fraction
 
@@ -381,12 +382,14 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, calls", [
-    # the rising sun divides only where its ceiling crosses a piece, and
-    # compares a continuous breakpoint's shared limit once; f - c x adds no
-    # zero intercept to the 1 024 breakpoints' shifts
+    # the walk over triadic nodes lists no breakpoint: it divides where the
+    # ceiling crosses a leaf or a middle third, and the 8 components' ends
+    # are read by point queries (8 722 compares and 4 254 values when the
+    # 1 024 breakpoints were built and swept)
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 22, "__mul__": 1054, "compare": 8722, "_raw": 4254}),
-    (["sun", "--fn", "cantor:9"], {"compare": 6176, "_raw": 2050}),
+     {"__truediv__": 8, "__mul__": 44, "compare": 183, "_raw": 286}),
+    # one component, (0, 1) (6 176 compares and 2 050 values swept)
+    (["sun", "--fn", "cantor:9"], {"__mul__": 28, "compare": 99, "_raw": 161}),
     # the mesh survey walks 2 187 cells against 256 breakpoints; the 1 932
     # cells that end below the next breakpoint are settled by one compare
     # and check their witness lo + mesh/2 by two, the 255 that end on one
@@ -394,11 +397,11 @@ def _count_calls(monkeypatch):
     # pieces divides out its slope once
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
      {"__truediv__": 257, "compare": 7072, "_raw": 5655}),
-    # the staircase builds 1 024 breakpoints from 2 048 values and checks
-    # their order in 1 023 compares; a continuous breakpoint divides out its
-    # two slopes
-    (["dini", "--fn", "cantor:9", "--x", "1/3"],
-     {"__truediv__": 2, "compare": 1035, "_raw": 2055}),
+    # the point's ternary digits, read in integers, find a breakpoint with
+    # a rising piece on its left: the domain check's two compares, the
+    # parsed point, its value and the slope (1 035 compares and 2 055 values
+    # when the staircase was built)
+    (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
 ], ids=["sun-9-c2", "sun-9", "diffreport-7-2187", "dini-9"])
 def test_pl_sweep_costs(monkeypatch, argv, calls):
     counts = _count_calls(monkeypatch)
@@ -408,10 +411,10 @@ def test_pl_sweep_costs(monkeypatch, argv, calls):
 
 
 @pytest.mark.parametrize("argv, calls", [
-    # the second run reads the first one's staircase: no build, no order
-    # check, and the 7 slopes divided on the first run are not divided again
+    # sun and dini keep nothing between ops: the second run makes the
+    # first one's calls again
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 15, "__mul__": 1054, "compare": 7699, "_raw": 2185}),
+     {"__truediv__": 8, "__mul__": 44, "compare": 183, "_raw": 286}),
     # all 255 slopes were divided on the first run; the 256 breakpoints'
     # 512 values and 255 order compares are not made again
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
@@ -421,8 +424,7 @@ def test_pl_sweep_costs(monkeypatch, argv, calls):
     # cells after it are settled by one compare again
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
      {"__truediv__": 256, "compare": 7318, "_raw": 5136}),
-    # the 1 023 order compares, 2 048 values and 2 slope divisions are gone
-    (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 12, "_raw": 1}),
+    (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
 ], ids=["sun-9-c2", "diffreport-7-2187", "diffreport-7-2185", "dini-9"])
 def test_pl_sweep_costs_on_a_shared_staircase(monkeypatch, argv, calls):
     counts = _count_calls(monkeypatch)
@@ -431,3 +433,19 @@ def test_pl_sweep_costs_on_a_shared_staircase(monkeypatch, argv, calls):
     assert run(argv) == first
     assert first[0] == 0
     assert dict(counts) == calls
+
+
+# (depth, c) -> nodes the staircase walk visits, and the components found
+@pytest.mark.parametrize("depth, c, nodes, components", [
+    (9, "3/2", 30, 4), (9, "2", 36, 8), (9, "4", 80, 32),
+    (18, "3/2", 57, 4), (18, "2", 63, 8), (18, "4", 107, 32),
+])
+def test_staircase_walk_visits_nodes_by_components(depth, c, nodes,
+                                                   components):
+    # nine more levels add 27 nodes, three per level, and no component:
+    # the work grows with depth and components, where the sweep it replaced
+    # doubled with each level
+    walk = analysis.StaircaseSun(CantorStaircase(depth), exact(c))
+    assert (walk.nodes, len(walk.components)) == (nodes, components)
+    assert walk.components == \
+        sun_measure_bound(CantorStaircase(depth), exact(c)).components

@@ -527,6 +527,109 @@ def test_pl_report_matches_golden(argv):
     assert digest == PL_GOLDEN_REPORTS[argv]
 
 
+# (exit status, SHA-256 of the report lines) of staircases deeper than the
+# memo, recorded when every sun and dini built the staircase and swept its
+# 2^(N+1) breakpoints: about 7 s for each sun at depth 18 then.  The points
+# are breakpoints, middle-third ends, points of the Cantor set on no
+# breakpoint, irrationals on a flat and on a rising piece, and the two ends
+# of the domain, where dini exits 2.
+DEEP_CANTOR_REPORTS = {
+    ("sun", "--fn", "cantor:12", "--c", "8/5"):
+        (0, "79d47ee628ccd2cdd5ef2d1958fc9e29ae37c33f8b7c645fd7655d63f173c5fa"),
+    ("sun", "--fn", "cantor:12", "--c", "2"):
+        (0, "76dc880225ec4d50ce544a8cdd4452e61a238cad6fb35ae642fd80a6c3b92b65"),
+    ("sun", "--fn", "cantor:12", "--c", "9/4"):
+        (0, "96295542c274b6b0ab09583561a7258084a986a4d29bce69a9021b2854405306"),
+    ("sun", "--fn", "cantor:12", "--c", "10"):
+        (0, "9adca5faf659243bd87ea234fab489887f348472fecaadd1c5628f041ec4f17f"),
+    ("sun", "--fn", "cantor:12", "--c", "1/2*sqrt(2)"):
+        (0, "345e546267e8a8cee60e6b6e01bcc5597a9d2fd016124272cc56ad09bb68f5c4"),
+    ("sun", "--fn", "cantor:15", "--c", "8/5"):
+        (0, "79d47ee628ccd2cdd5ef2d1958fc9e29ae37c33f8b7c645fd7655d63f173c5fa"),
+    ("sun", "--fn", "cantor:15", "--c", "2"):
+        (0, "76dc880225ec4d50ce544a8cdd4452e61a238cad6fb35ae642fd80a6c3b92b65"),
+    ("sun", "--fn", "cantor:15", "--c", "9/4"):
+        (0, "96295542c274b6b0ab09583561a7258084a986a4d29bce69a9021b2854405306"),
+    ("sun", "--fn", "cantor:15", "--c", "10"):
+        (0, "9adca5faf659243bd87ea234fab489887f348472fecaadd1c5628f041ec4f17f"),
+    ("sun", "--fn", "cantor:15", "--c", "1/2*sqrt(2)"):
+        (0, "345e546267e8a8cee60e6b6e01bcc5597a9d2fd016124272cc56ad09bb68f5c4"),
+    ("sun", "--fn", "cantor:18", "--c", "8/5"):
+        (0, "79d47ee628ccd2cdd5ef2d1958fc9e29ae37c33f8b7c645fd7655d63f173c5fa"),
+    ("sun", "--fn", "cantor:18", "--c", "2"):
+        (0, "76dc880225ec4d50ce544a8cdd4452e61a238cad6fb35ae642fd80a6c3b92b65"),
+    ("sun", "--fn", "cantor:18", "--c", "9/4"):
+        (0, "96295542c274b6b0ab09583561a7258084a986a4d29bce69a9021b2854405306"),
+    ("sun", "--fn", "cantor:18", "--c", "10"):
+        (0, "9adca5faf659243bd87ea234fab489887f348472fecaadd1c5628f041ec4f17f"),
+    ("sun", "--fn", "cantor:18", "--c", "1/2*sqrt(2)"):
+        (0, "345e546267e8a8cee60e6b6e01bcc5597a9d2fd016124272cc56ad09bb68f5c4"),
+    ("sun", "--fn", "cantor:18"):
+        (0, "1fe6b676eb7133a15d76ed85c827115923ce3d2f6838d920f82ee1169d42279d"),
+    ("dini", "--fn", "cantor:18", "--x", "1/3"):
+        (0, "2ef5526326f1f4a09be60d59ac731b3f037b13e2f3c14b9b2c3e7aa518632abb"),
+    ("dini", "--fn", "cantor:18", "--x", "2/3"):
+        (0, "b6aab039f2ef8b37963baad6f74743ce3797a3c1ee7a8b13417c11689636f0d8"),
+    ("dini", "--fn", "cantor:18", "--x", "1/2"):
+        (0, "63d085321efd9bdbd205540c58d4f599c295e3c46a2f40fa73a260c3f4f67343"),
+    ("dini", "--fn", "cantor:18", "--x", "1/4"):
+        (0, "6d0d0eac19aa9415814eb7a64e4c29f51009185650789084f12d55c38938ac90"),
+    ("dini", "--fn", "cantor:18", "--x", "3/4"):
+        (0, "6d0d0eac19aa9415814eb7a64e4c29f51009185650789084f12d55c38938ac90"),
+    ("dini", "--fn", "cantor:18", "--x", "1/387420489"):
+        (0, "2ef5526326f1f4a09be60d59ac731b3f037b13e2f3c14b9b2c3e7aa518632abb"),
+    ("dini", "--fn", "cantor:18", "--x", "2/387420489"):
+        (0, "b6aab039f2ef8b37963baad6f74743ce3797a3c1ee7a8b13417c11689636f0d8"),
+    ("dini", "--fn", "cantor:18", "--x", "1/39366"):
+        (0, "63d085321efd9bdbd205540c58d4f599c295e3c46a2f40fa73a260c3f4f67343"),
+    ("dini", "--fn", "cantor:18", "--x", "7/9"):
+        (0, "2ef5526326f1f4a09be60d59ac731b3f037b13e2f3c14b9b2c3e7aa518632abb"),
+    ("dini", "--fn", "cantor:18", "--x", "8/9"):
+        (0, "b6aab039f2ef8b37963baad6f74743ce3797a3c1ee7a8b13417c11689636f0d8"),
+    ("dini", "--fn", "cantor:18", "--x", "19/27"):
+        (0, "2ef5526326f1f4a09be60d59ac731b3f037b13e2f3c14b9b2c3e7aa518632abb"),
+    ("dini", "--fn", "cantor:18", "--x", "387420488/387420489"):
+        (0, "b6aab039f2ef8b37963baad6f74743ce3797a3c1ee7a8b13417c11689636f0d8"),
+    ("dini", "--fn", "cantor:18", "--x", "1/2*sqrt(2)"):
+        (0, "63d085321efd9bdbd205540c58d4f599c295e3c46a2f40fa73a260c3f4f67343"),
+    ("dini", "--fn", "cantor:18", "--x=-1+sqrt(2)"):
+        (0, "63d085321efd9bdbd205540c58d4f599c295e3c46a2f40fa73a260c3f4f67343"),
+    ("dini", "--fn", "cantor:18", "--x", "1/4+1/100000000000*sqrt(2)"):
+        (0, "6d0d0eac19aa9415814eb7a64e4c29f51009185650789084f12d55c38938ac90"),
+    ("dini", "--fn", "cantor:18", "--x", "0"):
+        (2, "60d6bf14675075bf667e7045219cdc7e6492a3b274aab9b4de7a7406b27ea2f8"),
+    ("dini", "--fn", "cantor:18", "--x", "1"):
+        (2, "8b35a7becc54df56f6c1e699d661d21ca334d23d530149d735105589b19ac5db"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEEP_CANTOR_REPORTS), ids=" ".join)
+def test_deep_cantor_report_matches_golden(argv):
+    status, lines = run(list(argv))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (status, digest) == DEEP_CANTOR_REPORTS[argv]
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("sun and dini must not list a staircase's breakpoints")
+
+
+def test_sun_and_dini_on_a_staircase_build_nothing(monkeypatch):
+    monkeypatch.setattr(PLFunction, "cantor_staircase", _no_build)
+    monkeypatch.setattr(PLFunction, "add_linear", _no_build)
+    for argv in (["sun", "--fn", "cantor:18", "--c", "2"],
+                 ["sun", "--fn", "cantor:18", "--c", "1/2*sqrt(2)"],
+                 ["sun", "--fn", "cantor:18"],
+                 ["dini", "--fn", "cantor:18", "--x", "1/4"],
+                 ["dini", "--fn", "cantor:18", "--x", "1/2*sqrt(2)"]):
+        assert run(argv)[0] == 0
+    assert run(["sun", "--fn", "cantor:9", "--c", "0"]) == (
+        2, ["error: c must be positive"])
+    # the survey lists every breakpoint, so it still builds them
+    with pytest.raises(AssertionError, match="must not list"):
+        run(["diffreport", "--fn", "cantor:2", "--mesh", "1/9"])
+
+
 def _never(*args, **kwargs):
     raise AssertionError("the budget check must come before any construction")
 

@@ -12,6 +12,12 @@ message.  So must ``add_linear``, the monotonicity test, ``jump_points``,
 the rising-sun sweep and its length bound, for arbitrary and for
 nondecreasing functions and slopes c > 0.
 
+A ``CantorStaircase`` of depth 0 to 12 must answer every point query,
+Dini value, rising sun and length bound as the explicit staircase of the
+same depth and the reference on it do, for slopes c drawn as rationals, as
+the ties (3/2)^k and in Q(sqrt(2)), and for points drawn as breakpoints,
+ternary ends, irrationals, the domain's ends and points outside it.
+
 The one allowed difference comes from such slopes.  The reference divides
 out every slope, so it raises ``RadicandMismatch`` where the library, which
 compares end values and divides only where the rising sun crosses a piece,
@@ -39,12 +45,15 @@ from exactlab import (
     sun_measure_bound,
 )
 from exactlab.analysis import DiniValues, SunResult
+from exactlab.plfun import CantorStaircase
 from exactlab.errors import (
     CapExceeded,
     NotMonotone,
     RadicandMismatch,
     VerificationError,
 )
+
+from exactlab.cli import run
 
 import reference_plfun as ref
 
@@ -411,3 +420,97 @@ def test_sun_bound_in_two_radicands_fails_at_a_compare():
     with pytest.raises(RadicandMismatch,
                        match=r"^cannot compare sqrt\(2\) with sqrt\(3\)$"):
         sun_measure_bound(up, 1)
+
+
+# -- the self-similar staircase against the explicit one ---------------------
+
+SQRT2 = ExactNumber.sqrt(2)
+
+# the irrational slopes of the deep golden reports, and two more
+IRRATIONAL_SLOPES = (SQRT2 / 2, SQRT2, 1 + SQRT2)
+
+staircase_slopes = st.one_of(
+    st.fractions(min_value=F(1, 24), max_value=40, max_denominator=24),
+    # the ties c = (3/2)^k, at which a level's copies reach equal heights
+    st.integers(0, 13).map(lambda k: F(3 ** k, 2 ** k)),
+    st.sampled_from(IRRATIONAL_SLOPES))
+
+
+@st.composite
+def staircase_points(draw, depth):
+    """A breakpoint of the depth's staircase; a ternary end k/3^j, j up to
+    two levels past the depth; any fraction in [0, 1]; an irrational inside
+    [k/3^j, (k+1)/3^j]; the domain's ends; or a point outside."""
+    kind = draw(st.sampled_from(["breakpoint", "ternary", "fraction",
+                                 "irrational", "end", "outside"]))
+    if kind == "breakpoint":
+        return draw(st.sampled_from(
+            PLFunction.cantor_staircase(depth).breakpoints))
+    if kind == "fraction":
+        return ExactNumber(draw(st.fractions(0, 1, max_denominator=3 ** 9)))
+    if kind == "end":
+        return ExactNumber(draw(st.integers(0, 1)))
+    if kind == "outside":
+        return draw(st.sampled_from([ExactNumber(F(-1, 3)), ExactNumber(F(4, 3)),
+                                     -SQRT2_UNIT, 1 + SQRT2_UNIT]))
+    j = draw(st.integers(0, depth + 2))
+    if kind == "ternary":
+        return ExactNumber(F(draw(st.integers(0, 3 ** j)), 3 ** j))
+    start = ExactNumber(F(draw(st.integers(0, 3 ** j - 1)), 3 ** j))
+    # at most 10/16 sqrt(2) < 1 of the 3^-j step
+    return start + SQRT2_UNIT * draw(st.integers(1, 10)) / 3 ** j
+
+
+def _staircase_queries_agree(depth, x):
+    s, f = CantorStaircase(depth), PLFunction.cantor_staircase(depth)
+    for query, want in POINT_QUERIES:
+        got = _outcome(lambda: getattr(s, query)(x))
+        assert got == _outcome(lambda: getattr(f, query)(x))
+        assert got == _outcome(lambda: want(f, x))
+    got = _outcome(lambda: dini(s, x))
+    assert got == _outcome(lambda: dini(f, x))
+    assert got == _outcome(lambda: ref.dini(f, x))
+
+
+@settings(max_examples=100)
+@given(data=st.data(), depth=st.integers(0, 12))
+def test_staircase_queries_match_the_explicit_staircase(data, depth):
+    assert CantorStaircase(depth).domain == \
+        PLFunction.cantor_staircase(depth).domain
+    for _ in range(4):
+        _staircase_queries_agree(depth, data.draw(staircase_points(depth)))
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_staircase_queries_at_and_past_the_domain_ends(depth):
+    # no left limit at 0, no right limit at 1, no Dini values at either
+    for x in (F(-1, 3), 0, 1, F(4, 3)):
+        _staircase_queries_agree(depth, ExactNumber(x))
+
+
+@settings(max_examples=60)
+@given(depth=st.integers(0, 12), c=staircase_slopes)
+def test_staircase_sun_bound_matches_the_explicit_staircase(depth, c):
+    s, f = CantorStaircase(depth), PLFunction.cantor_staircase(depth)
+    got = sun_measure_bound(s, c)
+    assert got == sun_measure_bound(f, c)
+    assert got == ref.sun_measure_bound(f, c)
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_staircase_rising_sun_matches_the_explicit_staircase(depth):
+    s, f = CantorStaircase(depth), PLFunction.cantor_staircase(depth)
+    got = rising_sun(s)
+    assert got == rising_sun(f)
+    assert got == ref.rising_sun(f)
+
+
+@pytest.mark.parametrize("c", [0, -1, F(-3, 2), -SQRT2])
+def test_staircase_sun_refuses_a_slope_at_or_below_zero(c):
+    for depth in (0, 5):
+        s, f = CantorStaircase(depth), PLFunction.cantor_staircase(depth)
+        assert _outcome(lambda: sun_measure_bound(s, c)) == \
+            _outcome(lambda: ref.sun_measure_bound(f, c)) == \
+            (ValueError, "c must be positive")
+    assert run(["sun", "--fn", "cantor:5", f"--c={c}"]) == (
+        2, ["error: c must be positive"])
