@@ -11,6 +11,7 @@ from exactlab import (
     jump_points, local_null_check, monotone_inverse, outer_measure,
     rising_sun, subadditivity_check, sun_measure_bound,
 )
+from exactlab.plfun import CantorStaircase
 
 print("-- rising sun on a 3-piece example --")
 g = PLFunction.from_values([(0, 0), (1, 2), (2, 1), (3, F(3, 2))])
@@ -48,7 +49,7 @@ print("jumps above 1/8      =", jump_points(stair, F(1, 8)))
 
 print()
 print("-- every mesh cell of the depth-6 staircase has a differentiable point --")
-rep = differentiability_report(PLFunction.cantor_staircase(6), F(1, 64))
+rep = differentiability_report(CantorStaircase(6), F(1, 64))
 print("cells:", len(rep.cells), " all pass:", rep.all_cells_pass,
       " corner points:", len(rep.nondifferentiable))
 

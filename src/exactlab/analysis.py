@@ -9,6 +9,8 @@ equations, so the classical inequalities are verified with zero tolerance.
 ``dini``, ``rising_sun`` and ``sun_measure_bound`` also take a
 :class:`~exactlab.plfun.CantorStaircase`, which they answer from its
 self-similarity without listing its breakpoints.
+``differentiability_report`` takes one too: it surveys the staircase's
+breakpoint abscissae and reads each piece's Dini values off its parity.
 """
 
 from __future__ import annotations
@@ -110,9 +112,16 @@ def dini(f: Union[PLFunction, CantorStaircase], x) -> DiniValues:
     return _dini_on_piece(f, f._locate(x), x)
 
 
-def _dini_on_piece(f: PLFunction, i: int, x: ExactNumber) -> DiniValues:
+def _dini_on_piece(f: Union[PLFunction, CantorStaircase], i: int,
+                   x: ExactNumber) -> DiniValues:
     """:func:`dini` at an interior x on piece i, breakpoints[i] <= x <
     breakpoints[i + 1], for callers that already know the piece."""
+    if isinstance(f, CantorStaircase):
+        # even pieces rise, odd ones are flat, and nothing jumps
+        right, left = (ZERO, f.slope) if i & 1 else (f.slope, ZERO)
+        if f.breakpoints[i] != x:
+            return DiniValues(right, right, right, right)
+        return DiniValues(left, left, right, right)
     p = f.points[i]
     if p.x != x:
         s = f.slope(i)
@@ -434,7 +443,7 @@ def sun_measure_bound(f: Union[PLFunction, CantorStaircase],
     if isinstance(f, CantorStaircase):
         components = StaircaseSun(f, c).components
     else:
-        components = rising_sun(f.add_linear(0, -c)).components
+        components = _sweep(f.add_linear(0, -c))
     a, b = f.domain
     bound = (f.eval(b) - f.eval(a)) / c
     mu = _total_width(components)
@@ -535,8 +544,9 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     check, and O(cells + n) in all for n breakpoints.  Every cell checks
     that its witness lies strictly inside the piece it names.  There all
     four Dini values are the piece's slope, so each piece's values are read
-    from ``f``'s slope memo, and checked to agree, at its first witness
-    only, and its later cells reuse them.
+    (from ``f``'s slope memo, or for a staircase off the piece's parity),
+    and checked to agree, at its first witness only, and its later cells
+    reuse them.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -547,8 +557,6 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     count = -((a - b) / mesh).floor()  # ceil((b - a) / mesh)
     if cap is not None and count > cap:
         raise CapExceeded(f"{count} cells exceed cap {cap}")
-    if isinstance(f, CantorStaircase):
-        f = f.explicit()
     xs = f.breakpoints
     half = mesh / 2
     # piece k -> its Dini values, once a witness on it has passed the check

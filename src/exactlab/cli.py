@@ -74,9 +74,10 @@ def parse_oracle(spec: str) -> FunctionOracle:
 def parse_pl(spec: str, budget: int = 10 ** 6
              ) -> plfun.PLFunction | plfun.CantorStaircase:
     """A PL function by spec: a ``PLFunction``, or for ``cantor:N`` a
-    ``CantorStaircase``, which lists no breakpoints until ``diffreport``
-    asks for them.  Its 2^(N+1) breakpoints must not exceed the budget
-    (CapExceeded, checked first)."""
+    ``CantorStaircase``, which builds no ``PLFunction`` for any command:
+    ``sun`` and ``dini`` read it by self-similarity, and ``diffreport``
+    reads its breakpoint abscissae alone.  Its 2^(N+1) breakpoints must
+    not exceed the budget (CapExceeded, checked first)."""
     if budget < 0:
         raise ValueError(f"cap must be non-negative, got {budget}")
     spec = spec.strip()

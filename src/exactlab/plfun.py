@@ -7,7 +7,8 @@ returns the right limit (at the domain's right end that slot simply holds
 the value).  First and last breakpoints are the domain.
 
 ``CantorStaircase`` answers the same point queries for the middle-thirds
-staircase from its self-similarity, without the list.
+staircase from its self-similarity, and lists its breakpoint abscissae
+only when a survey first reads them.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ from typing import Iterable, Sequence
 
 from .errors import OutOfDomain
 from .qnum import ONE, ZERO, ExactNumber, exact
-
-# The deepest explicit staircase kept once built, for the mesh survey, the
-# one command that walks every breakpoint (``sun`` and ``dini`` read a
-# ``CantorStaircase`` and build none).  Depth k has 2^(k+1) breakpoints:
-# depth 12 takes about 2.6 MiB (tracemalloc), and all depths up to it
-# together about twice that.  The default budget admits depth 18, 64 times
-# larger, which one ``diffreport --fn cantor:18`` would otherwise pin for
-# the life of the process.  Deeper staircases are rebuilt on every call.
-STAIRCASE_MEMO_DEPTH = 12
-
-# depth -> the staircase built at that depth, shared by every caller
-_staircases: dict[int, "PLFunction"] = {}
 
 
 @dataclass(frozen=True)
@@ -59,15 +48,9 @@ class PLFunction:
     two limits that are one object; equal limits held by two objects are
     still continuous, only compared.
 
-    ``cantor_staircase`` builds each depth up to ``STAIRCASE_MEMO_DEPTH``
-    once per process and hands every later caller the same object, its
-    slope memo included; a deeper staircase is built afresh on each call.
-    Each build runs the strict-increase check.  Sharing is safe across ops
-    and threads because nothing changes a function but its slope memo, and
-    each slot of that is only ever written with the same exact value.  The
-    explicit staircase serves the mesh survey and stands as the reference
-    for :class:`CantorStaircase`, which reads the same function from its
-    self-similarity for point queries and the rising sun.
+    ``cantor_staircase`` spells out the staircase that
+    :class:`CantorStaircase` reads from its self-similarity, and stands as
+    its reference.
     """
 
     __slots__ = ("points", "breakpoints", "_slopes")
@@ -143,30 +126,16 @@ class PLFunction:
         identity; each stage squeezes two half-size copies around a flat
         middle third.
 
-        Built on integer numerators over 3^depth (abscissae) and 2^depth
-        (values): stage k+1 is stage k followed by stage k shifted by 2*3^k
-        and 2^k, so each breakpoint's numbers are made once, at the end.
-        A depth up to ``STAIRCASE_MEMO_DEPTH`` is built once and shared.
+        Its abscissae are ``CantorStaircase(depth).breakpoints``, and
+        breakpoint j takes the value ((j + 1) // 2) / 2^depth, since each
+        even piece rises by 2^-depth and each odd one is flat.
         """
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        fn = _staircases.get(depth)
-        if fn is not None:
-            return fn
-        xs, ys = [0, 1], [0, 1]
-        for k in range(depth):
-            shift_x, shift_y = 2 * 3 ** k, 2 ** k
-            xs += [shift_x + x for x in xs]
-            ys += [shift_y + y for y in ys]
-        xden, yden = 3 ** depth, 2 ** depth
+        yden = 2 ** depth
         pts = []
-        for x, y in zip(xs, ys):
-            value = ExactNumber._raw(y, 0, yden, 0)
-            pts.append(Breakpoint(ExactNumber._raw(x, 0, xden, 0), value, value))
-        fn = cls(pts)
-        if depth <= STAIRCASE_MEMO_DEPTH:
-            _staircases[depth] = fn
-        return fn
+        for j, x in enumerate(CantorStaircase(depth).breakpoints):
+            value = ExactNumber._raw((j + 1) // 2, 0, yden, 0)
+            pts.append(Breakpoint(x, value, value))
+        return cls(pts)
 
     # -- basic queries ----------------------------------------------------
 
@@ -309,11 +278,15 @@ class CantorStaircase:
     irrational x from the one floor of 3^N x, which no breakpoint can
     equal.  The first middle digit puts x on a flat piece, or on one of
     its two ends; N digits without one put x inside a rising piece.
-    Nothing is kept between queries, so one object serves any number of
-    threads.
+
+    ``breakpoints``, the 2^(N+1) abscissae k/3^N in order, is filled on
+    first read, for the mesh survey; piece i between breakpoints i and
+    i + 1 rises when i is even and is flat when i is odd.  Nothing else is
+    kept, and two threads that fill the tuple at once build equal ones, so
+    one object serves any number of threads.
     """
 
-    __slots__ = ("depth",)
+    __slots__ = ("depth", "slope", "breakpoints")
 
     domain = (ZERO, ONE)
 
@@ -321,18 +294,27 @@ class CantorStaircase:
         if depth < 0:
             raise ValueError("depth must be >= 0")
         object.__setattr__(self, "depth", depth)
+        # (3/2)^N, the slope of every rising piece
+        object.__setattr__(self, "slope",
+                           ExactNumber._raw(3 ** depth, 0, 2 ** depth, 0))
 
     def __setattr__(self, name, value):
         raise AttributeError("CantorStaircase is immutable")
 
-    @property
-    def slope(self) -> ExactNumber:
-        """(3/2)^N, the slope of every rising piece."""
-        return ExactNumber._raw(3 ** self.depth, 0, 2 ** self.depth, 0)
-
-    def explicit(self) -> PLFunction:
-        """The same function with every breakpoint listed."""
-        return PLFunction.cantor_staircase(self.depth)
+    def __getattr__(self, name):
+        # called only while a slot is unset: ``breakpoints`` is filled here
+        # on first read, and later reads find it in its slot
+        if name != "breakpoints":
+            raise AttributeError(name)
+        # stage k+1 is stage k followed by stage k shifted by 2*3^k
+        nums = [0, 1]
+        for k in range(self.depth):
+            shift = 2 * 3 ** k
+            nums += [shift + x for x in nums]
+        den = 3 ** self.depth
+        xs = tuple(ExactNumber._raw(x, 0, den, 0) for x in nums)
+        object.__setattr__(self, "breakpoints", xs)
+        return xs
 
     def _read(self, x: ExactNumber):
         """(C_N(x), left, right) for x in [0, 1], where a side is True on a

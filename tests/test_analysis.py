@@ -23,7 +23,7 @@ from exactlab.errors import (
     OutOfDomain,
 )
 
-from exactlab import analysis, plfun
+from exactlab import analysis
 from exactlab.cli import run
 from exactlab.plfun import CantorStaircase
 
@@ -365,9 +365,7 @@ def test_rising_sun_upward_jump_inside():
 def _count_calls(monkeypatch):
     """Count the divisions, products and compares of ExactNumber (the
     operators <, <=, > and >= all go through compare), and the values it
-    builds (every one is made by _raw).  The staircase memo starts empty, so
-    the counts do not depend on which tests ran before."""
-    monkeypatch.setattr(plfun, "_staircases", {})
+    builds (every one is made by _raw)."""
     counts = Counter()
     for name in ("__truediv__", "__mul__", "compare", "_raw"):
         method = getattr(ExactNumber, name)
@@ -387,52 +385,56 @@ def _count_calls(monkeypatch):
     # are read by point queries (8 722 compares and 4 254 values when the
     # 1 024 breakpoints were built and swept)
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 8, "__mul__": 44, "compare": 183, "_raw": 286}),
+     {"__truediv__": 8, "__mul__": 44, "compare": 183, "_raw": 285}),
     # one component, (0, 1) (6 176 compares and 2 050 values swept)
     (["sun", "--fn", "cantor:9"], {"__mul__": 28, "compare": 99, "_raw": 161}),
-    # the mesh survey walks 2 187 cells against 256 breakpoints; the 1 932
-    # cells that end below the next breakpoint are settled by one compare
-    # and check their witness lo + mesh/2 by two, the 255 that end on one
-    # take four (the last, which also tests b, five), and each of the 255
-    # pieces divides out its slope once
+    # the mesh survey walks 2 187 cells against the staircase's 256
+    # abscissae, its only values besides the cells' own; the 1 932 cells
+    # that end below the next breakpoint are settled by one compare and
+    # check their witness lo + mesh/2 by two, the 255 that end on one take
+    # four (the last, which also tests b, five), and each piece reads its
+    # slope off its parity, so the two divisions are the cell count's and
+    # mesh/2 (5 655 values, 257 divisions and 7 072 compares when the
+    # staircase was built, checked and its slopes divided)
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 257, "compare": 7072, "_raw": 5655}),
+     {"__truediv__": 2, "compare": 6817, "_raw": 4635}),
+    # no breakpoint falls on a cell edge: each of the 254 interior ones lies
+    # inside a cell, which divides out the midpoint of its wider side, and
+    # the cells after it are settled by one compare again
+    (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
+     {"__truediv__": 256, "compare": 7318, "_raw": 5393}),
     # the point's ternary digits, read in integers, find a breakpoint with
     # a rising piece on its left: the domain check's two compares, the
-    # parsed point, its value and the slope (1 035 compares and 2 055 values
-    # when the staircase was built)
+    # staircase's slope, the parsed point and its value (1 035 compares and
+    # 2 055 values when the staircase was built)
     (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
-], ids=["sun-9-c2", "sun-9", "diffreport-7-2187", "dini-9"])
+], ids=["sun-9-c2", "sun-9", "diffreport-7-2187", "diffreport-7-2185",
+        "dini-9"])
 def test_pl_sweep_costs(monkeypatch, argv, calls):
-    counts = _count_calls(monkeypatch)
-    status, _ = run(argv)
-    assert status == 0
-    assert dict(counts) == calls
-
-
-@pytest.mark.parametrize("argv, calls", [
-    # sun and dini keep nothing between ops: the second run makes the
-    # first one's calls again
-    (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 8, "__mul__": 44, "compare": 183, "_raw": 286}),
-    # all 255 slopes were divided on the first run; the 256 breakpoints'
-    # 512 values and 255 order compares are not made again
-    (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 2, "compare": 6817, "_raw": 4378}),
-    # no breakpoint falls on a cell edge: each of the 254 interior ones lies
-    # inside a cell, which takes the midpoint of its wider side, and the
-    # cells after it are settled by one compare again
-    (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
-     {"__truediv__": 256, "compare": 7318, "_raw": 5136}),
-    (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
-], ids=["sun-9-c2", "diffreport-7-2187", "diffreport-7-2185", "dini-9"])
-def test_pl_sweep_costs_on_a_shared_staircase(monkeypatch, argv, calls):
+    # nothing is kept between ops: a second run makes the first one's calls
     counts = _count_calls(monkeypatch)
     first = run(argv)
-    counts.clear()
-    assert run(argv) == first
     assert first[0] == 0
     assert dict(counts) == calls
+    counts.clear()
+    assert run(argv) == first
+    assert dict(counts) == calls
+
+
+def test_sun_bound_reads_no_one_sided_limit(monkeypatch):
+    # the bound reads each component's rise by values alone: the sweep
+    # hands it the components, with no shadow check on their ends
+    counts = Counter()
+    for name in ("left_limit", "right_limit"):
+        method = getattr(PLFunction, name)
+
+        def counted(*args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(PLFunction, name, counted)
+    result = sun_measure_bound(PLFunction.cantor_staircase(9), 10)
+    assert len(result.components) == 128
+    assert dict(counts) == {}
 
 
 # (depth, c) -> nodes the staircase walk visits, and the components found

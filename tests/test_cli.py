@@ -527,9 +527,9 @@ def test_pl_report_matches_golden(argv):
     assert digest == PL_GOLDEN_REPORTS[argv]
 
 
-# (exit status, SHA-256 of the report lines) of staircases deeper than the
-# memo, recorded when every sun and dini built the staircase and swept its
-# 2^(N+1) breakpoints: about 7 s for each sun at depth 18 then.  The points
+# (exit status, SHA-256 of the report lines) of deep staircases, recorded
+# when every sun and dini built the staircase and swept its 2^(N+1)
+# breakpoints: about 7 s for each sun at depth 18 then.  The points
 # are breakpoints, middle-third ends, points of the Cantor set on no
 # breakpoint, irrationals on a flat and on a rising piece, and the two ends
 # of the domain, where dini exits 2.
@@ -600,6 +600,17 @@ DEEP_CANTOR_REPORTS = {
         (2, "60d6bf14675075bf667e7045219cdc7e6492a3b274aab9b4de7a7406b27ea2f8"),
     ("dini", "--fn", "cantor:18", "--x", "1"):
         (2, "8b35a7becc54df56f6c1e699d661d21ca334d23d530149d735105589b19ac5db"),
+    # recorded when the survey built the explicit staircase: cells that end
+    # on breakpoints, cells that hold them inside, an irrational mesh, and
+    # one cell past the domain's end
+    ("diffreport", "--fn", "cantor:12", "--mesh", "1/729"):
+        (0, "8d2799e190af7a26489de62bf6ef6230b12a5117594dffd3db3b81a27b56befa"),
+    ("diffreport", "--fn", "cantor:12", "--mesh", "1/2185"):
+        (0, "02131000884f2be32d98dc1aa3ab263434a16ac0fe91192a7c4a7f0e371c0c6c"),
+    ("diffreport", "--fn", "cantor:10", "--mesh", "1/100*sqrt(2)"):
+        (0, "9efb0a813c3a8eb47955937fd37307c063e27eec4fe7d08152a05f2c5c7da682"),
+    ("diffreport", "--fn", "cantor:0", "--mesh", "3"):
+        (0, "b12e090bde9ea71c7ff65dfef5c3e59a53cbeb4897d27d73ac187a2a2909af11"),
 }
 
 
@@ -611,23 +622,26 @@ def test_deep_cantor_report_matches_golden(argv):
 
 
 def _no_build(*args, **kwargs):
-    raise AssertionError("sun and dini must not list a staircase's breakpoints")
+    raise AssertionError("a staircase must not be built as a PLFunction")
 
 
 def test_sun_and_dini_on_a_staircase_build_nothing(monkeypatch):
     monkeypatch.setattr(PLFunction, "cantor_staircase", _no_build)
     monkeypatch.setattr(PLFunction, "add_linear", _no_build)
+    monkeypatch.setattr(PLFunction, "__init__", _no_build)
     for argv in (["sun", "--fn", "cantor:18", "--c", "2"],
                  ["sun", "--fn", "cantor:18", "--c", "1/2*sqrt(2)"],
                  ["sun", "--fn", "cantor:18"],
                  ["dini", "--fn", "cantor:18", "--x", "1/4"],
-                 ["dini", "--fn", "cantor:18", "--x", "1/2*sqrt(2)"]):
+                 ["dini", "--fn", "cantor:18", "--x", "1/2*sqrt(2)"],
+                 # the survey reads the staircase's abscissae alone
+                 ["diffreport", "--fn", "cantor:10", "--mesh", "1/729"],
+                 ["diffreport", "--fn", "cantor:10",
+                  "--mesh", "1/100*sqrt(2)"],
+                 ["diffreport", "--fn", "cantor:0", "--mesh", "3"]):
         assert run(argv)[0] == 0
     assert run(["sun", "--fn", "cantor:9", "--c", "0"]) == (
         2, ["error: c must be positive"])
-    # the survey lists every breakpoint, so it still builds them
-    with pytest.raises(AssertionError, match="must not list"):
-        run(["diffreport", "--fn", "cantor:2", "--mesh", "1/9"])
 
 
 def _never(*args, **kwargs):

@@ -16,7 +16,10 @@ A ``CantorStaircase`` of depth 0 to 12 must answer every point query,
 Dini value, rising sun and length bound as the explicit staircase of the
 same depth and the reference on it do, for slopes c drawn as rationals, as
 the ties (3/2)^k and in Q(sqrt(2)), and for points drawn as breakpoints,
-ternary ends, irrationals, the domain's ends and points outside it.
+ternary ends, irrationals, the domain's ends and points outside it.  One
+of depth 0 to 10 must give the explicit staircase's mesh survey, and the
+reference's where its cell-by-breakpoint scan stays small, for meshes
+near 3^-k, above 1 and irrational, with and without a cap.
 
 The one allowed difference comes from such slopes.  The reference divides
 out every slope, so it raises ``RadicandMismatch`` where the library, which
@@ -514,3 +517,43 @@ def test_staircase_sun_refuses_a_slope_at_or_below_zero(c):
             (ValueError, "c must be positive")
     assert run(["sun", "--fn", "cantor:5", f"--c={c}"]) == (
         2, ["error: c must be positive"])
+
+
+@st.composite
+def staircase_meshes(draw, depth):
+    """A mesh near 3^-k, at it or a step or two off, which leaves a ragged
+    last cell; one above 1, so one cell; an irrational one, sqrt(2) over an
+    integer or shifted by it; or zero or a negative one."""
+    kind = draw(st.sampled_from(["near", "near", "near", "above",
+                                 "irrational", "bad"]))
+    if kind == "near":
+        k = draw(st.integers(0, min(depth + 2, 8)))
+        step = draw(st.integers(-2, 2))
+        if draw(st.booleans()):
+            return ExactNumber(F(9 + step, 9 * 3 ** k))
+        return ExactNumber(F(1, max(3 ** k + step, 1)))
+    if kind == "above":
+        return ExactNumber(1 + F(draw(st.integers(1, 20)),
+                                 draw(st.integers(1, 10))))
+    if kind == "irrational":
+        mesh = SQRT2 / draw(st.integers(1, 300))
+        return mesh + F(1, 3 ** draw(st.integers(1, 6))) \
+            if draw(st.booleans()) else mesh
+    return ExactNumber(draw(st.integers(-2, 0)))
+
+
+@settings(max_examples=80)
+@given(data=st.data(), depth=st.integers(0, 10))
+def test_staircase_survey_matches_the_explicit_staircase(data, depth):
+    s, f = CantorStaircase(depth), PLFunction.cantor_staircase(depth)
+    mesh = data.draw(staircase_meshes(depth))
+    cells = _cells(f, mesh) if mesh.sign() > 0 else 0
+    # no cap, a cap at the cell count, and one below it
+    cap = data.draw(st.sampled_from([None, cells, cells - 1]))
+    got = _report(lambda: differentiability_report(s, mesh, cap=cap))
+    assert got == _report(lambda: differentiability_report(f, mesh, cap=cap))
+    if cap is not None and 0 <= cap < cells:
+        assert got == (CapExceeded, f"{cells} cells exceed cap {cap}")
+    elif cells * len(f.breakpoints) <= 2 ** 15:
+        # the reference scans every breakpoint for each cell
+        assert got == _report(lambda: ref.differentiability_report(f, mesh))

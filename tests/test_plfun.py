@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactlab import PHI, PLFunction, exact, plfun
+from exactlab import PHI, PLFunction, exact
 from exactlab.cli import run
 from exactlab.errors import OutOfDomain
+from exactlab.plfun import CantorStaircase
 from test_golden_reports import workloads
 
 
@@ -136,61 +137,27 @@ def test_construction_validation():
         PLFunction([(0, 0, 0), (0, 1, 1)])
 
 
-# -- the staircase memo --------------------------------------------------------
+# -- the staircase's breakpoints ----------------------------------------------
 
-@pytest.fixture
-def cold_memo(monkeypatch):
-    monkeypatch.setattr(plfun, "_staircases", {})
-
-
-def _limits(f):
-    return [(p.x, p.left, p.right) for p in f.points]
-
-
-def test_a_staircase_is_built_once_up_to_the_memo_depth(cold_memo):
-    assert plfun.STAIRCASE_MEMO_DEPTH == 12
-    for depth in range(plfun.STAIRCASE_MEMO_DEPTH + 1):
-        f = PLFunction.cantor_staircase(depth)
-        assert PLFunction.cantor_staircase(depth) is f
-        assert len(f.points) == 2 ** (depth + 1)
+@pytest.mark.parametrize("depth", range(8))
+def test_a_staircase_lists_its_abscissae_once_on_first_read(depth):
+    s = CantorStaircase(depth)
+    xs = s.breakpoints
+    assert s.breakpoints is xs
+    # the two ends of each level-N triadic interval whose ternary digits
+    # are all 0 or 2, in order
+    starts = [0]
+    for _ in range(depth):
+        starts = [3 * a + d for a in starts for d in (0, 2)]
+    assert xs == tuple(exact(F(a + e, 3 ** depth))
+                       for a in starts for e in (0, 1))
 
 
-def test_a_staircase_past_the_memo_depth_is_built_each_time(cold_memo):
-    depth = plfun.STAIRCASE_MEMO_DEPTH + 1
-    f = PLFunction.cantor_staircase(depth)
-    g = PLFunction.cantor_staircase(depth)
-    assert f is not g
-    assert _limits(f) == _limits(g)
-    assert plfun._staircases == {}
-
-
-def test_a_shared_staircase_equals_a_fresh_build(cold_memo, monkeypatch):
-    shared = [PLFunction.cantor_staircase(depth) for depth in range(10)]
-    xs = [F(k, 97) for k in range(98)]
-    for f in shared:  # fill part of each slope memo
-        for x in xs[::3]:
-            f(x)
-    # no memo: each call builds and checks a new staircase
-    monkeypatch.setattr(plfun, "_staircases", {})
-    monkeypatch.setattr(plfun, "STAIRCASE_MEMO_DEPTH", -1)
-    for depth, f in enumerate(shared):
-        fresh = PLFunction.cantor_staircase(depth)
-        assert fresh is not f and PLFunction.cantor_staircase(depth) is not fresh
-        assert _limits(f) == _limits(fresh)
-        assert [f(x) for x in xs] == [fresh(x) for x in xs]
-        assert [f.left_limit(x) for x in xs[1:]] == \
-            [fresh.left_limit(x) for x in xs[1:]]
-        assert [f.slope(i) for i in range(len(f.points) - 1)] == \
-            [fresh.slope(i) for i in range(len(fresh.points) - 1)]
-
-
-def test_staircase_ops_report_the_same_cold_and_warm(cold_memo):
+def test_staircase_ops_report_the_same_cold_and_warm():
     # every op of the benchmark's universe that names a staircase, run twice
-    # in one process: the second run reads every staircase and slope the
-    # first one left behind
+    # in one process: nothing the first run leaves behind changes a report
     ops = [list(op) for op in workloads.universe()
            if any(arg.startswith("cantor:") for arg in op)]
     assert ops
     cold = [run(op) for op in ops]
-    assert plfun._staircases
     assert [run(op) for op in ops] == cold
