@@ -379,7 +379,8 @@ def _count_calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("argv, calls", [
+# argv -> the calls one run of the op makes
+SWEEP_COSTS = [
     # the walk over triadic nodes lists no breakpoint: it divides where the
     # ceiling crosses a leaf or a middle third, and the 8 components' ends
     # are read by point queries (8 722 compares and 4 254 values when the
@@ -408,16 +409,28 @@ def _count_calls(monkeypatch):
     # staircase's slope, the parsed point and its value (1 035 compares and
     # 2 055 values when the staircase was built)
     (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
-], ids=["sun-9-c2", "sun-9", "diffreport-7-2187", "diffreport-7-2185",
-        "dini-9"])
+]
+SWEEP_IDS = ["sun-9-c2", "sun-9", "diffreport-7-2187", "diffreport-7-2185",
+             "dini-9"]
+
+
+@pytest.mark.parametrize("argv, calls", SWEEP_COSTS, ids=SWEEP_IDS)
 def test_pl_sweep_costs(monkeypatch, argv, calls):
-    # nothing is kept between ops: a second run makes the first one's calls
+    counts = _count_calls(monkeypatch)
+    status, _ = run(argv)
+    assert status == 0
+    assert dict(counts) == calls
+
+
+@pytest.mark.parametrize("argv, calls", SWEEP_COSTS, ids=SWEEP_IDS)
+def test_pl_sweep_costs_on_a_shared_staircase(monkeypatch, argv, calls):
+    # nothing is kept between ops on the same staircase: the second run
+    # makes the first one's calls and gives its output
     counts = _count_calls(monkeypatch)
     first = run(argv)
-    assert first[0] == 0
-    assert dict(counts) == calls
     counts.clear()
     assert run(argv) == first
+    assert first[0] == 0
     assert dict(counts) == calls
 
 
