@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .approx import best_approx, ratio_family
 from .dsets import DiscreteSet, FunctionOracle, GrowableSet, RotationOracle, TableOracle
 from .errors import BudgetError, CapExceeded, PreconditionError, VerificationError
 from .qnum import ExactNumber, exact
@@ -43,10 +42,19 @@ def _lazy(name: str):
 # bound to the entries themselves: an import statement naming an entered
 # module reads its __spec__, which would run the body at once
 analysis = _lazy("analysis")
+approx = _lazy("approx")
 coding = _lazy("coding")
 extraction = _lazy("extraction")
 measure = _lazy("measure")
 plfun = _lazy("plfun")
+
+
+def __getattr__(name: str):
+    """``best_approx`` and ``ratio_family``, read off ``approx`` as the
+    handlers read them, so that importing cli does not run it."""
+    if name in ("best_approx", "ratio_family"):
+        return getattr(approx, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_oracle(spec: str) -> FunctionOracle:
@@ -168,7 +176,7 @@ def _cmd_approx(args) -> list[str]:
     bound = exact(args.bound)
     G = GrowableSet(cap=args.budget)
     D = G.prefix(bound.floor())
-    state = best_approx(D, oracle, exact(args.cut), bound)
+    state = approx.best_approx(D, oracle, exact(args.cut), bound)
     return _lines(cut=state.cut, bound=state.bound, L=state.L, R=state.R,
                   l=state.l, r=state.r)
 
@@ -178,7 +186,7 @@ def _cmd_yfam(args) -> list[str]:
     d = exact(args.d)
     G = GrowableSet(cap=args.budget)
     D = G.prefix(d.floor())
-    fam = ratio_family(D, oracle, exact(args.a), exact(args.b), d)
+    fam = approx.ratio_family(D, oracle, exact(args.a), exact(args.b), d)
     return _lines(a=fam.a, b=fam.b, d=fam.d, Y=fam.yset, inJ=fam.admissible,
                   checked_bound=fam.checked_bound) + [
         _row("term", anchor=t.anchor, bound=t.bound_used, l=t.left,

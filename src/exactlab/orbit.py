@@ -2,57 +2,44 @@
 for a rotation n -> {n*alpha} over the naturals (see :func:`serves`).
 
 Every search of a step asks where the orbit of a rotation first enters an
-interval.  :meth:`Orbit.first_hit` answers that in a number of big-integer
-steps logarithmic in the interval's width, by the continued-fraction
-recursion behind the three-distance theorem (see Alessandri and Berthé,
-*L'Enseignement Math.* 44, 1998).  Write a for {alpha}.  The least t >= 0
-with {beta + t*a} in an arc of width w < a from a point wraps round the
-circle j >= 0 times first, and j solves the same kind of problem for the
-rotation {1/a} or {-1/a}, whichever is below 1/2, on an arc of width w/a.
-Following the smaller rotation (the reflection a -> 1 - a) swaps which end
-of the arc is closed and at least doubles the width per level, so the
-recursion ends once the width reaches the rotation.
+interval, and every such query reads one expansion of alpha.  The next
+left record of a cut c after n is n + d for the least d >= 1 with
+{d*alpha} < c - {n*alpha} (the sum cannot wrap, as it stays below c <= 1),
+so d is a record low of {d*alpha}: a value below every earlier one.  The
+right chain steps by the least record high within {n*alpha} - c of 1.
+Both record sequences depend on alpha alone: they are the convergent and
+intermediate denominators of its regular continued fraction (Rockett and
+Szüsz, *Continued Fractions*, 1992), whose runs, one per partial quotient,
+make two *record tables*.  An :class:`Orbit` builds them run by run on
+first use, with one inverse per run.  A link reads the least record under
+its gap off one run with one floor, so a chain costs O(1) exact steps per
+link and per run, however long a run is.
+
+A first hit is a link of such a chain (see Alessandri and Berthé,
+*L'Enseignement Math.* 44, 1998).  Write a for {alpha}.  The least t >= 1
+with {beta + t*a} in an arc [lo, lo + w) that beta lies outside puts {t*a}
+in [gap - w, gap) for gap = 1 + w - {beta - lo}, and no earlier index has
+its value there, so t is the first link of gap's left chain that comes
+within w of gap.  :meth:`Orbit._least` walks that chain, taking all the
+links a record makes in a row with one division, so a first hit costs
+O(1) exact steps per run crossed, however small w is.
 
 Once one visit to a closed window [lo, hi] with 0 <= lo < hi < 1 is known,
-the later ones follow without a recursion, by the three-gap theorem
-(Slater, "Gaps and steps for the sequence n*theta mod 1", *Proc. Cambridge
-Philos. Soc.* 63, 1967; same survey): the return times of the orbit to
+the later ones follow without a walk, by the three-gap theorem (Slater,
+"Gaps and steps for the sequence n*theta mod 1", *Proc. Cambridge Philos.
+Soc.* 63, 1967; same survey): the return times of the orbit to
 [lo, lo + w) take only the values A, B and A + B, where A is the least
 d >= 1 with {d*alpha} < w and B the least with {d*alpha} > 1 - w.  From a
 visit n at x = {n*alpha} - lo the next one is n + A if x + {A*alpha} < w,
 else n + B if x + {B*alpha} >= 1, else n + A + B: one compare per visit.
-A and B are read off the record tables below, and the closed high end
-adds its one orbit solve.  :meth:`Orbit.hits` watches one such window and
-keeps its visits, so a closed first hit on it reads the same list.
-
-The chain of rotations a_0 = a, a_1, a_2, ... depends on alpha alone; for a
-quadratic irrational it is the eventually periodic continued-fraction chain
-(Lagrange).  Each :class:`Orbit` keeps it as a *rotation ladder*: rung k
-holds a_k, 1/a_k and whether a_(k+1) is {1/a_k} (the circle is read
-reflected).  A recursion walks down the ladder by level index, carrying
-only the distance of its point above the arc's low end from level to
-level, and unwinds by multiplying with the inverses the ladder holds; no
-level inverts or floors a rotation.
+A and B are read off the record tables, and the closed high end adds its
+one orbit solve.  :meth:`Orbit.hits` watches one such window and keeps its
+visits, so a closed first hit on it reads the same list.
 
 A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
-at most one solution n, read off c's irrational part.
-
-Record chains take no first hit.  The next left record of a cut c after n
-is n + d for the least d >= 1 with {d*alpha} < c - {n*alpha} (the sum
-cannot wrap, as it stays below c <= 1), so d is a record low of {d*alpha}:
-a value below every earlier one.  The right chain steps by the least
-record high within {n*alpha} - c of 1.  Both record sequences depend on
-alpha alone: they are the convergent and intermediate denominators of its
-regular continued fraction (Rockett and Szüsz, *Continued Fractions*,
-1992), whose runs, one per partial quotient, make two *record tables*.
-They are the one expansion of alpha an :class:`Orbit` builds, run by run
-on first use: a run holds the inverse of a convergent denominator Q's
-distance ||Q*alpha||, and a rung of the ladder is a ratio of two such
-distances, read off the runs with two products.  A link reads the
-least record under its gap off one run with one floor, so a chain costs
-O(1) exact steps per link and per run, however long a run is.  Indices
-are plain ints of any size; the growable set only follows the indices
-the step needs, as a column scan would have read them.
+at most one solution n, read off c's irrational part.  Indices are plain
+ints of any size; the growable set only follows the indices the step
+needs, as a column scan would have read them.
 """
 
 from __future__ import annotations
@@ -77,21 +64,19 @@ class Orbit:
     """The oracle queries of a rotation over the naturals of ``G``.
 
     It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
-    scanning.  ``first_hits`` counts the first-hit recursions run,
-    ``levels`` the levels they descended, ``steps`` the window visits
-    reached by a gap step instead, ``solves`` the orbit solves, ``runs``
-    the continued-fraction runs built, for the record tables and the
-    ladder alike, and ``links`` the record-chain links read off them.
-    The runs, the ladder and the watched window (see :meth:`hits`) are
-    caches filled on first use, so an :class:`Orbit` belongs to one
-    extraction, like its set.
+    scanning.  ``first_hits`` counts the first-hit walks run, ``levels``
+    the records they read, ``steps`` the window visits reached by a gap
+    step instead, ``solves`` the orbit solves, ``runs`` the
+    continued-fraction runs built for the record tables, and ``links``
+    the record-chain links read off them.  The runs and the watched
+    window (see :meth:`hits`) are caches filled on first use, so an
+    :class:`Orbit` belongs to one extraction, like its set.
     """
 
     def __init__(self, G: GrowableSet, f: RotationOracle):
         self._G = G
         a = self._a = f.alpha.frac()
         self._m, self._den, self._sq = a.m, a.den, a.q
-        self._ladder: list[tuple] = []
         # highs: the even runs; lows: d = 1 as a run of one, then the odd runs
         self._lows: list[tuple] = [(0, 1, ONE, ONE - a, None, 1, a)]
         self._highs: list[tuple] = []
@@ -136,9 +121,10 @@ class Orbit:
 
         A window with 0 <= lo < hi < 1 and no end in another radicand
         becomes the watched one, in place of the last: its visits are
-        found by one recursion and then by gap steps (see :meth:`_advance`)
-        and kept, from n0 on, so a later query on it that starts within
-        what is known, or right after it, steps on from there.  Any other
+        found by one first-hit walk and then by gap steps (see
+        :meth:`_advance`) and kept, from n0 on, so a later query on it that
+        starts within what is known, or right after it, steps on from
+        there.  Any other
         window takes one first hit per visit."""
         if not self._steppable(lo, hi):
             out: list[int] = []
@@ -210,12 +196,12 @@ class Orbit:
         n = num // den
         return n if n > 0 and self.value(n) == v else None
 
-    # -- the recursion -------------------------------------------------------
+    # -- the first hit -------------------------------------------------------
 
     def _first(self, n0, lo, hi, lo_open, hi_open, upto=None
                ) -> Optional[int]:
         """:meth:`first_hit` up to its limit, ``upto`` or else the cap:
-        [lo, hi) by the recursion, then each end moved in or out by its
+        [lo, hi) by the walk, then each end moved in or out by its
         orbit solve.  An answer past the limit may be any index past it.  A
         cut irrational in another radicand than alpha's goes to
         :meth:`_foreign` before any clamping.  A closed window that
@@ -308,13 +294,13 @@ class Orbit:
 
     def _advance(self, win: _Window, reach: int) -> None:
         """Find the window's next visit to [lo, hi) after what it knows:
-        the first by one recursion from ``win.through + 1``, any later one
-        by a gap step from the last (see the module docstring).  A visit
-        past ``reach``, or a gap that would step past it, which counts as
-        none, only moves ``win.through`` to ``reach``; a stepped visit past
-        it is exact and is kept.  The gaps are read once per window, up to
-        ``reach`` from the visit that first steps, and read again only if
-        one was past that and a later step may go further."""
+        the first by one first-hit walk from ``win.through + 1``, any later
+        one by a gap step from the last (see the module docstring).  A
+        visit past ``reach``, or a gap that would step past it, which
+        counts as none, only moves ``win.through`` to ``reach``; a stepped
+        visit past it is exact and is kept.  The gaps are read once per
+        window, up to ``reach`` from the visit that first steps, and read
+        again only if one was past that and a later step may go further."""
         lo, w, visits = win.lo, win.w, win.visits
         if not visits:
             n = win.through + 1
@@ -392,12 +378,6 @@ class Orbit:
                 return None
             return r, d, (end if j == J else v0 - j * y)
 
-    def _run(self, s: int) -> tuple:
-        """Run s of the continued fraction (see :meth:`_grow`)."""
-        while self.runs <= s:
-            self._grow()
-        return (self._lows if s % 2 else self._highs)[(s + 1) // 2]
-
     def _grow(self) -> None:
         """Append run s: ``(Q_(s-1), Q_s, delta_(s-1), delta_s, 1/delta_s,
         J, delta_(s+1))``, J = floor(delta_(s-1)/delta_s), from Q_(-1) = 0
@@ -407,89 +387,60 @@ class Orbit:
         1 <= j <= J, are highs for even s and lows for odd s."""
         s = self.runs
         self.runs += 1
+        # run s - 1 is the lows' (s // 2)th for even s, the highs' for odd s;
         # run -1 steps from Q_(-2) = 1 by Q_(-1) = 0
-        d0, q, _, x, _, J, y = (self._run(s - 1) if s else
-                                (1, 0, None, ONE, None, 0, self._a))
+        d0, q, _, x, _, J, y = (
+            (self._highs if s % 2 else self._lows)[s // 2] if s else
+            (1, 0, None, ONE, None, 0, self._a))
         d0, q = q, d0 + J * q
         inv = y.inverse()
         J = (x * inv).floor()
         (self._lows if s % 2 else self._highs).append(
             (d0, q, x, y, inv, J, x - J * y))
 
-    def _rung(self, k: int) -> tuple:
-        """Rung k of the rotation ladder, read off the runs on first use:
-        ``(a_k, 1/a_k, reflect_k, next (i, j))``.  a_(k+1) is {1/a_k} if
-        that is below 1/2 (reflect_k), else {-1/a_k}.  In :meth:`_grow`'s
-        distances a_k = delta_j/delta_i, with (i, j) = (-1, 0) at k = 0 and
-        i = j - 1 or j - 2 later, so {1/a_k} = delta_(j+1)/delta_j.  Thus
-        reflect_k holds when 2*delta_(j+1) < delta_j, with next pair
-        (j, j + 1); else the next partial quotient is 1, and (j, j + 2)."""
-        ladder = self._ladder
-        while len(ladder) <= k:
-            i, j = ladder[-1][3] if ladder else (-1, 0)
-            _, _, _, dj, inv_j, _, after = self._run(j)
-            di, inv_i = self._run(i)[3:5] if i >= 0 else (ONE, ONE)
-            reflect = (after * 2).compare(dj) < 0
-            ladder.append((dj * inv_i, di * inv_j, reflect,
-                           (j, j + 1 if reflect else j + 2)))
-        return ladder[k]
-
     def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber,
                limit: int) -> int:
         """Least t >= 0 with {beta + t*a} in [lo, lo + w), 0 < w <= 1, if
-        it is at most ``limit``; else some value above ``limit``.
+        it is at most ``limit``; else a value above ``limit``.
 
-        Level k solves it for the rotation a_k of rung k (see
-        :meth:`_rung`) on an arc closed at its low end or at its high end,
-        from the distance g = {beta - lo} of the point above the arc's low
-        end.  If g is inside the arc, t = 0.  Otherwise c = {-g} is the
-        distance up to the low end; t must put t*a in [c + j, c + j + w)
-        (or (c + j, c + j + w]) for the least wrap count j >= 0, so
-        t = ceil((c + j)/a) (or floor((c + j)/a) + 1).  j = 0 serves when
-        w >= a.  Otherwise, with x = c/a and w' = w/a, j solves level
-        k + 1: the arc [0, w') from {-x} for the rotation {-1/a}, so
-        g = {-x}; or, on a reflecting rung, the arc (1 - w', 1] (or
-        [1 - w', 1)) from {x} for {1/a}, so g = {x + w'} and the closed
-        end swaps.  The stack unwinds as (c + j) * (1/a), each rung's
-        inverse read off the ladder.
-
-        The last level pushed unwinds to t >= 1, and every rung after
-        rung 0 is at most 1/2, so each further unwinding but rung 0's at
-        least doubles t: with s levels on the stack t >= 2^(s-2), and the
-        descent stops once that passes ``limit``.
+        With g = {beta - lo}, t = 0 if g < w.  Otherwise t >= 1 puts
+        {t*a} in [gap - w, gap) for gap = 1 + w - g, which lies in (w, 1].
+        Every earlier index has its value below gap - w or at least gap,
+        so t is a left record of the cut gap, and it is the first link of
+        gap's left chain (see :meth:`_links`) whose remaining gap is at
+        most w.  The walk reads that chain off the lows.  A record d at
+        distance ``dist`` stays the least record below the remaining gap
+        while that gap exceeds ``dist``, so its links are taken in one
+        batch: i = min(ceil((gap - w)/dist), ceil(gap/dist) - 1) of them,
+        the first bound reaching the answer, the second the last link
+        that d takes.  Each record read counts as a level.
         """
         self.first_hits += 1
-        rung = self._rung
-        g, closed, k = (beta - lo).frac(), True, 0
-        stack: list[tuple[ExactNumber, ExactNumber, bool]] = []
-        while True:
+        g = (beta - lo).frac()
+        if g.compare(w) < 0:
+            return 0
+        gap = ONE + w - g
+        n = r = 0
+        while n <= limit:
+            found = self._record(self._lows, r, gap, limit - n)
+            if found is None:
+                break
             self.levels += 1
-            if closed:
-                if g.compare(w) < 0:
-                    t = 0
-                    break
-            elif g.sign() > 0 and g.compare(w) <= 0:
-                t = 0
-                break
-            c = ONE - g if g.sign() > 0 else g
-            a, inv, reflect, _ = rung(k)
-            x = c * inv
-            if w.compare(a) >= 0:
-                t = _ceil(x) if closed else x.floor() + 1
-                break
-            stack.append((c, inv, closed))
-            if len(stack) > 2 and 1 << (len(stack) - 2) > limit:
-                return limit + 1
-            w = w * inv
-            if reflect:
-                g, closed = (x + w).frac(), not closed
-            else:
-                g = (-x).frac()
-            k += 1
-        for c, inv, closed in reversed(stack):
-            x = (c + t) * inv
-            t = _ceil(x) if closed else x.floor() + 1
-        return t
+            r, d, dist = found
+            rest = gap - dist
+            if rest.compare(w) <= 0:
+                return n + d
+            if rest.compare(dist) <= 0:
+                n, gap = n + d, rest
+                continue
+            inv = dist.inverse()
+            i = _ceil((gap - w) * inv)
+            last = _ceil(gap * inv) - 1
+            if i <= last:
+                n += i * d
+                return n if n <= limit else limit + 1
+            n, gap = n + last * d, gap - last * dist
+        return limit + 1
 
 
 class _Window:

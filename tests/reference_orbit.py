@@ -5,18 +5,14 @@ record tables: one first hit per link, each asking for the first later
 index whose value lies strictly between the last record's value and the
 cut.  ``test_orbit.py`` runs ``Orbit.chain`` against it.
 
-:func:`least` is ``Orbit._least`` as it stood before the rotation ladder:
-every level inverts its rotation, takes the fractional part of the
-inverse, compares it with 1/2, and recomputes the distance {beta - lo}
-from a new start point and arc end; the stack unwinds by dividing.  It is
-a plain function of an :class:`exactlab.orbit.Orbit`, whose ``_a``,
-``first_hits`` and ``levels`` it reads and counts as the method did.
-``test_orbit.py`` runs the library's recursion against it.
-
-:func:`rungs` is the rotation ladder as ``Orbit._rung`` built it before it
-was read off the record tables' runs: each rung inverts its rotation,
-takes the fractional part of the inverse and compares it with 1/2.
-``test_orbit.py`` runs the ladder against it.
+:func:`least` is ``Orbit._least`` as the continued-fraction recursion
+that it was before it walked the record tables: every level inverts its
+rotation, takes the fractional part of the inverse, compares it with 1/2,
+and recomputes the distance {beta - lo} from a new start point and arc
+end; the stack unwinds by dividing.  It is a plain function of an
+:class:`exactlab.orbit.Orbit`, whose ``_a`` it reads and whose
+``first_hits`` and ``levels`` it counts, a level per recursion level.
+``test_orbit.py`` runs the library's walk against it.
 
 :func:`hits` is ``Orbit.hits`` as it stood before the watched window: one
 first hit per visit to the closed window, each up to the query's bound.
@@ -111,23 +107,6 @@ def least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber
         x = (c + t) / a
         t = _ceil(x) if closed else x.floor() + 1
     return t
-
-
-def rungs(alpha: ExactNumber, k: int) -> list[tuple]:
-    """Rungs 0 to k of the rotation ladder of ``alpha``:
-    ``(a_k, 1/a_k, reflect_k, a_(k+1))`` with a_0 = {alpha}.  The next
-    rotation is {1/a_k} if that is below 1/2 (reflect_k), else
-    {-1/a_k} = 1 - {1/a_k}; the ladder depends on alpha alone."""
-    ladder: list[tuple] = []
-    while len(ladder) <= k:
-        a = ladder[-1][3] if ladder else alpha.frac()
-        inv = a.inverse()
-        up = inv.frac()
-        if up.compare(_HALF) < 0:
-            ladder.append((a, inv, True, up))
-        else:
-            ladder.append((a, inv, False, ONE - up))
-    return ladder
 
 
 def _ceil(x: ExactNumber) -> int:

@@ -386,3 +386,20 @@ def test_deep_report_matches_golden(name, n):
     status, lines = run(["extract", "--oracle", f"rot({name})", "--n", str(n),
                          "--eps", "1/4", "--budget", str(10 ** 100)])
     assert (status, _sha256(lines)) == (0, DEEP_REPORTS[(name, n)])
+
+
+# (status, SHA-256) of the report of `extract --oracle rot(<name>) --n 17
+# --eps 1/4 --budget 10^300`, recorded before the first hits became walks
+# over the record tables.  At 10^100, N = 17 runs out of budget (exit 3).
+DEEP_300_REPORTS = {
+    "phi": (0, "9bdc685d8ee07314cbf3344ef590c6f17a7b7086640d55e511f8f14f3cdbed7c"),
+    "sqrt2": (0, "f286c3d62f82169567f4e62faafe92d2d943e7a17ef2ba4a176aea115408d57c"),
+    "sqrt3": (0, "4bb77afad340104e15c43b9e925ebafb091f26f6c1f5195917962064c2740059"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_300_REPORTS))
+def test_n17_report_matches_golden(name):
+    status, lines = run(["extract", "--oracle", f"rot({name})", "--n", "17",
+                         "--eps", "1/4", "--budget", str(10 ** 300)])
+    assert (status, _sha256(lines)) == DEEP_300_REPORTS[name]

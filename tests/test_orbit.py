@@ -26,7 +26,6 @@ from conftest import alphas
 from reference_orbit import hits as reference_hits
 from reference_orbit import least as reference_least
 from reference_orbit import record_chain as reference_chain
-from reference_orbit import rungs as reference_rungs
 
 LIMIT = 1200
 
@@ -111,8 +110,9 @@ def test_queries_match_a_column_scan(alpha, data):
 def test_least_matches_the_frozen_recursion(alpha, data):
     # deeper than brute force reaches: start points up to 10^30 steps out
     # on the orbit and arcs down to 10^-40 wide, three queries per engine,
-    # so later ones climb a ladder the earlier ones built; under a drawn
-    # limit, an answer within it is exact, and one past it stays past it
+    # so later ones read record tables the earlier ones built; under a
+    # drawn limit, an answer within it is exact, and one past it stays
+    # past it
     f = RotationOracle(alpha)
     ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
     orbit = st.integers(0, 10 ** 30).map(q.value)
@@ -126,17 +126,13 @@ def test_least_matches_the_frozen_recursion(alpha, data):
             st.builds(lambda k, s: exact(k * s), st.integers(1, 999), tiny),
             st.builds(lambda v, s: v * s, orbit.filter(bool), tiny)))
         w = min(width, 1 - lo)
-        levels = ref.levels
         t = reference_least(ref, beta, lo, w)
-        depth = ref.levels - levels
         limit = data.draw(st.one_of(
             st.integers(-2, 10 ** 45),
             st.integers(-3, 3).map(lambda step: t + step)))
-        levels = q.levels
         got = q._least(beta, lo, w, limit)
         if t <= limit:
             assert got == t, (beta, lo, w, limit)
-            assert q.levels - levels == depth
         else:
             assert got > limit, (beta, lo, w, limit)
     assert q.first_hits == ref.first_hits == 3
@@ -145,9 +141,9 @@ def test_least_matches_the_frozen_recursion(alpha, data):
 @pytest.mark.parametrize("alpha", [SQRT2, PHI, SQRT3],
                          ids=["sqrt2", "phi", "sqrt3"])
 def test_least_is_exact_at_its_own_limit(alpha, rng):
-    # the early stop rests on t >= 2^(s-2) with s levels on the stack,
-    # which shallow recursions come within a factor of 2.5 of: at limit t
-    # the answer is still t, and at limit t - 1 it is past t - 1
+    # the walk stops once its next record would pass the limit, and a
+    # batch of links may jump past it: at limit t the answer is still t,
+    # and at limit t - 1 it is past t - 1
     q = Orbit(GrowableSet(), RotationOracle(alpha))
     for _ in range(400):
         beta = q.value(rng.randrange(10 ** 6))
@@ -160,38 +156,33 @@ def test_least_is_exact_at_its_own_limit(alpha, rng):
         assert q._least(beta, lo, w, t - 1) > t - 1, (beta, lo, w)
 
 
-RUNGS = 40
-
-
-def _ladder_matches_the_frozen_rungs(alpha):
-    q = Orbit(GrowableSet(), RotationOracle(alpha))
-    got = [q._rung(k)[:3] for k in range(RUNGS + 1)]
-    assert got == [r[:3] for r in reference_rungs(alpha, RUNGS)]
-    return got
-
-
-@settings(max_examples=100)
-@given(alpha=alphas())
-def test_ladder_matches_the_frozen_rungs(alpha):
-    # (a_k, 1/a_k, reflect_k) read off the runs against the ladder that
-    # inverted and floored each rotation
-    _ladder_matches_the_frozen_rungs(alpha)
-
-
 TINY = ExactNumber(F(8, 3 ** 50), F(-1, 3 ** 50), 30)
 
 
-@pytest.mark.parametrize("alpha, reflect", [
-    (SQRT2, True),              # {alpha} < 1/2
-    (PHI, False),               # {alpha} in (1/2, 2/3)
-    (SQRT3, True),              # {alpha} in (2/3, 1)
-    (TINY, False),              # {alpha} near 0
-    (1 - TINY, True),           # {alpha} near 1
-], ids=["sqrt2", "phi", "sqrt3", "tiny", "tiny_mirror"])
-def test_ladder_matches_the_frozen_rungs_at_both_first_runs(alpha, reflect):
-    # both shapes of run 0 (the lows' first run or the highs' d = 1 alone)
-    # and both outcomes of reflect_0
-    assert _ladder_matches_the_frozen_rungs(alpha)[0][2] is reflect
+@pytest.mark.parametrize("alpha, reads", [
+    (ExactNumber.sqrt(90001), 36),      # {alpha} near 1/600: a_1 = 600
+    (TINY, 15),                         # {alpha} near 3.5*10^-24
+    (1 - TINY, 13),                     # {alpha} near 1
+], ids=["sqrt90001", "tiny", "tiny_mirror"])
+def test_a_first_hit_takes_a_records_links_in_one_batch(alpha, reads):
+    # arcs far out on the orbit, whose left chains take one record up to
+    # a_1 times in a row: about 600 times for sqrt(90001) and 2.8*10^23
+    # for TINY (1 - TINY has a_1 = 1, and fewer repeats).  The walk reads
+    # each record once and takes its links in one batch; one that took
+    # them link by link reads 6 171 records on sqrt(90001) and 30 on
+    # 1 - TINY, and does not end on TINY
+    f = RotationOracle(alpha)
+    ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
+    for k in range(10):
+        # beta lies (k + 1)/11 below the arc, which is at most 1/3 wide,
+        # or narrower than {alpha}, so the walk goes on to later records
+        beta = q.value(10 ** 30 + k)
+        lo = (beta + F(k + 1, 11)).frac()
+        w = min(exact(F(1, 3 + k) if k % 2 else F(1, 10 ** (3 * k + 4))),
+                1 - lo)
+        assert q._least(beta, lo, w, 10 ** 60) == \
+            reference_least(ref, beta, lo, w), (beta, lo, w)
+    assert (q.first_hits, q.levels) == (10, reads)
 
 
 def _k_bound(alpha, links=300):
@@ -458,8 +449,8 @@ def _engines(monkeypatch):
 
 
 def _cost(monkeypatch, alpha):
-    """The engine's counters over an extraction at N = 3, its ladder's
-    length and the run's count of ``ExactNumber.inverse`` calls."""
+    """The engine's counters over an extraction at N = 3 and the run's
+    count of ``ExactNumber.inverse`` calls."""
     engines = _engines(monkeypatch)
     inverses = []
     inverse = ExactNumber.inverse
@@ -472,43 +463,43 @@ def _cost(monkeypatch, alpha):
     assert len(engines) == 1
     q = engines[0]
     return ((q.first_hits, q.levels, q.steps, q.solves, q.runs, q.links),
-            len(q._ladder), len(inverses))
+            len(inverses))
 
 
 def test_sqrt2_n3_cost(monkeypatch):
-    # one engine serves the bootstrap and steps 2 and 3: (first-hit
-    # recursions, levels descended, window visits reached by a gap step,
-    # orbit solves, continued-fraction runs built, record links read); the
+    # one engine serves the bootstrap and steps 2 and 3: (first-hit walks,
+    # records they read, window visits reached by a gap step, orbit
+    # solves, continued-fraction runs built, record links read); the
     # bootstrap adds 2 solves and 2 links.  Each step's window takes one
-    # recursion, to its first visit up to the budget, and one solve of its
+    # walk, to its first visit up to the budget, and one solve of its
     # closed high end; phase 2's later hits and phase 5's are gap steps.
-    # Phase 4 takes the other recursion of each step.  The runs make every
-    # inverse the engine takes, one per run, and the ladder's 14 rungs
-    # multiply theirs; the other 13 are irrational divisions outside the
+    # Phase 4 takes the other walk of each step.  The engine takes one
+    # inverse per run and one per batch of two or more links of one
+    # record (8 here); the other 13 are irrational divisions outside the
     # engine (a plain int divisor multiplies into the denominator instead)
-    assert _cost(monkeypatch, SQRT2) == ((4, 41, 9, 12, 15, 72), 14, 28)
+    assert _cost(monkeypatch, SQRT2) == ((4, 24, 9, 12, 15, 72), 36)
 
 
 def test_phi_n3_cost(monkeypatch):
-    # {phi} > 1/2, so run 0 holds only the record high d = 1, with the
-    # 1/{phi} that rung 0 reads: one run more than the record chains need.
-    # One recursion per window and one per phase 4, as for sqrt(2); the
-    # deepest recursion reads 10 rungs
-    assert _cost(monkeypatch, PHI) == ((4, 34, 3, 12, 23, 60), 10, 36)
+    # one walk per window and one per phase 4, as for sqrt(2); {phi} >
+    # 1/2, so run 0 holds only the record high d = 1, and every partial
+    # quotient is 1: a run per record.  6 batches take an inverse
+    assert _cost(monkeypatch, PHI) == ((4, 23, 3, 12, 23, 60), 42)
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):
     # at N = 1280 the base step runs at eps/6^1279, so step 2's window is
     # about 10^-1000 wide and its first hit lies far past the 10^6 budget.
-    # The window's one recursion stops once its answer must pass the
-    # budget, after 22 levels, and phase 2's first hit past the previous
-    # bound reads that off the window; running it out to the exact hit
-    # takes 7 152 levels and 4 765 continued-fraction runs (about 5 s)
+    # The window's one walk stops once its next record would pass the
+    # budget, after 14 records, and phase 2's first hit past the previous
+    # bound reads that off the window; running it out to the exact hit, a
+    # 996-digit index, takes 2 382 records and 4 764 continued-fraction
+    # runs (about 1 s)
     engines = _engines(monkeypatch)
     with pytest.raises(CapExceeded, match=r"^index 1000001 exceeds cap 1000000$"):
         extract(GrowableSet(), RotationOracle(PHI), 1280, F(1, 4))
     q = engines[0]
-    assert (q.first_hits, q.levels, q.steps) == (1, 22, 0)
+    assert (q.first_hits, q.levels, q.steps) == (1, 14, 0)
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The
