@@ -16,6 +16,7 @@ breakpoint abscissae and reads each piece's Dini values off its parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Union
 
 from .errors import (
@@ -533,20 +534,31 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     by ``b``.  A cursor into ``f.breakpoints`` holds the first breakpoint
     above the cell's ``lo``, so a cell that ends below it has no breakpoint
     inside: that one compare settles it, on the piece under ``lo``, with
-    witness ``lo + mesh/2`` (``mesh/2`` divided once per survey).  Any
-    other cell walks a second cursor forward to the first breakpoint at or
-    above its ``hi``; the breakpoints between the two are the cell's
-    interior ones, the widest gap between them names the witness's piece
-    and its midpoint (``(lo + hi)/2`` for a last cell that ``b`` cuts
-    short), and the second cursor, stepped past a breakpoint at ``hi`` by
-    one equality test, is the next cell's first.  So the walk costs about
-    three compares per cell with no breakpoint inside, with the witness
-    check, and O(cells + n) in all for n breakpoints.  Every cell checks
-    that its witness lies strictly inside the piece it names.  There all
-    four Dini values are the piece's slope, so each piece's values are read
+    witness ``lo + mesh/2``.  Any other cell walks a second cursor forward
+    to the first breakpoint at or above its ``hi``; the breakpoints between
+    the two are the cell's interior ones, the widest gap between them names
+    the witness's piece and its midpoint (``(lo + hi)/2`` for a last cell
+    that ``b`` cuts short), and the second cursor, stepped past a
+    breakpoint at ``hi`` by one equality test, is the next cell's first.
+    So the walk is O(cells + n) for n breakpoints.  Every cell checks that
+    its witness lies strictly inside the piece it names.  There all four
+    Dini values are the piece's slope, so each piece's values are read
     (from ``f``'s slope memo, or for a staircase off the piece's parity),
     and checked to agree, at its first witness only, and its later cells
     reuse them.
+
+    When the mesh and every breakpoint are rational, the walk runs on
+    integers: with L twice the least common multiple of their
+    denominators, each edge, breakpoint and midpoint x is the integer
+    x*L (every edge and breakpoint an even one, so a midpoint divides
+    exactly), and the cells' adds, compares and equality tests are plain
+    ``int`` ones.  Each cell then builds two values, its ``hi`` (the next
+    cell's ``lo``) and its witness, and compares none: a survey costs the
+    cap check's one division, an ``lcm`` over the denominators and a
+    product per breakpoint.  Each of those values reduces by a gcd with L,
+    so many large coprime denominators make a long L and slow every cell.
+    Otherwise the same walk runs over the exact values themselves, at about
+    three compares per cell.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -558,60 +570,83 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     if cap is not None and count > cap:
         raise CapExceeded(f"{count} cells exceed cap {cap}")
     xs = f.breakpoints
-    half = mesh / 2
+    if mesh.q == 0 and all(x.q == 0 for x in xs):
+        # x -> x*L: every mark is even, so each midpoint is an integer
+        scale = 2 * lcm(mesh.den, *(x.den for x in xs))
+        marks = [x.p * (scale // x.den) for x in xs]
+        step = mesh.p * (scale // mesh.den)
+        half = step // 2
+
+        def middle(u, v):
+            return (u + v) // 2
+
+        def exact(n):
+            return ExactNumber._raw(n, 0, scale, 0)
+    else:
+        marks, step, half = xs, mesh, mesh / 2
+
+        def middle(u, v):
+            return (u + v) / 2
+
+        def exact(v):
+            return v
     # piece k -> its Dini values, once a witness on it has passed the check
     piece_values: list[Optional[DiniValues]] = [None] * (len(xs) - 1)
     cells = []
     last = count - 1
-    lo = a
-    # xs[i] is the first breakpoint above lo; every cell has lo < b = xs[-1]
-    # and hi <= b, so no cursor runs off, and every cell but the last ends
+    lo, lo_value, b_mark = marks[0], a, marks[-1]
+    # marks[i] is the first breakpoint above lo; every cell has lo < b and
+    # hi <= b, so no cursor runs off, and every cell but the last ends
     # below b
     i = 1
     for n in range(count):
-        end = lo + mesh
-        if end < xs[i]:
+        end = lo + step
+        cut = n == last and b_mark < end
+        hi = b_mark if cut else end
+        if end < marks[i]:
             # nothing inside, and lo lies on piece i - 1
-            hi, witness, k = end, lo + half, i - 1
+            witness, k = lo + half, i - 1
         else:
-            hi = b if n == last and end > b else end
             j = i
-            while xs[j] < hi:
+            while marks[j] < hi:
                 j += 1
             if i == j:
                 # no interior breakpoint: the cell is its own widest gap, on
                 # piece i - 1
-                witness = lo + half if hi is end else (lo + hi) / 2
+                witness = middle(lo, hi) if cut else lo + half
                 k = i - 1
             else:
-                marks = [lo, *xs[i:j], hi]
+                edges = [lo, *marks[i:j], hi]
                 best, width = None, None
-                for g, (u, v) in enumerate(zip(marks, marks[1:])):
+                for g, (u, v) in enumerate(zip(edges, edges[1:])):
                     gap = v - u
                     if best is None or gap > width:
                         best, width = g, gap
-                witness = (marks[best] + marks[best + 1]) / 2
-                # the widest gap lies on piece k: marks[g] is xs[i + g - 1]
+                witness = middle(edges[best], edges[best + 1])
+                # the widest gap lies on piece k: edges[g] is marks[i + g - 1]
                 # for g >= 1, and lo lies on piece i - 1
                 k = i - 1 + best
-            # xs[j] >= hi, so the next cell's first breakpoint is xs[j] or,
-            # when that is its lo, the one after
-            i = j + 1 if xs[j] == end else j
+            # marks[j] >= hi, so the next cell's first breakpoint is marks[j]
+            # or, when that is its lo, the one after
+            i = j + 1 if marks[j] == end else j
+        hi_value = exact(hi)
+        witness_value = exact(witness)
         values = None
-        if xs[k] < witness < xs[k + 1]:
+        if marks[k] < witness < marks[k + 1]:
             values = piece_values[k]
             if values is None:
-                values = _dini_on_piece(f, k, witness)
+                values = _dini_on_piece(f, k, witness_value)
                 if not values.all_equal_finite():
                     values = None
                 piece_values[k] = values
         if values is None:
             raise VerificationError(
-                f"cell [{lo}, {hi}] witness {witness} is not a point of "
-                f"differentiability")
-        cells.append(CellReport(lo=lo, hi=hi, witness=witness,
+                f"cell [{lo_value}, {hi_value}] witness {witness_value} is "
+                f"not a point of differentiability")
+        cells.append(CellReport(lo=lo_value, hi=hi_value,
+                                witness=witness_value,
                                 derivative=values.lower_left))
-        lo = end
+        lo, lo_value = end, hi_value
     bad = []
     for k, x in enumerate(xs[1:-1], 1):
         values = _dini_on_piece(f, k, x)

@@ -11,9 +11,9 @@ Both record sequences depend on alpha alone: they are the convergent and
 intermediate denominators of its regular continued fraction (Rockett and
 Szüsz, *Continued Fractions*, 1992), whose runs, one per partial quotient,
 make two *record tables*.  An :class:`Orbit` builds them run by run on
-first use, with one inverse per run.  A link reads the least record under
-its gap off one run with one floor, so a chain costs O(1) exact steps per
-link and per run, however long a run is.
+first use, with one inverse per run of two or more records.  A link reads
+the least record under its gap off one run with one floor, so a chain
+costs O(1) exact steps per link and per run, however long a run is.
 
 A first hit is a link of such a chain (see Alessandri and Berthé,
 *L'Enseignement Math.* 44, 1998).  Write a for {alpha}.  The least t >= 1
@@ -358,10 +358,10 @@ class Orbit:
         ``limit``.
 
         A run ``(d0, s, v0, y, inv, J, end)`` holds the records d0 + j*s
-        at distance v0 - j*y for 1 <= j <= J (``inv`` = 1/y, ``end`` the
-        last distance), below every earlier record's; in the first run
-        that reaches below the gap the least such record is
-        j = floor((v0 - gap)/y) + 1.
+        at distance v0 - j*y for 1 <= j <= J (``inv`` = 1/y, or None when
+        J = 1, ``end`` the last distance), below every earlier record's;
+        in the first run that reaches below the gap the least such record
+        is j = floor((v0 - gap)/y) + 1.
         """
         while True:
             while len(table) <= r:
@@ -381,7 +381,9 @@ class Orbit:
     def _grow(self) -> None:
         """Append run s: ``(Q_(s-1), Q_s, delta_(s-1), delta_s, 1/delta_s,
         J, delta_(s+1))``, J = floor(delta_(s-1)/delta_s), from Q_(-1) = 0
-        at delta_(-1) = 1 and Q_0 = 1 at delta_0 = a.  Q_s*alpha lies
+        at delta_(-1) = 1 and Q_0 = 1 at delta_0 = a.  One compare,
+        delta_(s-1) - delta_s < delta_s, settles J = 1, and such a run
+        stores None for the inverse it never needs.  Q_s*alpha lies
         delta_s above an integer for even s and below one for odd s, so
         the run's records Q_(s-1) + j*Q_s at delta_(s-1) - j*delta_s,
         1 <= j <= J, are highs for even s and lows for odd s."""
@@ -393,10 +395,16 @@ class Orbit:
             (self._highs if s % 2 else self._lows)[s // 2] if s else
             (1, 0, None, ONE, None, 0, self._a))
         d0, q = q, d0 + J * q
-        inv = y.inverse()
-        J = (x * inv).floor()
+        end = x - y
+        if end.compare(y) < 0:
+            # J = 1: _record reads no inverse for a run of one record
+            inv, J = None, 1
+        else:
+            inv = y.inverse()
+            J = (x * inv).floor()
+            end = x - J * y
         (self._lows if s % 2 else self._highs).append(
-            (d0, q, x, y, inv, J, x - J * y))
+            (d0, q, x, y, inv, J, end))
 
     def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber,
                limit: int) -> int:

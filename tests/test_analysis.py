@@ -390,20 +390,19 @@ SWEEP_COSTS = [
     # one component, (0, 1) (6 176 compares and 2 050 values swept)
     (["sun", "--fn", "cantor:9"], {"__mul__": 28, "compare": 99, "_raw": 161}),
     # the mesh survey walks 2 187 cells against the staircase's 256
-    # abscissae, its only values besides the cells' own; the 1 932 cells
-    # that end below the next breakpoint are settled by one compare and
-    # check their witness lo + mesh/2 by two, the 255 that end on one take
-    # four (the last, which also tests b, five), and each piece reads its
-    # slope off its parity, so the two divisions are the cell count's and
-    # mesh/2 (5 655 values, 257 divisions and 7 072 compares when the
-    # staircase was built, checked and its slopes divided)
+    # abscissae on integers over one denominator, L = 2 * 3^7: the cells
+    # compare no values, and each builds two, its hi and its witness, so the
+    # one division is the cell count's, and the values are the cells' 4 374,
+    # the abscissae, the slope, the parsed mesh and the count's two (4 635
+    # values, 2 divisions and 6 817 compares when the cells walked values)
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 2, "compare": 6817, "_raw": 4635}),
-    # no breakpoint falls on a cell edge: each of the 254 interior ones lies
-    # inside a cell, which divides out the midpoint of its wider side, and
-    # the cells after it are settled by one compare again
+     {"__truediv__": 1, "_raw": 4634}),
+    # no breakpoint falls on a cell edge, L = 2 * 2185 * 3^7: the cell that
+    # holds each of the 254 interior ones takes the midpoint of its widest
+    # gap by an integer halving (5 393 values, 256 divisions and 7 318
+    # compares when the cells walked values)
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
-     {"__truediv__": 256, "compare": 7318, "_raw": 5393}),
+     {"__truediv__": 1, "_raw": 4630}),
     # the point's ternary digits, read in integers, find a breakpoint with
     # a rising piece on its left: the domain check's two compares, the
     # staircase's slope, the parsed point and its value (1 035 compares and

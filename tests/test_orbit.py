@@ -474,17 +474,21 @@ def test_sqrt2_n3_cost(monkeypatch):
     # walk, to its first visit up to the budget, and one solve of its
     # closed high end; phase 2's later hits and phase 5's are gap steps.
     # Phase 4 takes the other walk of each step.  The engine takes one
-    # inverse per run and one per batch of two or more links of one
-    # record (8 here); the other 13 are irrational divisions outside the
-    # engine (a plain int divisor multiplies into the denominator instead)
+    # inverse per run of two or more records (all 15: every partial
+    # quotient of sqrt(2) past the first is 2) and one per batch of two or
+    # more links of one record (8 here); the other 13 are irrational
+    # divisions outside the engine (a plain int divisor multiplies into
+    # the denominator instead)
     assert _cost(monkeypatch, SQRT2) == ((4, 24, 9, 12, 15, 72), 36)
 
 
 def test_phi_n3_cost(monkeypatch):
     # one walk per window and one per phase 4, as for sqrt(2); {phi} >
     # 1/2, so run 0 holds only the record high d = 1, and every partial
-    # quotient is 1: a run per record.  6 batches take an inverse
-    assert _cost(monkeypatch, PHI) == ((4, 23, 3, 12, 23, 60), 42)
+    # quotient is 1: a run per record, settled by one compare with no
+    # inverse (23 inverses when every run took one).  6 batches take an
+    # inverse, and the other 13 are divisions outside the engine
+    assert _cost(monkeypatch, PHI) == ((4, 23, 3, 12, 23, 60), 19)
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):

@@ -8,9 +8,12 @@ both irrational then has a slope no ExactNumber holds.  Point location,
 values, one-sided limits and Dini derivatives must agree with the reference
 exactly, and the mesh survey must give equal cells, witnesses, derivatives
 and nondifferentiable points, or raise the same exception type with the same
-message.  So must ``add_linear``, the monotonicity test, ``jump_points``,
-the rising-sun sweep and its length bound, for arbitrary and for
-nondecreasing functions and slopes c > 0.
+message; three fixed surveys of one function over coprime denominators take
+the survey's integer walk with edges on breakpoints and with a ragged last
+cell, and its walk over exact values at an irrational mesh.  So must
+``add_linear``, the monotonicity test, ``jump_points``, the rising-sun sweep
+and its length bound, for arbitrary and for nondecreasing functions and
+slopes c > 0.
 
 A ``CantorStaircase`` of depth 0 to 12 must answer every point query,
 Dini value, rising sun and length bound as the explicit staircase of the
@@ -34,7 +37,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactlab import (
     ExactNumber,
@@ -257,17 +260,43 @@ def _cells(f, mesh):
     return k
 
 
+@st.composite
+def surveys(draw):
+    """A PL function, a mesh for it, and a cap: small, or within two of
+    the cell count."""
+    f = draw(pl_functions())
+    mesh = draw(meshes(f))
+    cells = _cells(f, mesh) if mesh.sign() > 0 else 0
+    cap = draw(st.one_of(st.integers(0, 50),
+                         st.integers(max(cells - 2, 0), cells + 2)))
+    return f, mesh, cap
+
+
+# breakpoints over the coprime denominators 7, 11 and 13, with a jump at
+# 5/13: a rational survey runs on integers over L = 2 * lcm(7, 11, 13, the
+# mesh's denominator), far from any one of them
+COPRIME = PLFunction([(F(1, 7), 0, 0), (F(3, 11), 1, 1),
+                      (F(5, 13), F(1, 2), 2), (1, 3, 3)])
+
+
 @settings(max_examples=150)
-@given(data=st.data(), f=pl_functions())
-def test_survey_matches_reference(data, f):
-    mesh = data.draw(meshes(f))
+@given(survey=surveys())
+# 2/1001 divides every gap between breakpoints, so each one is a cell edge:
+# 429 cells, run whole at a cap equal to the count
+@example(survey=(COPRIME, ExactNumber(F(2, 1001)), 429))
+# 1/10 leaves a ragged ninth cell, and the cells holding 3/11 and 5/13 take
+# the midpoints of their widest gaps
+@example(survey=(COPRIME, ExactNumber(F(1, 10)), 9))
+# an irrational mesh walks the exact values themselves; 43 cells, and the
+# cap one below the count stops the survey before a cell is built
+@example(survey=(COPRIME, ExactNumber(0, F(1, 70), 2), 42))
+def test_survey_matches_reference(survey):
+    f, mesh, cap = survey
     want = _report(lambda: ref.differentiability_report(f, mesh))
     assert _report(lambda: differentiability_report(f, mesh)) == want
     # a cap at or above the cell count changes nothing; below it, the
     # survey stops with CapExceeded before building a cell
     cells = _cells(f, mesh) if mesh.sign() > 0 else 0
-    cap = data.draw(st.one_of(st.integers(0, 50),
-                              st.integers(max(cells - 2, 0), cells + 2)))
     got = _report(lambda: differentiability_report(f, mesh, cap=cap))
     if cells <= cap:
         assert got == want
