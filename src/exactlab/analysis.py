@@ -8,7 +8,10 @@ equations, so the classical inequalities are verified with zero tolerance.
 
 ``dini``, ``rising_sun`` and ``sun_measure_bound`` also take a
 :class:`~exactlab.plfun.CantorStaircase`, which they answer from its
-self-similarity without listing its breakpoints.
+self-similarity without listing its breakpoints.  The rising sun is
+assembled in one place, :class:`_Walk`: a PL function feeds it its pieces
+and breakpoints right to left, and the staircase's node walk the middle
+thirds, leaves and points that its node rules do not settle.
 ``differentiability_report`` takes one too: it surveys the staircase's
 breakpoint abscissae and reads each piece's Dini values off its parity.
 """
@@ -16,6 +19,7 @@ breakpoint abscissae and reads each piece's Dini values off its parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from math import lcm
 from typing import Optional, Union
 
@@ -31,27 +35,18 @@ from .plfun import CantorStaircase, PLFunction
 from .qnum import ZERO, ExactNumber
 
 
-class _Infinity:
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+class _Infinity(Enum):
+    POS = 1
+    NEG = -1
 
     def __repr__(self) -> str:
-        return "+inf" if self.sign > 0 else "-inf"
+        return "+inf" if self is _Infinity.POS else "-inf"
 
-    def __eq__(self, other):
-        return isinstance(other, _Infinity) and other.sign == self.sign
-
-    def __hash__(self):
-        return hash(("inf", self.sign))
+    __str__ = __repr__
 
 
-POS_INF = _Infinity(1)
-NEG_INF = _Infinity(-1)
+POS_INF = _Infinity.POS
+NEG_INF = _Infinity.NEG
 
 DiniValue = Union[ExactNumber, _Infinity]
 
@@ -173,17 +168,12 @@ def rising_sun(g: Union[PLFunction, CantorStaircase]) -> SunResult:
     """The open set of points from which some later point of g is strictly
     higher, as maximal components, each with its verified entry inequality.
 
-    A PL function is swept breakpoint by breakpoint (``_sweep``); a
-    staircase is walked node by node (:class:`StaircaseSun`).  Either way
-    each component's entry and roof come from g's own point queries.
+    The components come from :func:`_sun`; each one's entry and roof come
+    from g's own point queries.
     """
-    if isinstance(g, CantorStaircase):
-        components = StaircaseSun(g, ZERO).components
-    else:
-        components = _sweep(g)
+    components = _sun(g, ZERO)
     shadows = []
     for lo, hi in components:
-        assert lo < hi, "components of an open set have positive width"
         entry = g.right_limit(lo)
         roof = _roof(g, hi)
         shadows.append(ShadowCheck(start=lo, end=hi, entry_limit=entry,
@@ -191,67 +181,110 @@ def rising_sun(g: Union[PLFunction, CantorStaircase]) -> SunResult:
     return SunResult(components=components, shadows=tuple(shadows))
 
 
-def _sweep(g: PLFunction) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
-    """The rising sun's components by a right-to-left sweep carrying the
-    supremum of g over the remaining interval.  Inside a piece the
-    membership condition is a linear inequality: comparing that supremum
-    with the piece's two end values settles it, and only a piece the
-    supremum crosses divides out its crossing point.
-    """
-    pts = g.points
-    n = len(pts) - 1
-    # ceiling[i] = max of the limits of g at x_{i+1}, ..., x_n: the constant
-    # part of the supremum of g over (x, b] seen from inside piece i; None
-    # encodes the empty tail; a breakpoint whose limits are one object
-    # offers one candidate
-    ceiling: list[Optional[ExactNumber]] = [None] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        p = pts[i + 1]
-        c = p.left
-        if p.right is not c and p.right > c:
-            c = p.right
-        tail = ceiling[i + 1]
-        if tail is not None and tail > c:
-            c = tail
-        ceiling[i] = c
+def _sun(f: Union[PLFunction, CantorStaircase],
+         c: ExactNumber) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
+    """The rising sun's components of g(x) = f(x) - c x.
 
-    components: list[tuple[ExactNumber, ExactNumber]] = []
-    current: Optional[tuple[ExactNumber, ExactNumber]] = None
-    for i in range(n):
-        c = ceiling[i]
-        x0, x1 = pts[i].x, pts[i + 1].x
-        v0, v1 = pts[i].right, pts[i + 1].left
+    A PL function feeds its pieces and breakpoints to one :class:`_Walk`,
+    right to left in one pass; a staircase is walked node by node
+    (:class:`StaircaseSun`), which feeds the walker what it does not
+    settle whole.
+    """
+    if isinstance(f, CantorStaircase):
+        return StaircaseSun(f, c).components
+    g = f if c.sign() == 0 else f.add_linear(0, -c)
+    pts = g.points
+    walk = _Walk()
+    q = pts[-1]
+    # the domain's end is in no open set: its limits only start the ceiling
+    walk.point(q.x, q.left, q.right)
+    for i in range(len(pts) - 2, -1, -1):
+        p = pts[i]
+        walk.piece(p.x, q.x, p.right, q.left, g.slope, i)
+        if i:
+            walk.point(p.x, p.left, p.right)
+        q = p
+    return walk.components()
+
+
+class _Walk:
+    """The rising sun's assembly.  It is fed the parts of g from right to
+    left, and carries the ceiling, the exact sup of g to the right of where
+    it stands (None before the first part).
+
+    A linear piece, fed once the ceiling covers g at its right end, lies in
+    the set where g is under the ceiling: none of it, all of it, or the
+    part on its low side of the one crossing, the only place a piece is
+    divided.  A breakpoint is in the set, and glues the parts on its two
+    sides into one component, exactly when the ceiling exceeds both of its
+    limits; a continuous one, whose limits are one object, costs one
+    compare.  The ceiling is raised by assignment, with no compare: a piece
+    or breakpoint not wholly in the set reaches it, so its top is the new
+    ceiling.
+    """
+
+    __slots__ = ("ceiling", "glue", "current", "found")
+
+    def __init__(self):
+        self.ceiling: Optional[ExactNumber] = None
+        self.glue = False           # the point just fed lies in the set
+        self.current: Optional[tuple[ExactNumber, ExactNumber]] = None
+        self.found: list[tuple[ExactNumber, ExactNumber]] = []
+
+    def piece(self, x0: ExactNumber, x1: ExactNumber, v0: ExactNumber,
+              v1: ExactNumber, slope, key) -> None:
+        """g runs from v0 at x0 to v1 at x1, and the ceiling is at least
+        v1; ``slope(key)``, g's slope there, is asked for only at a
+        crossing."""
+        c = self.ceiling
         rising = v0 < v1
         low, high = (v0, v1) if rising else (v1, v0)
-        # the piece runs from v0 to v1, so the points under c are none of
-        # it, all of it, or the part on the low side of one crossing
         if c <= low:
-            sub = None
+            assert not self.glue, \
+                "a point of the set must have the set on its left"
+            self.ceiling = high
         elif c >= high:
-            sub = (x0, x1)
+            self.add(x0, x1)
         else:
-            crossing = x0 + (c - v0) / g.slope(i)
-            sub = (x0, crossing) if rising else (crossing, x1)
-        # the supremum over (x_i, b] is max(right_i, c), so x_i is in the
-        # set exactly when c exceeds both of its limits
-        p = pts[i]
-        if i > 0 and c > p.right and (p.left is p.right or c > p.left):
-            # a qualifying breakpoint always glues two piece intervals
-            assert current is not None and current[1] == x0, \
-                "breakpoint in the sun set must extend a component"
-            assert sub is not None and sub[0] == x0
-            current = (current[0], sub[1])
-            continue
-        if current is not None:
-            components.append(current)
-        current = sub
-    if current is not None:
-        components.append(current)
-    return tuple(components)
+            crossing = x0 + (c - v0) / slope(key)
+            self.ceiling = high
+            if rising:
+                self.add(x0, crossing)
+            else:
+                self.add(crossing, x1)
 
+    def point(self, x: ExactNumber, left: ExactNumber,
+              right: ExactNumber) -> None:
+        """A breakpoint at x with these two limits, fed after the part on
+        its right."""
+        top = left
+        if right is not left and right > left:
+            top = right
+        c = self.ceiling
+        if c is not None and c > top:
+            assert self.current is not None and self.current[0] == x, \
+                "a point of the set must have the set on its right"
+            self.glue = True
+        else:
+            self.ceiling = top
 
-# the kinds of work on a StaircaseSun walk's stack
-_NODE, _POINT, _PIECE = range(3)
+    def add(self, lo: ExactNumber, hi: ExactNumber) -> None:
+        """The part (lo, hi) of the set, left of every part added before
+        it."""
+        assert lo < hi, "components of an open set have positive width"
+        if self.glue:
+            assert hi == self.current[0]
+            self.current = (lo, self.current[1])
+            self.glue = False
+        else:
+            if self.current is not None:
+                self.found.append(self.current)
+            self.current = (lo, hi)
+
+    def components(self) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
+        if self.current is not None:
+            self.found.append(self.current)
+        return tuple(reversed(self.found))
 
 
 class StaircaseSun:
@@ -265,24 +298,26 @@ class StaircaseSun:
     is reached nowhere else, or None; and ``own``, the components of the
     node's rising sun with nothing to its right.  (The sup is never reached
     at both ends alone: that needs both children to reach it, and then the
-    right child reaches it at its start, inside the node.)  The walk carries the ceiling, the exact sup of g to the
-    right of where it stands, and settles a node without splitting it when
-    the ceiling tops the node's sup, or meets it while the sup is reached
-    only at an end (the open node lies in the set), or when the ceiling is
-    at or below the node's inf (the set inside is the level's ``own``,
-    shifted).  Any other node splits into its right child, its middle
-    third, on which g falls at slope c, and its left child, taken in that
-    order; a leaf, on which g is linear, divides out the ceiling's
-    crossing instead.  A point between two of these parts is in the set
-    exactly when the ceiling past it is above g there, and only such a
-    point glues the parts on its two sides into one component.
+    right child reaches it at its start, inside the node.)
+
+    The walk keeps only the node rules, and hands the rest to a
+    :class:`_Walk`, whose ceiling is the exact sup of g to the right.  A
+    node is settled whole when the ceiling tops its sup, or meets it while
+    the sup is reached only at an end (the open node lies in the set); it
+    is settled as the level's ``own``, shifted, when the ceiling is at or
+    below its inf, or when nothing lies to its right.  Any other node
+    splits into its right child, its middle third, on which g falls at
+    slope c, and its left child, taken in that order, with the points
+    between them; a leaf, on which g is linear, goes to the walker as a
+    piece, as the middle thirds and the points do.  The walk is an
+    explicit stack, so a deep staircase takes no recursion.
 
     ``own`` at level k is that walk started at a split of a level-k node
     with no ceiling: its right child is then settled by ``own`` at level
     k + 1, so the levels are filled from N up, and the sun is ``own`` at
     level 0.  Every pruning is an exact compare, so the components are
-    the explicit sweep's.  ``nodes`` counts the nodes visited: it grows
-    with the number of components, not with the 2^N leaves.
+    the explicit staircase's.  ``nodes`` counts the nodes visited: it
+    grows with the number of components, not with the 2^N leaves.
     """
 
     def __init__(self, f: CantorStaircase, c: ExactNumber):
@@ -295,13 +330,13 @@ class StaircaseSun:
         self._end = [half[k] - c * third[k] for k in range(n + 1)]
         # g(start of the right child) - g(left end) of a level-k node
         self._rho = [half[k + 1] - c * third[k + 1] * 2 for k in range(n)]
-        self._c = c
-        self._leaf_slope = f.slope - c
-        self._leaf_rises = self._end[n].sign() > 0
-        hi, lo, at = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+        # g's slope on a leaf (key 0) and on a middle third (key 1)
+        self._slope = (f.slope - c, -c).__getitem__
         rise = self._end[n]
-        hi[n], lo[n] = (rise, ZERO) if self._leaf_rises else (ZERO, rise)
-        at[n] = None if rise.sign() == 0 else 1 if self._leaf_rises else 0
+        rises = rise.sign()
+        hi, lo, at = [None] * (n + 1), [None] * (n + 1), [None] * (n + 1)
+        hi[n], lo[n] = (rise, ZERO) if rises > 0 else (ZERO, rise)
+        at[n] = None if rises == 0 else 1 if rises > 0 else 0
         for k in range(n - 1, -1, -1):
             rho = self._rho[k]
             side = rho.sign()
@@ -320,7 +355,7 @@ class StaircaseSun:
         self._own: list = [None] * (n + 1)
         # a leaf's own sun: all of it when g rises there, else nothing
         self.nodes += 1
-        self._own[n] = ((ZERO, third[n]),) if self._leaf_rises else ()
+        self._own[n] = ((ZERO, third[n]),) if rises > 0 else ()
         for k in range(n - 1, -1, -1):
             self._own[k] = self._walk(k)
         self.components = self._own[0]
@@ -329,83 +364,47 @@ class StaircaseSun:
         """``own`` at level k, from ``own`` at the levels below it."""
         n, width, own = self._depth, self._width, self._own
         hi, lo, at = self._hi, self._lo, self._at
+        walk = _Walk()
         stack: list = []
         self.nodes += 1
-        self._split(k, ZERO, ZERO, stack)
-        ceiling: Optional[ExactNumber] = None
-        found: list[tuple[ExactNumber, ExactNumber]] = []
-        current: Optional[tuple[ExactNumber, ExactNumber]] = None
-        glue = False    # the point just passed lies in the set
+        self._split(k, ZERO, ZERO, walk, stack)
         while stack:
             task = stack.pop()
-            kind = task[0]
-            if kind == _POINT:
-                _, x, v = task
-                glue = ceiling > v
-                assert not glue or current is not None and current[0] == x, \
-                    "a point of the set must have the set on its right"
+            if len(task) == 2:
+                task[0](*task[1])   # a middle third or a point between parts
                 continue
-            if kind == _PIECE:
-                _, x0, x1, v0, v1 = task
-                # g falls from v0 to v1, or stays flat when c = 0
-                if ceiling <= v1:
-                    parts = ()
-                elif ceiling >= v0:
-                    parts = ((x0, x1),)
-                else:
-                    parts = ((x0 + (v0 - ceiling) / self._c, x1),)
-                if ceiling < v0:
-                    ceiling = v0
+            j, start, base = task
+            self.nodes += 1
+            ceiling = walk.ceiling
+            if j == n and ceiling is not None:
+                walk.piece(start, start + width[n], base,
+                           base + self._end[n], self._slope, 0)
+                continue
+            top = base + hi[j]
+            if ceiling is not None and (
+                    ceiling > top or ceiling == top and at[j] is not None):
+                walk.add(start, start + width[j])
+            elif ceiling is None or ceiling <= base + lo[j]:
+                for u, v in reversed(own[j]):
+                    walk.add(start + u, start + v)
+                walk.ceiling = top
             else:
-                _, j, start, base = task
-                self.nodes += 1
-                top = base + hi[j]
-                if ceiling is not None and (
-                        ceiling > top or ceiling == top and at[j] is not None):
-                    parts = ((start, start + width[j]),)
-                elif ceiling is None or ceiling <= base + lo[j]:
-                    parts = tuple((start + u, start + v) for u, v in own[j])
-                elif j == n:
-                    crossing = start + (ceiling - base) / self._leaf_slope
-                    parts = ((start, crossing),) if self._leaf_rises else \
-                        ((crossing, start + width[n]),)
-                else:
-                    self._split(j, start, base, stack)
-                    continue
-                if ceiling is None or top > ceiling:
-                    ceiling = top
-            assert parts or not glue, \
-                "a point of the set must have the set on its left"
-            for part in reversed(parts):
-                assert part[0] < part[1], \
-                    "components of an open set have positive width"
-                if glue:
-                    assert part[1] == current[0]
-                    current = (part[0], current[1])
-                    glue = False
-                else:
-                    if current is not None:
-                        found.append(current)
-                    current = part
-        if current is not None:
-            found.append(current)
-        found.reverse()
-        return tuple(found)
+                self._split(j, start, base, walk, stack)
+        return walk.components()
 
     def _split(self, j: int, start: ExactNumber, base: ExactNumber,
-               stack: list) -> None:
+               walk: _Walk, stack: list) -> None:
         """Push a level-j node's parts, so that its right child comes off
-        the stack first and its left child last."""
+        the stack first and its left child last: a child as (level, start,
+        g at its start), the rest as a walker step and its arguments."""
         w = self._width[j + 1]
         x0 = start + w
         x1 = x0 + w
         v0 = base + self._end[j + 1]
         v1 = base + self._rho[j]
-        stack.append((_NODE, j + 1, start, base))
-        stack.append((_POINT, x0, v0))
-        stack.append((_PIECE, x0, x1, v0, v1))
-        stack.append((_POINT, x1, v1))
-        stack.append((_NODE, j + 1, x1, v1))
+        stack += ((j + 1, start, base), (walk.point, (x0, v0, v0)),
+                  (walk.piece, (x0, x1, v0, v1, self._slope, 1)),
+                  (walk.point, (x1, v1, v1)), (j + 1, x1, v1))
 
 
 @dataclass(frozen=True)
@@ -430,21 +429,17 @@ def sun_measure_bound(f: Union[PLFunction, CantorStaircase],
                       c) -> SunBoundResult:
     """Rising-sun length bound for a nondecreasing f and a slope c > 0.
 
-    Finds the rising sun of f(x) - c x, by the sweep over f.add_linear(0,
-    -c) or, for a staircase, by the walk; the total length of the
-    components is at most (f(b) - f(a)) / c, and each component separately
-    satisfies c * width <= rise of f across it, read by f's own point
-    queries.  Both checked exactly.
+    Finds the rising sun of f(x) - c x by :func:`_sun`; the total length
+    of the components is at most (f(b) - f(a)) / c, and each component
+    separately satisfies c * width <= rise of f across it, read by f's own
+    point queries.  Both checked exactly.
     """
     c = ExactNumber.coerce(c)
     if c.sign() <= 0:
         raise ValueError("c must be positive")
     if not f.is_nondecreasing():
         raise NotMonotone("sun_measure_bound needs a nondecreasing function")
-    if isinstance(f, CantorStaircase):
-        components = StaircaseSun(f, c).components
-    else:
-        components = _sweep(f.add_linear(0, -c))
+    components = _sun(f, c)
     a, b = f.domain
     bound = (f.eval(b) - f.eval(a)) / c
     mu = _total_width(components)

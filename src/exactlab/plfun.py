@@ -44,9 +44,9 @@ class PLFunction:
     object is coerced once (``from_values``, ``linear``, ``step_function``
     and ``cantor_staircase`` all pass such entries, and the first
     breakpoint always shares its limits), and ``add_linear`` shifts a
-    shared limit once and keeps it shared.  The sweeps skip the compare of
-    two limits that are one object; equal limits held by two objects are
-    still continuous, only compared.
+    shared limit once and keeps it shared.  The monotonicity test and the
+    rising sun skip the compare of two limits that are one object; equal
+    limits held by two objects are still continuous, only compared.
 
     ``cantor_staircase`` spells out the staircase that
     :class:`CantorStaircase` reads from its self-similarity, and stands as
@@ -273,11 +273,8 @@ class CantorStaircase:
     intervals of level N and is flat on every middle third removed above
     them; it has no jumps.  On a triadic node of level k, C_N is an affine
     copy of C_(N-k), its values scaled by 2^-k and its abscissae by 3^-k.
-    A point query reads x's first N ternary digits, so it costs O(N): a
-    rational x = p/q by integer steps on p, each exact against q, and an
-    irrational x from the one floor of 3^N x, which no breakpoint can
-    equal.  The first middle digit puts x on a flat piece, or on one of
-    its two ends; N digits without one put x inside a rising piece.
+    A point query reads x's first N ternary digits in one loop, so it
+    costs O(N) digit steps (see ``_read``).
 
     ``breakpoints``, the 2^(N+1) abscissae k/3^N in order, is filled on
     first read, for the mesh survey; piece i between breakpoints i and
@@ -318,46 +315,42 @@ class CantorStaircase:
 
     def _read(self, x: ExactNumber):
         """(C_N(x), left, right) for x in [0, 1], where a side is True on a
-        rising piece, False on a flat one and None past the domain's end."""
+        rising piece, False on a flat one and None past the domain's end.
+
+        One loop reads the N ternary digits of floor(3^N x), most
+        significant first: a rational x = p/den enters by divmod(p 3^N,
+        den) in ints, an irrational one by one floor of 3^N x, and each
+        digit 2 read adds its binary weight to 2^N C_N(x).  The first digit
+        1 puts x on a flat piece, on its left end when nothing but zeros
+        follows; N digits without one put x on a rising piece, on its left
+        end (a flat piece's right end) when the remainder is zero, which
+        only a rational leaves.
+        """
         n = self.depth
         if x.q == 0:
-            p, q = x.p, x.den
-            if p == 0:
+            if x.p == 0:
                 return ZERO, None, True
-            if p == q:
+            if x.p == x.den:
                 return ONE, True, None
-            # x = node start + 3^-k (p/q) with 0 < p < q, and 2^n C_N(node
-            # start) = y
-            y = 0
-            for k in range(n):
-                t = 3 * p
-                if t < q:
-                    p = t
-                elif t > 2 * q:
-                    p = t - 2 * q
-                    y += 1 << (n - k - 1)
-                else:
-                    value = ExactNumber._raw(y + (1 << (n - k - 1)), 0,
-                                             1 << n, 0)
-                    if t == q:
-                        return value, True, False
-                    if t == 2 * q:
-                        return value, False, True
-                    return value, False, False
-            return ExactNumber._raw(y * q + p, 0, q << n, 0), True, True
-        # the digits of floor(3^n x), most significant first
-        scaled = x * 3 ** n
-        whole = scaled.floor()
-        rest, unit, y = whole, 3 ** n, 0
+            whole, rest = divmod(x.p * 3 ** n, x.den)
+        else:
+            scaled = x * 3 ** n
+            whole = scaled.floor()
+            rest = None
+        digits, unit, y = whole, 3 ** n, 0
         for k in range(n):
             unit //= 3
-            digit, rest = divmod(rest, unit)
+            digit, digits = divmod(digits, unit)
             if digit == 1:
-                return ExactNumber._raw(y + (1 << (n - k - 1)), 0, 1 << n,
-                                        0), False, False
+                value = ExactNumber._raw(y + (1 << (n - k - 1)), 0, 1 << n, 0)
+                return value, digits == 0 and rest == 0, False
             if digit == 2:
                 y += 1 << (n - k - 1)
-        return (scaled - whole + y) / (1 << n), True, True
+        if rest == 0:
+            return ExactNumber._raw(y, 0, 1 << n, 0), False, True
+        if rest is None:
+            return (scaled - whole + y) / (1 << n), True, True
+        return ExactNumber._raw(y * x.den + rest, 0, x.den << n, 0), True, True
 
     def _checked(self, x) -> ExactNumber:
         x = ExactNumber.coerce(x)

@@ -381,32 +381,32 @@ def _count_calls(monkeypatch):
 
 # argv -> the calls one run of the op makes
 SWEEP_COSTS = [
-    # the walk over triadic nodes lists no breakpoint: it divides where the
-    # ceiling crosses a leaf or a middle third, and the 8 components' ends
-    # are read by point queries (8 722 compares and 4 254 values when the
-    # 1 024 breakpoints were built and swept)
+    # the walk over triadic nodes lists no breakpoint: it settles what its
+    # node rules can and feeds the rising sun's one walker the rest, the
+    # middle thirds, leaves and points between them; the walker divides
+    # only where the ceiling crosses a piece, at the slope the walk holds
+    # (one value, -c, for every middle third), and the 8 components' ends
+    # are read by point queries
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 8, "__mul__": 44, "compare": 183, "_raw": 285}),
-    # one component, (0, 1) (6 176 compares and 2 050 values swept)
-    (["sun", "--fn", "cantor:9"], {"__mul__": 28, "compare": 99, "_raw": 161}),
+     {"__truediv__": 8, "__mul__": 44, "compare": 172, "_raw": 286}),
+    # one component, (0, 1)
+    (["sun", "--fn", "cantor:9"], {"__mul__": 28, "compare": 91, "_raw": 162}),
     # the mesh survey walks 2 187 cells against the staircase's 256
     # abscissae on integers over one denominator, L = 2 * 3^7: the cells
     # compare no values, and each builds two, its hi and its witness, so the
     # one division is the cell count's, and the values are the cells' 4 374,
-    # the abscissae, the slope, the parsed mesh and the count's two (4 635
-    # values, 2 divisions and 6 817 compares when the cells walked values)
+    # the abscissae, the slope, the parsed mesh and the count's two
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
      {"__truediv__": 1, "_raw": 4634}),
     # no breakpoint falls on a cell edge, L = 2 * 2185 * 3^7: the cell that
     # holds each of the 254 interior ones takes the midpoint of its widest
-    # gap by an integer halving (5 393 values, 256 divisions and 7 318
-    # compares when the cells walked values)
+    # gap by an integer halving
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
      {"__truediv__": 1, "_raw": 4630}),
-    # the point's ternary digits, read in integers, find a breakpoint with
-    # a rising piece on its left: the domain check's two compares, the
-    # staircase's slope, the parsed point and its value (1 035 compares and
-    # 2 055 values when the staircase was built)
+    # the one digit reader enters the point by an integer divmod, and its
+    # first digit, a 1 with no remainder, finds a breakpoint with a rising
+    # piece on its left: the domain check's two compares, the staircase's
+    # slope, the parsed point and its value
     (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
 ]
 SWEEP_IDS = ["sun-9-c2", "sun-9", "diffreport-7-2187", "diffreport-7-2185",

@@ -527,6 +527,9 @@ def test_pl_report_matches_golden(argv):
     assert digest == PL_GOLDEN_REPORTS[argv]
 
 
+# 10^300, digits written out: a budget past the 2^901 breakpoints of cantor:900
+_DEEP_BUDGET = str(10 ** 300)
+
 # (exit status, SHA-256 of the report lines) of deep staircases, recorded
 # when every sun and dini built the staircase and swept its 2^(N+1)
 # breakpoints: about 7 s for each sun at depth 18 then.  The points
@@ -611,6 +614,26 @@ DEEP_CANTOR_REPORTS = {
         (0, "9efb0a813c3a8eb47955937fd37307c063e27eec4fe7d08152a05f2c5c7da682"),
     ("diffreport", "--fn", "cantor:0", "--mesh", "3"):
         (0, "b12e090bde9ea71c7ff65dfef5c3e59a53cbeb4897d27d73ac187a2a2909af11"),
+    # depth 900, far past the default budget: the walk must stay iterative
+    # and the digit reader exact at 3^-900
+    ("sun", "--fn", "cantor:900", "--c", "2", "--budget", _DEEP_BUDGET):
+        (0, "76dc880225ec4d50ce544a8cdd4452e61a238cad6fb35ae642fd80a6c3b92b65"),
+    ("sun", "--fn", "cantor:900", "--c", "9/4", "--budget", _DEEP_BUDGET):
+        (0, "96295542c274b6b0ab09583561a7258084a986a4d29bce69a9021b2854405306"),
+    ("sun", "--fn", "cantor:900", "--budget", _DEEP_BUDGET):
+        (0, "1fe6b676eb7133a15d76ed85c827115923ce3d2f6838d920f82ee1169d42279d"),
+    ("dini", "--fn", "cantor:900", "--x", "1/3", "--budget", _DEEP_BUDGET):
+        (0, "56a0bf69041aff557e989e60f3770401d6be0d3df8d7315cb09dca1fad55dac2"),
+    ("dini", "--fn", "cantor:900", "--x", f"1/{3 ** 900}",
+     "--budget", _DEEP_BUDGET):
+        (0, "56a0bf69041aff557e989e60f3770401d6be0d3df8d7315cb09dca1fad55dac2"),
+    ("dini", "--fn", "cantor:900", "--x", "1/4", "--budget", _DEEP_BUDGET):
+        (0, "cd8c776b23afd1b40e98d603104d0bb1ec1618703a1c5d7b83dc6733f7febc80"),
+    ("dini", "--fn", "cantor:900", "--x=-1+1*sqrt(2)",
+     "--budget", _DEEP_BUDGET):
+        (0, "63d085321efd9bdbd205540c58d4f599c295e3c46a2f40fa73a260c3f4f67343"),
+    ("dini", "--fn", "cantor:900", "--x", "1", "--budget", _DEEP_BUDGET):
+        (2, "8b35a7becc54df56f6c1e699d661d21ca334d23d530149d735105589b19ac5db"),
 }
 
 
