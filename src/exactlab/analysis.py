@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     CapExceeded,
@@ -157,8 +157,12 @@ def _total_width(components) -> ExactNumber:
     return total
 
 
-def _roof(g: PLFunction, x: ExactNumber) -> ExactNumber:
-    """max of the value and the two-sided limit superior at x, for x > a."""
+def _roof(g: Union[PLFunction, CantorStaircase],
+          x: ExactNumber) -> ExactNumber:
+    """max of the value and the two-sided limit superior at x, for x > a:
+    a staircase has no jumps, so there it is the value, read once."""
+    if isinstance(g, CantorStaircase):
+        return g.eval(x)
     left = g.left_limit(x)
     right = g.right_limit_or_value(x)
     return left if left > right else right
@@ -186,24 +190,39 @@ def _sun(f: Union[PLFunction, CantorStaircase],
     """The rising sun's components of g(x) = f(x) - c x.
 
     A PL function feeds its pieces and breakpoints to one :class:`_Walk`,
-    right to left in one pass; a staircase is walked node by node
+    right to left in one pass, each limit less c x and each slope less c,
+    with no intermediate function; a staircase is walked node by node
     (:class:`StaircaseSun`), which feeds the walker what it does not
     settle whole.
     """
     if isinstance(f, CantorStaircase):
         return StaircaseSun(f, c).components
-    g = f if c.sign() == 0 else f.add_linear(0, -c)
-    pts = g.points
+    if c.sign() == 0:
+        def limits(p):
+            return p.left, p.right
+        slope = f.slope
+    else:
+        def limits(p):
+            # a shared limit stays shared, so the walker skips its compare
+            shift = c * p.x
+            right = p.right - shift
+            return (right if p.left is p.right else p.left - shift), right
+
+        def slope(i):
+            return f.slope(i) - c
+    pts = f.points
     walk = _Walk()
     q = pts[-1]
+    q_left, q_right = limits(q)
     # the domain's end is in no open set: its limits only start the ceiling
-    walk.point(q.x, q.left, q.right)
+    walk.point(q.x, q_left, q_right)
     for i in range(len(pts) - 2, -1, -1):
         p = pts[i]
-        walk.piece(p.x, q.x, p.right, q.left, g.slope, i)
+        left, right = limits(p)
+        walk.piece(p.x, q.x, right, q_left, slope, i)
         if i:
-            walk.point(p.x, p.left, p.right)
-        q = p
+            walk.point(p.x, left, right)
+        q, q_left = p, left
     return walk.components()
 
 
@@ -492,16 +511,24 @@ def monotone_inverse(f: PLFunction) -> PLFunction:
 
 # -- differentiability survey ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellReport:
+# the survey's cells walk integers over L unless L has more than this many
+# times the bits of the widest denominator it is the lcm of: each integer
+# cell reduces two values by a gcd with L, where a cell over exact values
+# pays a few small adds and compares, and the two costs meet near L of a
+# thousand bits for denominators of 10 to 40 bits
+_LONG_SCALE = 32
+
+
+# a survey builds one record per cell, so the records are named tuples,
+# built by one tuple allocation where a frozen dataclass sets each field
+class CellReport(NamedTuple):
     lo: ExactNumber
     hi: ExactNumber
     witness: ExactNumber
     derivative: ExactNumber
 
 
-@dataclass(frozen=True)
-class NonDiffPoint:
+class NonDiffPoint(NamedTuple):
     x: ExactNumber
     values: DiniValues
 
@@ -551,9 +578,16 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     cell's ``lo``) and its witness, and compares none: a survey costs the
     cap check's one division, an ``lcm`` over the denominators and a
     product per breakpoint.  Each of those values reduces by a gcd with L,
-    so many large coprime denominators make a long L and slow every cell.
-    Otherwise the same walk runs over the exact values themselves, at about
-    three compares per cell.
+    so when L has more than ``_LONG_SCALE`` times the bits of the widest
+    denominator, as many large coprime ones make it, the walk runs over
+    the exact values themselves, as it does for an irrational mesh or
+    breakpoint, at about three compares per cell.  The report is the same
+    on either walk.
+
+    Each cell is one :class:`CellReport`, a named tuple: its ``lo`` is
+    the previous cell's ``hi`` object, and its ``derivative`` is one
+    object shared by every cell on its piece, so a renderer can write the
+    text of each once.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -565,9 +599,14 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     if cap is not None and count > cap:
         raise CapExceeded(f"{count} cells exceed cap {cap}")
     xs = f.breakpoints
+    scale = None
     if mesh.q == 0 and all(x.q == 0 for x in xs):
+        dens = [mesh.den, *(x.den for x in xs)]
+        scale = 2 * lcm(*dens)
+        if scale.bit_length() > _LONG_SCALE * max(dens).bit_length():
+            scale = None
+    if scale is not None:
         # x -> x*L: every mark is even, so each midpoint is an integer
-        scale = 2 * lcm(mesh.den, *(x.den for x in xs))
         marks = [x.p * (scale // x.den) for x in xs]
         step = mesh.p * (scale // mesh.den)
         half = step // 2
@@ -638,15 +677,14 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
             raise VerificationError(
                 f"cell [{lo_value}, {hi_value}] witness {witness_value} is "
                 f"not a point of differentiability")
-        cells.append(CellReport(lo=lo_value, hi=hi_value,
-                                witness=witness_value,
-                                derivative=values.lower_left))
+        cells.append(CellReport(lo_value, hi_value, witness_value,
+                                values.lower_left))
         lo, lo_value = end, hi_value
     bad = []
     for k, x in enumerate(xs[1:-1], 1):
         values = _dini_on_piece(f, k, x)
         if not values.all_equal_finite():
-            bad.append(NonDiffPoint(x=x, values=values))
+            bad.append(NonDiffPoint(x, values))
     return DifferentiabilityReport(mesh=mesh, cells=tuple(cells),
                                    nondifferentiable=tuple(bad),
                                    all_cells_pass=True)

@@ -142,6 +142,44 @@ def _row(tag: str, **fields) -> str:
         for key, value in fields.items()])
 
 
+def _remember(texts: dict[int, str], value) -> str:
+    """Write the text of a value that many rows of one report share into
+    ``texts``, under the value's id, and return it.  The row writers read
+    ``texts.get(id(value)) or _remember(texts, value)``: no text is empty.
+    ``texts`` lives only while the report holds its values, so no id
+    outlives its value."""
+    text = texts[id(value)] = str(value)
+    return text
+
+
+def _cell_rows(cells, texts: dict[int, str]) -> list[str]:
+    """The ``cell`` rows of a survey, as ``_row`` writes them, one f-string
+    each.  A cell's lo is the last cell's hi, so its text is the one just
+    written, and its derivative is shared by the cells of its piece."""
+    get = texts.get
+    rows = []
+    hi = hi_text = None
+    for lo, cell_hi, witness, d in cells:
+        lo_text = hi_text if lo is hi else str(lo)
+        hi, hi_text = cell_hi, str(cell_hi)
+        rows.append(f"cell lo={lo_text} hi={hi_text} witness={witness} "
+                    f"derivative={get(id(d)) or _remember(texts, d)}")
+    return rows
+
+
+def _nondiff_rows(points, texts: dict[int, str]) -> list[str]:
+    """The ``nondiff`` rows of a survey, as ``_row`` writes them, one
+    f-string each; the Dini values are slopes of pieces, or infinities,
+    shared among the rows."""
+    get = texts.get
+    return [f"nondiff x={x} dini="
+            f"{get(id(v.lower_left)) or _remember(texts, v.lower_left)},"
+            f"{get(id(v.upper_left)) or _remember(texts, v.upper_left)},"
+            f"{get(id(v.lower_right)) or _remember(texts, v.lower_right)},"
+            f"{get(id(v.upper_right)) or _remember(texts, v.upper_right)}"
+            for x, v in points]
+
+
 # verb -> (least, most) positional arguments; also the parser's choices
 _CODE_ARITY = {"pair": (2, 2), "unpair": (1, 1), "beta-encode": (1, 1),
                "beta": (2, 2), "cf": (1, 2), "cf-encode": (1, 1),
@@ -289,17 +327,12 @@ def _cmd_diffreport(args) -> list[str]:
     f = parse_pl(args.fn, args.budget)
     report = analysis.differentiability_report(f, exact(args.mesh),
                                                cap=args.budget)
-    return _lines(mesh=report.mesh, cells=len(report.cells),
-                  all_cells_pass=report.all_cells_pass,
-                  nondifferentiable=len(report.nondifferentiable)) + [
-        _row("cell", lo=c.lo, hi=c.hi, witness=c.witness,
-             derivative=c.derivative)
-        for c in report.cells] + [
-        _row("nondiff", x=p.x, dini=(p.values.lower_left,
-                                     p.values.upper_left,
-                                     p.values.lower_right,
-                                     p.values.upper_right))
-        for p in report.nondifferentiable]
+    texts: dict[int, str] = {}
+    return (_lines(mesh=report.mesh, cells=len(report.cells),
+                   all_cells_pass=report.all_cells_pass,
+                   nondifferentiable=len(report.nondifferentiable))
+            + _cell_rows(report.cells, texts)
+            + _nondiff_rows(report.nondifferentiable, texts))
 
 
 # the most digits a report prints of one integer: the least limit an

@@ -364,10 +364,11 @@ def test_rising_sun_upward_jump_inside():
 
 def _count_calls(monkeypatch):
     """Count the divisions, products and compares of ExactNumber (the
-    operators <, <=, > and >= all go through compare), and the values it
-    builds (every one is made by _raw)."""
+    operators <, <=, > and >= all go through compare), the values it
+    builds (every one is made by _raw), and the texts it writes (str and
+    f-strings both go through __str__)."""
     counts = Counter()
-    for name in ("__truediv__", "__mul__", "compare", "_raw"):
+    for name in ("__truediv__", "__mul__", "compare", "_raw", "__str__"):
         method = getattr(ExactNumber, name)
 
         def counted(*args, _name=name, _method=method):
@@ -388,26 +389,32 @@ SWEEP_COSTS = [
     # (one value, -c, for every middle third), and the 8 components' ends
     # are read by point queries
     (["sun", "--fn", "cantor:9", "--c", "2"],
-     {"__truediv__": 8, "__mul__": 44, "compare": 172, "_raw": 286}),
-    # one component, (0, 1)
-    (["sun", "--fn", "cantor:9"], {"__mul__": 28, "compare": 91, "_raw": 162}),
+     {"__truediv__": 8, "__mul__": 44, "compare": 172, "_raw": 286,
+      "__str__": 35}),
+    # one component, (0, 1); its roof is the staircase's value at 1, read
+    # once, since nothing jumps
+    (["sun", "--fn", "cantor:9"],
+     {"__mul__": 28, "compare": 88, "_raw": 162, "__str__": 5}),
     # the mesh survey walks 2 187 cells against the staircase's 256
     # abscissae on integers over one denominator, L = 2 * 3^7: the cells
     # compare no values, and each builds two, its hi and its witness, so the
     # one division is the cell count's, and the values are the cells' 4 374,
-    # the abscissae, the slope, the parsed mesh and the count's two
+    # the abscissae, the slope, the parsed mesh and the count's two; the
+    # texts are each cell's hi and witness, the first lo, the mesh, the 254
+    # nondifferentiable points and the two slopes, each written once
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2187"],
-     {"__truediv__": 1, "_raw": 4634}),
+     {"__truediv__": 1, "_raw": 4634, "__str__": 4632}),
     # no breakpoint falls on a cell edge, L = 2 * 2185 * 3^7: the cell that
     # holds each of the 254 interior ones takes the midpoint of its widest
     # gap by an integer halving
     (["diffreport", "--fn", "cantor:7", "--mesh", "1/2185"],
-     {"__truediv__": 1, "_raw": 4630}),
+     {"__truediv__": 1, "_raw": 4630, "__str__": 4628}),
     # the one digit reader enters the point by an integer divmod, and its
     # first digit, a 1 with no remainder, finds a breakpoint with a rising
     # piece on its left: the domain check's two compares, the staircase's
     # slope, the parsed point and its value
-    (["dini", "--fn", "cantor:9", "--x", "1/3"], {"compare": 2, "_raw": 3}),
+    (["dini", "--fn", "cantor:9", "--x", "1/3"],
+     {"compare": 2, "_raw": 3, "__str__": 4}),
 ]
 SWEEP_IDS = ["sun-9-c2", "sun-9", "diffreport-7-2187", "diffreport-7-2185",
              "dini-9"]
@@ -447,6 +454,30 @@ def test_sun_bound_reads_no_one_sided_limit(monkeypatch):
     result = sun_measure_bound(PLFunction.cantor_staircase(9), 10)
     assert len(result.components) == 128
     assert dict(counts) == {}
+
+
+def test_sun_bound_builds_no_shifted_function(monkeypatch):
+    # the walk reads each limit less c x and each slope less c off f
+    # itself: a PLFunction for f - c x would re-check the strict increase
+    # of its 200 abscissae by 199 more compares
+    f = PLFunction.from_values([(F(i, 199), 3 * ((i + 1) // 2))
+                                for i in range(200)])
+    built = []
+    init = PLFunction.__init__
+
+    def counted_init(self, points):
+        built.append(self)
+        init(self, points)
+    monkeypatch.setattr(PLFunction, "__init__", counted_init)
+    counts = _count_calls(monkeypatch)
+    result = sun_measure_bound(f, 310)
+    # g = f - 310 x rises at 287 and falls at 310 by turns: each component
+    # but the first starts at a crossing on a falling piece, and each
+    # ends at the top of a rising one
+    assert len(result.components) == 100
+    assert built == []
+    assert dict(counts) == {"__truediv__": 199, "__mul__": 499,
+                            "compare": 3258, "_raw": 1993}
 
 
 # (depth, c) -> nodes the staircase walk visits, and the components found

@@ -10,10 +10,13 @@ exactly, and the mesh survey must give equal cells, witnesses, derivatives
 and nondifferentiable points, or raise the same exception type with the same
 message; three fixed surveys of one function over coprime denominators take
 the survey's integer walk with edges on breakpoints and with a ragged last
-cell, and its walk over exact values at an irrational mesh.  So must
+cell, and its walk over exact values at an irrational mesh, and a fourth,
+over 198 primes near 10^12, takes the exact walk at a rational mesh, since
+its common denominator is too long.  So must
 ``add_linear``, the monotonicity test, ``jump_points``, the rising-sun sweep
 and its length bound, for arbitrary and for nondecreasing functions and
-slopes c > 0.
+slopes c > 0.  The ``diffreport`` row writers must give the generic row's
+lines for every survey drawn.
 
 A ``CantorStaircase`` of depth 0 to 12 must answer every point query,
 Dini value, rising sun and length bound as the explicit staircase of the
@@ -37,7 +40,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from exactlab import (
     ExactNumber,
@@ -59,7 +62,7 @@ from exactlab.errors import (
     VerificationError,
 )
 
-from exactlab.cli import run
+from exactlab.cli import _cell_rows, _nondiff_rows, _row, run
 
 import reference_plfun as ref
 
@@ -279,6 +282,49 @@ COPRIME = PLFunction([(F(1, 7), 0, 0), (F(3, 11), 1, 1),
                       (F(5, 13), F(1, 2), 2), (1, 3, 3)])
 
 
+def _is_prime(n):
+    """Miller-Rabin on the first twelve prime bases, exact below 3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_above(n, count):
+    found = []
+    while len(found) < count:
+        n += 1
+        if _is_prime(n):
+            found.append(n)
+    return found
+
+
+# 200 breakpoints on [0, 1], the 198 interior ones i/199 rounded down to a
+# multiple of 1/p over the first 198 primes p above 10^12: L = 2 * lcm has
+# 7 900 bits against the widest denominator's 40, so the survey walks the
+# exact values, not integers over L
+LONG_L = PLFunction.from_values(
+    [(0, 0)]
+    + [(F(i * p // 199, p), 37 * i % 11)
+       for i, p in enumerate(_primes_above(10 ** 12, 198), 1)]
+    + [(1, 37 * 199 % 11)])
+
+
 @settings(max_examples=150)
 @given(survey=surveys())
 # 2/1001 divides every gap between breakpoints, so each one is a cell edge:
@@ -290,6 +336,8 @@ COPRIME = PLFunction([(F(1, 7), 0, 0), (F(3, 11), 1, 1),
 # an irrational mesh walks the exact values themselves; 43 cells, and the
 # cap one below the count stops the survey before a cell is built
 @example(survey=(COPRIME, ExactNumber(0, F(1, 70), 2), 42))
+# a rational survey whose L is too long to walk: 300 cells over exact values
+@example(survey=(LONG_L, ExactNumber(F(1, 300)), 300))
 def test_survey_matches_reference(survey):
     f, mesh, cap = survey
     want = _report(lambda: ref.differentiability_report(f, mesh))
@@ -302,6 +350,22 @@ def test_survey_matches_reference(survey):
         assert got == want
     else:
         assert got == (CapExceeded, f"{cells} cells exceed cap {cap}")
+
+
+def test_survey_over_a_long_L_builds_no_value_over_it(monkeypatch):
+    # the walk over exact values builds its values over products of two
+    # 40-bit denominators at most, never over the 7 900-bit L; a 3^k survey
+    # still walks integers, as its compare-free costs in test_analysis pin
+    dens = []
+    raw = ExactNumber._raw
+
+    def counted(p, q, den, m):
+        dens.append(den)
+        return raw(p, q, den, m)
+    monkeypatch.setattr(ExactNumber, "_raw", staticmethod(counted))
+    report = differentiability_report(LONG_L, F(1, 300))
+    assert len(report.cells) == 300
+    assert max(d.bit_length() for d in dens) <= 2 * 40
 
 
 # three pieces, with slopes 2, -1 and 1/2
@@ -586,3 +650,33 @@ def test_staircase_survey_matches_the_explicit_staircase(data, depth):
     elif cells * len(f.breakpoints) <= 2 ** 15:
         # the reference scans every breakpoint for each cell
         assert got == _report(lambda: ref.differentiability_report(f, mesh))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), f=st.one_of(pl_functions(),
+                                   st.integers(0, 6).map(CantorStaircase)))
+def test_row_writers_match_the_generic_row(data, f):
+    # diffreport writes each row as one f-string and each shared value's
+    # text once; the lines are those the generic _row writes field by
+    # field, on jumps, ragged last cells, both walks and staircases
+    mesh = data.draw(staircase_meshes(f.depth)
+                     if isinstance(f, CantorStaircase) else meshes(f))
+    try:
+        report = differentiability_report(f, mesh, cap=5000)
+    except (ValueError, CapExceeded, RadicandMismatch):
+        assume(False)
+    texts = {}
+    assert _cell_rows(report.cells, texts) == [
+        _row("cell", lo=c.lo, hi=c.hi, witness=c.witness,
+             derivative=c.derivative)
+        for c in report.cells]
+    assert _nondiff_rows(report.nondifferentiable, texts) == [
+        _row("nondiff", x=p.x, dini=p.values.as_tuple())
+        for p in report.nondifferentiable]
+    # the records are immutable, so the rows stay what they were written as
+    for cell in report.cells[:1]:
+        with pytest.raises(AttributeError):
+            cell.lo = mesh
+    for point in report.nondifferentiable[:1]:
+        with pytest.raises(AttributeError):
+            point.x = mesh
