@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import cycle
 from math import lcm
 from typing import NamedTuple, Optional, Union
 
@@ -587,7 +588,9 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
     Each cell is one :class:`CellReport`, a named tuple: its ``lo`` is
     the previous cell's ``hi`` object, and its ``derivative`` is one
     object shared by every cell on its piece, so a renderer can write the
-    text of each once.
+    text of each once.  On a staircase the interior breakpoints' Dini
+    values take two shapes, by the parity of the piece on the right, and
+    their rows share one object per shape.
     With ``cap`` given, a survey of more than ``cap`` cells raises
     ``CapExceeded`` before any cell is built.
     """
@@ -680,11 +683,23 @@ def differentiability_report(f: Union[PLFunction, CantorStaircase], mesh,
         cells.append(CellReport(lo_value, hi_value, witness_value,
                                 values.lower_left))
         lo, lo_value = end, hi_value
-    bad = []
-    for k, x in enumerate(xs[1:-1], 1):
-        values = _dini_on_piece(f, k, x)
-        if not values.all_equal_finite():
-            bad.append(NonDiffPoint(x, values))
+    inner = xs[1:-1]
+    if isinstance(f, CantorStaircase):
+        # a breakpoint's values hang on its piece's parity alone: the first
+        # two breakpoints decide them, each once, and every row of one
+        # parity shares that object (None where the four values agree)
+        shapes = [_dini_on_piece(f, k, xs[k])
+                  for k in range(1, min(len(inner), 2) + 1)]
+        shapes = [None if v.all_equal_finite() else v for v in shapes]
+        bad = [NonDiffPoint(x, values)
+               for x, values in zip(inner, cycle(shapes))
+               if values is not None]
+    else:
+        bad = []
+        for k, x in enumerate(inner, 1):
+            values = _dini_on_piece(f, k, x)
+            if not values.all_equal_finite():
+                bad.append(NonDiffPoint(x, values))
     return DifferentiabilityReport(mesh=mesh, cells=tuple(cells),
                                    nondifferentiable=tuple(bad),
                                    all_cells_pass=True)

@@ -94,7 +94,7 @@ def best_approx(D: DiscreteSet, f: FunctionOracle, cut, bound) -> ApproxState:
     """
     cut, bound = ExactNumber.coerce(cut), ExactNumber.coerce(bound)
     q, k, _ = _queries(D, f, bound)
-    return _state(q, cut, bound, *q.records(cut, None, k)[:2])
+    return _state(q, cut, bound, *_chains(q, cut, k))
 
 
 def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
@@ -112,14 +112,14 @@ def stability_interval(D: DiscreteSet, f: FunctionOracle, cut, bound,
     n = q.orbit_index(cut)
     if n is not None and n <= k:
         raise CutInImage(f"{cut} is an image value at or below {bound}")
-    state = _state(q, cut, bound, *q.records(cut, None, k)[:2])
+    state = _state(q, cut, bound, *_chains(q, cut, k))
     lo, hi = state.l, state.r
     if verify_samples:
         rng = random.Random(seed)
         width = hi - lo
         for _ in range(verify_samples):
             b = lo + width * Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 + 1)
-            resampled = _state(q, b, bound, *q.records(b, None, k)[:2])
+            resampled = _state(q, b, bound, *_chains(q, b, k))
             if resampled.L != state.L or resampled.R != state.R:
                 raise VerificationError(
                     f"approximations changed inside ({lo}, {hi}) at cut {b}")
@@ -232,6 +232,11 @@ def _queries(D: DiscreteSet, f: FunctionOracle, d: ExactNumber,
     return q, k, _last(elems)
 
 
+def _chains(q, cut: ExactNumber, k: int) -> tuple[list[int], list[int]]:
+    """``cut``'s left and right record chains over the indices <= k."""
+    return q.chain(cut, k, below=True), q.chain(cut, k, below=False)
+
+
 def _state(q, a: ExactNumber, d: ExactNumber, left: list[int],
            right: list[int]) -> ApproxState:
     """``a``'s :class:`ApproxState` at bound ``d`` from its record chains."""
@@ -256,7 +261,8 @@ def _family(q, a: ExactNumber, b: ExactNumber, d: ExactNumber, k: int,
     anchor on at which ``b`` has values on both sides: its record chains'
     last entries at or below that bound, found by bisection.
     """
-    a_left, a_right, b_left, b_right = q.records(a, b, k, upto)
+    a_left, a_right = _chains(q, a, k)
+    b_left, b_right = _chains(q, b, upto)
     state = _state(q, a, d, a_left, a_right)
     if not b_left:
         raise NoLeftValue(f"no value below {b} in the materialized prefix")

@@ -467,23 +467,24 @@ class GrowableSet:
 # -- oracle queries ------------------------------------------------------
 #
 # A search reads the oracle values over the first indices of a set (index i
-# stands for the set's i-th element) through five queries:
+# stands for the set's i-th element) through four queries:
 #
 # - ``first_hit(n0, lo, hi, lo_open, hi_open, upto)``: the least index
 #   >= n0 whose value lies between lo and hi (None: unbounded), each end
 #   open or closed; None if there is none up to ``upto``;
 # - ``hits(n0, k, lo, hi)``: every index from n0 through k whose value lies
 #   in [lo, hi];
-# - ``records(a, b, k, upto)``: the left and right record chains of the
-#   cut a over indices <= k, and of the cut b over indices <= upto;
-# - ``chain(cut, k, below)``: one record chain of one cut over indices <= k;
+# - ``chain(cut, k, below)``: the record chain of the cut below (or above)
+#   it over indices <= k;
 # - ``orbit_index(v)``: the least index whose value is v, or None;
 #
 # plus ``value(i)`` and ``elem(i)``.  A record chain lists the indices at
-# which the value on one side of the cut comes closer to it.  Over a
-# growable set, an index past the cap raises CapExceeded.  A
-# :class:`ValueColumn` answers them by scanning; the first-hit engine
-# (:mod:`exactlab.orbit`) answers them for a rotation over the naturals.
+# which the value on one side of the cut comes at least as close to it as
+# every earlier value on that side: its best approximations from that
+# side, ties kept (a rotation's values never tie).  Over a growable set,
+# an index past the cap raises CapExceeded.  A :class:`ValueColumn`
+# answers them by scanning; the first-hit engine (:mod:`exactlab.orbit`)
+# answers them for a rotation over the naturals.
 # Both watch one window, the last one ``hits`` was asked for, and keep the
 # indices they found in it: the column checks each newly read index
 # against it, and the engine steps from one visit to the next by the
@@ -531,21 +532,17 @@ class ValueColumn:
     def elem(self, i: int) -> ExactNumber:
         return self.elems[i]
 
-    def side(self, cut) -> Callable[[int], int]:
+    def _side(self, cut) -> Callable[[int], int]:
         """i -> the sign of value(i) - cut."""
         cut = ExactNumber.coerce(cut)
         values, compare = self._values, ExactNumber.compare
         return lambda i: compare(values[i], cut)
 
-    def cmp(self, i: int, j: int) -> int:
-        """The sign of value(i) - value(j)."""
-        return self._values[i].compare(self._values[j])
-
     def first_hit(self, n0: int, lo, hi, lo_open: bool = False,
                   hi_open: bool = False, upto: Optional[int] = None
                   ) -> Optional[int]:
-        above = None if lo is None else self.side(lo)
-        below = None if hi is None else self.side(hi)
+        above = None if lo is None else self._side(lo)
+        below = None if hi is None else self._side(hi)
         i = n0
         while upto is None or i <= upto:
             self._read(i)
@@ -575,43 +572,22 @@ class ValueColumn:
         return found[bisect.bisect_left(found, n0):
                      bisect.bisect_right(found, k)]
 
-    def records(self, a, b, k: int, upto: Optional[int] = None):
-        """One pass, index by index: a's side and record compares, then
-        b's.  a's chains keep ties (every index reaching the best value so
-        far), b's do not."""
-        upto = k if upto is None else upto
-        self._read(upto)
-        cmp = self.cmp
-        side_a = self.side(a)
-        side_b = None if b is None else self.side(b)
-        a_left: list[int] = []
-        a_right: list[int] = []
-        b_left: list[int] = []
-        b_right: list[int] = []
-        for i in range(upto + 1):
-            if i <= k:
-                side = side_a(i)
-                if side < 0:
-                    if not a_left or cmp(a_left[-1], i) <= 0:
-                        a_left.append(i)
-                elif side > 0:
-                    if not a_right or cmp(a_right[-1], i) >= 0:
-                        a_right.append(i)
-            if side_b is None:
-                continue
-            side = side_b(i)
-            if side < 0:
-                if not b_left or cmp(b_left[-1], i) < 0:
-                    b_left.append(i)
-            elif side > 0:
-                if not b_right or cmp(b_right[-1], i) > 0:
-                    b_right.append(i)
-        if side_b is None:
-            return a_left, a_right, None, None
-        return a_left, a_right, b_left, b_right
-
     def chain(self, cut, k: int, below: bool) -> list[int]:
-        return record_chain(self, cut, k, below)
+        """One forward scan over the indices <= k, keeping ties: an index
+        on the asked side of the cut that comes at least as close to it
+        as the last record is itself a record."""
+        self._read(k)
+        values, side = self._values, self._side(cut)
+        # the sign of value(i) - cut on the asked side; a value with that
+        # sign against the last record's lies farther from the cut
+        want = -1 if below else 1
+        chain: list[int] = []
+        for i in range(k + 1):
+            if side(i) == want and (
+                    not chain
+                    or values[i].compare(values[chain[-1]]) != want):
+                chain.append(i)
+        return chain
 
     def orbit_index(self, v) -> Optional[int]:
         """Reads on through the last of fixed elements; over a growable
@@ -622,21 +598,3 @@ class ValueColumn:
                 return i
         return None
 
-
-def record_chain(q, cut, k: int, below: bool) -> list[int]:
-    """The record chain of ``cut`` below (or above) it over indices <= k,
-    one first hit per link: each record is the first later index whose
-    value lies strictly between the last record's value and the cut."""
-    if below:
-        n = q.first_hit(0, None, cut, hi_open=True, upto=k)
-    else:
-        n = q.first_hit(0, cut, None, lo_open=True, upto=k)
-    chain: list[int] = []
-    while n is not None:
-        chain.append(n)
-        v = q.value(n)
-        if below:
-            n = q.first_hit(n + 1, v, cut, True, True, upto=k)
-        else:
-            n = q.first_hit(n + 1, cut, v, True, True, upto=k)
-    return chain

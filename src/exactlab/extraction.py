@@ -17,12 +17,12 @@ more, exactly the j-th target, at tolerance scale/6^(k-j):
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
-A step reads the oracle only through five queries (see
+A step reads the oracle only through four queries (see
 :mod:`exactlab.dsets`): the first index from some index on whose value
 lies in an interval, every index between two bounds whose value lies in
-one, the record chains of two cuts or one chain of one cut, and the index
-of a value.  Phase 2 asks for the window's hits up to the previous bound,
-then for first hits after it; phase 3 walks the right-record chain of the
+one, the record chain of a cut on one side, and the index of a value.
+Phase 2 asks for the window's hits up to the previous bound, then for
+first hits after it; phase 3 walks the right-record chain of the
 best left value; phase 4 asks for one first hit, plus one per midpoint
 collision; phase 5 lists the window's hits past phase 2's bound up to the
 new one; the ratio family of the new cuts reads four record chains and two
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    CapExceeded,
     DegenerateOracle,
     EmptySet,
     PreconditionFailed,
@@ -259,7 +260,16 @@ def _pipeline(G: GrowableSet, f: FunctionOracle, targets,
     """The one loop behind both entry points: step j of k aims a ratio at
     targets[j-1] (a sequence of exact numbers or ints) at tolerance
     scale/6^(k-j), through one query object for the whole run (see
-    :func:`_queries`), and passes its one check (see :func:`_check`)."""
+    :func:`_queries`), and passes its one check (see :func:`_check`).
+
+    Step j's anchors strictly increase from index 0, so its bound has
+    index >= j, and more targets than G's cap cannot fit it: that raises
+    the cap error before any step, with G grown to the cap as a search
+    past it leaves it.  The test slices, since a range of 2^63 or more
+    targets has no ``len()``."""
+    if targets[G.cap:]:
+        G._materialize(G.cap)
+        raise CapExceeded(f"index {G.cap + 1} exceeds cap {G.cap}")
     q = _queries(G, f)
     steps, fam = [], None
     for j, target in enumerate(targets, 1):
@@ -280,6 +290,8 @@ def extract(G: GrowableSet, f: FunctionOracle, N: int, eps_final
 
     Step k is checked at tolerance eps_final / 6^(N-k): the base step is the
     tightest, and each extension relaxes by the factor the induction needs.
+    An N past G's cap raises the cap error before any step (see
+    :func:`_pipeline`).
     """
     eps_final = ExactNumber.coerce(eps_final)
     if N < 1:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-from .dsets import GrowableSet, RotationOracle, _Naturals, record_chain
+from .dsets import GrowableSet, RotationOracle, _Naturals
 from .errors import CapExceeded, RadicandMismatch
 from .qnum import ExactNumber
 
@@ -65,8 +65,8 @@ class Orbit:
 
     It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
     scanning.  ``first_hits`` counts the first-hit walks run, ``levels``
-    the records they read, ``steps`` the window visits reached by a gap
-    step instead, ``solves`` the orbit solves, ``runs`` the
+    the table records they read, ``steps`` the window visits reached by a
+    gap step instead, ``solves`` the orbit solves, ``runs`` the
     continued-fraction runs built for the record tables, and ``links``
     the record-chain links read off them.  The runs and the watched
     window (see :meth:`hits`) are caches filled on first use, so an
@@ -148,28 +148,20 @@ class Orbit:
             bisect.insort(out, win.top)
         return out
 
-    def records(self, a: ExactNumber, b: Optional[ExactNumber], k: int,
-                upto: Optional[int] = None):
-        """The left and right record chains of ``a`` over indices <= k and
-        of ``b`` (None for no b: two Nones) over indices <= upto (default
-        k), as index lists."""
-        upto = k if upto is None else upto
-        chains = [self.chain(a, k, below=True), self.chain(a, k, below=False)]
-        if b is None:
-            return (*chains, None, None)
-        return (*chains, self.chain(b, upto, below=True),
-                self.chain(b, upto, below=False))
-
     def chain(self, cut: ExactNumber, k: int, below: bool) -> list[int]:
         """The record chain of ``cut`` below (or above) it over indices
         <= k.  The left chain starts at index 0 and steps by record lows
         within the gap up to the cut; the right one steps by record highs
         from index 0 read as the value 1, which it leaves out.  A cut
-        outside [0, 1) is clamped as :meth:`_first` clamps it; one in
-        another radicand is walked by first hits, which refuse it as a scan
-        does."""
+        outside [0, 1) is clamped as :meth:`_first` clamps it.  A cut in
+        another radicand is answered as a scan answers it: value(0) = 0 is
+        rational and compares with it, every later value is irrational and
+        does not, so for k >= 1 the chain is refused, and for k = 0 it is
+        [0] if 0 lies on the asked side of the cut, else empty."""
         if cut.q and cut.m != self._m:
-            return record_chain(self, cut, k, below)
+            if k >= 1:
+                _refuse(cut.m, self._m)
+            return [0] if cut.sign() == (1 if below else -1) else []
         if below:
             if cut.sign() <= 0:
                 return []

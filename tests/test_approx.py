@@ -428,10 +428,20 @@ MIXED_BRACKET = dict(
     seed=0)
 
 
+# Two values tie below the cut a: a record chain keeps both, so L is
+# {0, 2, 3}, where one that dropped ties would give {0, 2}.
+TIES = dict(
+    D=DiscreteSet([0, 1, 2, 3]),
+    f=TableOracle({0: F(1, 5), 1: F(4, 5), 2: F(2, 5), 3: F(2, 5)}),
+    a=F(1, 2), b=F(3, 5), d=3, eps=F(1, 60), anchor_upto=1, samples=2,
+    seed=0)
+
+
 @settings(max_examples=400)
 @given(case=approx_cases())
 @example(case=KNOWN_DIFFERENCE)
 @example(case=MIXED_BRACKET)
+@example(case=TIES)
 def test_approx_entry_points_match_reference(case):
     D, f, a, b, d = (case[k] for k in "Dfabd")
     samples, seed = case["samples"], case["seed"]

@@ -30,6 +30,21 @@ def test_extract_budget_exhaustion_is_status_3():
     assert "budget" in lines[0]
 
 
+@pytest.mark.parametrize("n, budget", [
+    (10 ** 20, 10 ** 6), (10 ** 6 + 1, 10 ** 6), (11, 10)])
+def test_extract_with_more_steps_than_the_budget_exits_3_at_once(n, budget):
+    # step j's bound has index >= j, so N past the budget cannot fit it
+    argv = ["extract", "--oracle", "rot(phi)", "--n", str(n),
+            "--eps", "1/4"]
+    if budget != 10 ** 6:
+        argv += ["--budget", str(budget)]
+    start = time.perf_counter()
+    assert run(argv) == (3, [
+        f"budget exhausted: index {budget + 1} exceeds cap {budget}"])
+    # no step is taken: N = 10^6 + 1 ran its tolerances for minutes
+    assert time.perf_counter() - start < 10
+
+
 def test_bad_input_is_status_2():
     status, _ = run(["extract", "--oracle", "rot(3/2)",
                      "--n", "2", "--eps", "1/4"])

@@ -6,6 +6,7 @@ query must return what a plain scan of those values returns, for every
 closure of the interval's ends.
 """
 
+import inspect
 import re
 from fractions import Fraction as F
 
@@ -95,14 +96,29 @@ def test_queries_match_a_column_scan(alpha, data):
                 if _inside(values[n], lo, hi, False, False)]
         assert q.hits(n0, k, lo, hi) == want, (n0, k, lo, hi)
         assert col.hits(n0, k, lo, hi) == want, (n0, k, lo, hi)
-    a = data.draw(cuts)
-    b = data.draw(st.one_of(st.none(), cuts))
+    # the four chains a ratio family reads: a's over k, b's over upto
+    a, b = data.draw(cuts), data.draw(cuts)
     upto = data.draw(st.integers(k, LIMIT))
-    assert q.records(a, b, k, upto) == col.records(a, b, k, upto)
+    for cut, bound in ((a, k), (b, upto)):
+        for below in (True, False):
+            assert q.chain(cut, bound, below) == \
+                col.chain(cut, bound, below), (cut, bound, below)
     n = data.draw(st.integers(0, LIMIT))
     assert q.value(n) == values[n] == (n * alpha).frac()
     assert q.orbit_index(values[n]) == n
     assert q.orbit_index(values[n] + F(1, 10 ** 9)) is None
+
+
+def _public_methods(cls):
+    return {name for name, _ in inspect.getmembers(cls, callable)
+            if not name.startswith("_")}
+
+
+def test_both_engines_expose_the_same_queries():
+    # a search runs on either engine, so neither may answer a query the
+    # other lacks
+    queries = {"first_hit", "hits", "chain", "orbit_index", "value", "elem"}
+    assert _public_methods(Orbit) == _public_methods(ValueColumn) == queries
 
 
 @settings(max_examples=150)
@@ -398,6 +414,13 @@ def test_a_closed_point_interval_is_its_orbit_solve():
                        upto=LIMIT) is None
 
 
+def _chain_or_refusal(chain, cut, k, below):
+    try:
+        return chain(cut, k, below)
+    except RadicandMismatch as err:
+        return str(err)
+
+
 def _answer(engine, n0, lo, hi, upto):
     try:
         return engine.first_hit(n0, lo, hi, upto=upto)
@@ -433,6 +456,17 @@ def test_a_cut_in_another_radicand_is_refused_by_both_engines(cut):
     # index 0 answers a cut below 0 before any irrational compare
     assert (_answer(q, 0, cut, None, 50) == 0) == (cut.sign() < 0)
     assert q.first_hit(5, cut, None, upto=3) is None
+    # a chain over index 0 alone is [0] when 0 lies on its side of the
+    # cut; any later index is refused
+    ref = Orbit(GrowableSet(cap=LIMIT), RotationOracle(alpha))
+    for k in (0, 1, LIMIT):
+        for below in (True, False):
+            want = ([0] if cut.sign() == (1 if below else -1) else []) \
+                if k == 0 else refused
+            for chain in (q.chain, col.chain,
+                          lambda *args: reference_chain(ref, *args)):
+                assert _chain_or_refusal(chain, cut, k, below) == want, \
+                    (k, below)
 
 
 def _engines(monkeypatch):

@@ -9,7 +9,9 @@ generated copy, so the two set representations are compared as well; on
 the naturals a rotation's searches go to the first-hit engine, on the copy
 to a column scan, so both are diffed against the reference.
 Tables whose values mix radicands are drawn too: both sides must raise
-``RadicandMismatch`` at the same compare, with the same message.
+``RadicandMismatch`` at the same compare, with the same message.  The one
+intended difference: the library checks the budget first, so more steps
+than a table's cap end in the cap error wherever the reference fails.
 """
 
 from fractions import Fraction as F
@@ -28,6 +30,7 @@ from exactlab import (
     trace_report,
 )
 from exactlab import extraction
+from exactlab.errors import CapExceeded
 
 import reference_pipeline as ref
 from conftest import alphas
@@ -128,8 +131,15 @@ def test_extract_matches_reference_on_tables(f, n, eps):
     cap = len(f.table) - 1
     G = GrowableSet(cap=cap)
     got = _outcome(lambda: trace_report(extract(G, f, n, eps)), G)
-    G_ref = _naturals_copy(cap)
-    want = _outcome(lambda: trace_report(ref.extract(G_ref, f, n, eps)), G_ref)
+    if n > cap:
+        # the budget is checked before any step (step j's bound has index
+        # >= j), where the reference may first meet an oracle constant on
+        # its first two elements or values of two radicands
+        want = (CapExceeded, f"index {cap + 1} exceeds cap {cap}", cap)
+    else:
+        G_ref = _naturals_copy(cap)
+        want = _outcome(lambda: trace_report(ref.extract(G_ref, f, n, eps)),
+                        G_ref)
     assert got == want
 
 
