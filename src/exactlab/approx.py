@@ -23,10 +23,10 @@ the anchor index, never on the ambient bound.
 One family builder: :func:`_family` reads the record chains of both cuts
 and their orbit indices through the oracle queries of :mod:`exactlab.dsets`,
 so the entry points here and the extraction step build families alike, on
-the queries one rule picks: the first-hit engine for a rotation over a
-naturals view (:meth:`GrowableSet.prefix`), at any bound; else a column that
-evaluates D once: up to the bound in :func:`best_approx` and
-:func:`stability_interval`, all of D in :func:`ratio_family`, and in
+the queries :func:`exactlab.orbit.queries` picks: the first-hit engine for
+a rotation over a naturals view (:meth:`GrowableSet.prefix`), at any bound;
+else a column that evaluates D once: up to the bound in :func:`best_approx`
+and :func:`stability_interval`, all of D in :func:`ratio_family`, and in
 :func:`widen_interval` only to verify.
 """
 
@@ -51,13 +51,11 @@ from .errors import (
 from .dsets import (
     DiscreteSet,
     FunctionOracle,
-    GrowableSet,
-    ValueColumn,
     _last,
     _rank,
     is_approx_segment,
 )
-from .orbit import Orbit, serves
+from .orbit import queries
 from .qnum import ExactNumber, exact
 
 _QUARTER = exact("1/4")
@@ -215,18 +213,14 @@ def _queries(D: DiscreteSet, f: FunctionOracle, d: ExactNumber,
              whole: bool = False):
     """The oracle queries of f over D up to d, or over all of D if
     ``whole``, with the index of D's last element at or below d (EmptySet
-    if none) and that of the last element queried.  A rotation over a
-    naturals view gets the first-hit engine, whose queries here all carry
-    their bound; else a column of f's values: over all of D evaluated
-    first, as a scan reads them; up to d each evaluated as a query first
-    reads it, so a cut on the image is refused before any later index."""
+    if none) and that of the last element queried.  The queries come from
+    :func:`exactlab.orbit.queries`; the engine's queries here all carry
+    their bound, and a column evaluated up to d reads each index as a
+    query first needs it, so a cut on the image is refused before any
+    later index."""
     k = _rank(D.elements, d) - 1
     elems = D.elements if whole else D.elements[:k + 1]
-    if serves(elems, f):
-        q = Orbit(GrowableSet(cap=0), f)
-    else:
-        q = ValueColumn(elems, [f.eval(e) for e in elems] if whole else [],
-                        None, f)
+    q = queries(elems, f, whole=whole)
     if k < 0:
         raise EmptySet(f"no elements at or below {d}")
     return q, k, _last(elems)

@@ -466,27 +466,28 @@ class GrowableSet:
 
 # -- oracle queries ------------------------------------------------------
 #
-# A search reads the oracle values over the first indices of a set (index i
-# stands for the set's i-th element) through four queries:
+# A search reads the oracle values over the first indices of a set (index n
+# stands for the set's n-th element) through four queries:
 #
 # - ``first_hit(n0, lo, hi, lo_open, hi_open, upto)``: the least index
 #   >= n0 whose value lies between lo and hi (None: unbounded), each end
 #   open or closed; None if there is none up to ``upto``;
-# - ``hits(n0, k, lo, hi)``: every index from n0 through k whose value lies
-#   in [lo, hi];
+# - ``hits(k, lo, hi)``: every index through k whose value lies in
+#   [lo, hi];
 # - ``chain(cut, k, below)``: the record chain of the cut below (or above)
 #   it over indices <= k;
 # - ``orbit_index(v)``: the least index whose value is v, or None;
 #
-# plus ``value(i)`` and ``elem(i)``.  A record chain lists the indices at
+# plus ``value(n)`` and ``elem(n)``.  A record chain lists the indices at
 # which the value on one side of the cut comes at least as close to it as
 # every earlier value on that side: its best approximations from that
 # side, ties kept (a rotation's values never tie).  Over a growable set,
 # an index past the cap raises CapExceeded.  A :class:`ValueColumn`
 # answers them by scanning; the first-hit engine (:mod:`exactlab.orbit`)
-# answers them for a rotation over the naturals.
-# Both watch one window, the last one ``hits`` was asked for, and keep the
-# indices they found in it: the column checks each newly read index
+# answers them for a rotation over the naturals, and
+# :func:`exactlab.orbit.queries` picks between the two.  Both watch one
+# window, the last one ``hits`` was asked for, and keep the indices they
+# found in it from index 0 on: the column checks each newly read index
 # against it, and the engine steps from one visit to the next by the
 # three-gap theorem.  Either one belongs to one extraction, like its set.
 
@@ -526,11 +527,11 @@ class ValueColumn:
         v = self._values[i]
         return v.compare(lo) >= 0 and v.compare(hi) <= 0
 
-    def value(self, i: int) -> ExactNumber:
-        return self._values[i]
+    def value(self, n: int) -> ExactNumber:
+        return self._values[n]
 
-    def elem(self, i: int) -> ExactNumber:
-        return self.elems[i]
+    def elem(self, n: int) -> ExactNumber:
+        return self.elems[n]
 
     def _side(self, cut) -> Callable[[int], int]:
         """i -> the sign of value(i) - cut."""
@@ -559,8 +560,7 @@ class ValueColumn:
             return i
         return None
 
-    def hits(self, n0: int, k: int, lo: ExactNumber, hi: ExactNumber
-             ) -> list[int]:
+    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
         """[lo, hi] becomes the watched window, in place of the last one."""
         window = self._window
         if window is None or window[:2] != (lo, hi):
@@ -569,8 +569,7 @@ class ValueColumn:
             window = self._window = (lo, hi, found)
         self._read(k)
         found = window[2]
-        return found[bisect.bisect_left(found, n0):
-                     bisect.bisect_right(found, k)]
+        return found[:bisect.bisect_right(found, k)]
 
     def chain(self, cut, k: int, below: bool) -> list[int]:
         """One forward scan over the indices <= k, keeping ties: an index

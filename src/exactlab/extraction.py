@@ -19,23 +19,26 @@ more, exactly the j-th target, at tolerance scale/6^(k-j):
 
 A step reads the oracle only through four queries (see
 :mod:`exactlab.dsets`): the first index from some index on whose value
-lies in an interval, every index between two bounds whose value lies in
-one, the record chain of a cut on one side, and the index of a value.
-Phase 2 asks for the window's hits up to the previous bound, then for
-first hits after it; phase 3 walks the right-record chain of the
-best left value; phase 4 asks for one first hit, plus one per midpoint
-collision; phase 5 lists the window's hits past phase 2's bound up to the
-new one; the ratio family of the new cuts reads four record chains and two
-value indices.
+lies in an interval, every index up to a bound whose value lies in a
+closed window, the record chain of a cut on one side, and the index of a
+value.  Phase 2 asks for the window's hits up to the previous bound, then
+for first hits after it, and keeps the set of their values; phase 3 walks
+the right-record chain of the best left value; phase 4 asks for one first
+hit, plus one per midpoint collision; phase 5 lists the window's hits up
+to the new bound and adds the values of those past phase 2's bound; the
+ratio family of the new cuts reads four record chains and two value
+indices.  The window lies inside the previous inner cut's bracket, so on
+a rotation it holds two orbit values in [0, 1).
 
-For a rotation oracle over the default naturals one first-hit engine
-(:mod:`exactlab.orbit`) serves the whole extraction and builds the
-rotation's continued-fraction expansion once; it answers every query
-exactly whatever its indices (N = 9 reaches indices near 10^45 in under a
-second), and a needed index past the budget still raises the scan's
-``index <cap+1> exceeds cap <cap>``.  For any other oracle one column
-scan answers the whole extraction's queries and keeps its values, so it
-evaluates each index once per extraction.  Both give identical traces.
+One query object from :func:`exactlab.orbit.queries` serves the whole
+extraction.  For a rotation oracle over the default naturals it is the
+first-hit engine, which builds the rotation's continued-fraction
+expansion once; it answers every query exactly whatever its indices
+(N = 9 reaches indices near 10^45 in under a second), and a needed index
+past the budget still raises the scan's ``index <cap+1> exceeds cap
+<cap>``.  For any other oracle it is a column scan that keeps its values,
+so it evaluates each index once per extraction.  Both give identical
+traces.
 
 Every free choice is canonical (midpoints, least indices, exact ratio
 inversion), so identical inputs produce bit-identical traces.  Each step
@@ -69,7 +72,6 @@ from .dsets import (
     DiscreteSet,
     FunctionOracle,
     GrowableSet,
-    ValueColumn,
     is_approx_segment,
 )
 from .approx import (
@@ -79,7 +81,7 @@ from .approx import (
     _window,
     ratio_family,  # unused here; perfbench's tracer patches this name
 )
-from .orbit import Orbit, serves
+from .orbit import queries
 from .qnum import ExactNumber
 
 ONE = ExactNumber(1)
@@ -106,23 +108,13 @@ class ExtractionTrace:
         return self.steps[-1].fam
 
 
-def _queries(G: GrowableSet, f: FunctionOracle):
-    """The one query object of an extraction over G, by the rule the approx
-    entry points follow: a first-hit engine where
-    :func:`~exactlab.orbit.serves` holds, whose continued-fraction runs
-    serve every step; else a column scan, whose values every step reads."""
-    if serves(G._elems, f):
-        return Orbit(G, f)
-    return ValueColumn(G._elems, [], G, f)
-
-
 def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
           target: ExactNumber, eps: ExactNumber, q) -> RatioFamily:
     """One step at tolerance eps, through the extraction's query object
-    ``q`` (see :func:`_queries`).  The base step (no ``prev``) takes the
-    target as its ratio if it is above 1, else 1 + eps/2; a later step
-    adjoins a ratio equal to the target, moving every earlier one by less
-    than eps/6."""
+    ``q`` (see :func:`exactlab.orbit.queries`).  The base step (no
+    ``prev``) takes the target as its ratio if it is above 1, else
+    1 + eps/2; a later step adjoins a ratio equal to the target, moving
+    every earlier one by less than eps/6."""
     if prev is None:
         e0, e1 = G.element(0), G.element(1)
         v0, v1 = f.eval(e0), f.eval(e1)
@@ -148,13 +140,11 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
     lo, hi = _window(prev, eps_move)
 
     # (2) least bound from e_idx on holding two image values in the window
-    found: dict[ExactNumber, int] = {}
-    for i in q.hits(0, e_idx, lo, hi):
-        found.setdefault(value(i), i)
+    seen = {value(i) for i in q.hits(e_idx, lo, hi)}
     d0_idx = e_idx
-    while len(found) < 2:
+    while len(seen) < 2:
         d0_idx = q.first_hit(d0_idx + 1, lo, hi)
-        found.setdefault(value(d0_idx), d0_idx)
+        seen.add(value(d0_idx))
 
     # (3) fresh outer cut: midpoint of the image-free gap above the
     #     previous best left value, closed by l's last right record
@@ -170,16 +160,11 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
         d_idx = q.first_hit(d_idx + 1, l_ue, a, lo_open=True)
     d = G.element(d_idx)
 
-    # (5) widest image-free gap inside the window at the new bound; found
-    #     holds every hit through d0_idx, so only later ones are listed
-    for i in q.hits(d0_idx + 1, d_idx, lo, hi):
-        found.setdefault(value(i), i)
-    inside = sorted(found.items())
-    pair = None
-    for (w1, _), (w2, _) in zip(inside, inside[1:]):
-        if pair is None or w2 - w1 > pair[1] - pair[0]:
-            pair = (w1, w2)
-    w1, w2 = pair
+    # (5) first widest image-free gap inside the window at the new bound;
+    #     seen holds the values of every hit through d0_idx
+    seen.update(value(i) for i in q.hits(d_idx, lo, hi) if i > d0_idx)
+    inside = sorted(seen)
+    w1, w2 = max(zip(inside, inside[1:]), key=lambda p: p[1] - p[0])
 
     # (6) inner cut placed so the new ratio is exact
     b = w1 + (w2 - w1) / target
@@ -233,7 +218,7 @@ def bootstrap(G: GrowableSet, f: FunctionOracle, eps) -> RatioFamily:
     eps = ExactNumber.coerce(eps)
     if eps.sign() <= 0:
         raise PreconditionFailed(f"eps must be positive, got {eps}")
-    fam = _step(G, f, None, ONE, eps, _queries(G, f))
+    fam = _step(G, f, None, ONE, eps, queries(G._elems, f, G))
     _check(fam, [ONE], eps)
     return fam
 
@@ -250,7 +235,8 @@ def extend_step(G: GrowableSet, f: FunctionOracle, prev: RatioFamily,
     if not is_approx_segment(prev.yset, eps / 6, n):
         raise PreconditionFailed(
             f"previous set is not an {eps}/6-segment up to {n}")
-    fam = _step(G, f, prev, ExactNumber(n + 1), eps, _queries(G, f))
+    fam = _step(G, f, prev, ExactNumber(n + 1), eps,
+                queries(G._elems, f, G))
     _check(fam, range(1, n + 2), eps)
     return fam
 
@@ -260,7 +246,8 @@ def _pipeline(G: GrowableSet, f: FunctionOracle, targets,
     """The one loop behind both entry points: step j of k aims a ratio at
     targets[j-1] (a sequence of exact numbers or ints) at tolerance
     scale/6^(k-j), through one query object for the whole run (see
-    :func:`_queries`), and passes its one check (see :func:`_check`).
+    :func:`exactlab.orbit.queries`), and passes its one check (see
+    :func:`_check`).
 
     Step j's anchors strictly increase from index 0, so its bound has
     index >= j, and more targets than G's cap cannot fit it: that raises
@@ -270,7 +257,7 @@ def _pipeline(G: GrowableSet, f: FunctionOracle, targets,
     if targets[G.cap:]:
         G._materialize(G.cap)
         raise CapExceeded(f"index {G.cap + 1} exceeds cap {G.cap}")
-    q = _queries(G, f)
+    q = queries(G._elems, f, G)
     steps, fam = [], None
     for j, target in enumerate(targets, 1):
         eps = scale / 6 ** (len(targets) - j)

@@ -1,5 +1,5 @@
 """The first-hit engine: the oracle queries of a search, answered exactly
-for a rotation n -> {n*alpha} over the naturals (see :func:`serves`).
+for a rotation n -> {n*alpha} over the naturals (see :func:`queries`).
 
 Every search of a step asks where the orbit of a rotation first enters an
 interval, and every such query reads one expansion of alpha.  The next
@@ -34,7 +34,7 @@ visit n at x = {n*alpha} - lo the next one is n + A if x + {A*alpha} < w,
 else n + B if x + {B*alpha} >= 1, else n + A + B: one compare per visit.
 A and B are read off the record tables, and the closed high end adds its
 one orbit solve.  :meth:`Orbit.hits` watches one such window and keeps its
-visits, so a closed first hit on it reads the same list.
+visits from index 0 on, so a closed first hit on it reads the same list.
 
 A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
 at most one solution n, read off c's irrational part.  Indices are plain
@@ -47,7 +47,7 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
-from .dsets import GrowableSet, RotationOracle, _Naturals
+from .dsets import GrowableSet, RotationOracle, ValueColumn, _Naturals
 from .errors import CapExceeded, RadicandMismatch
 from .qnum import ExactNumber
 
@@ -55,9 +55,16 @@ ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
 
 
-def serves(elems, f) -> bool:
-    """True for a rotation over a naturals view, which an Orbit answers."""
-    return isinstance(f, RotationOracle) and isinstance(elems, _Naturals)
+def queries(elems, f, G: Optional[GrowableSet] = None, whole: bool = False):
+    """The oracle queries of f over ``elems``, the elements of G if given:
+    an :class:`Orbit` for a rotation over a naturals view, at any index,
+    and else a :class:`~exactlab.dsets.ValueColumn`, which evaluates all of
+    ``elems`` first if ``whole``, and otherwise each index as a query first
+    reads it."""
+    if isinstance(f, RotationOracle) and isinstance(elems, _Naturals):
+        return Orbit(GrowableSet(cap=0) if G is None else G, f)
+    return ValueColumn(elems, [f.eval(e) for e in elems] if whole else [],
+                       G, f)
 
 
 class Orbit:
@@ -115,36 +122,24 @@ class Orbit:
         G._materialize(n)
         return n
 
-    def hits(self, n0: int, k: int, lo: ExactNumber, hi: ExactNumber
-             ) -> list[int]:
-        """Every n from n0 through k with {n*alpha} in the closed [lo, hi].
+    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
+        """Every n through k with {n*alpha} in the closed [lo, hi], a window
+        with 0 <= lo < hi < 1 and no end in another radicand.
 
-        A window with 0 <= lo < hi < 1 and no end in another radicand
-        becomes the watched one, in place of the last: its visits are
-        found by one first-hit walk and then by gap steps (see
-        :meth:`_advance`) and kept, from n0 on, so a later query on it that
-        starts within what is known, or right after it, steps on from
-        there.  Any other
-        window takes one first hit per visit."""
-        if not self._steppable(lo, hi):
-            out: list[int] = []
-            n = self.first_hit(n0, lo, hi, upto=k)
-            while n is not None:
-                out.append(n)
-                n = self.first_hit(n + 1, lo, hi, upto=k)
-            return out
+        The window becomes the watched one, in place of the last: its
+        visits are found by one first-hit walk and then by gap steps (see
+        :meth:`_advance`) and kept, so a later query on it steps on from
+        what is known."""
+        assert self._steppable(lo, hi), "hits needs a window it can step"
         win = self._watch
         if win is None or win.lo != lo or win.hi != hi:
             win = self._watch = _Window(lo, hi, self.orbit_index(hi))
-        if not win.start <= n0 <= win.through + 1:
-            win.restart(n0)
         reach = max(k, self._G.cap)
         while win.through < k:
             self._advance(win, reach)
         visits = win.visits
-        out = visits[bisect.bisect_left(visits, n0):
-                     bisect.bisect_right(visits, k)]
-        if win.top is not None and n0 <= win.top <= k:
+        out = visits[:bisect.bisect_right(visits, k)]
+        if win.top is not None and win.top <= k:
             bisect.insort(out, win.top)
         return out
 
@@ -201,7 +196,7 @@ class Orbit:
         them or right after them."""
         win = self._watch
         if (win is not None and not (lo_open or hi_open)
-                and win.start <= n0 <= win.through + 1
+                and n0 <= win.through + 1
                 and win.lo == lo and win.hi == hi):
             return self._watched(win, n0, upto)
         m = self._m
@@ -446,24 +441,16 @@ class Orbit:
 class _Window:
     """The closed window [lo, hi] an :class:`Orbit` watches: ``w`` = hi -
     lo; ``top``, the index whose value is hi, or None; ``visits``, every
-    index from ``start`` through ``through`` whose value lies in [lo, hi);
-    ``x``, the last visit's value minus lo; ``gaps``, None or
-    ``(limit, A, B)`` with A and B the step gaps as :meth:`Orbit._record`
-    read them up to ``limit`` (None for one past it)."""
+    index from 0 through ``through`` whose value lies in [lo, hi); ``x``,
+    the last visit's value minus lo; ``gaps``, None or ``(limit, A, B)``
+    with A and B the step gaps as :meth:`Orbit._record` read them up to
+    ``limit`` (None for one past it)."""
 
-    __slots__ = ("lo", "hi", "w", "top", "start", "through", "visits", "x",
-                 "gaps")
+    __slots__ = ("lo", "hi", "w", "top", "through", "visits", "x", "gaps")
 
     def __init__(self, lo: ExactNumber, hi: ExactNumber, top: Optional[int]):
         self.lo, self.hi, self.w, self.top = lo, hi, hi - lo, top
-        self.gaps: Optional[tuple] = None
-        self.restart(0)
-
-    def restart(self, n0: int) -> None:
-        """Forget the visits: what is known starts at n0 and is empty."""
-        self.start, self.through = n0, n0 - 1
-        self.visits: list[int] = []
-        self.x: Optional[ExactNumber] = None
+        self.through, self.visits, self.x, self.gaps = -1, [], None, None
 
 
 def _refuse(m: int, other: int) -> None:

@@ -59,19 +59,34 @@ def _sign_pair(p: int, q: int, m: int) -> int:
     return (rhs > lhs) - (rhs < lhs)
 
 
+#: The largest radicand accepted: its square-freeness is decided by trial
+#: division up to its cube root, at most 10^6.
+MAX_RADICAND = 10 ** 18
+
+
 @lru_cache(maxsize=None)
 def _check_radicand(m: int) -> None:
+    """Refuse m unless it is square-free (0 and 1 pass) and at most
+    :data:`MAX_RADICAND`.
+
+    Trial division takes out each prime p while p^3 is at most the
+    cofactor r left so far; p^2 dividing m shows at once.  Every prime
+    factor of the final r exceeds its cube root, so r has at most two,
+    and a square factor only if it is a perfect square."""
     if m < 0:
         raise ValueError(f"radicand must be non-negative, got {m}")
-    if m in (0, 1):
-        return
-    if m % 4 == 0:
+    if m > MAX_RADICAND:
+        raise ValueError("radicand exceeds MAX_RADICAND = 10^18, the "
+                         "largest whose square factors are checked")
+    r, p = m, 2
+    while p * p * p <= r:
+        if r % p == 0:
+            r //= p
+            if r % p == 0:
+                raise ValueError(f"radicand must be square-free, got {m}")
+        p += 1 if p == 2 else 2
+    if r > 1 and isqrt(r) ** 2 == r:
         raise ValueError(f"radicand must be square-free, got {m}")
-    p = 3
-    while p * p <= m:
-        if m % (p * p) == 0:
-            raise ValueError(f"radicand must be square-free, got {m}")
-        p += 2
 
 
 class ExactNumber:

@@ -56,6 +56,45 @@ def test_bad_input_is_status_2():
     assert status == 2
 
 
+def test_an_eps_in_another_radicand_exits_2_before_any_window():
+    # the base step combines alpha's radicand with the tolerance's and
+    # refuses, so no window of another radicand reaches the engine
+    assert run(["extract", "--oracle", "rot(sqrt2)", "--n", "2",
+                "--eps", "1/100*sqrt(3)"]) == \
+        (2, ["error: cannot combine sqrt(2) with sqrt(3)"])
+
+
+# a radicand of 115 digits, far past MAX_RADICAND = 10^18
+BIG_ROOT = f"sqrt(1{'0' * 113}7)"
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["extract", "--oracle", "rot(phi)", "--n", "2",
+      "--eps", f"1/100*{BIG_ROOT}"], {}),
+    (["approx", "--oracle", "rot(phi)", "--cut", BIG_ROOT,
+      "--bound", "4"], {}),
+    (["dini", "--fn", "worked3", "--x", BIG_ROOT], {}),
+    (["diffreport", "--fn", "worked3", "--mesh", BIG_ROOT], {}),
+    (["code", "cf", BIG_ROOT, "3"], {}),
+    (["approx", "--oracle", "table(table.txt)", "--cut", "1/2",
+      "--bound", "1"], {"table.txt": f"0 0\n1 {BIG_ROOT}\n"}),
+    (["sun", "--fn", "fn.txt"],
+     {"fn.txt": f"domain 0 2\n0 0 0\n1 {BIG_ROOT} 1\n2 2 2\n"}),
+], ids=["eps", "cut", "x", "mesh", "cf", "table", "pl-file"])
+def test_a_radicand_past_the_bound_exits_2_at_once(argv, files, tmp_path,
+                                                    monkeypatch):
+    # trial division up to the square root of this radicand did not end
+    # in 30 s; past the bound it is refused before any division
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    start = time.perf_counter()
+    assert run(argv) == (2, [
+        "error: radicand exceeds MAX_RADICAND = 10^18, the largest whose "
+        "square factors are checked"])
+    assert time.perf_counter() - start < 1
+
+
 def test_one_sided_cut_is_status_2():
     status, lines = run(["approx", "--oracle", "rot(phi)",
                          "--cut", "2", "--bound", "4"])

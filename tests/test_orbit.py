@@ -11,16 +11,16 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from exactlab import (
-    PHI, SQRT2, SQRT3, ExactNumber, GrowableSet, RotationOracle, exact,
-    extract, trace_report,
+    PHI, SQRT2, SQRT3, DiscreteSet, ExactNumber, GrowableSet, RotationOracle,
+    approximate_target, exact, extract, trace_report,
 )
 from exactlab import extraction
 from exactlab.cli import run
 from exactlab.dsets import ValueColumn
-from exactlab.errors import CapExceeded, RadicandMismatch
+from exactlab.errors import CapExceeded, ExactLabError, RadicandMismatch
 from exactlab.orbit import Orbit
 
 from conftest import alphas
@@ -88,14 +88,15 @@ def test_queries_match_a_column_scan(alpha, data):
     ends = _ends(values)
     cuts = ends.filter(lambda c: c is not None)
     k = data.draw(st.integers(0, LIMIT))
-    # the column watches one window at a time: ask it for a second one
+    # each watches one window at a time: ask it for a second one.  The
+    # engine lists the hits of a window it can step, the column of any
     for _ in range(2):
         lo, hi = data.draw(cuts), data.draw(cuts)
-        n0 = data.draw(st.integers(0, k + 1))
-        want = [n for n in range(n0, k + 1)
+        want = [n for n in range(k + 1)
                 if _inside(values[n], lo, hi, False, False)]
-        assert q.hits(n0, k, lo, hi) == want, (n0, k, lo, hi)
-        assert col.hits(n0, k, lo, hi) == want, (n0, k, lo, hi)
+        if q._steppable(lo, hi):
+            assert q.hits(k, lo, hi) == want, (k, lo, hi)
+        assert col.hits(k, lo, hi) == want, (k, lo, hi)
     # the four chains a ratio family reads: a's over k, b's over upto
     a, b = data.draw(cuts), data.draw(cuts)
     upto = data.draw(st.integers(k, LIMIT))
@@ -114,11 +115,21 @@ def _public_methods(cls):
             if not name.startswith("_")}
 
 
+def _parameters(method):
+    return [(p.name, p.default)
+            for p in inspect.signature(method).parameters.values()]
+
+
 def test_both_engines_expose_the_same_queries():
     # a search runs on either engine, so neither may answer a query the
-    # other lacks
+    # other lacks, and each query takes the same parameters on both
     queries = {"first_hit", "hits", "chain", "orbit_index", "value", "elem"}
     assert _public_methods(Orbit) == _public_methods(ValueColumn) == queries
+    q = Orbit(GrowableSet(), RotationOracle(SQRT2))
+    col = ValueColumn([], [])
+    for name in sorted(queries):
+        assert _parameters(getattr(q, name)) == \
+            _parameters(getattr(col, name)), name
 
 
 @settings(max_examples=150)
@@ -257,18 +268,6 @@ def test_record_chains_match_the_first_hit_walk(alpha, data):
     assert q.first_hits == 0
 
 
-def _foreign_cut(alpha):
-    """A cut in (0, 1) irrational in another radicand than alpha's."""
-    return ExactNumber.sqrt(3 if alpha.frac().m == 2 else 2) - 1
-
-
-def _hits_or_refusal(hits, q, n0, k, lo, hi):
-    try:
-        return hits(q, n0, k, lo, hi)
-    except RadicandMismatch as err:
-        return str(err)
-
-
 def _closest(alpha, span):
     """A rational at most min ||d*alpha|| over 1 <= d <= span, the distance
     to the nearest integer, and above half of it: that minimum is
@@ -287,6 +286,11 @@ def _closest(alpha, span):
         q0, q1, p0, p1 = q1, a * q1 + q0, p1, a * p1 + p0
 
 
+def _reference_hits(ref, k, lo, hi):
+    """The frozen walk's hits from index 0 through k."""
+    return reference_hits(ref, 0, k, lo, hi)
+
+
 # at most this many visits, plus the closed end's, per drawn window, so the
 # frozen walk stays fast
 VISITS = 30
@@ -298,39 +302,38 @@ def test_stepped_hits_match_one_first_hit_per_visit(alpha, data):
     # the watched window's gap steps against the frozen walk, one recursion
     # and one closed-end solve per visit, over bounds up to 10^30; a window
     # holds at most VISITS + 1 visits (see _closest).  One end is a
-    # rational around [0, 1) (so some need clamping), an orbit value within
-    # the bound (a high end there is a visit only its solve finds), one
-    # moved by a hair, or a cut in another radicand; the other end is that
-    # end moved by the width.  Two windows per engine: the second replaces
-    # the first
+    # rational around [0, 1), an orbit value within the bound (a high end
+    # there is a visit only its solve finds), or one moved by a hair; the
+    # other end is that end moved by the width.  Only windows the engine
+    # steps, inside [0, 1), are asked for.  Two windows per engine: the
+    # second replaces the first
     f = RotationOracle(alpha)
     ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
     e = data.draw(st.integers(0, 30))
     k = data.draw(st.integers(10 ** e // 10, 10 ** e))
+    orbit = st.integers(0, k).map(q.value)
     for _ in range(2):
-        n0 = data.draw(st.one_of(st.integers(0, 3), st.integers(0, k + 1)))
-        orbit = st.integers(n0, max(n0, k)).map(q.value)
         end = data.draw(st.one_of(
             st.fractions(min_value=F(-1, 4), max_value=F(5, 4),
                          max_denominator=10 ** 6).map(exact),
             orbit, orbit,
             st.builds(lambda v, h, p: v + F(h, 10 ** p), orbit,
-                      st.integers(-3, 3), st.sampled_from([9, 40])),
-            st.just(_foreign_cut(alpha))))
-        width = data.draw(st.integers(0, VISITS)) * _closest(alpha, k - n0)
+                      st.integers(-3, 3), st.sampled_from([9, 40]))))
+        width = data.draw(st.integers(0, VISITS)) * _closest(alpha, k)
         lo, hi = ((end, end + width) if data.draw(st.booleans())
                   else (end - width, end))
-        want = _hits_or_refusal(reference_hits, ref, n0, k, lo, hi)
-        got = _hits_or_refusal(Orbit.hits, q, n0, k, lo, hi)
-        assert got == want, (n0, k, lo, hi)
+        if not q._steppable(lo, hi):
+            continue
+        assert q.hits(k, lo, hi) == _reference_hits(ref, k, lo, hi), \
+            (k, lo, hi)
 
 
 @settings(max_examples=150)
 @given(alpha=alphas(), data=st.data())
 def test_queries_on_the_watched_window_match_the_frozen_walk(alpha, data):
-    # hits, closed first hits and closed first hits up to a bound, mixed
-    # on one window over a small cap: a query may start below an earlier
-    # one's start, inside what the window knows or past it, and a first hit
+    # hits from index 0, closed first hits and closed first hits up to a
+    # bound, mixed on one window the engine steps, over a small cap: a
+    # first hit may start inside what the window knows or past it, and one
     # with no bound may run out of the cap.  Answers, cap errors and the
     # grown bound equal the frozen walk's, whose first hits each recurse.
     # The window holds at most 3*VISITS + 1 visits up to twice the cap
@@ -348,17 +351,18 @@ def test_queries_on_the_watched_window_match_the_frozen_walk(alpha, data):
     else:
         hi = data.draw(orbit)
         lo = hi - width
+    assume(q._steppable(lo, hi))
     starts = st.one_of(st.integers(0, cap + 2),
                        st.integers(max(cap - 20, 0), cap + 2))
     for _ in range(data.draw(st.integers(2, 8))):
         op = data.draw(st.sampled_from(["hits", "first", "upto"]))
-        n0 = data.draw(starts)
+        n0 = 0 if op == "hits" else data.draw(starts)
         bound = data.draw(st.integers(n0 - 1, 2 * cap + 2))
         outcomes = []
-        for engine, hits in ((ref, reference_hits), (q, Orbit.hits)):
+        for engine, hits in ((ref, _reference_hits), (q, Orbit.hits)):
             try:
                 if op == "hits":
-                    outcomes.append(hits(engine, n0, bound, lo, hi))
+                    outcomes.append(hits(engine, bound, lo, hi))
                 elif op == "first":
                     outcomes.append(engine.first_hit(n0, lo, hi))
                 else:
@@ -367,6 +371,55 @@ def test_queries_on_the_watched_window_match_the_frozen_walk(alpha, data):
                 outcomes.append(str(err))
             outcomes.append(engine._G.materialized_bound)
         assert outcomes[:2] == outcomes[2:], (op, n0, bound, lo, hi)
+
+
+def _in_radicand(m):
+    """Exact numbers |p + q*sqrt(m)|/den > 0, rational when q = 0, and
+    1/den in place of 0."""
+    return st.builds(
+        lambda p, q, den: (abs(ExactNumber(F(p, den), F(q, den), m))
+                           or exact(F(1, den))),
+        st.integers(-20, 20), st.integers(-20, 20) | st.just(0),
+        st.integers(1, 400))
+
+
+@settings(max_examples=60)
+@given(alpha=alphas(), data=st.data())
+def test_every_window_a_step_lists_is_one_the_engine_steps(alpha, data):
+    # each step's window lies inside the previous inner cut's bracket, two
+    # orbit values in [0, 1), and a tolerance or target in another
+    # radicand fails before any window exists; so every window that
+    # reaches Orbit.hits is one it steps.  Tolerances and targets are
+    # rational or in alpha's radicand; the windows are checked here, not
+    # through the assertion in Orbit.hits
+    m = alpha.frac().m
+    numbers = _in_radicand(m)
+    f = RotationOracle(alpha)
+    windows = []
+    hits = Orbit.hits
+
+    def recorded(q, k, lo, hi):
+        windows.append((q._steppable(lo, hi), lo, hi))
+        return hits(q, k, lo, hi)
+    n = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Orbit, "hits", recorded)
+        try:
+            if data.draw(st.booleans()):
+                extract(GrowableSet(cap=20000), f, n, data.draw(numbers))
+            else:
+                targets = data.draw(st.lists(numbers.map(lambda x: 1 + x),
+                                             min_size=n, max_size=n,
+                                             unique=True))
+                approximate_target(GrowableSet(cap=20000), f,
+                                   DiscreteSet(targets), data.draw(numbers))
+            done = True
+        except ExactLabError:
+            done = False
+    assert all(ok for ok, _, _ in windows), windows
+    # a run that took a second step listed its window's hits
+    assert windows or n == 1 or not done
+    assert all(0 <= lo < hi < 1 for _, lo, hi in windows)
 
 
 def test_record_chains_of_a_tiny_rotation():
@@ -472,32 +525,38 @@ def test_a_cut_in_another_radicand_is_refused_by_both_engines(cut):
 def _engines(monkeypatch):
     """The engines the extractions run on, one per extraction."""
     engines = []
-    build = extraction._queries
+    build = extraction.queries
 
-    def recorded(G, f):
-        q = build(G, f)
+    def recorded(*args):
+        q = build(*args)
         engines.append(q)
         return q
-    monkeypatch.setattr(extraction, "_queries", recorded)
+    monkeypatch.setattr(extraction, "queries", recorded)
     return engines
 
 
 def _cost(monkeypatch, alpha):
-    """The engine's counters over an extraction at N = 3 and the run's
-    count of ``ExactNumber.inverse`` calls."""
+    """The engine's counters over an extraction at N = 3, the run's count
+    of ``ExactNumber.inverse`` calls and its count of ``Orbit.value``
+    reads."""
     engines = _engines(monkeypatch)
-    inverses = []
-    inverse = ExactNumber.inverse
+    inverses, reads = [], []
+    inverse, value = ExactNumber.inverse, Orbit.value
 
     def counted(x):
         inverses.append(x)
         return inverse(x)
+
+    def read(self, n):
+        reads.append(n)
+        return value(self, n)
     monkeypatch.setattr(ExactNumber, "inverse", counted)
+    monkeypatch.setattr(Orbit, "value", read)
     extract(GrowableSet(), RotationOracle(alpha), 3, F(1, 4))
     assert len(engines) == 1
     q = engines[0]
     return ((q.first_hits, q.levels, q.steps, q.solves, q.runs, q.links),
-            len(inverses))
+            len(inverses), len(reads))
 
 
 def test_sqrt2_n3_cost(monkeypatch):
@@ -512,8 +571,9 @@ def test_sqrt2_n3_cost(monkeypatch):
     # quotient of sqrt(2) past the first is 2) and one per batch of two or
     # more links of one record (8 here); the other 13 are irrational
     # divisions outside the engine (a plain int divisor multiplies into
-    # the denominator instead)
-    assert _cost(monkeypatch, SQRT2) == ((4, 24, 9, 12, 15, 72), 36)
+    # the denominator instead).  The run reads 47 orbit values: each hit's
+    # value once, whether phase 2 or phase 5 lists it
+    assert _cost(monkeypatch, SQRT2) == ((4, 24, 9, 12, 15, 72), 36, 47)
 
 
 def test_phi_n3_cost(monkeypatch):
@@ -521,8 +581,9 @@ def test_phi_n3_cost(monkeypatch):
     # 1/2, so run 0 holds only the record high d = 1, and every partial
     # quotient is 1: a run per record, settled by one compare with no
     # inverse (23 inverses when every run took one).  6 batches take an
-    # inverse, and the other 13 are divisions outside the engine
-    assert _cost(monkeypatch, PHI) == ((4, 23, 3, 12, 23, 60), 19)
+    # inverse, and the other 13 are divisions outside the engine; 43
+    # orbit values are read
+    assert _cost(monkeypatch, PHI) == ((4, 23, 3, 12, 23, 60), 19, 43)
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from exactlab import ExactNumber, PHI, SQRT2, SQRT3, exact, parse_exact
 from exactlab.errors import DivisionByZero, RadicandMismatch
-from exactlab.qnum import _sign_pair
+from exactlab.qnum import MAX_RADICAND, _sign_pair
 
 from conftest import alphas, rand_quadratic
 
@@ -144,6 +144,47 @@ def test_square_free_validation():
         ExactNumber.sqrt(12)
     with pytest.raises(ValueError):
         ExactNumber.sqrt(-2)
+
+
+def _square_free(m: int) -> bool:
+    return all(m % (p * p) for p in range(2, isqrt(m) + 1))
+
+
+def test_radicand_check_matches_trial_division_to_the_root():
+    for m in range(2, 5000):
+        if _square_free(m):
+            assert ExactNumber.sqrt(m).m == m
+        else:
+            with pytest.raises(ValueError, match="square-free"):
+                ExactNumber.sqrt(m)
+
+
+@pytest.mark.parametrize("m", [
+    999983 ** 2 * 1000003,      # p^2 with p the last prime below 10^6
+    1000003 ** 2,               # the square of a prime past 10^6
+    999999937 ** 2,             # the square of the last prime below 10^9
+    2 * 999983 ** 2,
+    MAX_RADICAND,               # 2^18 * 5^18
+], ids=str)
+def test_a_square_factor_near_the_bound_is_caught(m):
+    with pytest.raises(ValueError, match=f"square-free, got {m}$"):
+        ExactNumber.sqrt(m)
+
+
+@pytest.mark.parametrize("m", [
+    10 ** 18 - 11,              # a prime just below the bound
+    999983 * 1000003,           # two primes on either side of 10^6
+    999983 * 1000003 * 2,
+    100000000000031,
+], ids=str)
+def test_a_square_free_radicand_near_the_bound_is_accepted(m):
+    assert ExactNumber.sqrt(m).m == m
+
+
+def test_a_radicand_past_the_bound_is_refused_by_name():
+    for m in (MAX_RADICAND + 1, 10 ** 114 + 7):
+        with pytest.raises(ValueError, match="exceeds MAX_RADICAND = 10"):
+            ExactNumber.sqrt(m)
 
 
 def test_parse_format_round_trip(rng):
