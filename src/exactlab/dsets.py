@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NoReturn, Optional,
+                    Sequence)
 
 from .errors import (
     CapExceeded,
@@ -417,6 +418,11 @@ class GrowableSet:
         self._materialize(k)
         return self._elems[k]
 
+    def exhaust(self) -> NoReturn:
+        """Grow to the cap, then raise the CapExceeded of a search past it."""
+        self._materialize(self.cap)
+        self._materialize(self.cap + 1)
+
     def _materialize(self, k: int) -> None:
         """Materialize every index up to k."""
         if k > self.cap:
@@ -485,10 +491,10 @@ class GrowableSet:
 # an index past the cap raises CapExceeded.  A :class:`ValueColumn`
 # answers them by scanning; the first-hit engine (:mod:`exactlab.orbit`)
 # answers them for a rotation over the naturals, and
-# :func:`exactlab.orbit.queries` picks between the two.  Both watch one
-# window, the last one ``hits`` was asked for, and keep the indices they
-# found in it from index 0 on: the column checks each newly read index
-# against it, and the engine steps from one visit to the next by the
+# :func:`exactlab.orbit.queries` picks between the two.  The column keeps
+# only its values and answers each query by one loop over them.  The
+# engine watches one window, the last one ``hits`` was asked for, keeps
+# its visits from index 0 on, and steps from one visit to the next by the
 # three-gap theorem.  Either one belongs to one extraction, like its set.
 
 
@@ -497,11 +503,9 @@ class ValueColumn:
     scanning them: a fixed list, or, given ``f``, one value appended per
     newly read index, over the fixed ``elems`` or a growable set.
 
-    Scans read indices in order and compare in a fixed order: each index
-    read for the first time is first checked against the one window that
-    :meth:`hits` was last asked for, and only then by the scan that read
-    it.  The window keeps every index read so far that lies in it, and a
-    column keeps its values, so each index is evaluated once.
+    Each query is one loop over the values it reads, in index order.  A
+    column keeps nothing but its values: each index is evaluated once, and
+    a fresh column holding the same values gives the same answers.
     """
 
     def __init__(self, elems: Sequence[ExactNumber], values: list,
@@ -512,20 +516,12 @@ class ValueColumn:
         self._G = G
         self._element = elems.__getitem__ if G is None else G.element
         self._f = f
-        self._window: Optional[tuple] = None    # (lo, hi, hits so far)
 
     def _read(self, i: int) -> None:
         """Evaluate every index through i (CapExceeded past the cap)."""
-        values, window = self._values, self._window
+        values = self._values
         while len(values) <= i:
-            j = len(values)
-            values.append(self._f.eval(self._element(j)))
-            if window is not None and self._inside(j, window[0], window[1]):
-                window[2].append(j)
-
-    def _inside(self, i: int, lo: ExactNumber, hi: ExactNumber) -> bool:
-        v = self._values[i]
-        return v.compare(lo) >= 0 and v.compare(hi) <= 0
+            values.append(self._f.eval(self._element(len(values))))
 
     def value(self, n: int) -> ExactNumber:
         return self._values[n]
@@ -533,56 +529,41 @@ class ValueColumn:
     def elem(self, n: int) -> ExactNumber:
         return self.elems[n]
 
-    def _side(self, cut) -> Callable[[int], int]:
-        """i -> the sign of value(i) - cut."""
-        cut = ExactNumber.coerce(cut)
-        values, compare = self._values, ExactNumber.compare
-        return lambda i: compare(values[i], cut)
-
     def first_hit(self, n0: int, lo, hi, lo_open: bool = False,
                   hi_open: bool = False, upto: Optional[int] = None
                   ) -> Optional[int]:
-        above = None if lo is None else self._side(lo)
-        below = None if hi is None else self._side(hi)
+        lo = None if lo is None else ExactNumber.coerce(lo)
+        hi = None if hi is None else ExactNumber.coerce(hi)
+        values = self._values
         i = n0
         while upto is None or i <= upto:
             self._read(i)
-            if above is not None:
-                s = above(i)
-                if s < 0 or (s == 0 and lo_open):
-                    i += 1
-                    continue
-            if below is not None:
-                s = below(i)
-                if s > 0 or (s == 0 and hi_open):
-                    i += 1
-                    continue
-            return i
+            v = values[i]
+            # an open end asks for a strict sign (True counts as 1)
+            if ((lo is None or v.compare(lo) >= lo_open)
+                    and (hi is None or v.compare(hi) <= -hi_open)):
+                return i
+            i += 1
         return None
 
     def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
-        """[lo, hi] becomes the watched window, in place of the last one."""
-        window = self._window
-        if window is None or window[:2] != (lo, hi):
-            found = [i for i in range(len(self._values))
-                     if self._inside(i, lo, hi)]
-            window = self._window = (lo, hi, found)
         self._read(k)
-        found = window[2]
-        return found[:bisect.bisect_right(found, k)]
+        values = self._values
+        return [i for i in range(k + 1)
+                if values[i].compare(lo) >= 0 and values[i].compare(hi) <= 0]
 
     def chain(self, cut, k: int, below: bool) -> list[int]:
         """One forward scan over the indices <= k, keeping ties: an index
         on the asked side of the cut that comes at least as close to it
         as the last record is itself a record."""
         self._read(k)
-        values, side = self._values, self._side(cut)
+        cut, values = ExactNumber.coerce(cut), self._values
         # the sign of value(i) - cut on the asked side; a value with that
         # sign against the last record's lies farther from the cut
         want = -1 if below else 1
         chain: list[int] = []
         for i in range(k + 1):
-            if side(i) == want and (
+            if values[i].compare(cut) == want and (
                     not chain
                     or values[i].compare(values[chain[-1]]) != want):
                 chain.append(i)
@@ -596,4 +577,3 @@ class ValueColumn:
             if self._values[i] == v:
                 return i
         return None
-

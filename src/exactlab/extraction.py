@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    CapExceeded,
     DegenerateOracle,
     EmptySet,
     PreconditionFailed,
@@ -255,8 +254,7 @@ def _pipeline(G: GrowableSet, f: FunctionOracle, targets,
     past it leaves it.  The test slices, since a range of 2^63 or more
     targets has no ``len()``."""
     if targets[G.cap:]:
-        G._materialize(G.cap)
-        raise CapExceeded(f"index {G.cap + 1} exceeds cap {G.cap}")
+        G.exhaust()
     q = queries(G._elems, f, G)
     steps, fam = [], None
     for j, target in enumerate(targets, 1):

@@ -48,7 +48,7 @@ import bisect
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, ValueColumn, _Naturals
-from .errors import CapExceeded, RadicandMismatch
+from .errors import RadicandMismatch
 from .qnum import ExactNumber
 
 ZERO = ExactNumber(0)
@@ -117,8 +117,7 @@ class Orbit:
             return n if n is not None and n <= upto else None
         G = self._G
         if n is None or n > G.cap:
-            G._materialize(G.cap)
-            raise CapExceeded(f"index {G.cap + 1} exceeds cap {G.cap}")
+            G.exhaust()
         G._materialize(n)
         return n
 

@@ -21,6 +21,7 @@ from exactlab import (
     segment_order,
     segment_union,
 )
+from exactlab.dsets import ValueColumn
 from exactlab.orbit import Orbit
 from exactlab.errors import (
     CapExceeded,
@@ -449,3 +450,98 @@ def test_a_prefix_past_2_to_the_63_answers_every_query():
     assert not empty
     with pytest.raises(EmptySet):
         empty.max()
+
+
+@st.composite
+def column_queries(draw):
+    """A list of values, rationals and numbers in one radicand drawn from
+    a small pool so that values repeat, and queries to ask a column of
+    them: each query's name, then its arguments."""
+    m = draw(st.sampled_from([2, 3, 5]))
+    coef = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    numbers = coef.map(exact) | st.builds(
+        lambda p, q: ExactNumber(p, q, m), coef, coef)
+    pool = draw(st.lists(numbers, min_size=1, max_size=5))
+    values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    # a few cuts and windows, so that queries repeat them
+    ends = st.sampled_from(draw(st.lists(numbers | st.sampled_from(values),
+                                         min_size=1, max_size=3)))
+    some = st.sampled_from(values)
+    windows = st.sampled_from(draw(st.lists(
+        st.tuples(some, some).map(sorted), min_size=1, max_size=2)))
+    index = st.integers(0, len(values) - 1)
+    query = (
+        st.builds(lambda k, w: ("hits", k, *w), index, windows)
+        | st.tuples(st.just("first_hit"), index, st.none() | ends,
+                    st.none() | ends, st.booleans(), st.booleans(),
+                    st.none() | index)
+        | st.tuples(st.just("chain"), ends, index, st.booleans())
+        | st.tuples(st.just("orbit_index"), ends))
+    return values, draw(st.lists(query, min_size=1, max_size=20))
+
+
+def _ask(col, query):
+    name, *args = query
+    try:
+        return getattr(col, name)(*args)
+    except (CapExceeded, IndexError) as err:
+        return type(err)
+
+
+def _scan(values, query, seen, past):
+    """The answer by a comprehension over ``values``.  ``orbit_index``
+    looks at the first ``seen`` of them, and a first hit that reads past
+    the last one gets ``past``, the error a column raises there."""
+    name, *args = query
+    if name == "hits":
+        k, lo, hi = args
+        return [i for i in range(k + 1) if lo <= values[i] <= hi]
+    if name == "first_hit":
+        n0, lo, hi, lo_open, hi_open, upto = args
+        top = len(values) - 1 if upto is None else upto
+        found = [i for i in range(n0, top + 1)
+                 if (lo is None or (lo < values[i] if lo_open
+                                    else lo <= values[i]))
+                 and (hi is None or (values[i] < hi if hi_open
+                                     else values[i] <= hi))]
+        return found[0] if found else None if upto is not None else past
+    if name == "chain":
+        cut, k, below = args
+        side = [i for i in range(k + 1)
+                if (values[i] < cut if below else values[i] > cut)]
+        return [i for i in side
+                if all(values[i] >= values[j] if below
+                       else values[i] <= values[j]
+                       for j in side if j < i)]
+    (v,) = args
+    return next((i for i in range(seen) if values[i] == v), None)
+
+
+@given(case=column_queries(),
+       kind=st.sampled_from(["whole", "lazy", "growable"]))
+def test_a_column_remembers_nothing_but_its_values(case, kind):
+    # a column evaluated whole, one that reads its fixed elements lazily,
+    # and one that reads a growable set lazily, as an extraction's does:
+    # after any queries, each answer is a fresh column's holding the same
+    # values, and a plain scan's.  Over a growable set, orbit_index looks
+    # only at the indices read so far, and reading past the cap raises.
+    values, asked = case
+    last = len(values) - 1
+    elems = [exact(i) for i in range(last + 1)]
+    f = TableOracle(dict(enumerate(values)))
+
+    def fresh(read):
+        if kind == "whole":
+            return ValueColumn(elems, list(values), f=f)
+        if kind == "lazy":
+            return ValueColumn(elems, [], f=f)
+        H = GrowableSet(cap=last)
+        return ValueColumn(H._elems, [f.eval(H.element(i))
+                                      for i in range(read + 1)], H, f)
+    G = GrowableSet(cap=last)
+    col = ValueColumn(G._elems, [], G, f) if kind == "growable" else fresh(-1)
+    for query in asked:
+        read = G.materialized_bound if kind == "growable" else last
+        want = _scan(values, query, read + 1,
+                     CapExceeded if kind == "growable" else IndexError)
+        assert _ask(col, query) == _ask(fresh(read), query) == want, query

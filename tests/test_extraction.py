@@ -6,6 +6,7 @@ import pytest
 from exactlab import (
     CallableOracle,
     DiscreteSet,
+    ExactNumber,
     GrowableSet,
     PHI,
     RotationOracle,
@@ -256,21 +257,31 @@ def test_pipeline_checks_other_targets_by_their_distance(monkeypatch):
             assert step.fam.terms[-1].value == targets[j - 1]
 
 
-def test_a_column_reads_each_index_once_per_extraction():
+def test_a_column_reads_each_index_once_per_extraction(monkeypatch):
     # a generated copy of the naturals sends the rotation to the column
     # scan, which keeps its values from step to step; the base step reads
-    # indices 0 and 1 once more before the column does
-    rot = RotationOracle(PHI)
-    evaluated = []
+    # indices 0 and 1 once more before the column does.  The compares pin
+    # the column's cost: one loop per query over the values it reads.
+    compare = ExactNumber.compare
+    compared = []
+    monkeypatch.setattr(ExactNumber, "compare",
+                        lambda x, y: compared.append(1) or compare(x, y))
+    for alpha, bound, compares in ((PHI, 28890, 334658),
+                                   (SQRT3, 29834, 328733)):
+        rot = RotationOracle(alpha)
+        evaluated = []
 
-    def counted(x):
-        evaluated.append(x)
-        return rot.eval(x)
-    G = GrowableSet(generator=exact)
-    trace = extract(G, CallableOracle(counted), 3, F(1, 4))
-    assert (G.materialized_bound, trace.steps[-1].d_index) == (28890, 28890)
-    assert len(set(evaluated)) == 28891
-    assert len(evaluated) == 28891 + 2
+        def counted(x):
+            evaluated.append(x)
+            return rot.eval(x)
+        G = GrowableSet(generator=exact)
+        compared.clear()
+        trace = extract(G, CallableOracle(counted), 3, F(1, 4))
+        assert (G.materialized_bound, trace.steps[-1].d_index) == \
+            (bound, bound)
+        assert len(set(evaluated)) == bound + 1
+        assert len(evaluated) == bound + 1 + 2
+        assert len(compared) == compares, alpha
 
 
 def test_trace_report_shape():
