@@ -266,12 +266,10 @@ class _Walk:
         elif c >= high:
             self.add(x0, x1)
         else:
+            assert not rising, "a rising piece ends at v1 <= the ceiling"
             crossing = x0 + (c - v0) / slope(key)
             self.ceiling = high
-            if rising:
-                self.add(x0, crossing)
-            else:
-                self.add(crossing, x1)
+            self.add(crossing, x1)
 
     def point(self, x: ExactNumber, left: ExactNumber,
               right: ExactNumber) -> None:

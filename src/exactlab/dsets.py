@@ -455,7 +455,9 @@ class GrowableSet:
             part if isinstance(part, _Naturals) else tuple(part))
 
     def materialized(self) -> DiscreteSet:
-        return self.prefix(max(self.materialized_bound, 0))
+        """The elements materialized so far: none on a fresh set."""
+        k = self.materialized_bound
+        return self.prefix(k) if k >= 0 else DiscreteSet([])
 
     def grow(self, predicate: Callable[[DiscreteSet], bool]) -> DiscreteSet:
         """Shortest prefix satisfying the predicate; CapExceeded past the cap."""

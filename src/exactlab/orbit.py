@@ -48,7 +48,6 @@ import bisect
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, ValueColumn, _Naturals
-from .errors import RadicandMismatch
 from .qnum import ExactNumber
 
 ZERO = ExactNumber(0)
@@ -148,14 +147,12 @@ class Orbit:
         within the gap up to the cut; the right one steps by record highs
         from index 0 read as the value 1, which it leaves out.  A cut
         outside [0, 1) is clamped as :meth:`_first` clamps it.  A cut in
-        another radicand is answered as a scan answers it: value(0) = 0 is
-        rational and compares with it, every later value is irrational and
-        does not, so for k >= 1 the chain is refused, and for k = 0 it is
-        [0] if 0 lies on the asked side of the cut, else empty."""
-        if cut.q and cut.m != self._m:
-            if k >= 1:
-                _refuse(cut.m, self._m)
-            return [0] if cut.sign() == (1 if below else -1) else []
+        another radicand is answered by a scan of the column of value(0)
+        and value(1) through min(k, 1) (see :meth:`_head`): its compares
+        are the ones a scan of the whole orbit makes first, so it answers
+        k = 0 and refuses any k >= 1."""
+        if self._alien(cut):
+            return self._head().chain(cut, min(k, 1), below)
         if below:
             if cut.sign() <= 0:
                 return []
@@ -174,7 +171,7 @@ class Orbit:
         v = ExactNumber.coerce(v)
         if v.q == 0:
             return 0 if v.p == 0 else None
-        if v.m != self._m:
+        if self._alien(v):
             return None
         num, den = v.q * self._den, v.den * self._sq
         if num % den:
@@ -189,8 +186,8 @@ class Orbit:
         """:meth:`first_hit` up to its limit, ``upto`` or else the cap:
         [lo, hi) by the walk, then each end moved in or out by its
         orbit solve.  An answer past the limit may be any index past it.  A
-        cut irrational in another radicand than alpha's goes to
-        :meth:`_foreign` before any clamping.  A closed window that
+        cut in another radicand is answered with a scan's compares by
+        :meth:`_foreign`, before any clamping.  A closed window that
         :meth:`hits` watches is read off its visits when n0 lies within
         them or right after them."""
         win = self._watch
@@ -198,9 +195,7 @@ class Orbit:
                 and n0 <= win.through + 1
                 and win.lo == lo and win.hi == hi):
             return self._watched(win, n0, upto)
-        m = self._m
-        if (lo is not None and lo.q and lo.m != m
-                or hi is not None and hi.q and hi.m != m):
+        if self._alien(lo) or self._alien(hi):
             return self._foreign(n0, lo, hi, lo_open, hi_open, upto)
         if lo is None or lo.sign() < 0:
             lo, lo_open = ZERO, False
@@ -226,21 +221,17 @@ class Orbit:
 
     def _foreign(self, n0, lo, hi, lo_open, hi_open, upto
                  ) -> Optional[int]:
-        """:meth:`_first` with a cut in another radicand, answered as a
-        scan answers it.  value(0) = 0 is rational and compares with any
-        cut.  Every later value is irrational, and the scan compares it
-        with lo first and with hi only if it passes lo, so it refuses at
-        the first such compare with the foreign cut within ``upto`` (or
-        the cap), and answers None if there is none."""
+        """:meth:`_first` with a cut in another radicand, answered with a
+        scan's compares: index 0 by :meth:`_head`, then the compare of
+        value(n), which is irrational, with the foreign end, at the first
+        n the scan compares with it: n0 for a foreign lo, else the first
+        index from n0 past lo (a scan compares with hi only past lo).
+        None if n is past ``upto`` (or the cap)."""
         if n0 == 0:
-            s = 1 if lo is None else -lo.sign()     # sign of 0 - lo
-            t = 1 if hi is None else hi.sign()      # sign of hi - 0
-            if ((s > 0 or s == 0 and not lo_open)
-                    and (t > 0 or t == 0 and not hi_open)):
+            if self._head().first_hit(0, lo, hi, lo_open, hi_open, 0) == 0:
                 return 0
             n0 = 1
-        m = self._m
-        if lo is not None and lo.q and lo.m != m:
+        if self._alien(lo):
             n, cut = n0, lo
         else:
             n = n0 if lo is None else self._first(n0, lo, None, lo_open,
@@ -249,15 +240,23 @@ class Orbit:
         limit = self._G.cap if upto is None else upto
         if n is None or n > limit:
             return None
-        _refuse(cut.m, m)
+        self.value(n).compare(cut)
+        raise AssertionError(f"value({n}) compared with {cut}")
+
+    def _alien(self, c: Optional[ExactNumber]) -> bool:
+        """True for c irrational in another radicand than alpha's."""
+        return c is not None and c.q != 0 and c.m != self._m
+
+    def _head(self) -> ValueColumn:
+        """value(0) = 0 and value(1) = {alpha} as a column to scan."""
+        return ValueColumn([ZERO, ONE], [ZERO, self._a])
 
     # -- the watched window --------------------------------------------------
 
     def _steppable(self, lo: ExactNumber, hi: ExactNumber) -> bool:
         """True for a window that :meth:`hits` watches: 0 <= lo < hi < 1,
         neither end in another radicand."""
-        m = self._m
-        return ((not lo.q or lo.m == m) and (not hi.q or hi.m == m)
+        return (not self._alien(lo) and not self._alien(hi)
                 and lo.sign() >= 0 and hi.compare(1) < 0
                 and lo.compare(hi) < 0)
 
@@ -450,11 +449,6 @@ class _Window:
     def __init__(self, lo: ExactNumber, hi: ExactNumber, top: Optional[int]):
         self.lo, self.hi, self.w, self.top = lo, hi, hi - lo, top
         self.through, self.visits, self.x, self.gaps = -1, [], None, None
-
-
-def _refuse(m: int, other: int) -> None:
-    small, big = sorted((m, other))
-    raise RadicandMismatch(f"cannot compare sqrt({small}) with sqrt({big})")
 
 
 def _ceil(x: ExactNumber) -> int:

@@ -127,6 +127,26 @@ def test_cf_value_matches_digits():
     assert cf_digits(CodedReal.from_value(F(7, 3)), 2) == [2, 3]
 
 
+def test_a_digit_tower_is_read_as_it_stands():
+    # the tower (2, 1) folds to 3, whose own expansion is [3]: cf_digits
+    # and interleave_encode read the tower, not the value
+    coded = cf_encode([1, 0])
+    assert coded.tower == (2, 1) and coded.value == exact(3)
+    assert cf_digits(coded, 1) == [2] and cf_digits(coded, 2) == [2, 1]
+    assert cf_digits(coded, 0) == [] and cf_digits(coded.value, 1) == [3]
+    with pytest.raises(ExpansionTerminated) as err:
+        cf_digits(coded, 3)
+    assert err.value.digits == [2, 1]
+    assert str(err.value) == "expansion has only 2 digits"
+    packed = interleave_encode([coded, CodedReal.from_value(F(1, 2)),
+                                cf_encode([4, 0, 2])])
+    assert [interleave_row(packed, i).tower for i in range(3)] == \
+        [(2, 1), (0, 2), (5, 1, 3)]
+    cut = interleave_encode([cf_encode([4, 0, 2]), coded], digits_per_row=2)
+    assert interleave_row(cut, 0).tower == (5, 1)
+    assert interleave_row(cut, 1).tower == (2, 1)
+
+
 def test_interleave_rows_recover_rationals():
     members = [CodedReal.from_value(F(1, 2)),
                CodedReal.from_value(F(2, 3)),

@@ -378,6 +378,22 @@ def test_naturals_keep_a_count_and_other_generators_a_list():
         GrowableSet(min_gap=2).element(1)
 
 
+def test_a_fresh_set_has_nothing_materialized():
+    calls = []
+
+    def halves(k):
+        calls.append(k)
+        return exact(F(k, 2))
+    for G in (GrowableSet(cap=10),
+              GrowableSet(generator=halves, cap=10, min_gap=F(1, 2))):
+        assert G.materialized() == DiscreteSet([])
+        assert G.materialized_bound == -1 and calls == []
+        G.element(2)
+        assert G.materialized() == G.prefix(2)
+        assert len(G.materialized()) == 3 and G.materialized_bound == 2
+    assert calls == [0, 1, 2]
+
+
 def test_a_naturals_prefix_is_a_view_equal_to_the_tuple_set():
     G = GrowableSet(cap=100)
     for k in (0, 1, 7, 50):

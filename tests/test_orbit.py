@@ -474,9 +474,9 @@ def _chain_or_refusal(chain, cut, k, below):
         return str(err)
 
 
-def _answer(engine, n0, lo, hi, upto):
+def _answer(engine, n0, lo, hi, upto, lo_open=False, hi_open=False):
     try:
-        return engine.first_hit(n0, lo, hi, upto=upto)
+        return engine.first_hit(n0, lo, hi, lo_open, hi_open, upto)
     except RadicandMismatch as err:
         return str(err)
 
@@ -509,6 +509,22 @@ def test_a_cut_in_another_radicand_is_refused_by_both_engines(cut):
     # index 0 answers a cut below 0 before any irrational compare
     assert (_answer(q, 0, cut, None, 50) == 0) == (cut.sign() < 0)
     assert q.first_hit(5, cut, None, upto=3) is None
+    # an open or closed end at value(0) = 0, beside a foreign end or a
+    # foreign low end below 0 (radicand 3)
+    zero, below = exact(0), ExactNumber(-1, F(1, 2), 3)
+    for lo, hi, lo_open, hi_open in [
+            (zero, cut, True, False), (zero, cut, True, True),
+            (below, zero, False, False), (below, zero, False, True),
+            (cut, zero, False, False), (cut, zero, False, True)]:
+        for upto in (0, 1, LIMIT):
+            want = _answer(col, 0, lo, hi, upto, lo_open, hi_open)
+            assert _answer(q, 0, lo, hi, upto, lo_open, hi_open) == want, \
+                (lo, hi, lo_open, hi_open, upto)
+    assert q.first_hit(0, below, zero, upto=LIMIT) == 0
+    assert _answer(q, 0, below, zero, LIMIT, hi_open=True) == \
+        "cannot compare sqrt(3) with sqrt(11)"
+    # no value lies in another radicand, on either backend
+    assert q.orbit_index(cut) is None and col.orbit_index(cut) is None
     # a chain over index 0 alone is [0] when 0 lies on its side of the
     # cut; any later index is refused
     ref = Orbit(GrowableSet(cap=LIMIT), RotationOracle(alpha))

@@ -586,6 +586,16 @@ def test_staircase_queries_at_and_past_the_domain_ends(depth):
 
 @settings(max_examples=60)
 @given(depth=st.integers(0, 12), c=staircase_slopes)
+# the ties c = 3^(k+1)/2^(k+2), at which a level-k node's two children
+# start at equal heights (rho = 0), one and four levels above the leaves
+@example(depth=1, c=F(3, 4))
+@example(depth=4, c=F(3, 4))
+@example(depth=2, c=F(9, 8))
+@example(depth=5, c=F(9, 8))
+@example(depth=3, c=F(27, 16))
+@example(depth=6, c=F(27, 16))
+@example(depth=4, c=F(81, 32))
+@example(depth=7, c=F(81, 32))
 def test_staircase_sun_bound_matches_the_explicit_staircase(depth, c):
     s, f = CantorStaircase(depth), PLFunction.cantor_staircase(depth)
     got = sun_measure_bound(s, c)

@@ -57,6 +57,9 @@ def test_monotone_flags():
     assert jumpy.is_strictly_increasing()
     drop = PLFunction([(0, 0, 0), (1, 1, F(1, 2)), (2, 1, 1)])
     assert not drop.is_nondecreasing()
+    fall = PLFunction.from_values([(0, 1), (1, 0)])
+    assert not fall.is_nondecreasing() and not fall.is_strictly_increasing()
+    assert not wiggle.is_strictly_increasing()
 
 
 def test_step_function_builder():

@@ -205,6 +205,17 @@ def test_parse_bare_sqrt_and_signs():
     assert parse_exact("2-3/4*sqrt(7)") == ExactNumber(2, F(-3, 4), 7)
 
 
+def test_parse_folds_sqrt_0_and_sqrt_1_into_the_rational_part():
+    assert parse_exact("2*sqrt(1)") == exact(2)
+    assert parse_exact("sqrt(1)") == exact(1)
+    assert parse_exact("-sqrt(1)+1/2") == exact(F(-1, 2))
+    assert parse_exact("3*sqrt(0)") == exact(0)
+    assert parse_exact("-sqrt(0)+1/3") == exact(F(1, 3))
+    # a folded term is no radicand, so it mixes with any other
+    assert parse_exact("sqrt(1)+sqrt(2)+sqrt(0)") == 1 + SQRT2
+    assert parse_exact("1/2*sqrt(1)+1/2*sqrt(5)") == PHI
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "one", "1//2", "sqrt(2)+sqrt(3)"):
         with pytest.raises((ValueError, RadicandMismatch)):
