@@ -475,13 +475,15 @@ class GrowableSet:
 # -- oracle queries ------------------------------------------------------
 #
 # A search reads the oracle values over the first indices of a set (index n
-# stands for the set's n-th element) through four queries:
+# stands for the set's n-th element) through five queries:
 #
 # - ``first_hit(n0, lo, hi, lo_open, hi_open, upto)``: the least index
 #   >= n0 whose value lies between lo and hi (None: unbounded), each end
 #   open or closed; None if there is none up to ``upto``;
-# - ``hits(k, lo, hi)``: every index through k whose value lies in
-#   [lo, hi];
+# - ``second_hit(k, lo, hi)``: the least index n >= k such that the
+#   indices through n have two distinct values in [lo, hi];
+# - ``widest_gap(k, lo, hi)``: the first widest gap between neighbouring
+#   distinct values in [lo, hi] of the indices through k, which hold two;
 # - ``chain(cut, k, below)``: the record chain of the cut below (or above)
 #   it over indices <= k;
 # - ``orbit_index(v)``: the least index whose value is v, or None;
@@ -495,9 +497,10 @@ class GrowableSet:
 # answers them for a rotation over the naturals, and
 # :func:`exactlab.orbit.queries` picks between the two.  The column keeps
 # only its values and answers each query by one loop over them.  The
-# engine watches one window, the last one ``hits`` was asked for, keeps
-# its visits from index 0 on, and steps from one visit to the next by the
-# three-gap theorem.  Either one belongs to one extraction, like its set.
+# engine keeps only its record tables: it reaches a window's second visit
+# by one three-gap step from the first, and its widest gap by the
+# three-distance theorem, without listing the visits.  Either one grows
+# its set, so it belongs to one extraction, like the set.
 
 
 class ValueColumn:
@@ -548,11 +551,28 @@ class ValueColumn:
             i += 1
         return None
 
-    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
+    def second_hit(self, k: int, lo: ExactNumber, hi: ExactNumber) -> int:
+        """Reads through k, then scans from index 0 on, until the indices
+        from 0 through one >= k have two distinct values in [lo, hi]."""
         self._read(k)
-        values = self._values
-        return [i for i in range(k + 1)
-                if values[i].compare(lo) >= 0 and values[i].compare(hi) <= 0]
+        values, seen, i = self._values, set(), 0
+        while True:
+            self._read(i)
+            v = values[i]
+            if v.compare(lo) >= 0 and v.compare(hi) <= 0:
+                seen.add(v)
+            if i >= k and len(seen) >= 2:
+                return i
+            i += 1
+
+    def widest_gap(self, k: int, lo: ExactNumber, hi: ExactNumber
+                   ) -> tuple[ExactNumber, ExactNumber]:
+        """Sorts the distinct values in [lo, hi] through k and takes the
+        first widest gap between neighbours."""
+        self._read(k)
+        inside = sorted({v for v in self._values[:k + 1]
+                         if v.compare(lo) >= 0 and v.compare(hi) <= 0})
+        return max(zip(inside, inside[1:]), key=lambda p: p[1] - p[0])
 
     def chain(self, cut, k: int, below: bool) -> list[int]:
         """One forward scan over the indices <= k, keeping ties: an index

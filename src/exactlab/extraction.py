@@ -17,18 +17,18 @@ more, exactly the j-th target, at tolerance scale/6^(k-j):
 5. pick the widest image-free gap inside the window at the new bound;
 6. place the inner cut inside that gap so the new ratio is exact.
 
-A step reads the oracle only through four queries (see
+A step reads the oracle only through five queries (see
 :mod:`exactlab.dsets`): the first index from some index on whose value
-lies in an interval, every index up to a bound whose value lies in a
-closed window, the record chain of a cut on one side, and the index of a
-value.  Phase 2 asks for the window's hits up to the previous bound, then
-for first hits after it, and keeps the set of their values; phase 3 walks
-the right-record chain of the best left value; phase 4 asks for one first
-hit, plus one per midpoint collision; phase 5 lists the window's hits up
-to the new bound and adds the values of those past phase 2's bound; the
-ratio family of the new cuts reads four record chains and two value
-indices.  The window lies inside the previous inner cut's bracket, so on
-a rotation it holds two orbit values in [0, 1).
+lies in an interval, the least bound from some index on by which a closed
+window holds two values, the first widest gap between the values a closed
+window holds up to a bound, the record chain of a cut on one side, and
+the index of a value.  Phase 2 asks for the window's second hit from the
+previous bound on; phase 3 walks the right-record chain of the best left
+value; phase 4 asks for one first hit, plus one per midpoint collision;
+phase 5 asks for the window's widest gap up to the new bound; the ratio
+family of the new cuts reads four record chains and two value indices.
+The window lies inside the previous inner cut's bracket, so on a rotation
+it holds two orbit values in [0, 1).
 
 One query object from :func:`exactlab.orbit.queries` serves the whole
 extraction.  For a rotation oracle over the default naturals it is the
@@ -139,11 +139,7 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
     lo, hi = _window(prev, eps_move)
 
     # (2) least bound from e_idx on holding two image values in the window
-    seen = {value(i) for i in q.hits(e_idx, lo, hi)}
-    d0_idx = e_idx
-    while len(seen) < 2:
-        d0_idx = q.first_hit(d0_idx + 1, lo, hi)
-        seen.add(value(d0_idx))
+    d0_idx = q.second_hit(e_idx, lo, hi)
 
     # (3) fresh outer cut: midpoint of the image-free gap above the
     #     previous best left value, closed by l's last right record
@@ -159,11 +155,8 @@ def _step(G: GrowableSet, f: FunctionOracle, prev: Optional[RatioFamily],
         d_idx = q.first_hit(d_idx + 1, l_ue, a, lo_open=True)
     d = G.element(d_idx)
 
-    # (5) first widest image-free gap inside the window at the new bound;
-    #     seen holds the values of every hit through d0_idx
-    seen.update(value(i) for i in q.hits(d_idx, lo, hi) if i > d0_idx)
-    inside = sorted(seen)
-    w1, w2 = max(zip(inside, inside[1:]), key=lambda p: p[1] - p[0])
+    # (5) first widest image-free gap inside the window at the new bound
+    w1, w2 = q.widest_gap(d_idx, lo, hi)
 
     # (6) inner cut placed so the new ratio is exact
     b = w1 + (w2 - w1) / target

@@ -24,17 +24,30 @@ within w of gap.  :meth:`Orbit._least` walks that chain, taking all the
 links a record makes in a row with one division, so a first hit costs
 O(1) exact steps per run crossed, however small w is.
 
-Once one visit to a closed window [lo, hi] with 0 <= lo < hi < 1 is known,
-the later ones follow without a walk, by the three-gap theorem (Slater,
-"Gaps and steps for the sequence n*theta mod 1", *Proc. Cambridge Philos.
-Soc.* 63, 1967; same survey): the return times of the orbit to
-[lo, lo + w) take only the values A, B and A + B, where A is the least
-d >= 1 with {d*alpha} < w and B the least with {d*alpha} > 1 - w.  From a
-visit n at x = {n*alpha} - lo the next one is n + A if x + {A*alpha} < w,
-else n + B if x + {B*alpha} >= 1, else n + A + B: one compare per visit.
-A and B are read off the record tables, and the closed high end adds its
-one orbit solve.  :meth:`Orbit.hits` watches one such window and keeps its
-visits from index 0 on, so a closed first hit on it reads the same list.
+Phases 2 and 5 of an extraction step ask two questions of a closed window
+[lo, hi] with 0 <= lo < hi < 1, and neither lists the window's visits.
+By the three-gap theorem (Slater, "Gaps and steps for the sequence
+n*theta mod 1", *Proc. Cambridge Philos. Soc.* 63, 1967; same survey), the
+return times of the orbit to [lo, lo + w) take only the values A, B and
+A + B, where A is the least d >= 1 with {d*alpha} < w and B the least with
+{d*alpha} > 1 - w.  From a visit n at x = {n*alpha} - lo the next one is
+n + A if x + {A*alpha} < w, else n + B if x + {B*alpha} >= 1, else
+n + A + B.  So :meth:`Orbit.second_hit` takes one walk to the first visit,
+one gap step, with A and B read off the record tables, and the orbit solve
+of the closed high end.
+
+By the three-distance theorem (Sós, *Ann. Univ. Sci. Budapest. Eötvös
+Sect. Math.* 1, 1958; same survey), the points {n*alpha} with 0 <= n < M
+leave gaps of at most three lengths.  Let u and v be the indices in
+[1, M - 1] of the least and the greatest value: the last record low and
+the last record high below M.  The next point above n is n + u for
+n < M - u, n - v for n >= v, and n + u - v in between, so its gap is
+{u*alpha}, 1 - {v*alpha} or their sum.  Each class of n is a run of
+consecutive indices, whose values are one value moved by the orbit of
+alpha, so its lowest value at or above lo is read by one solve or one
+record chain.  :meth:`Orbit.widest_gap` takes the classes from the widest
+gap down; the first whose lowest such value keeps its gap inside the
+window holds the first widest gap.
 
 A closed or open end at c is settled by the orbit solve: {n*alpha} = c has
 at most one solution n, read off c's irrational part.  Indices are plain
@@ -44,7 +57,6 @@ needs, as a column scan would have read them.
 
 from __future__ import annotations
 
-import bisect
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, ValueColumn, _Naturals
@@ -71,12 +83,13 @@ class Orbit:
 
     It answers the queries a :class:`exactlab.dsets.ValueColumn` answers by
     scanning.  ``first_hits`` counts the first-hit walks run, ``levels``
-    the table records they read, ``steps`` the window visits reached by a
-    gap step instead, ``solves`` the orbit solves, ``runs`` the
-    continued-fraction runs built for the record tables, and ``links``
-    the record-chain links read off them.  The runs and the watched
-    window (see :meth:`hits`) are caches filled on first use, so an
-    :class:`Orbit` belongs to one extraction, like its set.
+    the table records they read, ``solves`` the orbit solves, ``runs`` the
+    continued-fraction runs built for the record tables, and ``links`` the
+    record-chain links read off them.  Besides its counters it holds only
+    the record tables, a cache of alpha's expansion filled run by run on
+    first use, so each answer depends on the query and the set's cap
+    alone.  It grows its set, so it belongs to one extraction, like the
+    set.
     """
 
     def __init__(self, G: GrowableSet, f: RotationOracle):
@@ -86,10 +99,8 @@ class Orbit:
         # highs: the even runs; lows: d = 1 as a run of one, then the odd runs
         self._lows: list[tuple] = [(0, 1, ONE, ONE - a, None, 1, a)]
         self._highs: list[tuple] = []
-        self._watch: Optional[_Window] = None
         self.first_hits = 0
         self.levels = 0
-        self.steps = 0
         self.solves = 0
         self.runs = 0
         self.links = 0
@@ -114,32 +125,72 @@ class Orbit:
         n = self._first(n0, lo, hi, lo_open, hi_open, upto)
         if upto is not None:
             return n if n is not None and n <= upto else None
-        G = self._G
-        if n is None or n > G.cap:
-            G.exhaust()
-        G._materialize(n)
-        return n
+        return self._reach(n)
 
-    def hits(self, k: int, lo: ExactNumber, hi: ExactNumber) -> list[int]:
-        """Every n through k with {n*alpha} in the closed [lo, hi], a window
-        with 0 <= lo < hi < 1 and no end in another radicand.
+    def second_hit(self, k: int, lo: ExactNumber, hi: ExactNumber) -> int:
+        """Least n >= k such that the indices through n have two values in
+        the closed window [lo, hi], 0 <= lo < hi < 1 with no end in another
+        radicand.  The set grows to n, and a scan's CapExceeded is raised
+        if n passes the cap.
 
-        The window becomes the watched one, in place of the last: its
-        visits are found by one first-hit walk and then by gap steps (see
-        :meth:`_advance`) and kept, so a later query on it steps on from
-        what is known."""
-        assert self._steppable(lo, hi), "hits needs a window it can step"
-        win = self._watch
-        if win is None or win.lo != lo or win.hi != hi:
-            win = self._watch = _Window(lo, hi, self.orbit_index(hi))
-        reach = max(k, self._G.cap)
-        while win.through < k:
-            self._advance(win, reach)
-        visits = win.visits
-        out = visits[:bisect.bisect_right(visits, k)]
-        if win.top is not None and win.top <= k:
-            bisect.insort(out, win.top)
-        return out
+        The first visit to [lo, hi) is one walk up to the cap, and the
+        second is one gap step from it (see the module docstring).  The
+        solve of hi adds its index: below the walk's visit it is the first
+        visit, and the walk's is the second."""
+        assert (not self._alien(lo) and not self._alien(hi)
+                and 0 <= lo < hi < 1), "a window inside [0, 1)"
+        w, cap = hi - lo, self._G.cap
+        n = self._least(ZERO, lo, w, cap)
+        top = self.orbit_index(hi)
+        if (top is None or top > n) and n <= cap:
+            x, room = self.value(n) - lo, cap - n
+            low = self._record(self._lows, 0, w, room)
+            high = self._record(self._highs, 0, w, room)
+            if low is not None and (x + low[2]).compare(w) < 0:
+                n += low[1]
+            elif high is not None and x.compare(high[2]) >= 0:
+                n += high[1]
+            elif low is not None and high is not None:
+                n += low[1] + high[1]
+            else:
+                n = cap + 1
+            if top is not None:
+                n = min(n, top)
+        return self._reach(max(n, k))
+
+    def widest_gap(self, k: int, lo: ExactNumber, hi: ExactNumber
+                   ) -> tuple[ExactNumber, ExactNumber]:
+        """The first widest gap (w1, w2) between consecutive values of the
+        indices through k in the closed window [lo, hi], 0 <= lo < hi < 1
+        with no end in another radicand, which holds two of them.
+
+        The gap above value(n) is one of three lengths, fixed by the class
+        of n (see the module docstring).  In a class of indices
+        [start, stop), value(start + t) is {value(start) + t*alpha}, so the
+        lowest one at or above lo has the t whose value lies first at or
+        above c = {lo - value(start)}: c's own index if it is below
+        stop - start, else the last link of c's right chain, else 0, whose
+        value 0 is the least once no value lies above c."""
+        assert (not self._alien(lo) and not self._alien(hi)
+                and 0 <= lo < hi < 1), "a window inside [0, 1)"
+        m = k + 1
+        u, low = self._last_record(self._lows, k)
+        v, high = self._last_record(self._highs, k)
+        # the classes of n by the gap above value(n), widest first
+        classes = [(m - u, v, low + high), (0, m - u, low), (v, m, high)]
+        if low.compare(high) < 0:
+            classes[1], classes[2] = classes[2], classes[1]
+        for start, stop, gap in classes:
+            if start == stop:
+                continue
+            c = (lo - self.value(start)).frac()
+            t = self.orbit_index(c)
+            if t is None or t >= stop - start:
+                right = self.chain(c, stop - start - 1, below=False)
+                t = right[-1] if right else 0
+            y = self.value(start + t)
+            if y.compare(lo) >= 0 and (y + gap).compare(hi) <= 0:
+                return y, y + gap
 
     def chain(self, cut: ExactNumber, k: int, below: bool) -> list[int]:
         """The record chain of ``cut`` below (or above) it over indices
@@ -179,6 +230,15 @@ class Orbit:
         n = num // den
         return n if n > 0 and self.value(n) == v else None
 
+    def _reach(self, n: Optional[int]) -> int:
+        """Grow the set to n, or raise a scan's CapExceeded if n passes the
+        cap (or is None)."""
+        G = self._G
+        if n is None or n > G.cap:
+            G.exhaust()
+        G._materialize(n)
+        return n
+
     # -- the first hit -------------------------------------------------------
 
     def _first(self, n0, lo, hi, lo_open, hi_open, upto=None
@@ -187,14 +247,7 @@ class Orbit:
         [lo, hi) by the walk, then each end moved in or out by its
         orbit solve.  An answer past the limit may be any index past it.  A
         cut in another radicand is answered with a scan's compares by
-        :meth:`_foreign`, before any clamping.  A closed window that
-        :meth:`hits` watches is read off its visits when n0 lies within
-        them or right after them."""
-        win = self._watch
-        if (win is not None and not (lo_open or hi_open)
-                and n0 <= win.through + 1
-                and win.lo == lo and win.hi == hi):
-            return self._watched(win, n0, upto)
+        :meth:`_foreign`, before any clamping."""
         if self._alien(lo) or self._alien(hi):
             return self._foreign(n0, lo, hi, lo_open, hi_open, upto)
         if lo is None or lo.sign() < 0:
@@ -251,72 +304,6 @@ class Orbit:
         """value(0) = 0 and value(1) = {alpha} as a column to scan."""
         return ValueColumn([ZERO, ONE], [ZERO, self._a])
 
-    # -- the watched window --------------------------------------------------
-
-    def _steppable(self, lo: ExactNumber, hi: ExactNumber) -> bool:
-        """True for a window that :meth:`hits` watches: 0 <= lo < hi < 1,
-        neither end in another radicand."""
-        return (not self._alien(lo) and not self._alien(hi)
-                and lo.sign() >= 0 and hi.compare(1) < 0
-                and lo.compare(hi) < 0)
-
-    def _watched(self, win: _Window, n0: int, upto: Optional[int]
-                 ) -> Optional[int]:
-        """:meth:`_first` on the watched window, for n0 within its visits or
-        right after them: the least visit >= n0 or the closed high end's
-        index, whichever comes first; None, or an index past the limit, if
-        neither is within it."""
-        reach = self._G.cap if upto is None else max(upto, self._G.cap)
-        visits = win.visits
-        i = bisect.bisect_left(visits, n0)
-        while i == len(visits) and win.through < reach:
-            self._advance(win, reach)
-        n = visits[i] if i < len(visits) else None
-        top = win.top
-        if top is not None and top >= n0 and (n is None or top < n):
-            return top
-        return n
-
-    def _advance(self, win: _Window, reach: int) -> None:
-        """Find the window's next visit to [lo, hi) after what it knows:
-        the first by one first-hit walk from ``win.through + 1``, any later
-        one by a gap step from the last (see the module docstring).  A
-        visit past ``reach``, or a gap that would step past it, which
-        counts as none, only moves ``win.through`` to ``reach``; a stepped
-        visit past it is exact and is kept.  The gaps are read once per
-        window, up to ``reach`` from the visit that first steps, and read
-        again only if one was past that and a later step may go further."""
-        lo, w, visits = win.lo, win.w, win.visits
-        if not visits:
-            n = win.through + 1
-            n += self._least(self.value(n), lo, w, reach - n)
-            if n > reach:
-                win.through = reach
-                return
-            win.x = self.value(n) - lo
-            win.through = n
-            visits.append(n)
-            return
-        limit = reach - visits[-1]
-        if win.gaps is None or win.gaps[0] < limit and None in win.gaps[1:]:
-            win.gaps = (limit, self._record(self._lows, 0, w, limit),
-                        self._record(self._highs, 0, w, limit))
-        _, low, high = win.gaps
-        x = win.x
-        if low is not None and (x + low[2]).compare(w) < 0:
-            d, x = low[1], x + low[2]
-        elif high is not None and x.compare(high[2]) >= 0:
-            d, x = high[1], x - high[2]
-        elif low is not None and high is not None:
-            d, x = low[1] + high[1], x + low[2] - high[2]
-        else:
-            win.through = reach
-            return
-        self.steps += 1
-        win.x = x
-        win.through = visits[-1] + d
-        visits.append(win.through)
-
     # -- the record tables ---------------------------------------------------
 
     def _links(self, table: list[tuple], chain: list[int], gap: ExactNumber,
@@ -362,6 +349,20 @@ class Orbit:
             if d > limit:
                 return None
             return r, d, (end if j == J else v0 - j * y)
+
+    def _last_record(self, table: list[tuple], k: int) -> tuple:
+        """The last record d <= k of ``table``, k >= 1, and its distance,
+        one run at a time (see :meth:`_record`)."""
+        r = 0
+        while True:
+            while len(table) <= r:
+                self._grow()
+            d0, s, v0, y, _, J, end = table[r]
+            if d0 + s > k:
+                return last
+            j = min(J, (k - d0) // s)
+            last = d0 + j * s, (end if j == J else v0 - j * y)
+            r += 1
 
     def _grow(self) -> None:
         """Append run s: ``(Q_(s-1), Q_s, delta_(s-1), delta_s, 1/delta_s,
@@ -434,21 +435,6 @@ class Orbit:
                 return n if n <= limit else limit + 1
             n, gap = n + last * d, gap - last * dist
         return limit + 1
-
-
-class _Window:
-    """The closed window [lo, hi] an :class:`Orbit` watches: ``w`` = hi -
-    lo; ``top``, the index whose value is hi, or None; ``visits``, every
-    index from 0 through ``through`` whose value lies in [lo, hi); ``x``,
-    the last visit's value minus lo; ``gaps``, None or ``(limit, A, B)``
-    with A and B the step gaps as :meth:`Orbit._record` read them up to
-    ``limit`` (None for one past it)."""
-
-    __slots__ = ("lo", "hi", "w", "top", "through", "visits", "x", "gaps")
-
-    def __init__(self, lo: ExactNumber, hi: ExactNumber, top: Optional[int]):
-        self.lo, self.hi, self.w, self.top = lo, hi, hi - lo, top
-        self.through, self.visits, self.x, self.gaps = -1, [], None, None
 
 
 def _ceil(x: ExactNumber) -> int:

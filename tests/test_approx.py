@@ -218,6 +218,20 @@ def test_widen_interval_rejects_large_eps_and_bad_family():
         widen_interval(DiscreteSet.naturals(4), f, bad, F(1, 60), 1)
 
 
+def test_widen_interval_skips_a_sampled_cut_on_the_image():
+    # the window of a family over a two-value table, checked over a third
+    # index whose value is the first seeded sample: that cut is skipped,
+    # though the family moved to it would fail the check
+    a, eps = exact(F(120, 121)), exact(F(1, 60))
+    fam = ratio_family(DiscreteSet.naturals(1), TableOracle({0: 0, 1: 1}),
+                       a, a, 1)
+    c, = ref._samples(*_window(fam, eps), 1, 0)
+    f, D = TableOracle({0: 0, 1: 1, 2: c}), DiscreteSet.naturals(2)
+    assert not ratio_family(D, f, a, c, 1).admissible
+    assert widen_interval(D, f, fam, eps, 1, verify_samples=1) == \
+        ref.widen_interval(D, f, fam, eps, 1, verify_samples=1)
+
+
 def test_cross_radicand_pipelines_share_nothing(rng):
     # the same machinery runs for each quadratic base independently
     for base in ROTATION_BASES:

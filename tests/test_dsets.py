@@ -483,11 +483,21 @@ def column_queries(draw):
     ends = st.sampled_from(draw(st.lists(numbers | st.sampled_from(values),
                                          min_size=1, max_size=3)))
     some = st.sampled_from(values)
+    # and the window of all the values, so that some hold three or more
     windows = st.sampled_from(draw(st.lists(
-        st.tuples(some, some).map(sorted), min_size=1, max_size=2)))
+        st.tuples(some, some).map(sorted), min_size=1, max_size=2))
+        + [(min(values), max(values))])
     index = st.integers(0, len(values) - 1)
+
+    def window_query(name, k, window):
+        # a widest gap is asked only of a window holding two values
+        if len(_inside(values, k, *window)) < 2:
+            name = "second_hit"
+        return name, k, *window
     query = (
-        st.builds(lambda k, w: ("hits", k, *w), index, windows)
+        st.builds(window_query,
+                  st.sampled_from(["second_hit", "widest_gap"]), index,
+                  windows)
         | st.tuples(st.just("first_hit"), index, st.none() | ends,
                     st.none() | ends, st.booleans(), st.booleans(),
                     st.none() | index)
@@ -504,14 +514,24 @@ def _ask(col, query):
         return type(err)
 
 
+def _inside(values, k, lo, hi):
+    """The distinct values in [lo, hi] through index k, sorted."""
+    return sorted({v for v in values[:k + 1] if lo <= v <= hi})
+
+
 def _scan(values, query, seen, past):
     """The answer by a comprehension over ``values``.  ``orbit_index``
-    looks at the first ``seen`` of them, and a first hit that reads past
-    the last one gets ``past``, the error a column raises there."""
+    looks at the first ``seen`` of them, and a first or second hit that
+    reads past the last one gets ``past``, the error a column raises
+    there."""
     name, *args = query
-    if name == "hits":
+    if name == "second_hit":
         k, lo, hi = args
-        return [i for i in range(k + 1) if lo <= values[i] <= hi]
+        return next((n for n in range(k, len(values))
+                     if len(_inside(values, n, lo, hi)) > 1), past)
+    if name == "widest_gap":
+        inside = _inside(values, *args)
+        return max(zip(inside, inside[1:]), key=lambda p: p[1] - p[0])
     if name == "first_hit":
         n0, lo, hi, lo_open, hi_open, upto = args
         top = len(values) - 1 if upto is None else upto

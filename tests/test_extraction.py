@@ -414,3 +414,28 @@ def test_n17_report_matches_golden(name):
     status, lines = run(["extract", "--oracle", f"rot({name})", "--n", "17",
                          "--eps", "1/4", "--budget", str(10 ** 300)])
     assert (status, _sha256(lines)) == DEEP_300_REPORTS[name]
+
+
+# SHA-256 of the report of `extract --oracle rot(<name>) --n <N> --eps 1/4
+# --budget 10^100`, which exits 0, recorded while phase 5 still listed the
+# window's hits.  sqrt(10001) = [100; 200] and sqrt(90001) = [300; 600]
+# have large partial quotients, so a window holds many visits: these guard
+# the three-distance answer where listing them was slow (sqrt(90001) at
+# N = 5 visited 428 608 and took about 10 s).
+LARGE_QUOTIENT_REPORTS = {
+    ("sqrt(10001)", 3): "b4b85bb4b97b2f03cd1963faca61cd55d0edb1905728b279e810822e63d5c2b9",
+    ("sqrt(10001)", 5): "c5eeb3e73dac775dd4aefd77bb28b2d691435d070547d5d68f153649803ac958",
+    ("sqrt(10001)", 7): "447e90381d1c772c16495fa4ae87700fa38d90b7d446463d0e4122bf6e453e30",
+    ("sqrt(10001)", 9): "7310e17956b85bc90464c47ba6e05e961de1560c7649fa5f88b7917ab7ed229c",
+    ("sqrt(90001)", 3): "dfbcfcaad7b538a812585601eb863e6625cd456aaba6e159c82f36a4668c7125",
+    ("sqrt(90001)", 5): "e4409071f6be8a56e46389d4f86acd220a39c9fb3a21adbf0a5e3f40e3abbd08",
+    ("sqrt(90001)", 7): "c4f9572eea12861fdd2cb4e1cc3d7ad5b495290533b084457bbf5609c3512bd2",
+    ("sqrt(90001)", 9): "28bde5863ad733583ecf2410b4971d17bb78a595f2b0961cbd112432a37c40f8",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(LARGE_QUOTIENT_REPORTS))
+def test_large_quotient_report_matches_golden(name, n):
+    status, lines = run(["extract", "--oracle", f"rot({name})", "--n", str(n),
+                         "--eps", "1/4", "--budget", str(10 ** 100)])
+    assert (status, _sha256(lines)) == (0, LARGE_QUOTIENT_REPORTS[(name, n)])

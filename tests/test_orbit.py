@@ -88,15 +88,21 @@ def test_queries_match_a_column_scan(alpha, data):
     ends = _ends(values)
     cuts = ends.filter(lambda c: c is not None)
     k = data.draw(st.integers(0, LIMIT))
-    # each watches one window at a time: ask it for a second one.  The
-    # engine lists the hits of a window it can step, the column of any
+    # two windows, asked in turn: the engine takes a window inside [0, 1),
+    # the column any.  A second hit is asked for when it is within LIMIT,
+    # a widest gap when the window holds two values through k
     for _ in range(2):
         lo, hi = data.draw(cuts), data.draw(cuts)
-        want = [n for n in range(k + 1)
-                if _inside(values[n], lo, hi, False, False)]
-        if q._steppable(lo, hi):
-            assert q.hits(k, lo, hi) == want, (k, lo, hi)
-        assert col.hits(k, lo, hi) == want, (k, lo, hi)
+        visits = [n for n in range(LIMIT + 1)
+                  if _inside(values[n], lo, hi, False, False)]
+        inside = sorted(values[n] for n in visits if n <= k)
+        for engine in (q, col) if 0 <= lo < hi < 1 else (col,):
+            if len(visits) > 1:
+                assert engine.second_hit(k, lo, hi) == max(k, visits[1]), \
+                    (k, lo, hi)
+            if len(inside) > 1:
+                assert engine.widest_gap(k, lo, hi) == _widest(inside), \
+                    (k, lo, hi)
     # the four chains a ratio family reads: a's over k, b's over upto
     a, b = data.draw(cuts), data.draw(cuts)
     upto = data.draw(st.integers(k, LIMIT))
@@ -108,6 +114,11 @@ def test_queries_match_a_column_scan(alpha, data):
     assert q.value(n) == values[n] == (n * alpha).frac()
     assert q.orbit_index(values[n]) == n
     assert q.orbit_index(values[n] + F(1, 10 ** 9)) is None
+
+
+def _widest(inside):
+    """The first widest gap between neighbours of a sorted list."""
+    return max(zip(inside, inside[1:]), key=lambda p: p[1] - p[0])
 
 
 def _public_methods(cls):
@@ -123,7 +134,8 @@ def _parameters(method):
 def test_both_engines_expose_the_same_queries():
     # a search runs on either engine, so neither may answer a query the
     # other lacks, and each query takes the same parameters on both
-    queries = {"first_hit", "hits", "chain", "orbit_index", "value", "elem"}
+    queries = {"first_hit", "second_hit", "widest_gap", "chain",
+               "orbit_index", "value", "elem"}
     assert _public_methods(Orbit) == _public_methods(ValueColumn) == queries
     q = Orbit(GrowableSet(), RotationOracle(SQRT2))
     col = ValueColumn([], [])
@@ -291,6 +303,42 @@ def _reference_hits(ref, k, lo, hi):
     return reference_hits(ref, 0, k, lo, hi)
 
 
+class _Frozen:
+    """Phases 2 and 5 as they stood before their queries, on the frozen
+    walk over an :class:`Orbit` ``ref``: its hits through k, then one
+    first hit past them per missing visit; and the sorted values of its
+    hits through k.  A second hit reads through k first, as the column's
+    scan does, so it raises the scan's cap error for k past the cap."""
+
+    def __init__(self, ref):
+        self.ref, self._G = ref, ref._G
+        self.first_hit = ref.first_hit
+
+    def second_hit(self, k, lo, hi):
+        if k > self._G.cap:
+            self._G.exhaust()
+        visits, n = _reference_hits(self.ref, k, lo, hi), k
+        while len(visits) < 2:
+            n = self.ref.first_hit(n + 1, lo, hi)
+            visits.append(n)
+        self._G._materialize(n)
+        return n
+
+    def widest_gap(self, k, lo, hi):
+        return _widest(sorted(map(self.ref.value,
+                                  _reference_hits(self.ref, k, lo, hi))))
+
+
+def _outcome(engine, query, *args):
+    """A query's answer, or the text of its CapExceeded, and the bound the
+    engine's set grew to."""
+    try:
+        answer = getattr(engine, query)(*args)
+    except CapExceeded as err:
+        answer = str(err)
+    return answer, engine._G.materialized_bound
+
+
 # at most this many visits, plus the closed end's, per drawn window, so the
 # frozen walk stays fast
 VISITS = 30
@@ -299,16 +347,18 @@ VISITS = 30
 @settings(max_examples=200)
 @given(alpha=alphas(), data=st.data())
 def test_stepped_hits_match_one_first_hit_per_visit(alpha, data):
-    # the watched window's gap steps against the frozen walk, one recursion
-    # and one closed-end solve per visit, over bounds up to 10^30; a window
-    # holds at most VISITS + 1 visits (see _closest).  One end is a
-    # rational around [0, 1), an orbit value within the bound (a high end
-    # there is a visit only its solve finds), or one moved by a hair; the
-    # other end is that end moved by the width.  Only windows the engine
-    # steps, inside [0, 1), are asked for.  Two windows per engine: the
-    # second replaces the first
+    # the second hit's gap step and the widest gap's three classes against
+    # the frozen walk, one recursion and one closed-end solve per visit,
+    # over bounds up to 10^30; a window holds at most VISITS + 1 visits
+    # through the bound (see _closest).  One end is a rational around
+    # [0, 1), an orbit value within the bound (a high end there is a visit
+    # only its solve finds), or one moved by a hair; the other end is that
+    # end moved by the width.  Only windows inside [0, 1) are asked for,
+    # two per engine.  A second visit past the bound may lie past the cap
     f = RotationOracle(alpha)
-    ref, q = Orbit(GrowableSet(), f), Orbit(GrowableSet(), f)
+    cap = 10 ** 40
+    q = Orbit(GrowableSet(cap=cap), f)
+    frozen = _Frozen(Orbit(GrowableSet(cap=cap), f))
     e = data.draw(st.integers(0, 30))
     k = data.draw(st.integers(10 ** e // 10, 10 ** e))
     orbit = st.integers(0, k).map(q.value)
@@ -322,24 +372,29 @@ def test_stepped_hits_match_one_first_hit_per_visit(alpha, data):
         width = data.draw(st.integers(0, VISITS)) * _closest(alpha, k)
         lo, hi = ((end, end + width) if data.draw(st.booleans())
                   else (end - width, end))
-        if not q._steppable(lo, hi):
+        if not 0 <= lo < hi < 1:
             continue
-        assert q.hits(k, lo, hi) == _reference_hits(ref, k, lo, hi), \
-            (k, lo, hi)
+        assert _outcome(q, "second_hit", k, lo, hi) == \
+            _outcome(frozen, "second_hit", k, lo, hi), (k, lo, hi)
+        if len(_reference_hits(frozen.ref, k, lo, hi)) > 1:
+            assert q.widest_gap(k, lo, hi) == \
+                frozen.widest_gap(k, lo, hi), (k, lo, hi)
 
 
 @settings(max_examples=150)
 @given(alpha=alphas(), data=st.data())
-def test_queries_on_the_watched_window_match_the_frozen_walk(alpha, data):
-    # hits from index 0, closed first hits and closed first hits up to a
-    # bound, mixed on one window the engine steps, over a small cap: a
-    # first hit may start inside what the window knows or past it, and one
-    # with no bound may run out of the cap.  Answers, cap errors and the
-    # grown bound equal the frozen walk's, whose first hits each recurse.
-    # The window holds at most 3*VISITS + 1 visits up to twice the cap
+def test_queries_on_one_window_match_the_frozen_walk(alpha, data):
+    # second hits, widest gaps, closed first hits and closed first hits up
+    # to a bound, mixed on one window inside [0, 1), over a small cap: a
+    # first hit may start inside the window's visits or past them, and a
+    # query with no bound may run out of the cap.  Answers, cap errors and
+    # the grown bound equal the frozen walk's, whose first hits each
+    # recurse.  The window holds at most 3*VISITS + 1 visits up to twice
+    # the cap
     cap = data.draw(st.integers(0, 3000))
     f = RotationOracle(alpha)
-    ref, q = Orbit(GrowableSet(cap=cap), f), Orbit(GrowableSet(cap=cap), f)
+    q = Orbit(GrowableSet(cap=cap), f)
+    frozen = _Frozen(Orbit(GrowableSet(cap=cap), f))
     orbit = st.integers(0, cap).map(q.value)
     width = (data.draw(st.integers(1, 3 * VISITS))
              * _closest(alpha, 2 * cap + 2))
@@ -351,26 +406,64 @@ def test_queries_on_the_watched_window_match_the_frozen_walk(alpha, data):
     else:
         hi = data.draw(orbit)
         lo = hi - width
-    assume(q._steppable(lo, hi))
+    assume(0 <= lo < hi < 1)
     starts = st.one_of(st.integers(0, cap + 2),
                        st.integers(max(cap - 20, 0), cap + 2))
     for _ in range(data.draw(st.integers(2, 8))):
-        op = data.draw(st.sampled_from(["hits", "first", "upto"]))
-        n0 = 0 if op == "hits" else data.draw(starts)
+        op = data.draw(st.sampled_from(["second", "widest", "first",
+                                        "upto"]))
+        n0 = data.draw(starts) if op in ("first", "upto") else 0
         bound = data.draw(st.integers(n0 - 1, 2 * cap + 2))
-        outcomes = []
-        for engine, hits in ((ref, _reference_hits), (q, Orbit.hits)):
-            try:
-                if op == "hits":
-                    outcomes.append(hits(engine, bound, lo, hi))
-                elif op == "first":
-                    outcomes.append(engine.first_hit(n0, lo, hi))
-                else:
-                    outcomes.append(engine.first_hit(n0, lo, hi, upto=bound))
-            except CapExceeded as err:
-                outcomes.append(str(err))
-            outcomes.append(engine._G.materialized_bound)
-        assert outcomes[:2] == outcomes[2:], (op, n0, bound, lo, hi)
+        if op == "second":
+            args = ("second_hit", bound, lo, hi)
+        elif op == "widest":
+            if len(_reference_hits(frozen.ref, bound, lo, hi)) < 2:
+                continue
+            args = ("widest_gap", bound, lo, hi)
+        elif op == "first":
+            args = ("first_hit", n0, lo, hi)
+        else:
+            args = ("first_hit", n0, lo, hi, False, False, bound)
+        assert _outcome(q, *args) == _outcome(frozen, *args), \
+            (args, lo, hi)
+
+
+# alphas whose partial quotients are large: [100; 200], [300; 600] and
+# 1/3 + sqrt(7)/7, whose period holds 1, 1 and 4
+QUOTIENTS = [ExactNumber.sqrt(10001), ExactNumber.sqrt(90001),
+             exact(F(1, 3)) + ExactNumber.sqrt(7) / 7]
+
+
+@settings(max_examples=150)
+@given(alpha=st.sampled_from(QUOTIENTS) | alphas(), data=st.data())
+def test_second_hits_and_widest_gaps_match_a_column_scan(alpha, data):
+    # the engine's two window queries against a column over a growable
+    # set, against the frozen walk and against brute force, at k up to 800
+    # over a cap that may be smaller: past it, the error text and the
+    # grown bound are the column's.  Four windows inside [0, 1) per draw,
+    # asked in turn of the same engines; their ends are rationals, orbit
+    # values and orbit values moved by a hair
+    _, values = _setup(alpha)
+    f = RotationOracle(alpha)
+    cap = data.draw(st.integers(1, 1000))
+    k = data.draw(st.integers(1, 800))
+    G = GrowableSet(cap=cap)
+    engines = (Orbit(GrowableSet(cap=cap), f), ValueColumn(G._elems, [], G, f),
+               _Frozen(Orbit(GrowableSet(cap=cap), f)))
+    ends = _ends(values).filter(lambda c: c is not None)
+    for _ in range(4):
+        lo, hi = sorted((data.draw(ends), data.draw(ends)))
+        if not 0 <= lo < hi < 1:
+            continue
+        outcomes = [_outcome(engine, "second_hit", k, lo, hi)
+                    for engine in engines]
+        assert outcomes == outcomes[:1] * 3, (k, lo, hi)
+        inside = sorted(v for v in values[:k + 1] if lo <= v <= hi)
+        if len(inside) > 1:
+            whole = ValueColumn(range(k + 1), values[:k + 1])
+            assert [whole.widest_gap(k, lo, hi)] + \
+                [engine.widest_gap(k, lo, hi) for engine in engines[::2]] \
+                == [_widest(inside)] * 3, (k, lo, hi)
 
 
 def _in_radicand(m):
@@ -389,21 +482,23 @@ def test_every_window_a_step_lists_is_one_the_engine_steps(alpha, data):
     # each step's window lies inside the previous inner cut's bracket, two
     # orbit values in [0, 1), and a tolerance or target in another
     # radicand fails before any window exists; so every window that
-    # reaches Orbit.hits is one it steps.  Tolerances and targets are
-    # rational or in alpha's radicand; the windows are checked here, not
-    # through the assertion in Orbit.hits
+    # reaches Orbit.second_hit or Orbit.widest_gap is one they take.
+    # Tolerances and targets are rational or in alpha's radicand; the
+    # windows are checked here, not through the queries' assertions
     m = alpha.frac().m
     numbers = _in_radicand(m)
     f = RotationOracle(alpha)
     windows = []
-    hits = Orbit.hits
 
-    def recorded(q, k, lo, hi):
-        windows.append((q._steppable(lo, hi), lo, hi))
-        return hits(q, k, lo, hi)
+    def recorded(query):
+        def ask(q, k, lo, hi):
+            windows.append((lo, hi))
+            return query(q, k, lo, hi)
+        return ask
     n = data.draw(st.integers(1, 3))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Orbit, "hits", recorded)
+        for name in ("second_hit", "widest_gap"):
+            patch.setattr(Orbit, name, recorded(getattr(Orbit, name)))
         try:
             if data.draw(st.booleans()):
                 extract(GrowableSet(cap=20000), f, n, data.draw(numbers))
@@ -416,10 +511,10 @@ def test_every_window_a_step_lists_is_one_the_engine_steps(alpha, data):
             done = True
         except ExactLabError:
             done = False
-    assert all(ok for ok, _, _ in windows), windows
-    # a run that took a second step listed its window's hits
+    assert all(x.q == 0 or x.m == m for window in windows for x in window)
+    # a run that took a second step asked about its window
     assert windows or n == 1 or not done
-    assert all(0 <= lo < hi < 1 for _, lo, hi in windows)
+    assert all(0 <= lo < hi < 1 for lo, hi in windows)
 
 
 def test_record_chains_of_a_tiny_rotation():
@@ -571,50 +666,48 @@ def _cost(monkeypatch, alpha):
     extract(GrowableSet(), RotationOracle(alpha), 3, F(1, 4))
     assert len(engines) == 1
     q = engines[0]
-    return ((q.first_hits, q.levels, q.steps, q.solves, q.runs, q.links),
+    return ((q.first_hits, q.levels, q.solves, q.runs, q.links),
             len(inverses), len(reads))
 
 
 def test_sqrt2_n3_cost(monkeypatch):
     # one engine serves the bootstrap and steps 2 and 3: (first-hit walks,
-    # records they read, window visits reached by a gap step, orbit
-    # solves, continued-fraction runs built, record links read); the
-    # bootstrap adds 2 solves and 2 links.  Each step's window takes one
-    # walk, to its first visit up to the budget, and one solve of its
-    # closed high end; phase 2's later hits and phase 5's are gap steps.
-    # Phase 4 takes the other walk of each step.  The engine takes one
-    # inverse per run of two or more records (all 15: every partial
+    # records they read, orbit solves, continued-fraction runs built,
+    # record links read); the bootstrap adds 2 solves and 2 links.  Each
+    # step's second hit takes one walk, to the window's first visit up to
+    # the budget, one gap step and one solve of its closed high end, and
+    # phase 4 takes the other walk.  Each widest gap here takes one solve
+    # and one right chain, in the first class it tries.  The engine takes
+    # one inverse per run of two or more records (all 16: every partial
     # quotient of sqrt(2) past the first is 2) and one per batch of two or
     # more links of one record (8 here); the other 13 are irrational
     # divisions outside the engine (a plain int divisor multiplies into
-    # the denominator instead).  The run reads 47 orbit values: each hit's
-    # value once, whether phase 2 or phase 5 lists it
-    assert _cost(monkeypatch, SQRT2) == ((4, 24, 9, 12, 15, 72), 36, 47)
+    # the denominator instead).  The run reads 38 orbit values
+    assert _cost(monkeypatch, SQRT2) == ((4, 24, 14, 16, 78), 37, 38)
 
 
 def test_phi_n3_cost(monkeypatch):
-    # one walk per window and one per phase 4, as for sqrt(2); {phi} >
-    # 1/2, so run 0 holds only the record high d = 1, and every partial
-    # quotient is 1: a run per record, settled by one compare with no
-    # inverse (23 inverses when every run took one).  6 batches take an
-    # inverse, and the other 13 are divisions outside the engine; 43
-    # orbit values are read
-    assert _cost(monkeypatch, PHI) == ((4, 23, 3, 12, 23, 60), 19, 43)
+    # two walks per step, as for sqrt(2); each widest gap tries two
+    # classes, a solve each.  {phi} > 1/2, so run 0 holds only the record
+    # high d = 1, and every partial quotient is 1: a run per record,
+    # settled by one compare with no inverse (24 inverses when every run
+    # took one).  6 batches take an inverse, and the other 13 are
+    # divisions outside the engine; 44 orbit values are read
+    assert _cost(monkeypatch, PHI) == ((4, 23, 16, 24, 68), 19, 44)
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):
     # at N = 1280 the base step runs at eps/6^1279, so step 2's window is
-    # about 10^-1000 wide and its first hit lies far past the 10^6 budget.
-    # The window's one walk stops once its next record would pass the
-    # budget, after 14 records, and phase 2's first hit past the previous
-    # bound reads that off the window; running it out to the exact hit, a
-    # 996-digit index, takes 2 382 records and 4 764 continued-fraction
-    # runs (about 1 s)
+    # about 10^-1000 wide and its first visit lies far past the 10^6
+    # budget.  The second hit's one walk stops once its next record would
+    # pass the budget, after 14 records, and raises the cap error with no
+    # gap step; running it out to the exact visit, a 996-digit index,
+    # takes 2 382 records and 4 764 continued-fraction runs (about 1 s)
     engines = _engines(monkeypatch)
     with pytest.raises(CapExceeded, match=r"^index 1000001 exceeds cap 1000000$"):
         extract(GrowableSet(), RotationOracle(PHI), 1280, F(1, 4))
     q = engines[0]
-    assert (q.first_hits, q.levels, q.steps) == (1, 14, 0)
+    assert (q.first_hits, q.levels) == (1, 14)
 
 
 # d_index per step at --eps 1/4 with a budget that never binds.  The

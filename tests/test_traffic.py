@@ -32,4 +32,5 @@ def test_the_traffic_map_names_every_module_and_finds_the_engine_reached():
                                     if path.stem != "__init__")
     # each module lists exactly the functions its count leaves out
     assert {m: len(names) for m, names in missed.items()} == counts
-    assert "Orbit.hits" not in missed["exactlab.orbit"]
+    assert not {"Orbit.second_hit", "Orbit.widest_gap"} & \
+        set(missed["exactlab.orbit"])
