@@ -238,8 +238,13 @@ def _state(q, a: ExactNumber, d: ExactNumber, left: list[int],
         raise NoLeftValue(f"no value below {a} within bound {d}")
     if not right:
         raise NoRightValue(f"no value above {a} within bound {d}")
-    return ApproxState(L=DiscreteSet(q.elem(j) for j in left),
-                       R=DiscreteSet(q.elem(j) for j in right),
+    # a chain's indices strictly increase, and so do the elements they
+    # index, all of one set: each chain is the sorted tuple of distinct
+    # non-negative elements that _of asks for.  A list sizes its tuple at
+    # once; tuples grown from an iterator are resized, and pile up on the
+    # interpreter's per-size free lists, so peak RSS crept up run by run
+    return ApproxState(L=DiscreteSet._of(tuple([q.elem(j) for j in left])),
+                       R=DiscreteSet._of(tuple([q.elem(j) for j in right])),
                        l=q.value(left[-1]), r=q.value(right[-1]),
                        cut=a, bound=d)
 

@@ -11,9 +11,19 @@ Both record sequences depend on alpha alone: they are the convergent and
 intermediate denominators of its regular continued fraction (Rockett and
 Szüsz, *Continued Fractions*, 1992), whose runs, one per partial quotient,
 make two *record tables*.  An :class:`Orbit` builds them run by run on
-first use, with one inverse per run of two or more records.  A link reads
-the least record under its gap off one run with one floor, so a chain
-costs O(1) exact steps per link and per run, however long a run is.
+first use.  A link reads the least record under its gap off one run with
+one floor, so a chain costs O(1) steps per link and per run, however long
+a run is.
+
+Every record distance is a lattice point |Q*alpha - P|.  So with {alpha}
+written (p + q*sqrt(m))/den, it is (x + y*sqrt(m))/den for an int pair
+(x, y), and the tables hold ints alone: each distance as its pair over
+den, and each run step's norm x^2 - y^2*m.  A query puts its gap over D,
+a multiple of den, once; a table pair is scaled to D as it is read.  So
+a link is integer steps: a compare is the sign of an int pair, a gap
+shrinks by two int subtractions, and a floor of a quotient multiplies by
+the divisor's conjugate and takes the quadratic floor over its norm.  A
+query builds O(1) exact numbers, however many links it reads.
 
 A first hit is a link of such a chain (see Alessandri and Berthé,
 *L'Enseignement Math.* 44, 1998).  Write a for {alpha}.  The least t >= 1
@@ -21,8 +31,8 @@ with {beta + t*a} in an arc [lo, lo + w) that beta lies outside puts {t*a}
 in [gap - w, gap) for gap = 1 + w - {beta - lo}, and no earlier index has
 its value there, so t is the first link of gap's left chain that comes
 within w of gap.  :meth:`Orbit._least` walks that chain, taking all the
-links a record makes in a row with one division, so a first hit costs
-O(1) exact steps per run crossed, however small w is.
+links a record makes in a row with two floors, so a first hit costs O(1)
+steps per run crossed, however small w is.
 
 Phases 2 and 5 of an extraction step ask two questions of a closed window
 [lo, hi] with 0 <= lo < hi < 1, and neither lists the window's visits.
@@ -57,10 +67,11 @@ needs, as a column scan would have read them.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional
 
 from .dsets import GrowableSet, RotationOracle, ValueColumn, _Naturals
-from .qnum import ExactNumber
+from .qnum import ExactNumber, _floor_pair, _sign_pair
 
 ZERO = ExactNumber(0)
 ONE = ExactNumber(1)
@@ -88,16 +99,19 @@ class Orbit:
     record-chain links read off them.  Besides its counters it holds only
     the record tables, a cache of alpha's expansion filled run by run on
     first use, so each answer depends on the query and the set's cap
-    alone.  It grows its set, so it belongs to one extraction, like the
-    set.
+    alone.  A table is a list of runs ``(d0, s, v0, y, norm, J, end)``:
+    ints, with each distance an int pair over den (see :meth:`_record`).
+    It grows its set, so it belongs to one extraction, like the set.
     """
 
     def __init__(self, G: GrowableSet, f: RotationOracle):
         self._G = G
         a = self._a = f.alpha.frac()
-        self._m, self._den, self._sq = a.m, a.den, a.q
+        p, q, den = a.p, a.q, a.den
+        self._p, self._sq, self._den, self._m = p, q, den, a.m
         # highs: the even runs; lows: d = 1 as a run of one, then the odd runs
-        self._lows: list[tuple] = [(0, 1, ONE, ONE - a, None, 1, a)]
+        self._lows: list[tuple] = [(0, 1, (den, 0), (den - p, -q), None, 1,
+                                    (p, q))]
         self._highs: list[tuple] = []
         self.first_hits = 0
         self.levels = 0
@@ -106,7 +120,8 @@ class Orbit:
         self.links = 0
 
     def value(self, n: int) -> ExactNumber:
-        return (n * self._a).frac()
+        p, q, den, m = n * self._p, n * self._sq, self._den, self._m
+        return ExactNumber._raw(p - _floor_pair(p, q, den, m) * den, q, den, m)
 
     @staticmethod
     def elem(n: int) -> ExactNumber:
@@ -144,11 +159,12 @@ class Orbit:
         top = self.orbit_index(hi)
         if (top is None or top > n) and n <= cap:
             x, room = self.value(n) - lo, cap - n
-            low = self._record(self._lows, 0, w, room)
-            high = self._record(self._highs, 0, w, room)
-            if low is not None and (x + low[2]).compare(w) < 0:
+            f, (wx, wy) = self._over(w)
+            low = self._record(self._lows, 0, wx, wy, f, room)
+            high = self._record(self._highs, 0, wx, wy, f, room)
+            if low is not None and (x + self._exact(*low[2:])).compare(w) < 0:
                 n += low[1]
-            elif high is not None and x.compare(high[2]) >= 0:
+            elif high is not None and x.compare(self._exact(*high[2:])) >= 0:
                 n += high[1]
             elif low is not None and high is not None:
                 n += low[1] + high[1]
@@ -306,49 +322,75 @@ class Orbit:
 
     # -- the record tables ---------------------------------------------------
 
+    def _over(self, *xs: ExactNumber) -> tuple:
+        """``(f, *pairs)``: each x as its int pair over D, the least common
+        multiple of den and the xs' denominators, and f = D/den, the factor
+        that puts a table's pairs over D."""
+        D = lcm(self._den, *(x.den for x in xs))
+        return (D // self._den,
+                *((x.p * (D // x.den), x.q * (D // x.den)) for x in xs))
+
+    def _exact(self, x: int, y: int) -> ExactNumber:
+        """The table's pair (x, y) as the number (x + y*sqrt(m))/den."""
+        return ExactNumber._raw(x, y, self._den, self._m)
+
     def _links(self, table: list[tuple], chain: list[int], gap: ExactNumber,
                k: int) -> list[int]:
         """Extend ``chain`` by the links from index 0 up to k: the next
         index is n + d for the table's least record d at distance below
         ``gap``, and the gap shrinks by that distance.  Records only get
-        closer, so the search goes on from the run of the last link."""
+        closer, so the search goes on from the run of the last link.  The
+        gap is put over D once (see :meth:`_over`), so a link is two int
+        subtractions on top of :meth:`_record`'s integer steps."""
+        f, (gx, gy) = self._over(gap)
         n = r = 0
         while True:
-            found = self._record(table, r, gap, k - n)
+            found = self._record(table, r, gx, gy, f, k - n)
             if found is None:
                 return chain
-            r, d, dist = found
+            r, d, x, y = found
             self.links += 1
             n += d
             chain.append(n)
-            gap = gap - dist
+            gx, gy = gx - f * x, gy - f * y
 
-    def _record(self, table: list[tuple], r: int, gap: ExactNumber,
+    def _record(self, table: list[tuple], r: int, gx: int, gy: int, f: int,
                 limit: int) -> Optional[tuple]:
-        """The least record d of ``table`` at distance below ``gap``, from
-        run r on: ``(its run, d, its distance)``, or None if d would pass
+        """The least record d of ``table`` at distance below the gap
+        (gx + gy*sqrt(m))/D, D = f*den, from run r on: ``(its run, d, x, y)``
+        with its distance (x + y*sqrt(m))/den, or None if d would pass
         ``limit``.
 
-        A run ``(d0, s, v0, y, inv, J, end)`` holds the records d0 + j*s
-        at distance v0 - j*y for 1 <= j <= J (``inv`` = 1/y, or None when
-        J = 1, ``end`` the last distance), below every earlier record's;
-        in the first run that reaches below the gap the least such record
-        is j = floor((v0 - gap)/y) + 1.
+        A run ``(d0, s, v0, y, norm, J, end)`` holds the records d0 + j*s
+        at distance v0 - j*y for 1 <= j <= J (``end`` the last distance,
+        ``norm`` y's norm, or None when J = 1), below every earlier
+        record's.  Each distance is an int pair over den, scaled by f as it
+        is read.  The first run whose end lies below the gap (one
+        ``_sign_pair``) holds the least such record, j = floor((v0 -
+        gap)/y) + 1: the quotient times y's conjugate, over f*norm, and one
+        quadratic floor.
         """
+        m = self._m
         while True:
             while len(table) <= r:
                 self._grow()
-            d0, s, v0, y, inv, J, end = table[r]
+            d0, s, (x0, y0), (x1, y1), norm, J, (xe, ye) = table[r]
             if d0 + s > limit:
                 return None
-            if end.compare(gap) >= 0:
+            if _sign_pair(f * xe - gx, f * ye - gy, m) >= 0:
                 r += 1
                 continue
-            j = 1 if J == 1 else ((v0 - gap) * inv).floor() + 1
+            if J == 1:
+                return r, d0 + s, xe, ye
+            a, b = f * x0 - gx, f * y0 - gy
+            j = _floor_pair(a * x1 - b * y1 * m, b * x1 - a * y1, f * norm,
+                            m) + 1
             d = d0 + j * s
             if d > limit:
                 return None
-            return r, d, (end if j == J else v0 - j * y)
+            if j == J:
+                return r, d, xe, ye
+            return r, d, x0 - j * x1, y0 - j * y1
 
     def _last_record(self, table: list[tuple], k: int) -> tuple:
         """The last record d <= k of ``table``, k >= 1, and its distance,
@@ -357,40 +399,41 @@ class Orbit:
         while True:
             while len(table) <= r:
                 self._grow()
-            d0, s, v0, y, _, J, end = table[r]
+            d0, s, (x0, y0), (x1, y1), _, J, end = table[r]
             if d0 + s > k:
-                return last
+                return last[0], self._exact(*last[1])
             j = min(J, (k - d0) // s)
-            last = d0 + j * s, (end if j == J else v0 - j * y)
+            last = d0 + j * s, (end if j == J else (x0 - j * x1, y0 - j * y1))
             r += 1
 
     def _grow(self) -> None:
-        """Append run s: ``(Q_(s-1), Q_s, delta_(s-1), delta_s, 1/delta_s,
-        J, delta_(s+1))``, J = floor(delta_(s-1)/delta_s), from Q_(-1) = 0
-        at delta_(-1) = 1 and Q_0 = 1 at delta_0 = a.  One compare,
-        delta_(s-1) - delta_s < delta_s, settles J = 1, and such a run
-        stores None for the inverse it never needs.  Q_s*alpha lies
-        delta_s above an integer for even s and below one for odd s, so
-        the run's records Q_(s-1) + j*Q_s at delta_(s-1) - j*delta_s,
-        1 <= j <= J, are highs for even s and lows for odd s."""
+        """Append run s: ``(Q_(s-1), Q_s, delta_(s-1), delta_s, N_s, J,
+        delta_(s+1))``, J = floor(delta_(s-1)/delta_s), from Q_(-1) = 0 at
+        delta_(-1) = 1 and Q_0 = 1 at delta_0 = a.  Each delta is an int
+        pair (x, y) for (x + y*sqrt(m))/den, and N_s = x^2 - y^2*m is
+        delta_s's norm.  One ``_sign_pair``, of delta_(s-1) - 2*delta_s,
+        settles J = 1, and such a run stores None for the norm it never
+        needs; otherwise J is one floor of delta_(s-1) times delta_s's
+        conjugate over N_s.  Q_s*alpha lies delta_s above an integer for
+        even s and below one for odd s, so the run's records Q_(s-1) +
+        j*Q_s at delta_(s-1) - j*delta_s, 1 <= j <= J, are highs for even
+        s and lows for odd s."""
         s = self.runs
         self.runs += 1
+        m = self._m
         # run s - 1 is the lows' (s // 2)th for even s, the highs' for odd s;
         # run -1 steps from Q_(-2) = 1 by Q_(-1) = 0
-        d0, q, _, x, _, J, y = (
+        d0, q, _, (x0, y0), _, J, (x1, y1) = (
             (self._highs if s % 2 else self._lows)[s // 2] if s else
-            (1, 0, None, ONE, None, 0, self._a))
+            (1, 0, None, (self._den, 0), None, 0, (self._p, self._sq)))
         d0, q = q, d0 + J * q
-        end = x - y
-        if end.compare(y) < 0:
-            # J = 1: _record reads no inverse for a run of one record
-            inv, J = None, 1
+        if _sign_pair(x0 - 2 * x1, y0 - 2 * y1, m) < 0:
+            norm, J = None, 1
         else:
-            inv = y.inverse()
-            J = (x * inv).floor()
-            end = x - J * y
+            norm = x1 * x1 - y1 * y1 * m
+            J = _floor_pair(x0 * x1 - y0 * y1 * m, y0 * x1 - x0 * y1, norm, m)
         (self._lows if s % 2 else self._highs).append(
-            (d0, q, x, y, inv, J, end))
+            (d0, q, (x0, y0), (x1, y1), norm, J, (x0 - J * x1, y0 - J * y1)))
 
     def _least(self, beta: ExactNumber, lo: ExactNumber, w: ExactNumber,
                limit: int) -> int:
@@ -408,34 +451,39 @@ class Orbit:
         batch: i = min(ceil((gap - w)/dist), ceil(gap/dist) - 1) of them,
         the first bound reaching the answer, the second the last link
         that d takes.  Each record read counts as a level.
+
+        The gap, w and each distance are int pairs over one D (see
+        :meth:`_over`), so a compare is one ``_sign_pair``, and a ceiling
+        is minus the floor of the quotient times dist's conjugate over
+        minus dist's norm.
         """
         self.first_hits += 1
         g = (beta - lo).frac()
         if g.compare(w) < 0:
             return 0
-        gap = ONE + w - g
+        m = self._m
+        f, (gx, gy), (wx, wy) = self._over(ONE + w - g, w)
         n = r = 0
         while n <= limit:
-            found = self._record(self._lows, r, gap, limit - n)
+            found = self._record(self._lows, r, gx, gy, f, limit - n)
             if found is None:
                 break
             self.levels += 1
-            r, d, dist = found
-            rest = gap - dist
-            if rest.compare(w) <= 0:
+            r, d, x, y = found
+            x, y = f * x, f * y
+            a, b = gx - x, gy - y
+            if _sign_pair(a - wx, b - wy, m) <= 0:
                 return n + d
-            if rest.compare(dist) <= 0:
-                n, gap = n + d, rest
+            if _sign_pair(a - x, b - y, m) <= 0:
+                n, gx, gy = n + d, a, b
                 continue
-            inv = dist.inverse()
-            i = _ceil((gap - w) * inv)
-            last = _ceil(gap * inv) - 1
+            neg = y * y * m - x * x
+            a, b = gx - wx, gy - wy
+            i = -_floor_pair(a * x - b * y * m, b * x - a * y, neg, m)
+            last = -_floor_pair(gx * x - gy * y * m, gy * x - gx * y, neg,
+                                m) - 1
             if i <= last:
                 n += i * d
                 return n if n <= limit else limit + 1
-            n, gap = n + last * d, gap - last * dist
+            n, gx, gy = n + last * d, gx - last * x, gy - last * y
         return limit + 1
-
-
-def _ceil(x: ExactNumber) -> int:
-    return -(-x).floor()

@@ -26,7 +26,9 @@ same call, so the canonical form is the same on every path; a rational
 reduces by ``gcd(p, den)``.  ``<``, ``<=``, ``>`` and ``>=`` all go through
 ``compare``.  ``floor`` compares nothing: a rational is one integer
 division, and an irrational adds ``s = isqrt(q*q*m)`` to ``p`` (``-s - 1``
-when ``q < 0``) before it divides.
+when ``q < 0``) before it divides.  Its body is ``_floor_pair``, on bare
+coefficients over a denominator of either sign, which the first-hit engine
+calls on its integer pairs too.
 """
 
 from __future__ import annotations
@@ -57,6 +59,22 @@ def _sign_pair(p: int, q: int, m: int) -> int:
     if p > 0:  # q < 0: positive iff p^2 > q^2 m
         return (lhs > rhs) - (lhs < rhs)
     return (rhs > lhs) - (rhs < lhs)
+
+
+def _floor_pair(p: int, q: int, den: int, m: int) -> int:
+    """Floor of (p + q*sqrt(m))/den for a nonzero den of either sign, q = 0
+    or m square-free and not 1."""
+    if q == 0:
+        return p // den
+    if den < 0:
+        p, q, den = -p, -q, -den
+    # |q| sqrt(m) is irrational, so s < |q| sqrt(m) < s + 1: floor(q sqrt(m))
+    # is s or -s - 1, and floor((p + x)/den) = floor((p + floor(x))/den)
+    # for every real x when den > 0
+    s = isqrt(q * q * m)
+    if q > 0:
+        return (p + s) // den
+    return (p - s - 1) // den
 
 
 #: The largest radicand accepted: its square-freeness is decided by trial
@@ -348,16 +366,7 @@ class ExactNumber:
 
     def floor(self) -> int:
         """Greatest integer <= value, decided exactly."""
-        p, q, den, m = self.p, self.q, self.den, self.m
-        if q == 0:
-            return p // den
-        # m is square-free and not 1, so |q| sqrt(m) is irrational and
-        # s < |q| sqrt(m) < s + 1: floor(q sqrt(m)) is s or -s - 1, and
-        # floor((p + x)/den) = floor((p + floor(x))/den) for every real x
-        s = isqrt(q * q * m)
-        if q > 0:
-            return (p + s) // den
-        return (p - s - 1) // den
+        return _floor_pair(self.p, self.q, self.den, self.m)
 
     __floor__ = floor
 

@@ -678,22 +678,50 @@ def test_sqrt2_n3_cost(monkeypatch):
     # the budget, one gap step and one solve of its closed high end, and
     # phase 4 takes the other walk.  Each widest gap here takes one solve
     # and one right chain, in the first class it tries.  The engine takes
-    # one inverse per run of two or more records (all 16: every partial
-    # quotient of sqrt(2) past the first is 2) and one per batch of two or
-    # more links of one record (8 here); the other 13 are irrational
-    # divisions outside the engine (a plain int divisor multiplies into
-    # the denominator instead).  The run reads 38 orbit values
-    assert _cost(monkeypatch, SQRT2) == ((4, 24, 14, 16, 78), 37, 38)
+    # no inverse: its record tables and walks are int pairs.  The 13
+    # inverses are irrational divisions outside the engine (a plain int
+    # divisor multiplies into the denominator instead).  The run reads 38
+    # orbit values
+    assert _cost(monkeypatch, SQRT2) == ((4, 24, 14, 16, 78), 13, 38)
 
 
 def test_phi_n3_cost(monkeypatch):
     # two walks per step, as for sqrt(2); each widest gap tries two
     # classes, a solve each.  {phi} > 1/2, so run 0 holds only the record
     # high d = 1, and every partial quotient is 1: a run per record,
-    # settled by one compare with no inverse (24 inverses when every run
-    # took one).  6 batches take an inverse, and the other 13 are
-    # divisions outside the engine; 44 orbit values are read
-    assert _cost(monkeypatch, PHI) == ((4, 23, 16, 24, 68), 19, 44)
+    # settled by one sign with no norm.  The engine takes no inverse, and
+    # the 13 are divisions outside it; 44 orbit values are read
+    assert _cost(monkeypatch, PHI) == ((4, 23, 16, 24, 68), 13, 44)
+
+
+def test_a_deeper_read_builds_no_more_exact_numbers(monkeypatch):
+    # the record tables and the walks over them are int pairs, so once the
+    # tables are grown, a chain over twice the digits, or a first-hit walk
+    # to an arc of half the digits' width, builds as many ExactNumbers as
+    # the shallower one: O(1) per query, not per link or record
+    q = Orbit(GrowableSet(), RotationOracle(SQRT2))
+    cut, beta = exact(F(1, 3)), q.value(10 ** 30)
+    widths = [exact(F(1, 10 ** e)) for e in (40, 80)]
+    q.chain(cut, 10 ** 80, below=True)
+    q._least(beta, cut, widths[1], 10 ** 100)
+    raw, built = ExactNumber._raw.__func__, []
+
+    def counted(cls, *args):
+        built.append(args)
+        return raw(cls, *args)
+    monkeypatch.setattr(ExactNumber, "_raw", classmethod(counted))
+
+    def cost(read):
+        built.clear()
+        links, levels = q.links, q.levels
+        read()
+        return len(built), q.links - links, q.levels - levels
+    chains = [cost(lambda: q.chain(cut, k, below=True))
+              for k in (10 ** 40, 10 ** 80)]
+    walks = [cost(lambda: q._least(beta, cut, w, 10 ** 100))
+             for w in widths]
+    assert chains[0][0] == chains[1][0] and chains[0][1] < chains[1][1]
+    assert walks[0][0] == walks[1][0] and walks[0][2] < walks[1][2]
 
 
 def test_a_hit_far_past_the_budget_ends_the_recursion_early(monkeypatch):

@@ -2,12 +2,12 @@ from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from exactlab import ExactNumber, PHI, SQRT2, SQRT3, exact, parse_exact
 from exactlab.errors import DivisionByZero, RadicandMismatch
-from exactlab.qnum import MAX_RADICAND, _sign_pair
+from exactlab.qnum import MAX_RADICAND, _floor_pair, _sign_pair
 
 from conftest import alphas, rand_quadratic
 
@@ -476,6 +476,46 @@ def test_wide_floor_and_frac_match_a_slow_bracket(x):
     assert _fields(f) == _fields(ExactNumber(F(x.p, x.den) - n,
                                              F(x.q, x.den), x.m))
     assert f.sign() >= 0 and f.compare(1) < 0
+
+
+# small, past 64 bits, or of 300 digits and more
+_any_int = st.integers(-9, 9) | _wide | st.integers(-10 ** 320, 10 ** 320)
+
+
+@st.composite
+def _floor_operands(draw):
+    """(p, q, den, m) with den of either sign, q = 0 among them, half of
+    the irrational ones with p within a few units of -q*sqrt(m)."""
+    m = draw(st.sampled_from([2, 3, 5, 13, 10001, 90001]))
+    q = draw(st.just(0) | _any_int)
+    den = draw(_any_int.filter(bool))
+    if q and draw(st.booleans()):
+        r = isqrt(q * q * m)
+        p = (r if q < 0 else -r) + draw(st.integers(-3, 3))
+    else:
+        p = draw(_any_int)
+    return p, q, den, m
+
+
+@given(_floor_operands())
+def test_floor_pair_is_the_floor_of_its_number(operands):
+    # the bare coefficients, unreduced and with either sign of den, floor
+    # as the normalized number does, and as a slow bracket does
+    x = ExactNumber._raw(*operands)
+    assert _floor_pair(*operands) == x.floor() == _slow_floor(x)
+
+
+@given(_floor_operands(), _any_int, _any_int, st.integers(1, 10 ** 40))
+def test_floor_pair_of_a_quotient_of_two_pairs(operands, c, e, f):
+    # floor((a + b*sqrt(m))/(f*(c + e*sqrt(m)))) as the first-hit engine
+    # forms it: times the conjugate, over f times the divisor's norm; and
+    # the ceiling as minus the floor over minus that
+    a, b, _, m = operands
+    assume(c or e)
+    x = ExactNumber._raw(a, b, f, m) / ExactNumber._raw(c, e, 1, m)
+    p, q, norm = a * c - b * e * m, b * c - a * e, f * (c * c - e * e * m)
+    assert _floor_pair(p, q, norm, m) == x.floor()
+    assert -_floor_pair(p, q, -norm, m) == -(-x).floor()
 
 
 def _convergent_gap(k):
